@@ -35,9 +35,9 @@ from .fileio import (
     save_instance,
     save_manifest,
 )
-from .generators import GENERATOR_FAMILIES, gen_dataset
+from .generators import GENERATOR_FAMILIES, gen_dataset, split_labels
 from .graphenc import to_bipartite_graph
-from .rng import derive_rng, derive_seed
+from .rng import derive_seed
 from .solver import InfeasibleOrUnbounded, Unbounded, Unconverged, solve_splitting
 from .transforms import (
     _SOLUTION_DEPENDENT,
@@ -374,14 +374,8 @@ def cmd_heuristic_eval(args) -> int:
 def cmd_split(args) -> int:
     _require(args, "manifest")
     entries = load_manifest(args.manifest)
-    count = len(entries)
-    n_hold = count // 10
-    split = np.array(["train"] * count, dtype=object)
-    perm = derive_rng(args.seed, "split").permutation(count)
-    split[perm[:n_hold]] = "val"
-    split[perm[n_hold:2 * n_hold]] = "test"
-    for e, s in zip(entries, split):
-        e["split"] = str(s)
+    for e, s in zip(entries, split_labels(len(entries), args.seed)):
+        e["split"] = s
     out = args.out if args.out is not None else args.manifest
     save_manifest(out, entries)
     counts = _status_counts(e["split"] for e in entries)

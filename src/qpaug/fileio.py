@@ -165,48 +165,53 @@ def load_instance_unchecked(path):
 
 
 def save_graph(path, graph):
-    """Graph export: node arrays (side, feature) and flat edge arrays, with
-    constraint nodes numbered after the variable nodes."""
-    n = graph.n_var_nodes
-    src, dst, weight, kind = [], [], [], []
-    for u, v, w in graph.vv_edges:
-        src.append(u), dst.append(v), weight.append(w), kind.append("vv")
-    for c, v, w in graph.ca_edges:
-        src.append(n + c), dst.append(v), weight.append(w), kind.append("ca")
+    """Graph export: node arrays (side, feature) and flat edge arrays, vv
+    edges first, with constraint nodes numbered after the variable nodes."""
+    n, n_vv = graph.n_var_nodes, len(graph.vv_edges)
+    edges = np.concatenate([graph.vv_edges, graph.ca_edges])
+    edges["src"][n_vv:] += n
+    kind = ["vv"] * n_vv + ["ca"] * len(graph.ca_edges)
     doc = {
         "nodes": {
             "side": ["var"] * n + ["con"] * graph.n_con_nodes,
             "feature": graph.var_features.tolist() + graph.con_features.tolist(),
         },
-        "edges": {"src": src, "dst": dst, "weight": weight, "kind": kind},
+        "edges": {**{key: edges[key].tolist() for key in edges.dtype.names}, "kind": kind},
     }
     _atomic_write(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
+def _edge_field(edges, key, dtype) -> np.ndarray:
+    vals = np.asarray(edges[key])
+    if vals.ndim != 1 or (vals.size and not np.can_cast(vals.dtype, dtype)):
+        raise InputError(f"edges.{key} must be a flat array of {dtype.__name__} values")
+    return vals.astype(dtype)
+
+
 def load_graph(path):
-    from .graphenc import BipartiteGraph
+    from .graphenc import BipartiteGraph, edge_array
 
     doc = _parse(path)
     try:
         side = doc["nodes"]["side"]
         feature = np.asarray(doc["nodes"]["feature"], dtype=np.float64)
-        edges = doc["edges"]
         n_var = side.count("var")
         n_con = side.count("con")
         if side != ["var"] * n_var + ["con"] * n_con or len(feature) != len(side):
             raise InputError("node arrays must list all var nodes, then all con nodes")
-        ca, vv = [], []
-        for s, t, w, k in zip(edges["src"], edges["dst"], edges["weight"], edges["kind"]):
-            if k == "ca":
-                ca.append((int(s) - n_var, int(t), float(w)))
-            elif k == "vv":
-                vv.append((int(s), int(t), float(w)))
-            else:
-                raise InputError(f"unknown edge kind {k!r}")
+        src, dst = (_edge_field(doc["edges"], key, np.int64) for key in ("src", "dst"))
+        weight = _edge_field(doc["edges"], "weight", np.float64)
+        kind = _edge_field(doc["edges"], "kind", np.str_)
+        if not src.shape == dst.shape == weight.shape == kind.shape:
+            raise InputError("edges.src, dst, weight and kind differ in length")
+        is_ca = kind == "ca"
+        if not np.all(is_ca | (kind == "vv")):
+            raise InputError(f"unknown edge kinds {sorted(set(kind.tolist()) - {'ca', 'vv'})}")
         return BipartiteGraph(
             n_var_nodes=n_var, n_con_nodes=n_con,
             var_features=feature[:n_var], con_features=feature[n_var:],
-            ca_edges=tuple(ca), vv_edges=tuple(vv),
+            ca_edges=edge_array(src[is_ca] - n_var, dst[is_ca], weight[is_ca]),
+            vv_edges=edge_array(src[~is_ca], dst[~is_ca], weight[~is_ca]),
         )
     except InputError:
         raise

@@ -272,6 +272,16 @@ def _dataset_worker(task):
     return status, sol is not None
 
 
+def split_labels(count: int, seed: int) -> list[str]:
+    """8:1:1 train/val/test labels for `count` entries, from the seed's split stream."""
+    n_hold = count // 10
+    split = np.full(count, "train", dtype=object)
+    perm = derive_rng(seed, "split").permutation(count)
+    split[perm[:n_hold]] = "val"
+    split[perm[n_hold:2 * n_hold]] = "test"
+    return split.tolist()
+
+
 def gen_dataset(out_dir, family, size_params, count, seed, solve=False, jobs=None):
     """Write `count` instances plus a manifest with an 8:1:1 split.
 
@@ -300,13 +310,9 @@ def gen_dataset(out_dir, family, size_params, count, seed, solve=False, jobs=Non
             results = list(pool.map(_dataset_worker, tasks))
     else:
         results = [_dataset_worker(t) for t in tasks]
-    n_hold = count // 10
-    split = np.array(["train"] * count, dtype=object)
-    perm = derive_rng(seed, "split").permutation(count)
-    split[perm[:n_hold]] = "val"
-    split[perm[n_hold:2 * n_hold]] = "test"
+    split = split_labels(count, seed)
     entries = [
-        {"path": f"{family}_{i:05d}.json", "split": str(split[i]), "family": family,
+        {"path": f"{family}_{i:05d}.json", "split": split[i], "family": family,
          "seed": seeds[i], "labeled": results[i][1], "solver_status": results[i][0]}
         for i in range(count)
     ]

@@ -9,13 +9,38 @@ and an affine readout.  Everything is reproducible from integer seeds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import InputError, LcqpInstance
+from .core import InputError, LcqpInstance, SparseMatrix
 from .rng import derive_rng
+
+
+EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
+
+
+def edge_array(src, dst, weight) -> np.ndarray:
+    """Pack parallel (src, dst, weight) columns into one EDGE_DTYPE array."""
+    edges = np.empty(len(weight), dtype=EDGE_DTYPE)
+    edges["src"], edges["dst"], edges["weight"] = src, dst, weight
+    return edges
+
+
+def _edge_matrix(edges, n_rows: int, n_cols: int, label: str):
+    """Validate one edge array and return (read-only copy, SparseMatrix)."""
+    if not (isinstance(edges, np.ndarray) and edges.dtype == EDGE_DTYPE and edges.ndim == 1):
+        raise InputError(f"{label} edges must be a 1-D EDGE_DTYPE array")
+    edges = edges.copy()
+    edges.flags.writeable = False
+    try:
+        mat = SparseMatrix(n_rows, n_cols, edges["src"], edges["dst"], edges["weight"])
+    except InputError as exc:
+        raise InputError(f"{label} edges: {exc}") from exc
+    if mat.nnz != edges.size:
+        raise InputError(f"{label} edges must have nonzero weights")
+    return edges, mat
 
 
 @dataclass(frozen=True)
@@ -24,46 +49,31 @@ class BipartiteGraph:
     n_con_nodes: int
     var_features: np.ndarray
     con_features: np.ndarray
-    ca_edges: tuple  # (con, var, weight), one per nonzero of A
-    vv_edges: tuple  # (u, v, weight), one per nonzero of Q, mirrored pairs
+    ca_edges: np.ndarray  # EDGE_DTYPE (con, var, weight), one per nonzero of A
+    vv_edges: np.ndarray  # EDGE_DTYPE (u, v, weight), one per nonzero of Q, mirrored
+    a: SparseMatrix = field(init=False, repr=False, compare=False)  # ca_edges as a matrix
+    q: SparseMatrix = field(init=False, repr=False, compare=False)  # vv_edges as a matrix
 
     def __post_init__(self):
         vf = np.asarray(self.var_features, dtype=np.float64)
         cf = np.asarray(self.con_features, dtype=np.float64)
         if vf.shape != (self.n_var_nodes,) or cf.shape != (self.n_con_nodes,):
             raise InputError("node feature lengths must match node counts")
-        object.__setattr__(self, "var_features", vf)
-        object.__setattr__(self, "con_features", cf)
-        ca = tuple((int(c), int(v), float(w)) for c, v, w in self.ca_edges)
-        vv = tuple((int(u), int(v), float(w)) for u, v, w in self.vv_edges)
-        for c, v, _ in ca:
-            if not (0 <= c < self.n_con_nodes and 0 <= v < self.n_var_nodes):
-                raise InputError(f"ca edge ({c}, {v}) out of range")
-        seen = {}
-        for u, v, w in vv:
-            if not (0 <= u < self.n_var_nodes and 0 <= v < self.n_var_nodes):
-                raise InputError(f"vv edge ({u}, {v}) out of range")
-            seen[(u, v)] = w
-        for (u, v), w in seen.items():
-            if seen.get((v, u)) != w:
-                raise InputError(f"vv edge ({u}, {v}) lacks a mirrored partner")
-        object.__setattr__(self, "ca_edges", ca)
-        object.__setattr__(self, "vv_edges", vv)
+        ca, a = _edge_matrix(self.ca_edges, self.n_con_nodes, self.n_var_nodes, "ca")
+        vv, q = _edge_matrix(self.vv_edges, self.n_var_nodes, self.n_var_nodes, "vv")
+        if not q.is_symmetric():
+            raise InputError("vv edges must come in mirrored pairs")
+        for name, value in (("var_features", vf), ("con_features", cf),
+                            ("ca_edges", ca), ("vv_edges", vv), ("a", a), ("q", q)):
+            object.__setattr__(self, name, value)
 
 
 def to_bipartite_graph(inst: LcqpInstance) -> BipartiteGraph:
-    ca = tuple(
-        (int(r), int(c), float(w))
-        for r, c, w in zip(inst.a.rows, inst.a.cols, inst.a.vals)
-    )
-    vv = tuple(
-        (int(u), int(v), float(w))
-        for u, v, w in zip(inst.q.rows, inst.q.cols, inst.q.vals)
-    )
     return BipartiteGraph(
         n_var_nodes=inst.n, n_con_nodes=inst.m,
         var_features=inst.c.copy(), con_features=inst.b.copy(),
-        ca_edges=ca, vv_edges=vv,
+        ca_edges=edge_array(inst.a.rows, inst.a.cols, inst.a.vals),
+        vv_edges=edge_array(inst.q.rows, inst.q.cols, inst.q.vals),
     )
 
 
@@ -132,32 +142,16 @@ def init_mpnn_weights(seed: int, width: int = 16, layers: int = 2) -> MpnnWeight
     )
 
 
-def _edge_arrays(edges):
-    if not edges:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64))
-    arr = np.asarray(edges, dtype=np.float64)
-    return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
-
-
 def mpnn_forward(graph: BipartiteGraph, weights: MpnnWeights):
     """Run the fixed-depth forward pass; returns (h_var, h_con)."""
-    d = weights.width
     wv, bv = weights.var_lift
     wc, bc = weights.con_lift
     hv = graph.var_features[:, None] * wv + bv
     hc = graph.con_features[:, None] * wc + bc
-    e_con, e_var, e_w = _edge_arrays(graph.ca_edges)
-    q_u, q_v, q_w = _edge_arrays(graph.vv_edges)
+    a, q = graph.a.csr, graph.q.csr
     for (cw, cb), (vw, vb) in zip(weights.con_updates, weights.var_updates):
-        agg_a = np.zeros((graph.n_con_nodes, d))
-        np.add.at(agg_a, e_con, e_w[:, None] * hv[e_var])
-        hc = np.tanh(np.concatenate([hc, agg_a], axis=1) @ cw.T + cb)
-        agg_q = np.zeros((graph.n_var_nodes, d))
-        np.add.at(agg_q, q_v, q_w[:, None] * hv[q_u])
-        agg_c = np.zeros((graph.n_var_nodes, d))
-        np.add.at(agg_c, e_var, e_w[:, None] * hc[e_con])
-        hv = np.tanh(np.concatenate([hv, agg_q, agg_c], axis=1) @ vw.T + vb)
+        hc = np.tanh(np.concatenate([hc, a @ hv], axis=1) @ cw.T + cb)
+        hv = np.tanh(np.concatenate([hv, q @ hv, a.T @ hc], axis=1) @ vw.T + vb)
     return hv, hc
 
 

@@ -317,6 +317,19 @@ def test_split_reassigns_deterministically(tmp_path, capsys):
     assert manifest.read_bytes() != first
 
 
+def test_split_reproduces_generate_split(tmp_path, capsys):
+    corpus = gen_corpus(tmp_path, capsys, count=30, solve=False, seed=11)
+    manifest = corpus / "manifest.json"
+    out = tmp_path / "resplit.json"
+    code, _, _ = run(capsys, [
+        "split", "--manifest", str(manifest), "--seed", "11", "--out", str(out)])
+    assert code == 0
+    generated = [e["split"] for e in load_manifest(manifest)]
+    assert generated.count("val") == 3 and generated.count("test") == 3
+    assert [e["split"] for e in load_manifest(out)] == generated
+    assert out.read_bytes() == manifest.read_bytes()
+
+
 # ---------------------------------------------------------------------- graph
 
 def test_graph_export(tmp_path, capsys):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpaug import InputError, ProblemKind, permute_instance
+from qpaug import InputError, ProblemKind, gen_lp, gen_qp, permute_instance
+from qpaug.fileio import load_graph, save_graph
 from qpaug.graphenc import (
     BipartiteGraph,
     MpnnWeights,
+    edge_array,
     encode_instance,
     init_mpnn_weights,
     mpnn_forward,
@@ -32,8 +34,9 @@ def test_bipartite_e1(e1):
     assert np.array_equal(g.con_features, e1.b)
     assert len(g.ca_edges) == 4
     assert len(g.vv_edges) == 2
-    assert set(g.ca_edges) == {(0, 0, 1.0), (0, 1, 1.0), (1, 0, -1.0), (2, 1, -1.0)}
-    assert set(g.vv_edges) == {(0, 0, 2.0), (1, 1, 2.0)}
+    assert set(g.ca_edges.tolist()) == {(0, 0, 1.0), (0, 1, 1.0), (1, 0, -1.0), (2, 1, -1.0)}
+    assert set(g.vv_edges.tolist()) == {(0, 0, 2.0), (1, 1, 2.0)}
+    assert not g.ca_edges.flags.writeable and not g.vv_edges.flags.writeable
 
 
 def test_bipartite_lp_has_no_vv_edges():
@@ -41,7 +44,7 @@ def test_bipartite_lp_has_no_vv_edges():
         np.zeros((2, 2)), [[1.0, 1.0]], [1.0], [-1.0, -1.0], kind=ProblemKind.LP
     )
     g = to_bipartite_graph(inst)
-    assert g.vv_edges == ()
+    assert g.vv_edges.tolist() == []
     assert len(g.ca_edges) == 2
 
 
@@ -49,30 +52,55 @@ def test_bipartite_offdiagonal_q_symmetric():
     q = [[2.0, 0.5], [0.5, 2.0]]
     inst = make_instance(q, [[1.0, 0.0]], [1.0], [0.0, 0.0])
     g = to_bipartite_graph(inst)
-    assert (0, 1, 0.5) in g.vv_edges and (1, 0, 0.5) in g.vv_edges
+    assert (0, 1, 0.5) in g.vv_edges.tolist() and (1, 0, 0.5) in g.vv_edges.tolist()
     assert len(g.vv_edges) == 4
 
 
 def test_bipartite_weight_multiset_permutation_invariant(e1):
     g1 = to_bipartite_graph(e1)
     g2 = to_bipartite_graph(permute_instance(e1, [1, 0], [2, 0, 1]))
-    assert sorted(w for _, _, w in g1.ca_edges) == sorted(w for _, _, w in g2.ca_edges)
-    assert sorted(w for _, _, w in g1.vv_edges) == sorted(w for _, _, w in g2.vv_edges)
+    assert sorted(g1.ca_edges["weight"]) == sorted(g2.ca_edges["weight"])
+    assert sorted(g1.vv_edges["weight"]) == sorted(g2.vv_edges["weight"])
+
+
+NO_EDGES = edge_array([], [], [])
+
+
+BAD_EDGES = [
+    ("var index out of range", edge_array([0], [5], [1.0]), NO_EDGES),
+    ("con index out of range", edge_array([-1], [0], [1.0]), NO_EDGES),
+    ("missing mirror edge", NO_EDGES, edge_array([0], [1], [3.0])),
+    ("mirror weight differs", NO_EDGES, edge_array([0, 1], [1, 0], [3.0, 2.0])),
+    ("duplicate edge", edge_array([0, 0], [1, 1], [1.0, 2.0]), NO_EDGES),
+    ("explicit zero weight", edge_array([0], [1], [0.0]), NO_EDGES),
+    ("non-finite weight", edge_array([0], [1], [np.nan]), NO_EDGES),
+    ("tuple rows", ((0, 1, 1.0),), NO_EDGES),
+    ("plain matrix", np.zeros((1, 3)), NO_EDGES),
+    ("not 1-D", edge_array([0], [1], [1.0]).reshape(1, 1), NO_EDGES),
+]
 
 
 def test_bipartite_validates_edges():
-    with pytest.raises(InputError):
-        BipartiteGraph(
-            n_var_nodes=1, n_con_nodes=1,
-            var_features=np.zeros(1), con_features=np.zeros(1),
-            ca_edges=((0, 5, 1.0),), vv_edges=(),
-        )
-    with pytest.raises(InputError):
-        BipartiteGraph(
-            n_var_nodes=2, n_con_nodes=1,
-            var_features=np.zeros(2), con_features=np.zeros(1),
-            ca_edges=(), vv_edges=((0, 1, 3.0),),  # missing mirror edge
-        )
+    for label, ca, vv in BAD_EDGES:
+        with pytest.raises(InputError):
+            BipartiteGraph(
+                n_var_nodes=2, n_con_nodes=1,
+                var_features=np.zeros(2), con_features=np.zeros(1),
+                ca_edges=ca, vv_edges=vv,
+            )
+            pytest.fail(f"accepted {label}")
+
+
+def test_bipartite_copies_edges():
+    ca = edge_array([0], [1], [1.0])
+    g = BipartiteGraph(
+        n_var_nodes=2, n_con_nodes=1,
+        var_features=np.zeros(2), con_features=np.zeros(1),
+        ca_edges=ca, vv_edges=NO_EDGES,
+    )
+    ca["weight"] = 5.0
+    assert ca.flags.writeable
+    assert g.ca_edges.tolist() == [(0, 1, 1.0)]
 
 
 # -------------------------------------------------------------------- forward
@@ -127,6 +155,50 @@ SNAPSHOT_E1 = [
 ]
 
 
+def _reference_forward(graph, weights):
+    """The forward pass with per-edge accumulation loops over the edge lists,
+    the aggregation mpnn_forward computes with sparse products."""
+    d = weights.width
+    wv, bv = weights.var_lift
+    wc, bc = weights.con_lift
+    hv = graph.var_features[:, None] * wv + bv
+    hc = graph.con_features[:, None] * wc + bc
+    ca, vv = graph.ca_edges.tolist(), graph.vv_edges.tolist()
+    for (cw, cb), (vw, vb) in zip(weights.con_updates, weights.var_updates):
+        agg_a = np.zeros((graph.n_con_nodes, d))
+        for c, v, w in ca:
+            agg_a[c] += w * hv[v]
+        hc = np.tanh(np.concatenate([hc, agg_a], axis=1) @ cw.T + cb)
+        agg_q = np.zeros((graph.n_var_nodes, d))
+        for u, v, w in vv:
+            agg_q[v] += w * hv[u]
+        agg_c = np.zeros((graph.n_var_nodes, d))
+        for c, v, w in ca:
+            agg_c[v] += w * hc[c]
+        hv = np.tanh(np.concatenate([hv, agg_q, agg_c], axis=1) @ vw.T + vb)
+    return hv, hc
+
+
+def _qp_view():
+    inst = gen_qp(100, 100, 0.05, 0.05, seed=3, name="qp")
+    policy = AugmentPolicy(strengths=dict(SSL_STRENGTHS_QP), interpolate=False, seed=4)
+    return apply_policy(inst, policy)[0]
+
+
+@pytest.mark.parametrize("make, has_vv", [
+    (_qp_view, True),
+    (lambda: gen_lp(100, 100, 0.05, seed=3, bounded=True, name="lp"), False),
+])
+def test_mpnn_matches_per_edge_reference(make, has_vv):
+    g = to_bipartite_graph(make())
+    assert (len(g.vv_edges) > 0) == has_vv
+    w = init_mpnn_weights(seed=0)
+    hv, hc = mpnn_forward(g, w)
+    ref_hv, ref_hc = _reference_forward(g, w)
+    assert np.abs(hv - ref_hv).max() <= 1e-12
+    assert np.abs(hc - ref_hc).max() <= 1e-12
+
+
 # -------------------------------------------------------------------- pooling
 
 def test_pooled_is_sum_then_readout(e1):
@@ -168,9 +240,9 @@ def test_pooled_not_invariant_to_node_duplication(e1):
         n_con_nodes=g.n_con_nodes * 2,
         var_features=g.var_features,
         con_features=np.concatenate([g.con_features, g.con_features]),
-        ca_edges=g.ca_edges + tuple(
-            (c + g.n_con_nodes, v, wt / 2.0) for c, v, wt in g.ca_edges
-        ),
+        ca_edges=np.concatenate([g.ca_edges, edge_array(
+            g.ca_edges["src"] + g.n_con_nodes, g.ca_edges["dst"], g.ca_edges["weight"] / 2.0
+        )]),
         vv_edges=g.vv_edges,
     )
     z1 = pooled_embedding(*mpnn_forward(g, w), w)
@@ -256,8 +328,6 @@ def test_near_identity_views_give_near_zero_loss(e1):
 
 
 def test_graph_file_round_trip(tmp_path, e1):
-    from qpaug.fileio import load_graph, save_graph
-
     g = to_bipartite_graph(e1)
     path = tmp_path / "e1.graph.json"
     save_graph(path, g)
@@ -266,14 +336,12 @@ def test_graph_file_round_trip(tmp_path, e1):
     assert back.n_con_nodes == g.n_con_nodes
     assert np.array_equal(back.var_features, g.var_features)
     assert np.array_equal(back.con_features, g.con_features)
-    assert set(back.ca_edges) == set(g.ca_edges)
-    assert set(back.vv_edges) == set(g.vv_edges)
+    assert back.ca_edges.tolist() == g.ca_edges.tolist()
+    assert back.vv_edges.tolist() == g.vv_edges.tolist()
 
 
 def test_graph_file_schema_and_determinism(tmp_path, e1):
     import json
-
-    from qpaug.fileio import save_graph
 
     g = to_bipartite_graph(e1)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -286,6 +354,109 @@ def test_graph_file_schema_and_determinism(tmp_path, e1):
     assert set(doc["edges"]) == {"src", "dst", "weight", "kind"}
     assert doc["nodes"]["side"] == ["var", "var", "con", "con", "con"]
     assert sorted(doc["edges"]["kind"]) == ["ca"] * 4 + ["vv"] * 2
+    assert p1.read_text() == E1_GRAPH_FILE
+
+
+# save_graph(to_bipartite_graph(e1)), frozen: vv edges first, then ca edges,
+# constraint nodes numbered after the variable nodes
+E1_GRAPH_FILE = """\
+{
+  "nodes": {
+    "side": [
+      "var",
+      "var",
+      "con",
+      "con",
+      "con"
+    ],
+    "feature": [
+      -2.0,
+      -2.0,
+      1.0,
+      0.0,
+      0.0
+    ]
+  },
+  "edges": {
+    "src": [
+      0,
+      1,
+      2,
+      2,
+      3,
+      4
+    ],
+    "dst": [
+      0,
+      1,
+      0,
+      1,
+      0,
+      1
+    ],
+    "weight": [
+      2.0,
+      2.0,
+      1.0,
+      1.0,
+      -1.0,
+      -1.0
+    ],
+    "kind": [
+      "vv",
+      "vv",
+      "ca",
+      "ca",
+      "ca",
+      "ca"
+    ]
+  }
+}
+"""
+
+
+def _graph_doc(**edges):
+    doc = {
+        "nodes": {"side": ["var", "var", "con"], "feature": [0.0, 0.0, 1.0]},
+        "edges": {"src": [2, 2], "dst": [0, 1], "weight": [1.0, 2.0], "kind": ["ca", "ca"]},
+    }
+    doc["edges"].update(edges)
+    return doc
+
+
+def test_graph_file_loads_hand_written_edges(tmp_path):
+    import json
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_graph_doc(
+        src=[2, 0, 1], dst=[1, 1, 0], weight=[4, 0.5, 0.5], kind=["ca", "vv", "vv"])))
+    g = load_graph(path)
+    assert g.ca_edges.tolist() == [(0, 1, 4.0)]
+    assert g.vv_edges.tolist() == [(0, 1, 0.5), (1, 0, 0.5)]
+
+
+@pytest.mark.parametrize("edges", [
+    {"kind": ["ca"]},  # shorter kind array used to drop the second edge
+    {"src": [2]},
+    {"weight": [1.0, 2.0, 3.0]},
+    {"src": [2, 2.5]},  # non-integer index
+    {"dst": [0, "1"]},
+    {"dst": [0, None]},
+    {"src": [2, 2**64]},
+    {"src": [[2], [2]]},  # wrong-shaped fields
+    {"src": [[2, 2], [2]]},
+    {"weight": 1.0},
+    {"weight": [1.0, "x"]},
+    {"kind": ["ca", "xy"]},  # unknown edge kind
+    {"kind": [1, 2]},
+])
+def test_graph_file_rejects_malformed_edges(tmp_path, edges):
+    import json
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_graph_doc(**edges)))
+    with pytest.raises(InputError):
+        load_graph(path)
 
 
 def test_policy_views_give_finite_loss(e1):
