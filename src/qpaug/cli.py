@@ -97,6 +97,18 @@ def _status_counts(statuses):
     return counts
 
 
+def _budget_exit(statuses: list, budget: float) -> int:
+    """3 when more than `budget` of the solver statuses are not "ok", else 0."""
+    failures = sum(1 for s in statuses if s != "ok")
+    if statuses and failures / len(statuses) > budget:
+        print(
+            f"solver failed on {failures}/{len(statuses)} instances, "
+            f"over budget {budget}", file=sys.stderr,
+        )
+        return 3
+    return 0
+
+
 # ------------------------------------------------------------------- generate
 
 def cmd_generate(args) -> int:
@@ -117,14 +129,8 @@ def cmd_generate(args) -> int:
         "label_rate": labeled / len(entries) if entries else 0.0,
         "statuses": _status_counts(e["solver_status"] for e in entries),
     })
-    if args.solve and entries:
-        failures = sum(1 for e in entries if e["solver_status"] != "ok")
-        if failures / len(entries) > args.failure_budget:
-            print(
-                f"solver failed on {failures}/{len(entries)} instances, "
-                f"over budget {args.failure_budget}", file=sys.stderr,
-            )
-            return 3
+    if args.solve:
+        return _budget_exit([e["solver_status"] for e in entries], args.failure_budget)
     return 0
 
 
@@ -179,14 +185,7 @@ def cmd_solve(args) -> int:
         "label_rate": labeled / len(out_entries) if out_entries else 0.0,
         "statuses": _status_counts(s for s, _ in results),
     })
-    failures = sum(1 for s, _ in results if s != "ok")
-    if entries and failures / len(entries) > args.failure_budget:
-        print(
-            f"solver failed on {failures}/{len(entries)} instances, "
-            f"over budget {args.failure_budget}", file=sys.stderr,
-        )
-        return 3
-    return 0
+    return _budget_exit([s for s, _ in results], args.failure_budget)
 
 
 # -------------------------------------------------------------------- augment
@@ -209,6 +208,16 @@ def _parse_ops(spec: str | None):
     return strengths
 
 
+def _strengths(explicit, views, kind: ProblemKind):
+    """The strength table for one instance: the --ops table when given, else
+    the per-kind contrastive table for views, else the combo table."""
+    if explicit is not None:
+        return explicit
+    if views is not None:
+        return SSL_STRENGTHS_QP if kind is ProblemKind.QP else SSL_STRENGTHS_LP
+    return COMBO_STRENGTHS
+
+
 def cmd_augment(args) -> int:
     _require(args, "manifest", "out")
     if args.views is not None and args.views < 1:
@@ -220,13 +229,8 @@ def cmd_augment(args) -> int:
     views = args.views
 
     # ops that need a solution are rejected up front: views are always
-    # unlabeled, and a default table must cover every manifest entry
-    if explicit is not None:
-        tables = [explicit]
-    elif views is not None:
-        tables = [SSL_STRENGTHS_LP, SSL_STRENGTHS_QP]
-    else:
-        tables = [COMBO_STRENGTHS]
+    # unlabeled, and the table of every kind must cover every manifest entry
+    tables = [_strengths(explicit, views, kind) for kind in ProblemKind]
     needy = sorted(
         {op for t in tables for op in _SOLUTION_DEPENDENT if t.get(op, 0.0) > 0.0}
     )
@@ -252,14 +256,7 @@ def cmd_augment(args) -> int:
         if views is not None:
             sol = None
         stem = Path(e["path"]).stem
-        if explicit is not None:
-            strengths = explicit
-        elif views is not None:
-            strengths = (
-                SSL_STRENGTHS_QP if inst.kind is ProblemKind.QP else SSL_STRENGTHS_LP
-            )
-        else:
-            strengths = COMBO_STRENGTHS
+        strengths = _strengths(explicit, views, inst.kind)
         for j in range(copies):
             pseed = (
                 derive_seed(args.seed, stem, "view", j)

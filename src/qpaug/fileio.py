@@ -1,10 +1,11 @@
-"""Instance and manifest serialization.
+"""Instance, graph and manifest serialization.
 
 One instance per JSON file: name, kind, n, m, q/a as parallel COO arrays,
 b, c, an optional solution {x, lam, objective}, and optional provenance
-(the transform records that produced the instance).  Floats keep Python's
-shortest round-trip representation, and every write lands atomically via a
-temp file so readers never observe a partial document.
+(the transform records that produced the instance).  Every file is compact
+JSON with floats in Python's shortest round-trip form, written atomically
+via a temp file so readers never observe a partial document; indented files
+from earlier versions load unchanged.
 """
 from __future__ import annotations
 
@@ -18,9 +19,10 @@ from .core import InputError, LcqpInstance, ProblemKind, Solution, SparseMatrix
 from .transforms import MapKind, SolutionMap, TransformRecord
 
 
-def _atomic_write(path, text: str):
+def _write_json(path, doc):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    text = json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
@@ -33,8 +35,19 @@ def _parse(path) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _array_field(value, label, dtype, ndim=1) -> np.ndarray:
+    """`value` as an array of `dtype`, refusing values that would be truncated
+    or reinterpreted on the way (2.5 as an index, true as a dimension)."""
+    vals = np.asarray(value)
+    castable = vals.dtype != bool and (not vals.size or np.can_cast(vals.dtype, dtype))
+    if vals.ndim != ndim or not castable:
+        shape = "a single" if ndim == 0 else "a flat array of"
+        raise InputError(f"{label} must be {shape} {np.dtype(dtype).name} value(s)")
+    return vals.astype(dtype)
 
 
 def _matrix_to_doc(mat: SparseMatrix) -> dict:
@@ -45,8 +58,8 @@ def _matrix_from_doc(doc, n_rows, n_cols, label) -> SparseMatrix:
     if not isinstance(doc, dict) or set(doc) - {"rows", "cols", "vals"}:
         raise InputError(f"field {label}: expected rows/cols/vals arrays")
     try:
-        rows = np.asarray(doc["rows"], dtype=np.int64)
-        cols = np.asarray(doc["cols"], dtype=np.int64)
+        rows = _array_field(doc["rows"], f"{label}.rows", np.int64)
+        cols = _array_field(doc["cols"], f"{label}.cols", np.int64)
         vals = np.asarray(doc["vals"], dtype=np.float64)
     except (KeyError, TypeError, OverflowError) as exc:
         raise InputError(f"field {label}: {exc}") from exc
@@ -104,7 +117,7 @@ def save_instance(path, inst: LcqpInstance, sol: Solution | None = None):
         }
     if inst.provenance:
         doc["provenance"] = [_record_to_doc(r) for r in inst.provenance]
-    _atomic_write(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _write_json(path, doc)
 
 
 def load_instance(path) -> tuple[LcqpInstance, Solution | None]:
@@ -139,7 +152,7 @@ def load_instance_unchecked(path):
     except ValueError as exc:
         raise InputError(f"{path}: unknown kind {doc['kind']!r}") from exc
     try:
-        n, m = int(doc["n"]), int(doc["m"])
+        n, m = (int(_array_field(doc[key], key, np.int64, ndim=0)) for key in ("n", "m"))
         q = _matrix_from_doc(doc["q"], n, n, "q")
         a = _matrix_from_doc(doc["a"], m, n, "a")
         b = np.asarray(doc["b"], dtype=np.float64)
@@ -178,14 +191,7 @@ def save_graph(path, graph):
         },
         "edges": {**{key: edges[key].tolist() for key in edges.dtype.names}, "kind": kind},
     }
-    _atomic_write(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
-
-
-def _edge_field(edges, key, dtype) -> np.ndarray:
-    vals = np.asarray(edges[key])
-    if vals.ndim != 1 or (vals.size and not np.can_cast(vals.dtype, dtype)):
-        raise InputError(f"edges.{key} must be a flat array of {dtype.__name__} values")
-    return vals.astype(dtype)
+    _write_json(path, doc)
 
 
 def load_graph(path):
@@ -199,9 +205,10 @@ def load_graph(path):
         n_con = side.count("con")
         if side != ["var"] * n_var + ["con"] * n_con or len(feature) != len(side):
             raise InputError("node arrays must list all var nodes, then all con nodes")
-        src, dst = (_edge_field(doc["edges"], key, np.int64) for key in ("src", "dst"))
-        weight = _edge_field(doc["edges"], "weight", np.float64)
-        kind = _edge_field(doc["edges"], "kind", np.str_)
+        edges = doc["edges"]
+        src, dst = (_array_field(edges[key], f"edges.{key}", np.int64) for key in ("src", "dst"))
+        weight = _array_field(edges["weight"], "edges.weight", np.float64)
+        kind = _array_field(edges["kind"], "edges.kind", np.str_)
         if not src.shape == dst.shape == weight.shape == kind.shape:
             raise InputError("edges.src, dst, weight and kind differ in length")
         is_ca = kind == "ca"
@@ -220,11 +227,26 @@ def load_graph(path):
 
 
 def save_manifest(path, entries: list):
-    _atomic_write(path, json.dumps(list(entries), indent=2, allow_nan=False) + "\n")
+    _write_json(path, list(entries))
+
+
+# the keys every manifest entry written by this program carries
+_MANIFEST_KEYS = {
+    "path": str, "split": str, "family": str, "seed": int, "labeled": bool,
+    "solver_status": str,
+}
 
 
 def load_manifest(path) -> list:
     doc = _parse(path)
     if not isinstance(doc, list):
         raise InputError(f"{path}: manifest must be an array")
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise InputError(f"{path}: entry {i} must be an object")
+        for key, kind in _MANIFEST_KEYS.items():
+            val = entry.get(key)
+            # bool is an int subclass; a seed of true is not a seed
+            if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+                raise InputError(f"{path}: entry {i} needs a {kind.__name__} {key!r}")
     return doc

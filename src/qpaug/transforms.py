@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import (
     Definiteness,
@@ -130,7 +131,7 @@ def scale_variables(inst: LcqpInstance, alpha) -> tuple[LcqpInstance, TransformR
     a_new = SparseMatrix(inst.m, inst.n, a.rows, a.cols, a.vals * alpha[a.cols])
     record = TransformRecord(
         "scale_variables",
-        {"alpha": alpha.tolist()},
+        {},
         SolutionMap(MapKind.PRIMAL_SCALED, values=tuple(1.0 / alpha)),
     )
     return _emit(inst, q_new, a_new, inst.b, inst.c * alpha, inst.kind, record)
@@ -147,7 +148,7 @@ def scale_constraints(inst: LcqpInstance, d) -> tuple[LcqpInstance, TransformRec
     a_new = SparseMatrix(inst.m, inst.n, a.rows, a.cols, a.vals * d[a.rows])
     record = TransformRecord(
         "scale_constraints",
-        {"d": d.tolist()},
+        {},
         SolutionMap(MapKind.DUAL_SCALED, side="dual", values=tuple(1.0 / d)),
     )
     return _emit(inst, inst.q, a_new, inst.b * d, inst.c, inst.kind, record)
@@ -343,7 +344,7 @@ def add_variable_constrained(inst: LcqpInstance, q_diag: float, a_col, c_new: fl
     kind = inst.kind if (inst.kind is ProblemKind.QP or q_diag == 0.0) else ProblemKind.QP
     record = TransformRecord(
         "add_variable_constrained",
-        {"q_diag": float(q_diag), "a_col": a_col.tolist(), "c_new": float(c_new)},
+        {"q_diag": float(q_diag)},
         SolutionMap(MapKind.EXPLICIT_DUAL, side="dual", values=(float(c_new), *a_col)),
     )
     return _emit(
@@ -353,38 +354,34 @@ def add_variable_constrained(inst: LcqpInstance, q_diag: float, a_col, c_new: fl
 
 def add_constraints(inst: LcqpInstance, weights: Sequence):
     """Append one row per weight vector: the w-convex-combination of existing
-    rows, slack w . s >= 0 at any feasible point, dual 0 at the optimum."""
-    ws = []
-    for w in weights:
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (inst.m,):
-            raise InputError(f"weight must have shape ({inst.m},)")
-        if not np.all(np.isfinite(w)) or w.min(initial=0.0) < 0:
-            raise InputError("weights must be nonnegative")
-        if w.max(initial=0.0) == 0:
-            raise InputError("weight vector must not be all zero")
-        ws.append(w)
-    n, m = inst.n, inst.m
-    rows = [inst.a.rows]
-    cols = [inst.a.cols]
-    vals = [inst.a.vals]
-    b_extra = []
-    for i, w in enumerate(ws):
-        new_row = inst.a.rmatvec(w)
-        nz = np.flatnonzero(new_row)
-        rows.append(np.full(nz.size, m + i))
-        cols.append(nz)
-        vals.append(new_row[nz])
-        b_extra.append(float(w @ inst.b))
-    a_new = SparseMatrix(
-        m + len(ws), n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    rows, slack w . s >= 0 at any feasible point, dual 0 at the optimum.
+
+    `weights` is a (k, m) array or k vectors of length m; the record stores it
+    as sparse rows/cols/vals, row r being the weights of new row m + r.
+    """
+    m = inst.m
+    try:
+        w = np.asarray(weights, dtype=np.float64).reshape(len(weights), m)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"weights must form a ({len(weights)}, {m}) array") from exc
+    if not np.all(np.isfinite(w)) or w.min(initial=0.0) < 0:
+        raise InputError("weights must be nonnegative")
+    if not np.all(w.max(axis=1, initial=0.0) > 0):
+        raise InputError("weight vector must not be all zero")
+    new_rows = (inst.a.csr.T @ w.T).T
+    a_new = SparseMatrix.from_scipy(sp.vstack([inst.a.csr, sp.csr_matrix(new_rows)]))
+    # per-row dots: one W @ b would round differently from w . b
+    b_extra = [float(row @ inst.b) for row in w]
+    stored = SparseMatrix.from_dense(w)
     record = TransformRecord(
         "add_constraints",
-        {"weights": [w.tolist() for w in ws]},
+        {"weights": {
+            "rows": stored.rows.tolist(), "cols": stored.cols.tolist(),
+            "vals": stored.vals.tolist(),
+        }},
         SolutionMap(
             MapKind.EXTENDED_WITH_ZEROS, side="dual",
-            indices=tuple(range(m, m + len(ws))),
+            indices=tuple(range(m, m + len(w))),
         ),
     )
     return _emit(inst, inst.q, a_new, np.append(inst.b, b_extra), inst.c, inst.kind, record)
@@ -556,14 +553,12 @@ def _policy_add_cons(inst, aprime, rng):
     count = int(aprime * inst.m)
     if count <= 0 or inst.m == 0:
         return None
-    weights = []
+    weights = np.zeros((count, inst.m))
     take = min(3, inst.m)
-    for _ in range(count):
+    for w in weights:
         picked = rng.choice(inst.m, size=take, replace=False)
         raw = rng.random(take) + 1e-9
-        w = np.zeros(inst.m)
         w[picked] = raw / raw.sum()
-        weights.append(w)
     return add_constraints(inst, weights)
 
 

@@ -69,6 +69,7 @@ def test_generate_solver_budget_exit_3(tmp_path, capsys):
         "--density-a", "1.0", "--count", "3", "--seed", "0", "--solve",
         "--failure-budget", "0.0", "--out", str(tmp_path / "bad")])
     assert code == 3
+    assert err == "solver failed on 3/3 instances, over budget 0.0\n"
     # files and manifest still exist
     assert (tmp_path / "bad" / "manifest.json").exists()
 
@@ -233,10 +234,11 @@ def test_solve_budget_exit_3(tmp_path, capsys):
         "generate", "--family", "lp", "--rows", "2", "--cols", "3",
         "--density-a", "1.0", "--count", "3", "--seed", "0", "--out", str(out)])
     assert code == 0
-    code, _, _ = run(capsys, [
+    code, _, err = run(capsys, [
         "solve", "--manifest", str(out / "manifest.json"),
         "--out", str(tmp_path / "lab"), "--failure-budget", "0.0"])
     assert code == 3
+    assert err == "solver failed on 3/3 instances, over budget 0.0\n"
 
 
 def test_verify_exit_5_on_corruption(tmp_path, capsys):
@@ -382,3 +384,33 @@ def test_metrics_rejects_zero_reference(tmp_path, capsys):
         "metrics", "--pairs", metrics_file(tmp_path, [[1.0, 1.0], [0.5, 0.0]])])
     assert code == 2
     assert "1" in err
+
+
+# ------------------------------------------------------- malformed manifests
+
+MANIFEST_COMMANDS = {
+    "solve": ["--out", "OUT"],
+    "augment": ["--out", "OUT"],
+    "verify": [],
+    "heuristic-eval": [],
+    "split": [],
+    "graph": ["--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
+@pytest.mark.parametrize("content", [
+    b'[{"path": "e.json"}]',  # missing keys
+    b'[["e.json", "train"]]',  # entry is not an object
+    b'[{"path": "\xff.json", "split": "train"}]',  # not UTF-8
+], ids=["missing-keys", "list-entry", "not-utf8"])
+def test_malformed_manifest_exits_2(tmp_path, capsys, command, content):
+    inst = make_instance(np.eye(2), np.eye(2), [1.0, 1.0], [0.0, 0.0], name="e")
+    sol = Solution.from_primal_dual(inst, np.zeros(2), np.zeros(2))
+    save_instance(tmp_path / "e.json", inst, sol)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(content)
+    extra = [str(tmp_path / "out") if a == "OUT" else a for a in MANIFEST_COMMANDS[command]]
+    code, _, err = run(capsys, [command, "--manifest", str(manifest), *extra])
+    assert code == 2
+    assert err.startswith("error:") and "manifest.json" in err

@@ -357,62 +357,13 @@ def test_graph_file_schema_and_determinism(tmp_path, e1):
     assert p1.read_text() == E1_GRAPH_FILE
 
 
-# save_graph(to_bipartite_graph(e1)), frozen: vv edges first, then ca edges,
-# constraint nodes numbered after the variable nodes
-E1_GRAPH_FILE = """\
-{
-  "nodes": {
-    "side": [
-      "var",
-      "var",
-      "con",
-      "con",
-      "con"
-    ],
-    "feature": [
-      -2.0,
-      -2.0,
-      1.0,
-      0.0,
-      0.0
-    ]
-  },
-  "edges": {
-    "src": [
-      0,
-      1,
-      2,
-      2,
-      3,
-      4
-    ],
-    "dst": [
-      0,
-      1,
-      0,
-      1,
-      0,
-      1
-    ],
-    "weight": [
-      2.0,
-      2.0,
-      1.0,
-      1.0,
-      -1.0,
-      -1.0
-    ],
-    "kind": [
-      "vv",
-      "vv",
-      "ca",
-      "ca",
-      "ca",
-      "ca"
-    ]
-  }
-}
-"""
+# save_graph(to_bipartite_graph(e1)), frozen: compact JSON, vv edges first,
+# then ca edges, constraint nodes numbered after the variable nodes
+E1_GRAPH_FILE = (
+    '{"nodes":{"side":["var","var","con","con","con"],"feature":[-2.0,-2.0,1.0,0.0,0.0]},'
+    '"edges":{"src":[0,1,2,2,3,4],"dst":[0,1,0,1,0,1],"weight":[2.0,2.0,1.0,1.0,-1.0,-1.0],'
+    '"kind":["vv","vv","ca","ca","ca","ca"]}}\n'
+)
 
 
 def _graph_doc(**edges):
@@ -440,6 +391,7 @@ def test_graph_file_loads_hand_written_edges(tmp_path):
     {"src": [2]},
     {"weight": [1.0, 2.0, 3.0]},
     {"src": [2, 2.5]},  # non-integer index
+    {"dst": [False, True]},
     {"dst": [0, "1"]},
     {"dst": [0, None]},
     {"src": [2, 2**64]},

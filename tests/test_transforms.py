@@ -331,6 +331,7 @@ def test_add_variable_constrained_e1(e1, e1_sol):
     assert np.array_equal(out.a.to_dense()[3], [0.0, 0.0, 1.0])
     assert out.c[2] == -0.5
     assert rec.solution_map.kind is MapKind.EXPLICIT_DUAL
+    assert rec.params == {"q_diag": 1.0}  # c_new and a_col live in the map values
     mapped = map_solution(rec, out, e1_sol)
     assert np.array_equal(mapped.x, [0.5, 0.5, 0.0])
     assert np.array_equal(mapped.lam, [1.0, 0.0, 0.0, 0.5])
@@ -412,6 +413,34 @@ def test_add_constraints_validation(e1):
         add_constraints(e1, [np.array([-0.5, 1.0, 0.0])])
     with pytest.raises(InputError):
         add_constraints(e1, [np.zeros(3)])
+    with pytest.raises(InputError):
+        add_constraints(e1, [np.ones(3), np.zeros(3)])
+    for bad_shape in ([np.ones(2)], [np.ones(3), np.ones(2)], np.ones(3), np.ones((1, 4))):
+        with pytest.raises(InputError):
+            add_constraints(e1, bad_shape)
+
+
+def test_add_constraints_sparse_record_and_per_row_reference():
+    """The record's sparse weights expand to exactly the weights passed in,
+    and each new row and right-hand side equals the per-weight A' w and w . b
+    bit for bit."""
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        m, n = (int(v) for v in rng.integers(5, 40, size=2))
+        a = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.2)
+        inst = make_instance(np.eye(n), a, rng.standard_normal(m), rng.standard_normal(n))
+        weights = np.zeros((int(rng.integers(1, 6)), m))
+        for w in weights:
+            w[rng.choice(m, size=3, replace=False)] = rng.random(3) + 1e-9
+        out, rec = add_constraints(inst, weights)
+        stored = rec.params["weights"]
+        expanded = np.zeros_like(weights)
+        expanded[stored["rows"], stored["cols"]] = stored["vals"]
+        assert len(stored["vals"]) == np.count_nonzero(weights)
+        assert np.array_equal(expanded, weights)
+        for w, row, rhs in zip(weights, out.a.to_dense()[m:], out.b[m:]):
+            assert np.array_equal(row, inst.a.rmatvec(w))
+            assert rhs == float(w @ inst.b)
 
 
 def test_add_then_drop_round_trip(e1):
@@ -744,6 +773,8 @@ def test_provenance_chain(e1, e1_sol):
     assert len(s2.provenance) == 2
     assert s2.provenance[0].op_name == "scale_variables"
     assert s2.provenance[1].op_name == "scale_constraints"
+    # the scale vectors live only in the maps' values
+    assert r1.params == r2.params == {}
     mapped = map_solution(r2, s2, map_solution(r1, s1, e1_sol))
     assert_kkt_clean(s2, mapped, 1e-12)
 
