@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 if TYPE_CHECKING:  # pragma: no cover
     from .transforms import TransformRecord
@@ -343,38 +344,37 @@ def psd_certificate(q: SparseMatrix, tol: float | None = None) -> Definiteness:
     """Classify a symmetric matrix via greedy-pivot Cholesky elimination.
 
     PD when all pivots clear tol, PSD when elimination stalls on a residual
-    block that is itself negligible, indefinite otherwise.
+    block that is itself negligible, indefinite otherwise.  The elimination
+    is LAPACK's pivoted Cholesky (dpstrf), which takes the largest remaining
+    diagonal entry as each pivot and stops at the first one <= tol.
     """
     if q.n_rows != q.n_cols:
         raise InputError("matrix must be square")
-    if not q.is_symmetric():
-        raise InputError("matrix must be stored symmetrically")
     n = q.n_rows
     h = q.to_dense()
+    # the same test as q.is_symmetric() on canonical storage, without its sort
+    if not np.array_equal(h, h.T):
+        raise InputError("matrix must be stored symmetrically")
     scale = max(1.0, float(np.abs(np.diag(h)).max()) if n else 1.0)
     if tol is None:
         tol = 1e-10 * scale
     # limit for off-diagonal mass of a PSD matrix whose diagonal is below tol
     off_limit = max(tol, np.sqrt(tol * scale))
-    for k in range(n):
-        sub = h[k:, k:]
-        d = np.diag(sub)
-        j = int(np.argmax(d))
-        piv = d[j]
-        if piv <= tol:
-            if d.min() < -tol:
-                return Definiteness.INDEFINITE
-            off = sub - np.diag(d)
-            if off.size and np.abs(off).max() > off_limit:
-                return Definiteness.INDEFINITE
-            return Definiteness.PSD
-        if j != 0:
-            jj = k + j
-            h[[k, jj], :] = h[[jj, k], :]
-            h[:, [k, jj]] = h[:, [jj, k]]
-        col = h[k + 1 :, k]
-        h[k + 1 :, k + 1 :] -= np.outer(col, col) / piv
-    return Definiteness.PD
+    fac, piv, rank, _ = lapack.dpstrf(h, tol=tol, lower=1)
+    if rank == n:
+        return Definiteness.PD
+    # dpstrf leaves the trailing block partly updated, so form the Schur
+    # complement H22 - L21 L21' of the stalled elimination from h itself
+    rest = piv[rank:] - 1
+    low = fac[rank:, :rank]
+    sub = h[np.ix_(rest, rest)] - low @ low.T
+    d = np.diag(sub)
+    if d.min() < -tol:
+        return Definiteness.INDEFINITE
+    off = sub - np.diag(d)
+    if off.size and np.abs(off).max() > off_limit:
+        return Definiteness.INDEFINITE
+    return Definiteness.PSD
 
 
 def permute_instance(

@@ -4,8 +4,16 @@ One instance per JSON file: name, kind, n, m, q/a as parallel COO arrays,
 b, c, an optional solution {x, lam, objective}, and optional provenance
 (the transform records that produced the instance).  Every file is compact
 JSON with floats in Python's shortest round-trip form, written atomically
-via a temp file so readers never observe a partial document; indented files
-from earlier versions load unchanged.
+via a temp file so readers never observe a partial document.
+
+A symmetric matrix is stored once per pair: an instance's q keeps the
+entries with row <= col, a graph's variable-variable edges those with
+src <= dst, and loading mirrors the rest back.  Storage holding any entry
+below the diagonal is the earlier full form and must itself be symmetric.
+Graph edges carry no kind list: an edge leaving a constraint node
+(src >= number of variables) is a constraint edge.  Indented files, full
+storage and graphs with a kind list, as earlier versions wrote them, load
+to equal objects.
 """
 from __future__ import annotations
 
@@ -50,11 +58,24 @@ def _array_field(value, label, dtype, ndim=1) -> np.ndarray:
     return vals.astype(dtype)
 
 
-def _matrix_to_doc(mat: SparseMatrix) -> dict:
-    return {"rows": mat.rows.tolist(), "cols": mat.cols.tolist(), "vals": mat.vals.tolist()}
+def _mirrored(rows, cols, vals):
+    """Both triangles from a stored upper triangle.  Storage with an entry
+    below the diagonal is the earlier full form and is returned as is, for
+    the caller's symmetry check to judge."""
+    if np.any(rows > cols):
+        return rows, cols, vals
+    off = rows != cols
+    return (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]),
+            np.concatenate([vals, vals[off]]))
 
 
-def _matrix_from_doc(doc, n_rows, n_cols, label) -> SparseMatrix:
+def _matrix_to_doc(mat: SparseMatrix, upper=False) -> dict:
+    """COO arrays of `mat`; with `upper`, only its entries with row <= col."""
+    keep = mat.rows <= mat.cols if upper else slice(None)
+    return {key: getattr(mat, key)[keep].tolist() for key in ("rows", "cols", "vals")}
+
+
+def _matrix_from_doc(doc, n_rows, n_cols, label, upper=False) -> SparseMatrix:
     if not isinstance(doc, dict) or set(doc) - {"rows", "cols", "vals"}:
         raise InputError(f"field {label}: expected rows/cols/vals arrays")
     try:
@@ -65,6 +86,8 @@ def _matrix_from_doc(doc, n_rows, n_cols, label) -> SparseMatrix:
         raise InputError(f"field {label}: {exc}") from exc
     if not (rows.shape == cols.shape == vals.shape):
         raise InputError(f"field {label}: rows/cols/vals lengths differ")
+    if upper:
+        rows, cols, vals = _mirrored(rows, cols, vals)
     return SparseMatrix(n_rows, n_cols, rows, cols, vals)
 
 
@@ -104,7 +127,7 @@ def save_instance(path, inst: LcqpInstance, sol: Solution | None = None):
         "kind": inst.kind.value,
         "n": inst.n,
         "m": inst.m,
-        "q": _matrix_to_doc(inst.q),
+        "q": _matrix_to_doc(inst.q, upper=True),
         "a": _matrix_to_doc(inst.a),
         "b": inst.b.tolist(),
         "c": inst.c.tolist(),
@@ -153,7 +176,7 @@ def load_instance_unchecked(path):
         raise InputError(f"{path}: unknown kind {doc['kind']!r}") from exc
     try:
         n, m = (int(_array_field(doc[key], key, np.int64, ndim=0)) for key in ("n", "m"))
-        q = _matrix_from_doc(doc["q"], n, n, "q")
+        q = _matrix_from_doc(doc["q"], n, n, "q", upper=True)
         a = _matrix_from_doc(doc["a"], m, n, "a")
         b = np.asarray(doc["b"], dtype=np.float64)
         c = np.asarray(doc["c"], dtype=np.float64)
@@ -179,17 +202,18 @@ def load_instance_unchecked(path):
 
 def save_graph(path, graph):
     """Graph export: node arrays (side, feature) and flat edge arrays, vv
-    edges first, with constraint nodes numbered after the variable nodes."""
-    n, n_vv = graph.n_var_nodes, len(graph.vv_edges)
-    edges = np.concatenate([graph.vv_edges, graph.ca_edges])
-    edges["src"][n_vv:] += n
-    kind = ["vv"] * n_vv + ["ca"] * len(graph.ca_edges)
+    edges first and stored one way (src <= dst), with constraint nodes
+    numbered after the variable nodes."""
+    n = graph.n_var_nodes
+    vv = graph.vv_edges[graph.vv_edges["src"] <= graph.vv_edges["dst"]]
+    edges = np.concatenate([vv, graph.ca_edges])
+    edges["src"][len(vv):] += n
     doc = {
         "nodes": {
             "side": ["var"] * n + ["con"] * graph.n_con_nodes,
             "feature": graph.var_features.tolist() + graph.con_features.tolist(),
         },
-        "edges": {**{key: edges[key].tolist() for key in edges.dtype.names}, "kind": kind},
+        "edges": {key: edges[key].tolist() for key in edges.dtype.names},
     }
     _write_json(path, doc)
 
@@ -208,17 +232,20 @@ def load_graph(path):
         edges = doc["edges"]
         src, dst = (_array_field(edges[key], f"edges.{key}", np.int64) for key in ("src", "dst"))
         weight = _array_field(edges["weight"], "edges.weight", np.float64)
-        kind = _array_field(edges["kind"], "edges.kind", np.str_)
-        if not src.shape == dst.shape == weight.shape == kind.shape:
-            raise InputError("edges.src, dst, weight and kind differ in length")
-        is_ca = kind == "ca"
-        if not np.all(is_ca | (kind == "vv")):
-            raise InputError(f"unknown edge kinds {sorted(set(kind.tolist()) - {'ca', 'vv'})}")
+        if not src.shape == dst.shape == weight.shape:
+            raise InputError("edges.src, dst and weight differ in length")
+        is_ca = src >= n_var
+        if "kind" in edges:  # earlier files list each edge's kind
+            kind = _array_field(edges["kind"], "edges.kind", np.str_)
+            if not np.array_equal(kind, np.where(is_ca, "ca", "vv")):
+                raise InputError("edges.kind must be 'ca' exactly where src >= the variable count")
+        vv = edge_array(*_mirrored(src[~is_ca], dst[~is_ca], weight[~is_ca]))
+        vv = vv[np.lexsort((vv["dst"], vv["src"]))]  # to_bipartite_graph's order
         return BipartiteGraph(
             n_var_nodes=n_var, n_con_nodes=n_con,
             var_features=feature[:n_var], con_features=feature[n_var:],
             ca_edges=edge_array(src[is_ca] - n_var, dst[is_ca], weight[is_ca]),
-            vv_edges=edge_array(src[~is_ca], dst[~is_ca], weight[~is_ca]),
+            vv_edges=vv,
         )
     except InputError:
         raise

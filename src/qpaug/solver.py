@@ -159,7 +159,10 @@ def solve_splitting_detailed(
             ],
             format="csc",
         )
-        return spla.splu(kkt)
+        # quasi-definite (+sigma primal block, -1/r dual block), so it factors
+        # under any symmetric ordering without pivoting (Vanderbei 1995)
+        return spla.splu(kkt, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
 
     lu = factor(rho)
     a_dense = inst.a.to_dense()

@@ -310,6 +310,83 @@ def test_psd_certificate_shifted_negative(seed):
     assert psd_certificate(SparseMatrix.from_dense((ind + ind.T) / 2)) is Definiteness.INDEFINITE
 
 
+
+def _psd_certificate_loop(q: SparseMatrix, tol=None) -> Definiteness:
+    """Reference: greedy-pivot Cholesky elimination in Python, one pivot at a
+    time, with the stall test psd_certificate applies."""
+    n = q.n_rows
+    h = q.to_dense()
+    scale = max(1.0, float(np.abs(np.diag(h)).max()) if n else 1.0)
+    if tol is None:
+        tol = 1e-10 * scale
+    off_limit = max(tol, np.sqrt(tol * scale))
+    for k in range(n):
+        sub = h[k:, k:]
+        d = np.diag(sub)
+        j = int(np.argmax(d))
+        piv = d[j]
+        if piv <= tol:
+            if d.min() < -tol:
+                return Definiteness.INDEFINITE
+            off = sub - np.diag(d)
+            if off.size and np.abs(off).max() > off_limit:
+                return Definiteness.INDEFINITE
+            return Definiteness.PSD
+        if j != 0:
+            jj = k + j
+            h[[k, jj], :] = h[[jj, k], :]
+            h[:, [k, jj]] = h[:, [jj, k]]
+        col = h[k + 1 :, k]
+        h[k + 1 :, k + 1 :] -= np.outer(col, col) / piv
+    return Definiteness.PD
+
+
+def _parity_matrices():
+    rng = np.random.default_rng(2024)
+    out = {
+        "zero": np.zeros((4, 4)),
+        "one_by_one": np.array([[3.0]]),
+        "one_by_one_zero": np.zeros((1, 1)),
+        "one_by_one_negative": np.array([[-1.0]]),
+        "pd_diag": 2 * np.eye(2),
+        "rank_one": np.ones((2, 2)),
+        "swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
+        "zero_diag_off_mass": np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-3], [0.0, 1e-3, 0.0]]),
+    }
+    # sizes below and above LAPACK's block size, ranks full and deficient
+    for n in (3, 7, 40, 100, 150):
+        for r in (n, max(1, n // 2), 1):
+            g = rng.standard_normal((n, r))
+            out[f"gram_{n}_{r}"] = g @ g.T
+        g = rng.standard_normal((n, n))
+        ind = g @ g.T
+        ind[n // 2, n // 2] -= np.linalg.eigvalsh(ind).max() + 1.0
+        out[f"shifted_{n}"] = ind
+        g = rng.standard_normal((n, n // 2))
+        ind = g @ g.T
+        ind[-1, -1] -= 1e-3  # a small negative eigenvalue behind a stall
+        out[f"gram_minus_{n}"] = ind
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_parity_matrices()))
+def test_psd_certificate_matches_reference_loop(name):
+    dense = _parity_matrices()[name]
+    q = SparseMatrix.from_dense((dense + dense.T) / 2)
+    assert psd_certificate(q) is _psd_certificate_loop(q)
+
+
+@given(st.integers(0, 300))
+def test_psd_certificate_matches_reference_loop_seeded(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    g = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+    dense = g @ g.T
+    if seed % 3 == 0:
+        dense[0, 0] -= float(np.linalg.eigvalsh(dense).max()) + 1.0
+    q = SparseMatrix.from_dense((dense + dense.T) / 2)
+    assert psd_certificate(q) is _psd_certificate_loop(q)
+
 # ------------------------------------------------------------ permute_instance
 
 def test_permute_round_trip(e1):

@@ -7,9 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpaug import InputError, ProblemKind, kkt_residuals
-from qpaug.fileio import load_instance, load_manifest, save_instance, save_manifest
-from qpaug.transforms import MapKind, add_constraints, map_solution, scale_variables
+from qpaug import (
+    InputError, ProblemKind, gen_lasso, gen_lp, gen_portfolio, gen_qp, gen_svm, kkt_residuals,
+    solve_splitting, to_bipartite_graph,
+)
+from qpaug.fileio import (
+    load_graph, load_instance, load_manifest, save_graph, save_instance, save_manifest,
+)
+from qpaug.transforms import (
+    COMBO_STRENGTHS, SSL_STRENGTHS_QP, AugmentPolicy, MapKind, add_constraints, apply_policy,
+    map_solution, scale_variables,
+)
 
 from conftest import make_instance
 
@@ -119,6 +127,98 @@ def test_loads_indented_file_with_dense_provenance(e1, e1_sol):
     replayed = map_solution(add, inst, mid)
     assert np.array_equal(replayed.x, sol.x) and np.array_equal(replayed.lam, sol.lam)
     assert replayed.objective == sol.objective
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _augmented(strengths, labeled):
+    inst = gen_qp(12, 8, 0.4, 0.5, seed=1)
+    sol = solve_splitting(inst) if labeled else None
+    policy = AugmentPolicy(strengths, ops_per_instance=4, interpolate=labeled, seed=3)
+    return apply_policy(inst, policy, sol)[:2]
+
+
+FORMAT_CASES = {
+    "lp": lambda: (gen_lp(10, 6, 0.4, seed=2, bounded=True), None),
+    "qp": lambda: (gen_qp(10, 6, 0.4, 0.6, seed=2), None),
+    "svm": lambda: (gen_svm(8, 3, 1.0, 0.5, seed=1), None),
+    "portfolio": lambda: (gen_portfolio(6, 0.4, seed=0), None),
+    "lasso": lambda: (gen_lasso(8, 4, 0.5, 0.5, seed=0), None),
+    "combo": lambda: _augmented(COMBO_STRENGTHS, labeled=True),
+    "views": lambda: _augmented(SSL_STRENGTHS_QP, labeled=False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+def test_symmetric_pairs_stored_once(tmp_path, case):
+    inst, sol = FORMAT_CASES[case]()
+    path = tmp_path / "inst.json"
+    save_instance(path, inst, sol)
+    q = json.loads(path.read_text())["q"]
+    assert all(r <= c for r, c in zip(q["rows"], q["cols"]))
+    upper = inst.q.rows <= inst.q.cols
+    assert q["vals"] == inst.q.vals[upper].tolist()
+    back, back_sol = load_instance(path)
+    assert back.data_equal(inst) and back.name == inst.name
+    assert len(back.provenance) == len(inst.provenance)
+    if sol is not None:
+        assert np.array_equal(back_sol.x, sol.x) and np.array_equal(back_sol.lam, sol.lam)
+
+    graph = to_bipartite_graph(inst)
+    gpath = tmp_path / "inst.graph.json"
+    save_graph(gpath, graph)
+    edges = json.loads(gpath.read_text())["edges"]
+    assert set(edges) == {"src", "dst", "weight"}
+    vv = [(s, d) for s, d in zip(edges["src"], edges["dst"]) if s < inst.n]
+    assert all(s <= d for s, d in vv) and len(vv) == int(upper.sum())
+    gback = load_graph(gpath)
+    assert gback.vv_edges.tolist() == graph.vv_edges.tolist()
+    assert gback.ca_edges.tolist() == graph.ca_edges.tolist()
+    assert np.array_equal(gback.var_features, graph.var_features)
+    assert np.array_equal(gback.con_features, graph.con_features)
+
+
+def test_loads_full_storage_files(tmp_path):
+    """Files written by an earlier version: q with both triangles, and a graph
+    with vv edges both ways and an edges.kind list."""
+    inst, sol = load_instance(DATA / "qp_s0_full_storage_v1.json")
+    expected = gen_qp(3, 3, 0.7, 0.7, seed=0)  # the fixtures' instance
+    assert inst.data_equal(expected) and inst.name == expected.name
+    assert inst.provenance[0].params == expected.provenance[0].params
+    assert sol is not None
+    graph = load_graph(DATA / "qp_s0_full_storage_v1.graph.json")
+    want = to_bipartite_graph(expected)
+    assert graph.vv_edges.tolist() == want.vv_edges.tolist()
+    assert graph.ca_edges.tolist() == want.ca_edges.tolist()
+    assert np.array_equal(graph.var_features, want.var_features)
+    assert np.array_equal(graph.con_features, want.con_features)
+
+    # saving again stores the upper triangle and changes nothing else
+    path = tmp_path / "again.json"
+    save_instance(path, inst, sol)
+    old = json.loads((DATA / "qp_s0_full_storage_v1.json").read_text())
+    new = json.loads(path.read_text())
+    assert new["q"] == {"rows": [0, 0, 1, 1, 2], "cols": [0, 1, 1, 2, 2],
+                        "vals": [old["q"]["vals"][i] for i in (0, 1, 3, 4, 6)]}
+    assert {k: v for k, v in new.items() if k != "q"} == {
+        k: v for k, v in old.items() if k != "q"}
+
+
+@pytest.mark.parametrize("edit", ["value", "missing"])
+def test_load_rejects_asymmetric_full_storage(tmp_path, edit):
+    doc = json.loads((DATA / "qp_s0_full_storage_v1.json").read_text())
+    q = doc["q"]
+    assert (q["rows"][2], q["cols"][2]) == (1, 0)
+    if edit == "value":
+        q["vals"][2] += 1.0  # (1, 0) no longer mirrors (0, 1)
+    else:
+        for key in q:  # (2, 1) still marks full storage, (0, 1) lost its mirror
+            del q[key][2]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="symmetric"):
+        load_instance(path)
 
 
 def test_save_is_byte_deterministic(tmp_path, e1, e1_sol):

@@ -351,28 +351,27 @@ def test_graph_file_schema_and_determinism(tmp_path, e1):
     doc = json.loads(p1.read_text())
     assert set(doc) == {"nodes", "edges"}
     assert set(doc["nodes"]) == {"side", "feature"}
-    assert set(doc["edges"]) == {"src", "dst", "weight", "kind"}
+    assert set(doc["edges"]) == {"src", "dst", "weight"}
     assert doc["nodes"]["side"] == ["var", "var", "con", "con", "con"]
-    assert sorted(doc["edges"]["kind"]) == ["ca"] * 4 + ["vv"] * 2
     assert p1.read_text() == E1_GRAPH_FILE
 
 
 # save_graph(to_bipartite_graph(e1)), frozen: compact JSON, vv edges first,
-# then ca edges, constraint nodes numbered after the variable nodes
+# then ca edges, constraint nodes numbered after the variable nodes, no kind
 E1_GRAPH_FILE = (
     '{"nodes":{"side":["var","var","con","con","con"],"feature":[-2.0,-2.0,1.0,0.0,0.0]},'
-    '"edges":{"src":[0,1,2,2,3,4],"dst":[0,1,0,1,0,1],"weight":[2.0,2.0,1.0,1.0,-1.0,-1.0],'
-    '"kind":["vv","vv","ca","ca","ca","ca"]}}\n'
+    '"edges":{"src":[0,1,2,2,3,4],"dst":[0,1,0,1,0,1],"weight":[2.0,2.0,1.0,1.0,-1.0,-1.0]}}\n'
 )
 
 
 def _graph_doc(**edges):
-    doc = {
+    """Two ca edges in the earlier form with a kind list; a field set to None
+    is left out."""
+    edges = {"src": [2, 2], "dst": [0, 1], "weight": [1.0, 2.0], "kind": ["ca", "ca"], **edges}
+    return {
         "nodes": {"side": ["var", "var", "con"], "feature": [0.0, 0.0, 1.0]},
-        "edges": {"src": [2, 2], "dst": [0, 1], "weight": [1.0, 2.0], "kind": ["ca", "ca"]},
+        "edges": {key: val for key, val in edges.items() if val is not None},
     }
-    doc["edges"].update(edges)
-    return doc
 
 
 def test_graph_file_loads_hand_written_edges(tmp_path):
@@ -384,6 +383,12 @@ def test_graph_file_loads_hand_written_edges(tmp_path):
     g = load_graph(path)
     assert g.ca_edges.tolist() == [(0, 1, 4.0)]
     assert g.vv_edges.tolist() == [(0, 1, 0.5), (1, 0, 0.5)]
+    # today's form: vv edges one way, kind derived from src >= 2 var nodes
+    path.write_text(json.dumps(_graph_doc(
+        src=[1, 2, 0, 0], dst=[1, 1, 1, 0], weight=[3, 4, 0.5, 2], kind=None)))
+    g = load_graph(path)
+    assert g.ca_edges.tolist() == [(0, 1, 4.0)]
+    assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
 
 
 @pytest.mark.parametrize("edges", [
@@ -401,6 +406,12 @@ def test_graph_file_loads_hand_written_edges(tmp_path):
     {"weight": [1.0, "x"]},
     {"kind": ["ca", "xy"]},  # unknown edge kind
     {"kind": [1, 2]},
+    {"kind": ["vv", "ca"]},  # kind disagrees with src >= 2 var nodes
+    {"src": [0, 2], "dst": [0, 1], "kind": ["ca", "ca"]},
+    {"src": [0, 1], "dst": [1, 0], "weight": [1.0, 2.0], "kind": ["vv", "vv"]},  # asymmetric
+    {"src": [0, 1], "dst": [1, 0], "weight": [1.0, 2.0], "kind": None},
+    {"src": [0, 0], "dst": [1, 1], "kind": None},  # duplicate one-way edge
+    {"src": [2, 2], "kind": None, "weight": [1.0]},  # lengths differ without kind
 ])
 def test_graph_file_rejects_malformed_edges(tmp_path, edges):
     import json
