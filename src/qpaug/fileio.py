@@ -14,6 +14,11 @@ Graph edges carry no kind list: an edge leaving a constraint node
 (src >= number of variables) is a constraint edge.  Indented files, full
 storage and graphs with a kind list, as earlier versions wrote them, load
 to equal objects.
+
+A solution map's values and indices must be flat arrays of numbers and of
+nonnegative integers.  An earlier dense add_variable_constrained map (null
+indices, values c_new then all of a_col) loads in the sparse form; an
+earlier drop record's `dropped` param loads as read and is never replayed.
 """
 from __future__ import annotations
 
@@ -99,8 +104,8 @@ def _record_to_doc(rec: TransformRecord) -> dict:
         "solution_map": {
             "kind": sm.kind.value,
             "side": sm.side,
-            "values": None if sm.values is None else list(sm.values),
-            "indices": None if sm.indices is None else list(sm.indices),
+            "values": None if sm.values is None else sm.values.tolist(),
+            "indices": None if sm.indices is None else sm.indices.tolist(),
         },
     }
 
@@ -108,16 +113,18 @@ def _record_to_doc(rec: TransformRecord) -> dict:
 def _record_from_doc(doc) -> TransformRecord:
     try:
         sm_doc = doc["solution_map"]
-        sm = SolutionMap(
-            kind=MapKind(sm_doc["kind"]),
-            side=sm_doc["side"],
-            values=sm_doc["values"],
-            indices=sm_doc["indices"],
-        )
-        return TransformRecord(str(doc["op"]), dict(doc["params"]), sm)
+        kind = MapKind(sm_doc["kind"])
+        values, indices = (
+            None if sm_doc[key] is None else _array_field(sm_doc[key], f"solution_map.{key}", dtype)
+            for key, dtype in (("values", np.float64), ("indices", np.int64)))
+        if kind is MapKind.EXPLICIT_DUAL and indices is None:  # earlier dense (c_new, *a_col)
+            indices = np.flatnonzero(values[1:])
+            values = np.append(values[0], values[1:][indices])
+        return TransformRecord(str(doc["op"]), dict(doc["params"]),
+                               SolutionMap(kind, sm_doc["side"], values, indices))
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InputError(f"malformed provenance record: {exc}") from exc
 
 

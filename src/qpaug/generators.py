@@ -44,6 +44,18 @@ def _sparse_normal(rng, m, n, density):
     return np.where(mask, vals, 0.0)
 
 
+def _feasible_rows(rng, m, n, density_a, slack_noise):
+    """Check density_a and the sizes, then draw sparse normal A, witness |N|,
+    b = A witness + slack_noise |N| and normal c from `rng`, in that order."""
+    _check_density(density_a, "density_a")
+    if m < 1 or n < 1:
+        raise InputError("m and n must be at least 1")
+    a_dense = _sparse_normal(rng, m, n, density_a)
+    witness = np.abs(rng.standard_normal(n))
+    b = a_dense @ witness + slack_noise * np.abs(rng.standard_normal(m))
+    return a_dense, witness, b, rng.standard_normal(n)
+
+
 def make_sparse_spd(n, density, eig_lo=10.0, eig_hi=11.0, seed=0) -> SparseMatrix:
     """Sparse symmetric PD matrix via unit-lower-triangular L D L^T.
 
@@ -71,16 +83,10 @@ def gen_lp(m, n, density_a, seed, bounded=False, slack_noise=1.0,
     huge), which is fine for structural work but useless for labeling;
     bounded=True appends 0 <= x <= witness + |N| + box_margin rows.
     """
-    _check_density(density_a, "density_a")
-    if m < 1 or n < 1:
-        raise InputError("m and n must be at least 1")
     if slack_noise < 0 or box_margin < 0:
         raise InputError("slack_noise and box_margin must be nonnegative")
     rng = derive_rng(seed, "gen_lp")
-    a_dense = _sparse_normal(rng, m, n, density_a)
-    witness = np.abs(rng.standard_normal(n))
-    b = a_dense @ witness + slack_noise * np.abs(rng.standard_normal(m))
-    c = rng.standard_normal(n)
+    a_dense, witness, b, c = _feasible_rows(rng, m, n, density_a, slack_noise)
     if bounded:
         ub = witness + np.abs(rng.standard_normal(n)) + box_margin
         a_dense = np.vstack([a_dense, -np.eye(n), np.eye(n)])
@@ -100,17 +106,11 @@ def gen_lp(m, n, density_a, seed, bounded=False, slack_noise=1.0,
 
 def gen_qp(m, n, density_a, density_q, seed, slack_noise=1.0, name=None) -> LcqpInstance:
     """Feasible QP: the LP recipe plus a sparse PD quadratic term."""
-    _check_density(density_a, "density_a")
     _check_density(density_q, "density_q")
-    if m < 1 or n < 1:
-        raise InputError("m and n must be at least 1")
     if slack_noise < 0:
         raise InputError("slack_noise must be nonnegative")
-    rng = derive_rng(seed, "gen_qp")
-    a_dense = _sparse_normal(rng, m, n, density_a)
-    witness = np.abs(rng.standard_normal(n))
-    b = a_dense @ witness + slack_noise * np.abs(rng.standard_normal(m))
-    c = rng.standard_normal(n)
+    a_dense, witness, b, c = _feasible_rows(
+        derive_rng(seed, "gen_qp"), m, n, density_a, slack_noise)
     q = make_sparse_spd(n, density_q, seed=derive_seed(seed, "gen_qp", "q"))
     record = _gen_record(
         "gen_qp",

@@ -22,6 +22,7 @@ from .core import (
     ProblemKind,
     Solution,
     kkt_residuals,
+    kkt_residuals_raw,
     objective,
     psd_certificate,
 )
@@ -177,14 +178,6 @@ def solve_splitting_detailed(
     c_scale = 1.0 + (np.abs(c).max() if n else 0.0)
     b_scale = 1.0 + (np.abs(b).max() if m else 0.0)
 
-    def residual_max(xv, yv) -> float:
-        stat = np.abs(q_csr @ xv + a_csr.T @ yv + c).max() / c_scale if n else 0.0
-        ax = a_csr @ xv
-        resid = ax - b
-        prim = max(0.0, resid.max() / b_scale) if m else 0.0
-        compl = np.abs(yv * resid).max() if m else 0.0
-        return max(stat, prim, compl)  # yv >= 0 by construction
-
     def as_solution(xv, yv) -> Solution:
         return Solution.from_primal_dual(inst, xv, np.maximum(yv, 0.0))
 
@@ -202,7 +195,8 @@ def solve_splitting_detailed(
         y = rho * (u - z)
 
         if it % _CHECK_EVERY == 0 or it == cfg.max_iter:
-            cur_max = residual_max(x, y)
+            # y >= 0 by construction, so the dual term is 0
+            cur_max = kkt_residuals_raw(inst, x, y, relative=True).max_residual
             if cur_max < best_max:
                 best_max = cur_max
                 best_xy = (x.copy(), y.copy())

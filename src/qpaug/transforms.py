@@ -9,8 +9,8 @@ Solution explicitly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,27 +36,44 @@ class MapKind(enum.Enum):
     EXPLICIT_DUAL = "explicit_dual"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionMap:
     """Closed-form recipe mapping the old optimum to the new one.
 
-    side selects which of the two vectors the indices refer to; values carries
-    scale factors, or for EXPLICIT_DUAL the tuple (c_new, a_col...) defining
-    the appended multiplier -(c_new + a_col . lam).
+    side selects the vector the indices refer to.  values (float64) and
+    indices (int64) are read-only arrays or None: scale factors, kept or fresh
+    positions, or for EXPLICIT_DUAL the support of the new column a_col and
+    (c_new, a_col[indices]), whose multiplier is -(c_new + a_col . lam).
     """
 
     kind: MapKind
     side: str = "primal"
-    values: tuple[float, ...] | None = None
-    indices: tuple[int, ...] | None = None
+    values: np.ndarray | None = None
+    indices: np.ndarray | None = None
 
     def __post_init__(self):
         if self.side not in ("primal", "dual"):
             raise InputError(f"side must be primal or dual, got {self.side!r}")
-        if self.values is not None:
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.indices is not None:
-            object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        for name, dtype in (("values", np.float64), ("indices", np.int64)):
+            if getattr(self, name) is not None:
+                arr = np.array(getattr(self, name), dtype=dtype)
+                if arr.ndim != 1:
+                    raise InputError(f"solution map {name} must be a flat array")
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
+        if self.indices is not None and self.indices.min(initial=0) < 0:
+            raise InputError("solution map indices must be nonnegative")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SolutionMap):
+            return NotImplemented
+        # None is only array_equal to None, since a stored array is 1-D
+        return (
+            self.kind is other.kind
+            and self.side == other.side
+            and np.array_equal(self.values, other.values)
+            and np.array_equal(self.indices, other.indices)
+        )
 
 
 @dataclass(frozen=True)
@@ -70,36 +87,34 @@ def map_solution(record: TransformRecord, new_inst: LcqpInstance, sol: Solution)
     """Reconstruct the transformed Solution from the original one."""
     sm = record.solution_map
     x, lam = sol.x, sol.lam
-    if sm.kind is MapKind.IDENTITY:
-        pass
-    elif sm.kind is MapKind.PRIMAL_SCALED:
-        x = x * np.asarray(sm.values)
+    if sm.kind is MapKind.PRIMAL_SCALED:
+        x = x * sm.values
     elif sm.kind is MapKind.DUAL_SCALED:
-        lam = lam * np.asarray(sm.values)
+        lam = lam * sm.values
     elif sm.kind is MapKind.RESTRICTED_TO:
-        idx = list(sm.indices)
         if sm.side == "primal":
-            x = x[idx]
+            x = x[sm.indices]
         else:
-            lam = lam[idx]
+            lam = lam[sm.indices]
     elif sm.kind is MapKind.EXTENDED_WITH_ZEROS:
-        fresh = set(sm.indices)
         if sm.side == "primal":
-            out = np.zeros(new_inst.n)
-            out[[i for i in range(new_inst.n) if i not in fresh]] = x
-            x = out
+            x = _with_zeros(x, new_inst.n, sm.indices)
         else:
-            out = np.zeros(new_inst.m)
-            out[[i for i in range(new_inst.m) if i not in fresh]] = lam
-            lam = out
+            lam = _with_zeros(lam, new_inst.m, sm.indices)
     elif sm.kind is MapKind.EXPLICIT_DUAL:
-        vals = np.asarray(sm.values)
-        lam_new = -(vals[0] + vals[1:] @ lam)
+        v = sm.values
         x = np.append(x, 0.0)
-        lam = np.append(lam, lam_new)
-    else:  # pragma: no cover
+        lam = np.append(lam, -(v[0] + v[1:] @ lam[sm.indices]))
+    elif sm.kind is not MapKind.IDENTITY:  # pragma: no cover
         raise InputError(f"unknown map kind {sm.kind}")
     return Solution.from_primal_dual(new_inst, x, lam)
+
+
+def _with_zeros(vec, size, fresh):
+    """`vec` spread over the positions of range(size) not in `fresh`."""
+    out = np.zeros(size)
+    out[_kept(size, fresh, "fresh")[0]] = vec
+    return out
 
 
 def _emit(inst, q, a, b, c, kind, record):
@@ -132,7 +147,7 @@ def scale_variables(inst: LcqpInstance, alpha) -> tuple[LcqpInstance, TransformR
     record = TransformRecord(
         "scale_variables",
         {},
-        SolutionMap(MapKind.PRIMAL_SCALED, values=tuple(1.0 / alpha)),
+        SolutionMap(MapKind.PRIMAL_SCALED, values=1.0 / alpha),
     )
     return _emit(inst, q_new, a_new, inst.b, inst.c * alpha, inst.kind, record)
 
@@ -149,54 +164,51 @@ def scale_constraints(inst: LcqpInstance, d) -> tuple[LcqpInstance, TransformRec
     record = TransformRecord(
         "scale_constraints",
         {},
-        SolutionMap(MapKind.DUAL_SCALED, side="dual", values=tuple(1.0 / d)),
+        SolutionMap(MapKind.DUAL_SCALED, side="dual", values=1.0 / d),
     )
     return _emit(inst, inst.q, a_new, inst.b * d, inst.c, inst.kind, record)
 
 
 # ----------------------------------------------------------------- removal ops
 
-def _drop_variables(inst, drop: Iterable[int], op_name="drop_variables", extra=None):
-    drop = sorted({int(j) for j in drop})
-    if drop and (drop[0] < 0 or drop[-1] >= inst.n):
-        raise InputError("variable index out of range")
-    dropped = set(drop)
-    kept = [j for j in range(inst.n) if j not in dropped]
-    if not kept:
+def _kept(size, drop, label):
+    """Keep-mask of range(size) without `drop`, and each kept index's new position."""
+    drop = np.asarray(drop, dtype=np.int64)
+    if drop.size and (drop.min() < 0 or drop.max() >= size):
+        raise InputError(f"{label} index out of range")
+    keep = np.ones(size, dtype=bool)
+    keep[drop] = False
+    return keep, np.cumsum(keep) - 1
+
+
+def _drop_variables(inst, drop: Sequence[int], op_name="drop_variables", params=None):
+    keep, pos = _kept(inst.n, drop, "variable")
+    n_kept = int(keep.sum())
+    if not n_kept:
         raise InputError("cannot drop every variable")
-    pos = np.full(inst.n, -1, dtype=np.int64)
-    pos[kept] = np.arange(len(kept))
     q = inst.q
-    qmask = np.isin(q.rows, kept) & np.isin(q.cols, kept)
-    q_new = SparseMatrix(len(kept), len(kept), pos[q.rows[qmask]], pos[q.cols[qmask]], q.vals[qmask])
+    qmask = keep[q.rows] & keep[q.cols]
+    q_new = SparseMatrix(n_kept, n_kept, pos[q.rows[qmask]], pos[q.cols[qmask]], q.vals[qmask])
     a = inst.a
-    amask = np.isin(a.cols, kept)
-    a_new = SparseMatrix(inst.m, len(kept), a.rows[amask], pos[a.cols[amask]], a.vals[amask])
+    amask = keep[a.cols]
+    a_new = SparseMatrix(inst.m, n_kept, a.rows[amask], pos[a.cols[amask]], a.vals[amask])
     record = TransformRecord(
-        op_name,
-        {"dropped": drop, **(extra or {})},
-        SolutionMap(MapKind.RESTRICTED_TO, side="primal", indices=tuple(kept)),
+        op_name, params or {},
+        SolutionMap(MapKind.RESTRICTED_TO, side="primal", indices=np.flatnonzero(keep)),
     )
-    return _emit(inst, q_new, a_new, inst.b, inst.c[kept], inst.kind, record)
+    return _emit(inst, q_new, a_new, inst.b, inst.c[keep], inst.kind, record)
 
 
-def _drop_constraints(inst, drop: Iterable[int], op_name="drop_constraints", extra=None):
-    drop = sorted({int(i) for i in drop})
-    if drop and (drop[0] < 0 or drop[-1] >= inst.m):
-        raise InputError("constraint index out of range")
-    dropped = set(drop)
-    kept = [i for i in range(inst.m) if i not in dropped]
-    pos = np.full(inst.m, -1, dtype=np.int64)
-    pos[kept] = np.arange(len(kept))
+def _drop_constraints(inst, drop: Sequence[int], op_name="drop_constraints", params=None):
+    keep, pos = _kept(inst.m, drop, "constraint")
     a = inst.a
-    amask = np.isin(a.rows, kept)
-    a_new = SparseMatrix(len(kept), inst.n, pos[a.rows[amask]], a.cols[amask], a.vals[amask])
+    amask = keep[a.rows]
+    a_new = SparseMatrix(int(keep.sum()), inst.n, pos[a.rows[amask]], a.cols[amask], a.vals[amask])
     record = TransformRecord(
-        op_name,
-        {"dropped": drop, **(extra or {})},
-        SolutionMap(MapKind.RESTRICTED_TO, side="dual", indices=tuple(kept)),
+        op_name, params or {},
+        SolutionMap(MapKind.RESTRICTED_TO, side="dual", indices=np.flatnonzero(keep)),
     )
-    return _emit(inst, inst.q, a_new, inst.b[kept], inst.c, inst.kind, record)
+    return _emit(inst, inst.q, a_new, inst.b[keep], inst.c, inst.kind, record)
 
 
 def remove_idle_variables(inst: LcqpInstance, sol: Solution, tol: float = 1e-8):
@@ -204,11 +216,10 @@ def remove_idle_variables(inst: LcqpInstance, sol: Solution, tol: float = 1e-8):
     _check_sol(inst, sol)
     if tol < 0:
         raise InputError("tol must be nonnegative")
-    scale = 1.0 + (np.abs(sol.x).max() if inst.n else 0.0)
-    idle = np.flatnonzero(np.abs(sol.x) <= tol * scale)
+    idle = np.flatnonzero(np.abs(sol.x) <= tol * (1.0 + np.abs(sol.x).max()))
     if idle.size == inst.n:
         raise InputError("every variable is idle; refusing to emit an empty instance")
-    return _drop_variables(inst, idle.tolist(), op_name="remove_idle_variables", extra={"tol": tol})
+    return _drop_variables(inst, idle, op_name="remove_idle_variables", params={"tol": tol})
 
 
 def remove_inactive_constraints(
@@ -224,12 +235,37 @@ def remove_inactive_constraints(
     rng = derive_rng(seed, "remove_inactive_constraints")
     drop = np.sort(rng.choice(inactive, size=count, replace=False)) if count else np.empty(0, dtype=int)
     return _drop_constraints(
-        inst, drop.tolist(), op_name="remove_inactive_constraints",
-        extra={"tol": tol, "fraction": fraction, "seed": seed},
+        inst, drop, op_name="remove_inactive_constraints",
+        params={"tol": tol, "fraction": fraction, "seed": seed},
     )
 
 
 # ---------------------------------------------------------------- addition ops
+
+def _append_variable(inst, q_col, a_col, c_new, kind, record, pin=False):
+    """Emit `inst` with one more variable: row and column q_col of Q (its last
+    entry on the new diagonal), column a_col of A and cost c_new; with pin, a
+    row x_new <= 0 after the existing rows."""
+    n, q, a = inst.n, inst.q, inst.a
+    span = np.arange(n + 1)
+    q_new = SparseMatrix(
+        n + 1, n + 1,
+        np.concatenate([q.rows, span[:n], np.full(n + 1, n)]),
+        np.concatenate([q.cols, np.full(n, n), span]),
+        np.concatenate([q.vals, q_col[:n], q_col]),
+    )
+    if pin:
+        a_col = np.append(a_col, 1.0)
+    m_new = a_col.size
+    a_new = SparseMatrix(
+        m_new, n + 1,
+        np.concatenate([a.rows, np.arange(m_new)]),
+        np.concatenate([a.cols, np.full(m_new, n)]),
+        np.concatenate([a.vals, a_col]),
+    )
+    b_new = np.append(inst.b, 0.0) if pin else inst.b
+    return _emit(inst, q_new, a_new, b_new, np.append(inst.c, c_new), kind, record)
+
 
 def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
     """Append a variable whose data is the q_vec-combination of existing ones.
@@ -249,32 +285,16 @@ def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
         ridge = 1e-2 * trace / inst.n
     if ridge < 0:
         raise InputError("ridge must be nonnegative")
-    n, m = inst.n, inst.m
     qq = inst.q.matvec(q_vec)
-    corner = float(q_vec @ qq) + ridge
-    q = inst.q
-    new_idx = np.arange(n)
-    q_new = SparseMatrix(
-        n + 1, n + 1,
-        np.concatenate([q.rows, new_idx, np.full(n, n), [n]]),
-        np.concatenate([q.cols, np.full(n, n), new_idx, [n]]),
-        np.concatenate([q.vals, qq, qq, [corner]]),
-    )
-    aq = inst.a.matvec(q_vec)
-    a = inst.a
-    a_new = SparseMatrix(
-        m, n + 1,
-        np.concatenate([a.rows, np.arange(m)]),
-        np.concatenate([a.cols, np.full(m, n)]),
-        np.concatenate([a.vals, aq]),
-    )
-    c_new = np.append(inst.c, float(q_vec @ inst.c))
     record = TransformRecord(
         "add_variables",
         {"q_vec": q_vec.tolist(), "ridge": float(ridge)},
-        SolutionMap(MapKind.EXTENDED_WITH_ZEROS, side="primal", indices=(n,)),
+        SolutionMap(MapKind.EXTENDED_WITH_ZEROS, side="primal", indices=[inst.n]),
     )
-    return _emit(inst, q_new, a_new, inst.b, c_new, inst.kind, record)
+    return _append_variable(
+        inst, np.append(qq, float(q_vec @ qq) + ridge), inst.a.matvec(q_vec),
+        float(q_vec @ inst.c), inst.kind, record,
+    )
 
 
 def add_variable_biased(inst: LcqpInstance, sol: Solution, q_diag: float, a_col):
@@ -286,28 +306,15 @@ def add_variable_biased(inst: LcqpInstance, sol: Solution, q_diag: float, a_col)
     a_col = np.asarray(a_col, dtype=np.float64)
     if a_col.shape != (inst.m,):
         raise InputError(f"a_col must have shape ({inst.m},)")
-    n, m = inst.n, inst.m
-    q = inst.q
-    q_new = SparseMatrix(
-        n + 1, n + 1,
-        np.concatenate([q.rows, [n]]),
-        np.concatenate([q.cols, [n]]),
-        np.concatenate([q.vals, [q_diag]]),
-    )
-    a = inst.a
-    a_new = SparseMatrix(
-        m, n + 1,
-        np.concatenate([a.rows, np.arange(m)]),
-        np.concatenate([a.cols, np.full(m, n)]),
-        np.concatenate([a.vals, a_col]),
-    )
-    c_new = np.append(inst.c, -float(a_col @ sol.lam))
     record = TransformRecord(
         "add_variable_biased",
         {"q_diag": float(q_diag), "a_col": a_col.tolist()},
-        SolutionMap(MapKind.EXTENDED_WITH_ZEROS, side="primal", indices=(n,)),
+        SolutionMap(MapKind.EXTENDED_WITH_ZEROS, side="primal", indices=[inst.n]),
     )
-    return _emit(inst, q_new, a_new, inst.b, c_new, inst.kind, record)
+    return _append_variable(
+        inst, np.append(np.zeros(inst.n), q_diag), a_col, -float(a_col @ sol.lam),
+        inst.kind, record,
+    )
 
 
 def add_variable_constrained(inst: LcqpInstance, q_diag: float, a_col, c_new: float):
@@ -315,7 +322,9 @@ def add_variable_constrained(inst: LcqpInstance, q_diag: float, a_col, c_new: fl
 
     The sign restrictions a_col <= 0, c_new <= 0 make the appended multiplier
     -(c_new + a_col . lam) nonnegative for every dual vector, so the op stays
-    solution-independent.  q_diag = 0 is accepted so LPs stay LPs.
+    solution-independent.  q_diag = 0 is accepted so LPs stay LPs.  The map
+    stores a_col sparsely: its support as indices, c_new and those entries
+    as values.
     """
     if q_diag < 0:
         raise InputError("q_diag must be nonnegative")
@@ -326,29 +335,18 @@ def add_variable_constrained(inst: LcqpInstance, q_diag: float, a_col, c_new: fl
         raise InputError("a_col entries must be nonpositive")
     if c_new > 0:
         raise InputError("c_new must be nonpositive")
-    n, m = inst.n, inst.m
-    q = inst.q
-    q_new = SparseMatrix(
-        n + 1, n + 1,
-        np.concatenate([q.rows, [n]]),
-        np.concatenate([q.cols, [n]]),
-        np.concatenate([q.vals, [q_diag]]),
-    )
-    a = inst.a
-    a_new = SparseMatrix(
-        m + 1, n + 1,
-        np.concatenate([a.rows, np.arange(m), [m]]),
-        np.concatenate([a.cols, np.full(m, n), [n]]),
-        np.concatenate([a.vals, a_col, [1.0]]),
-    )
     kind = inst.kind if (inst.kind is ProblemKind.QP or q_diag == 0.0) else ProblemKind.QP
+    support = np.flatnonzero(a_col)
     record = TransformRecord(
         "add_variable_constrained",
         {"q_diag": float(q_diag)},
-        SolutionMap(MapKind.EXPLICIT_DUAL, side="dual", values=(float(c_new), *a_col)),
+        SolutionMap(
+            MapKind.EXPLICIT_DUAL, side="dual",
+            values=np.append(float(c_new), a_col[support]), indices=support,
+        ),
     )
-    return _emit(
-        inst, q_new, a_new, np.append(inst.b, 0.0), np.append(inst.c, c_new), kind, record
+    return _append_variable(
+        inst, np.append(np.zeros(inst.n), q_diag), a_col, c_new, kind, record, pin=True,
     )
 
 
@@ -381,7 +379,7 @@ def add_constraints(inst: LcqpInstance, weights: Sequence):
         }},
         SolutionMap(
             MapKind.EXTENDED_WITH_ZEROS, side="dual",
-            indices=tuple(range(m, m + len(w))),
+            indices=np.arange(m, m + len(w)),
         ),
     )
     return _emit(inst, inst.q, a_new, np.append(inst.b, b_extra), inst.c, inst.kind, record)
@@ -524,15 +522,13 @@ class AugmentPolicy:
 
 
 def _policy_drop_vars(inst, sol, aprime, rng):
-    x = sol.x
-    scale = 1.0 + (np.abs(x).max() if inst.n else 0.0)
-    idle = np.flatnonzero(np.abs(x) <= 1e-8 * scale)
+    idle = np.flatnonzero(np.abs(sol.x) <= 1e-8 * (1.0 + np.abs(sol.x).max()))
     frac = min(1.0, rng.uniform(0.0, aprime))
     k = min(int(frac * idle.size), inst.n - 1)
     if k <= 0:
         return None
     drop = np.sort(rng.choice(idle, size=k, replace=False))
-    return _drop_variables(inst, drop.tolist())
+    return _drop_variables(inst, drop)
 
 
 def _policy_drop_cons(inst, sol, aprime, rng):
@@ -546,7 +542,7 @@ def _policy_drop_cons(inst, sol, aprime, rng):
     if k <= 0:
         return None
     drop = np.sort(rng.choice(eligible, size=k, replace=False))
-    return _drop_constraints(inst, drop.tolist())
+    return _drop_constraints(inst, drop)
 
 
 def _policy_add_cons(inst, aprime, rng):

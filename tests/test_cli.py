@@ -2,6 +2,7 @@
 4 policy/label mismatch, 5 verification failure), stdout JSON reports,
 and pipeline byte determinism."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,3 +415,23 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, command, content):
     code, _, err = run(capsys, [command, "--manifest", str(manifest), *extra])
     assert code == 2
     assert err.startswith("error:") and "manifest.json" in err
+
+
+# ------------------------------------------------------ malformed instances
+
+@pytest.mark.parametrize("command", ["graph", "solve", "augment"])
+@pytest.mark.parametrize("key, value", [
+    ("indices", [True]), ("indices", [-3, 2, 3]), ("indices", [0, 2.7, 3]),
+    ("values", ["0.5"]),
+], ids=["bool-index", "negative-index", "fractional-index", "string-value"])
+def test_malformed_solution_map_exits_2(tmp_path, capsys, command, key, value):
+    doc = json.loads((Path(__file__).parent / "data" / "e1_dense_provenance_v2.json").read_text())
+    doc["provenance"][1]["solution_map"][key] = value
+    (tmp_path / "e.json").write_text(json.dumps(doc))
+    manifest = tmp_path / "manifest.json"
+    save_manifest(manifest, [{"path": "e.json", "split": "train", "family": "qp",
+                              "seed": 0, "labeled": True, "solver_status": "ok"}])
+    extra = [str(tmp_path / "out") if a == "OUT" else a for a in MANIFEST_COMMANDS[command]]
+    code, _, err = run(capsys, [command, "--manifest", str(manifest), *extra])
+    assert code == 2
+    assert err.startswith("error:") and "e.json" in err and "solution_map" in err

@@ -15,8 +15,9 @@ from qpaug.fileio import (
     load_graph, load_instance, load_manifest, save_graph, save_instance, save_manifest,
 )
 from qpaug.transforms import (
-    COMBO_STRENGTHS, SSL_STRENGTHS_QP, AugmentPolicy, MapKind, add_constraints, apply_policy,
-    map_solution, scale_variables,
+    COMBO_STRENGTHS, SSL_STRENGTHS_QP, AugmentPolicy, MapKind, _drop_constraints, add_constraints,
+    add_variable_constrained, apply_policy, map_solution, remove_inactive_constraints,
+    scale_variables,
 )
 
 from conftest import make_instance
@@ -86,7 +87,8 @@ def test_provenance_round_trip(tmp_path, e1, e1_sol):
     assert back.params == rec.params
     assert back.solution_map.kind is MapKind.PRIMAL_SCALED
     assert back.solution_map.side == "primal"
-    assert back.solution_map.values == rec.solution_map.values
+    assert np.array_equal(back.solution_map.values, rec.solution_map.values)
+    assert back.solution_map == rec.solution_map
     assert back.solution_map.indices is None
     # the loaded record still drives solution reconstruction
     remapped = map_solution(back, inst, e1_sol)
@@ -130,6 +132,69 @@ def test_loads_indented_file_with_dense_provenance(e1, e1_sol):
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def test_loads_dense_explicit_dual_and_dropped_partition(e1, e1_sol):
+    """A file written by an earlier version: add_variable_constrained with the
+    dense map (c_new, *a_col), and drop records listing `dropped` next to the
+    kept indices.  It loads with the sparse map and replays its solution."""
+    path = DATA / "e1_dense_provenance_v2.json"
+    inst, sol = load_instance(path)
+    add, remove, drop = inst.provenance
+    stored = json.loads(path.read_text())["provenance"]
+    assert stored[0]["solution_map"]["values"] == [-0.5, -0.75, 0.0, -0.25]
+    assert stored[0]["solution_map"]["indices"] is None
+    assert add.solution_map.indices.tolist() == [0, 2]
+    assert add.solution_map.values.tolist() == [-0.5, -0.75, -0.25]
+    assert remove.params == {"dropped": [1], "tol": 1e-6, "fraction": 0.5, "seed": 3}
+    assert remove.solution_map.indices.tolist() == [0, 2, 3]
+    assert drop.params == {"dropped": [1]}
+    assert drop.solution_map.indices.tolist() == [0, 2]
+
+    # today's ops rebuild the same data and maps, without `dropped`
+    step, rec = add_variable_constrained(
+        e1, q_diag=0.5, a_col=np.array([-0.75, 0.0, -0.25]), c_new=-0.5)
+    assert rec.solution_map == add.solution_map
+    step_sol = map_solution(add, step, e1_sol)
+    dense = np.array(stored[0]["solution_map"]["values"])
+    assert step_sol.lam[-1] == pytest.approx(-(dense[0] + dense[1:] @ e1_sol.lam), rel=1e-12)
+    step, rec = remove_inactive_constraints(step, step_sol, fraction=0.5, seed=3)
+    assert rec.solution_map == remove.solution_map
+    assert rec.params == {"tol": 1e-6, "fraction": 0.5, "seed": 3}
+    step_sol = map_solution(remove, step, step_sol)
+    step, rec = _drop_constraints(step, [1])
+    assert rec.solution_map == drop.solution_map and rec.params == {}
+    step_sol = map_solution(drop, step, step_sol)
+    assert step.data_equal(inst)
+    # the stored solution was mapped with the dense formula
+    np.testing.assert_allclose(step_sol.x, sol.x, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(step_sol.lam, sol.lam, rtol=1e-12, atol=0)
+
+
+# (record, key, value); an earlier version loaded the first four, as the
+# value in the comment
+MALFORMED_MAPS = {
+    "bool-index": (1, "indices", [True]),  # [1]
+    "negative-index": (1, "indices", [-3, 2, 3]),  # counted from the end
+    "fractional-index": (1, "indices", [0, 2.7, 3]),  # [0, 2, 3]
+    "string-value": (0, "values", ["-0.5", -0.75, 0.0, -0.25]),  # -0.5
+    "nested-values": (0, "values", [[-0.5, -0.75, 0.0, -0.25]]),
+}
+
+
+def malformed_map_file(tmp_path, case):
+    doc = json.loads((DATA / "e1_dense_provenance_v2.json").read_text())
+    record, key, value = MALFORMED_MAPS[case]
+    doc["provenance"][record]["solution_map"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MAPS))
+def test_load_rejects_malformed_solution_maps(tmp_path, case):
+    with pytest.raises(InputError, match="solution.map"):
+        load_instance(malformed_map_file(tmp_path, case))
 
 
 def _augmented(strengths, labeled):

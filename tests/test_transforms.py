@@ -16,6 +16,7 @@ from qpaug import (
     InputError,
     ProblemKind,
     Solution,
+    gen_qp,
     kkt_residuals,
     objective,
     psd_certificate,
@@ -31,6 +32,7 @@ from qpaug.transforms import (
     SSL_STRENGTHS_QP,
     AugmentPolicy,
     MapKind,
+    SolutionMap,
     _bias_apply,
     _drop_constraints,
     _drop_variables,
@@ -50,6 +52,7 @@ from qpaug.transforms import (
     scale_variables,
 )
 
+import qpaug.transforms as transforms_module
 from conftest import make_instance
 
 
@@ -185,7 +188,8 @@ def test_remove_idle_e2(e2, e2_sol):
     assert np.array_equal(out.c, [-1.0])
     assert np.array_equal(out.b, e2.b)
     assert rec.solution_map.kind is MapKind.RESTRICTED_TO
-    assert rec.solution_map.indices == (0,)
+    assert rec.solution_map.indices.tolist() == [0]
+    assert rec.params == {"tol": 1e-8}  # the kept indices are the one partition
     mapped = map_solution(rec, out, e2_sol)
     assert np.array_equal(mapped.x, [1.0])
     assert np.array_equal(mapped.lam, [0.0, 1.0])
@@ -195,7 +199,7 @@ def test_remove_idle_e2(e2, e2_sol):
 def test_remove_idle_none_idle(e1, e1_sol):
     out, rec = remove_idle_variables(e1, e1_sol, tol=1e-8)
     assert out.data_equal(e1)
-    assert rec.params["dropped"] == []
+    assert rec.solution_map.indices.tolist() == [0, 1]
 
 
 def test_remove_idle_all_idle_refused():
@@ -221,7 +225,8 @@ def test_remove_inactive_e1_full(e1, e1_sol):
 def test_remove_inactive_zero_fraction(e1, e1_sol):
     out, rec = remove_inactive_constraints(e1, e1_sol, fraction=0.0)
     assert out.data_equal(e1)
-    assert rec.params["dropped"] == []
+    assert rec.solution_map.indices.tolist() == [0, 1, 2]
+    assert rec.params == {"tol": 1e-6, "fraction": 0.0, "seed": 0}
 
 
 def test_remove_inactive_all_active():
@@ -242,8 +247,8 @@ def test_remove_inactive_partial_deterministic(e1, e1_sol):
     out1, rec1 = remove_inactive_constraints(e1, e1_sol, fraction=0.5, seed=3)
     out2, rec2 = remove_inactive_constraints(e1, e1_sol, fraction=0.5, seed=3)
     assert out1.data_equal(out2)
-    assert rec1.params["dropped"] == rec2.params["dropped"]
-    assert len(rec1.params["dropped"]) == 1  # floor(0.5 * 2 inactive)
+    assert rec1.solution_map == rec2.solution_map
+    assert rec1.solution_map.indices.size == e1.m - 1  # floor(0.5 * 2 inactive) dropped
     assert out1.m == 2
 
 
@@ -259,7 +264,7 @@ def test_add_variables_e1(e1, e1_sol):
     )
     assert np.array_equal(out.c, [-2.0, -2.0, -2.0])
     assert rec.solution_map.kind is MapKind.EXTENDED_WITH_ZEROS
-    assert rec.solution_map.indices == (2,)
+    assert rec.solution_map.indices.tolist() == [2]
     mapped = map_solution(rec, out, e1_sol)
     assert np.array_equal(mapped.x, [0.5, 0.5, 0.0])
     assert np.array_equal(mapped.lam, e1_sol.lam)
@@ -332,6 +337,8 @@ def test_add_variable_constrained_e1(e1, e1_sol):
     assert out.c[2] == -0.5
     assert rec.solution_map.kind is MapKind.EXPLICIT_DUAL
     assert rec.params == {"q_diag": 1.0}  # c_new and a_col live in the map values
+    # a_col is all zero: the sparse map keeps no index and only c_new
+    assert rec.solution_map.indices.tolist() == [] and rec.solution_map.values.tolist() == [-0.5]
     mapped = map_solution(rec, out, e1_sol)
     assert np.array_equal(mapped.x, [0.5, 0.5, 0.0])
     assert np.array_equal(mapped.lam, [1.0, 0.0, 0.0, 0.5])
@@ -342,6 +349,8 @@ def test_add_variable_constrained_coupled_dual(e1, e1_sol):
     out, rec = add_variable_constrained(
         e1, q_diag=1.0, a_col=np.array([-1.0, 0.0, 0.0]), c_new=0.0
     )
+    assert rec.solution_map.indices.tolist() == [0]
+    assert rec.solution_map.values.tolist() == [0.0, -1.0]
     mapped = map_solution(rec, out, e1_sol)
     assert mapped.lam[3] == 1.0
     assert_kkt_clean(out, mapped, 1e-12)
@@ -387,7 +396,7 @@ def test_add_constraints_e1(e1, e1_sol):
     assert np.array_equal(out.a.to_dense()[3], [0.0, 0.5])
     assert out.b[3] == 0.5
     assert rec.solution_map.kind is MapKind.EXTENDED_WITH_ZEROS
-    assert rec.solution_map.indices == (3,)
+    assert rec.solution_map.indices.tolist() == [3]
     mapped = map_solution(rec, out, e1_sol)
     assert np.array_equal(mapped.lam, [1.0, 0.0, 0.0, 0.0])
     assert mapped.slack[3] == 0.25
@@ -405,7 +414,7 @@ def test_add_constraints_duplicate_active_row(e1, e1_sol):
 def test_add_constraints_empty(e1):
     out, rec = add_constraints(e1, [])
     assert out.data_equal(e1)
-    assert rec.solution_map.indices == ()
+    assert rec.solution_map.indices.tolist() == []
 
 
 def test_add_constraints_validation(e1):
@@ -784,4 +793,124 @@ def test_drop_variables_helper(e1, e1_sol):
     # op is the one that restricts to idle coordinates
     out, rec = _drop_variables(e1, [1])
     assert out.n == 1
-    assert rec.solution_map.indices == (0,)
+    assert rec.solution_map.indices.tolist() == [0]
+    assert rec.params == {}
+
+
+# ------------------------------------------------------------ solution maps
+
+def test_solution_map_holds_read_only_arrays():
+    src = np.array([0.5, 2.0])
+    sm = SolutionMap(MapKind.PRIMAL_SCALED, values=src)
+    src[0] = 9.0  # the map holds its own copy
+    assert sm.values.tolist() == [0.5, 2.0] and sm.values.dtype == np.float64
+    assert sm.indices is None
+    with pytest.raises(ValueError):
+        sm.values[0] = 1.0
+    kept = SolutionMap(MapKind.RESTRICTED_TO, side="dual", indices=(2, 0, 5))
+    assert kept.indices.dtype == np.int64 and kept.indices.tolist() == [2, 0, 5]
+    assert not kept.indices.flags.writeable
+
+
+def test_solution_map_equality():
+    sm = SolutionMap(MapKind.EXPLICIT_DUAL, side="dual", values=[-1.0, -0.5], indices=[3])
+    assert sm == SolutionMap(MapKind.EXPLICIT_DUAL, side="dual", values=(-1.0, -0.5),
+                             indices=np.array([3]))
+    for other in (
+        SolutionMap(MapKind.EXPLICIT_DUAL, side="primal", values=[-1.0, -0.5], indices=[3]),
+        SolutionMap(MapKind.EXPLICIT_DUAL, side="dual", values=[-1.0, -0.25], indices=[3]),
+        SolutionMap(MapKind.EXPLICIT_DUAL, side="dual", values=[-1.0, -0.5], indices=[2]),
+        SolutionMap(MapKind.EXPLICIT_DUAL, side="dual", values=[-1.0, -0.5]),
+        SolutionMap(MapKind.DUAL_SCALED, side="dual", values=[-1.0, -0.5], indices=[3]),
+    ):
+        assert sm != other
+    assert SolutionMap(MapKind.IDENTITY) == SolutionMap(MapKind.IDENTITY)
+    assert SolutionMap(MapKind.RESTRICTED_TO, indices=[]) != SolutionMap(MapKind.RESTRICTED_TO)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"indices": [-1]},
+    {"indices": [0, -3]},
+    {"indices": [[0, 1]]},
+    {"values": 2.0},
+    {"values": [[1.0]]},
+    {"side": "both"},
+])
+def test_solution_map_rejects_bad_fields(kwargs):
+    with pytest.raises(InputError):
+        SolutionMap(MapKind.RESTRICTED_TO, **kwargs)
+
+
+def _replay_loop(record, new_inst, sol):
+    """Test-only reference: the replay as it was written on tuples, one entry
+    at a time, with EXPLICIT_DUAL's a_col expanded to a dense m-vector."""
+    sm = record.solution_map
+    x, lam = sol.x.tolist(), sol.lam.tolist()
+    values = None if sm.values is None else sm.values.tolist()
+    indices = None if sm.indices is None else sm.indices.tolist()
+    primal = sm.side == "primal"
+    if sm.kind is MapKind.PRIMAL_SCALED:
+        x = [xi * v for xi, v in zip(x, values)]
+    elif sm.kind is MapKind.DUAL_SCALED:
+        lam = [li * v for li, v in zip(lam, values)]
+    elif sm.kind is MapKind.RESTRICTED_TO:
+        if primal:
+            x = [x[i] for i in indices]
+        else:
+            lam = [lam[i] for i in indices]
+    elif sm.kind is MapKind.EXTENDED_WITH_ZEROS:
+        fresh = set(indices)
+        if primal:
+            old = iter(x)
+            x = [0.0 if i in fresh else next(old) for i in range(new_inst.n)]
+        else:
+            old = iter(lam)
+            lam = [0.0 if i in fresh else next(old) for i in range(new_inst.m)]
+    elif sm.kind is MapKind.EXPLICIT_DUAL:
+        a_col = [0.0] * len(lam)
+        for i, v in zip(indices, values[1:]):
+            a_col[i] = v
+        x = x + [0.0]
+        lam = lam + [-(values[0] + float(np.dot(a_col, lam)))]
+    return np.array(x), np.array(lam)
+
+
+@pytest.mark.parametrize("strengths, interpolate", [
+    (SSL_STRENGTHS_QP, False), (COMBO_STRENGTHS, True),
+], ids=["views", "combo"])
+def test_map_solution_matches_loop_reference(monkeypatch, strengths, interpolate):
+    calls = []
+
+    def spy(record, new_inst, sol):
+        out = map_solution(record, new_inst, sol)
+        calls.append((record, new_inst, sol, out))
+        return out
+
+    monkeypatch.setattr(transforms_module, "map_solution", spy)
+    for seed in range(4):
+        inst = gen_qp(100, 100, 0.05, 0.05, seed=seed)
+        sol = solve_splitting(inst)
+        for copy in range(12):
+            policy = AugmentPolicy(strengths, interpolate=interpolate, seed=10 * seed + copy)
+            apply_policy(inst, policy, sol)
+    kinds = set()
+    for record, new_inst, sol, out in calls:
+        sm = record.solution_map
+        kinds.add(sm.kind)
+        x_ref, lam_ref = _replay_loop(record, new_inst, sol)
+        assert np.array_equal(out.x, x_ref)
+        if sm.kind is MapKind.EXPLICIT_DUAL:
+            # _policy_add_var gives a_col at most 3 nonzeros, all stored
+            assert 1 <= sm.indices.size <= 3 and sm.values.size == sm.indices.size + 1
+            assert np.all(sm.values[1:] != 0.0)
+            assert np.array_equal(out.lam[:-1], lam_ref[:-1])
+            assert out.lam[-1] == pytest.approx(lam_ref[-1], rel=1e-12, abs=0.0)
+        else:
+            assert np.array_equal(out.lam, lam_ref)
+    expected = {
+        MapKind.DUAL_SCALED, MapKind.PRIMAL_SCALED, MapKind.RESTRICTED_TO,
+        MapKind.EXTENDED_WITH_ZEROS,
+    }
+    if strengths is SSL_STRENGTHS_QP:
+        expected.add(MapKind.EXPLICIT_DUAL)
+    assert kinds == expected
