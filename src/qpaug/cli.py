@@ -303,16 +303,14 @@ def cmd_verify(args) -> int:
     for e in entries:
         if not e["labeled"]:
             continue
-        try:
-            inst, arrays = load_instance_unchecked(src_dir / e["path"])
-            if arrays is None:
-                raise InputError("marked labeled but stores no solution")
-            x, lam, stored_obj = arrays
-            rep = kkt_residuals_raw(inst, x, lam, relative=not args.absolute)
-        except InputError as exc:
-            print(f"{e['path']}: {exc}", file=sys.stderr)
+        # a file that does not load is bad input (exit 2), not a failed label
+        inst, arrays = load_instance_unchecked(src_dir / e["path"])
+        if arrays is None:
+            print(f"{e['path']}: marked labeled but stores no solution", file=sys.stderr)
             failing.append(e["path"])
             continue
+        x, lam, stored_obj = arrays
+        rep = kkt_residuals_raw(inst, x, lam, relative=not args.absolute)
         checked += 1
         for key in worst:
             worst[key] = max(worst[key], getattr(rep, key))

@@ -81,10 +81,10 @@ class SparseMatrix:
                 raise InputError("matrix values must be finite")
             keep = vals != 0.0
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
-            order = np.lexsort((cols, rows))
-            rows, cols, vals = rows[order], cols[order], vals[order]
-            flat = rows * self.n_cols + cols
-            if flat.size > 1 and np.any(flat[1:] == flat[:-1]):
+            flat = rows * self.n_cols + cols  # (row, col) order as one key
+            order = np.argsort(flat, kind="stable")
+            rows, cols, vals, flat = rows[order], cols[order], vals[order], flat[order]
+            if np.any(flat[1:] == flat[:-1]):
                 raise InputError("duplicate (row, col) entry")
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
             arr.flags.writeable = False
@@ -144,7 +144,7 @@ class SparseMatrix:
         """Exact structural symmetry: (i, j, v) stored iff (j, i, v) stored."""
         if self.n_rows != self.n_cols:
             return False
-        order = np.lexsort((self.rows, self.cols))
+        order = np.argsort(self.cols * self.n_rows + self.rows, kind="stable")
         return (
             np.array_equal(self.rows, self.cols[order])
             and np.array_equal(self.cols, self.rows[order])

@@ -3,25 +3,36 @@
 One instance per JSON file: name, kind, n, m, q/a as parallel COO arrays,
 b, c, an optional solution {x, lam, objective}, and optional provenance
 (the transform records that produced the instance).  Every file is compact
-JSON with floats in Python's shortest round-trip form, written atomically
-via a temp file so readers never observe a partial document.
+JSON, written atomically via a temp file so readers never observe a partial
+document.
+
+Fixed-schema float64 arrays (q/a vals, b, c, the solution's x and lam, a
+solution map's values, a graph's node features and edge weights) are each
+one string: the base64 of their little-endian float64 bytes, which
+round-trips every value bit for bit.  Indices, dimensions, the objective
+and free-form params stay plain JSON.  Every numeric field goes through one
+checked reader: a packed string must decode strictly to a whole number of
+finite float64 values, and a list must hold JSON numbers only (integers
+for an index), never booleans or strings.
 
 A symmetric matrix is stored once per pair: an instance's q keeps the
 entries with row <= col, a graph's variable-variable edges those with
 src <= dst, and loading mirrors the rest back.  Storage holding any entry
 below the diagonal is the earlier full form and must itself be symmetric.
-Graph edges carry no kind list: an edge leaving a constraint node
-(src >= number of variables) is a constraint edge.  Indented files, full
-storage and graphs with a kind list, as earlier versions wrote them, load
-to equal objects.
+A graph file gives its node counts (n_var, n_con); an edge leaving a
+constraint node (src >= n_var) is a constraint edge.
 
-A solution map's values and indices must be flat arrays of numbers and of
+Files written by earlier versions load to equal objects: indented files,
+float arrays as JSON lists, full storage, graphs with a per-node side list
+(all var entries, then all con entries) or a per-edge kind list.  A
+solution map's values and indices must be flat arrays of numbers and of
 nonnegative integers.  An earlier dense add_variable_constrained map (null
 indices, values c_new then all of a_col) loads in the sparse form; an
 earlier drop record's `dropped` param loads as read and is never replayed.
 """
 from __future__ import annotations
 
+import base64
 import json
 import os
 from pathlib import Path
@@ -52,15 +63,42 @@ def _parse(path) -> object:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def _packed(arr) -> str:
+    """A float64 array as the base64 of its little-endian bytes."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite values cannot be stored")
+    return base64.b64encode(arr.tobytes()).decode("ascii")
+
+
+# the JSON types a list of each dtype may hold: bool is an int subclass and a
+# string would be parsed, so neither counts as a number
+_JSON_TYPES = {np.int64: {int}, np.float64: {int, float}, np.str_: {str}}
+
+
 def _array_field(value, label, dtype, ndim=1) -> np.ndarray:
-    """`value` as an array of `dtype`, refusing values that would be truncated
-    or reinterpreted on the way (2.5 as an index, true as a dimension)."""
-    vals = np.asarray(value)
-    castable = vals.dtype != bool and (not vals.size or np.can_cast(vals.dtype, dtype))
-    if vals.ndim != ndim or not castable:
+    """`value` as an array of `dtype`: a single JSON value (ndim 0), a flat
+    JSON list, or for float64 a `_packed` string.  Refuses values that would
+    be truncated, reinterpreted or parsed on the way (2.5 or true as an
+    index, "1.0" as a number) and non-finite floats."""
+    try:
+        if isinstance(value, str) and dtype is np.float64 and ndim == 1:
+            raw = base64.b64decode(value, validate=True)
+            if len(raw) % 8:
+                raise ValueError(f"{len(raw)} bytes is not a whole number of float64 values")
+            vals = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        else:
+            items = value if ndim else [value]
+            if not (isinstance(items, list) and set(map(type, items)) <= _JSON_TYPES[dtype]):
+                raise TypeError
+            vals = np.array(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:  # binascii.Error is a ValueError
         shape = "a single" if ndim == 0 else "a flat array of"
-        raise InputError(f"{label} must be {shape} {np.dtype(dtype).name} value(s)")
-    return vals.astype(dtype)
+        reason = f" ({exc})" if str(exc) else ""
+        raise InputError(f"{label} must be {shape} {np.dtype(dtype).name} value(s){reason}") from exc
+    if dtype is np.float64 and not np.all(np.isfinite(vals)):
+        raise InputError(f"{label} must hold finite values")
+    return vals
 
 
 def _mirrored(rows, cols, vals):
@@ -77,7 +115,8 @@ def _mirrored(rows, cols, vals):
 def _matrix_to_doc(mat: SparseMatrix, upper=False) -> dict:
     """COO arrays of `mat`; with `upper`, only its entries with row <= col."""
     keep = mat.rows <= mat.cols if upper else slice(None)
-    return {key: getattr(mat, key)[keep].tolist() for key in ("rows", "cols", "vals")}
+    return {"rows": mat.rows[keep].tolist(), "cols": mat.cols[keep].tolist(),
+            "vals": _packed(mat.vals[keep])}
 
 
 def _matrix_from_doc(doc, n_rows, n_cols, label, upper=False) -> SparseMatrix:
@@ -86,8 +125,8 @@ def _matrix_from_doc(doc, n_rows, n_cols, label, upper=False) -> SparseMatrix:
     try:
         rows = _array_field(doc["rows"], f"{label}.rows", np.int64)
         cols = _array_field(doc["cols"], f"{label}.cols", np.int64)
-        vals = np.asarray(doc["vals"], dtype=np.float64)
-    except (KeyError, TypeError, OverflowError) as exc:
+        vals = _array_field(doc["vals"], f"{label}.vals", np.float64)
+    except KeyError as exc:
         raise InputError(f"field {label}: {exc}") from exc
     if not (rows.shape == cols.shape == vals.shape):
         raise InputError(f"field {label}: rows/cols/vals lengths differ")
@@ -104,7 +143,7 @@ def _record_to_doc(rec: TransformRecord) -> dict:
         "solution_map": {
             "kind": sm.kind.value,
             "side": sm.side,
-            "values": None if sm.values is None else sm.values.tolist(),
+            "values": None if sm.values is None else _packed(sm.values),
             "indices": None if sm.indices is None else sm.indices.tolist(),
         },
     }
@@ -136,13 +175,13 @@ def save_instance(path, inst: LcqpInstance, sol: Solution | None = None):
         "m": inst.m,
         "q": _matrix_to_doc(inst.q, upper=True),
         "a": _matrix_to_doc(inst.a),
-        "b": inst.b.tolist(),
-        "c": inst.c.tolist(),
+        "b": _packed(inst.b),
+        "c": _packed(inst.c),
     }
     if sol is not None:
         doc["solution"] = {
-            "x": sol.x.tolist(),
-            "lam": sol.lam.tolist(),
+            "x": _packed(sol.x),
+            "lam": _packed(sol.lam),
             "objective": sol.objective,
         }
     if inst.provenance:
@@ -185,8 +224,7 @@ def load_instance_unchecked(path):
         n, m = (int(_array_field(doc[key], key, np.int64, ndim=0)) for key in ("n", "m"))
         q = _matrix_from_doc(doc["q"], n, n, "q", upper=True)
         a = _matrix_from_doc(doc["a"], m, n, "a")
-        b = np.asarray(doc["b"], dtype=np.float64)
-        c = np.asarray(doc["c"], dtype=np.float64)
+        b, c = (_array_field(doc[key], key, np.float64) for key in ("b", "c"))
         provenance = tuple(_record_from_doc(r) for r in doc.get("provenance", []))
         inst = LcqpInstance(
             q=q, a=a, b=b, c=c, kind=kind, name=str(doc["name"]), provenance=provenance
@@ -199,16 +237,17 @@ def load_instance_unchecked(path):
         return inst, None
     sd = doc["solution"]
     try:
-        x = np.asarray(sd["x"], dtype=np.float64)
-        lam = np.asarray(sd["lam"], dtype=np.float64)
-        stored_obj = float(sd["objective"])
-    except (KeyError, TypeError, ValueError) as exc:
+        x, lam = (_array_field(sd[key], f"solution.{key}", np.float64) for key in ("x", "lam"))
+        stored_obj = float(_array_field(sd["objective"], "solution.objective", np.float64, ndim=0))
+        if x.shape != (inst.n,) or lam.shape != (inst.m,):
+            raise InputError(f"x and lam must have {inst.n} and {inst.m} entries")
+    except (KeyError, TypeError, InputError) as exc:
         raise InputError(f"{path}: bad solution ({exc})") from exc
     return inst, (x, lam, stored_obj)
 
 
 def save_graph(path, graph):
-    """Graph export: node arrays (side, feature) and flat edge arrays, vv
+    """Graph export: node counts and features, and flat edge arrays, vv
     edges first and stored one way (src <= dst), with constraint nodes
     numbered after the variable nodes."""
     n = graph.n_var_nodes
@@ -217,10 +256,12 @@ def save_graph(path, graph):
     edges["src"][len(vv):] += n
     doc = {
         "nodes": {
-            "side": ["var"] * n + ["con"] * graph.n_con_nodes,
-            "feature": graph.var_features.tolist() + graph.con_features.tolist(),
+            "n_var": n,
+            "n_con": graph.n_con_nodes,
+            "feature": _packed(np.concatenate([graph.var_features, graph.con_features])),
         },
-        "edges": {key: edges[key].tolist() for key in edges.dtype.names},
+        "edges": {"src": edges["src"].tolist(), "dst": edges["dst"].tolist(),
+                  "weight": _packed(edges["weight"])},
     }
     _write_json(path, doc)
 
@@ -230,12 +271,18 @@ def load_graph(path):
 
     doc = _parse(path)
     try:
-        side = doc["nodes"]["side"]
-        feature = np.asarray(doc["nodes"]["feature"], dtype=np.float64)
-        n_var = side.count("var")
-        n_con = side.count("con")
-        if side != ["var"] * n_var + ["con"] * n_con or len(feature) != len(side):
-            raise InputError("node arrays must list all var nodes, then all con nodes")
+        nodes = doc["nodes"]
+        feature = _array_field(nodes["feature"], "nodes.feature", np.float64)
+        if "side" in nodes:  # earlier files list each node's side
+            side = nodes["side"]
+            n_var, n_con = side.count("var"), side.count("con")
+            if side != ["var"] * n_var + ["con"] * n_con:
+                raise InputError("nodes.side must list all var nodes, then all con nodes")
+        else:
+            n_var, n_con = (int(_array_field(nodes[key], f"nodes.{key}", np.int64, ndim=0))
+                            for key in ("n_var", "n_con"))
+        if min(n_var, n_con) < 0 or len(feature) != n_var + n_con:
+            raise InputError("nodes.feature must hold one value per node")
         edges = doc["edges"]
         src, dst = (_array_field(edges[key], f"edges.{key}", np.int64) for key in ("src", "dst"))
         weight = _array_field(edges["weight"], "edges.weight", np.float64)
@@ -247,7 +294,7 @@ def load_graph(path):
             if not np.array_equal(kind, np.where(is_ca, "ca", "vv")):
                 raise InputError("edges.kind must be 'ca' exactly where src >= the variable count")
         vv = edge_array(*_mirrored(src[~is_ca], dst[~is_ca], weight[~is_ca]))
-        vv = vv[np.lexsort((vv["dst"], vv["src"]))]  # to_bipartite_graph's order
+        vv = vv[np.argsort(vv["src"] * n_var + vv["dst"], kind="stable")]  # to_bipartite_graph's order
         return BipartiteGraph(
             n_var_nodes=n_var, n_con_nodes=n_con,
             var_features=feature[:n_var], con_features=feature[n_var:],

@@ -4,11 +4,18 @@ E1 is a 2-variable QP whose optimum sits on the first constraint; E2 has one
 variable pinned at zero by an active bound.  Both optima were verified by hand
 against the first-order conditions and by exhaustive active-set enumeration.
 """
+import base64
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from qpaug import LcqpInstance, ProblemKind, Solution, SparseMatrix
+from qpaug.fileio import load_instance, save_instance
+
+DATA = Path(__file__).parent / "data"
 
 settings.register_profile(
     "suite",
@@ -17,6 +24,73 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def unpacked(text):
+    """A packed float field of a file (base64 of little-endian float64 bytes)
+    as a list of floats, decoded here without the package's reader."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").tolist()
+
+
+def packed(values):
+    """`values` as a packed float field, encoded here without the package."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def repacked(text, edit):
+    """The packed float field `text` with `edit` applied to its decoded list:
+    the one way tests corrupt or rewrite a packed field of a file."""
+    return packed(edit(unpacked(text)))
+
+
+def _first_as_string(text):
+    values = unpacked(text)
+    return [str(values[0]), *values[1:]]
+
+
+# (path of a field in an instance file, edit of its stored value): each edit
+# of the labeled fixture, saved in today's form, must make loading raise
+# InputError.  An earlier version loaded each list case but map-values-string:
+# true as 1, a string parsed as the number it spells.
+MALFORMED_NUMBERS = {
+    "b-bad-base64": (("b",), lambda s: "!" + s[1:]),
+    "x-partial-value": (("solution", "x"), lambda s: base64.b64encode(bytes(12)).decode()),
+    "lam-nan": (("solution", "lam"), lambda s: repacked(s, lambda v: [float("nan"), *v[1:]])),
+    "c-inf": (("c",), lambda s: repacked(s, lambda v: [*v[:-1], float("inf")])),
+    "q.vals-minus-inf": (("q", "vals"), lambda s: repacked(s, lambda v: [-float("inf"), *v[1:]])),
+    "map-values-nan": (("provenance", 0, "solution_map", "values"),
+                       lambda s: repacked(s, lambda v: [float("nan"), *v[1:]])),
+    "b-short": (("b",), lambda s: repacked(s, lambda v: v[:-1])),
+    "x-long": (("solution", "x"), lambda s: repacked(s, lambda v: [*v, 0.0])),
+    "a.vals-short": (("a", "vals"), lambda s: repacked(s, lambda v: v[:-1])),
+    "c-long": (("c",), lambda s: repacked(s, lambda v: [*v, 1.0])),
+    "q.rows-bool": (("q", "rows"), lambda v: [True if r == 1 else r for r in v]),
+    "a.cols-bool": (("a", "cols"), lambda v: [True if c == 1 else c for c in v]),
+    "indices-bool": (("provenance", 2, "solution_map", "indices"),
+                     lambda v: [False if i == 0 else i for i in v]),
+    "b-string": (("b",), _first_as_string),
+    "c-string": (("c",), _first_as_string),
+    "q.vals-string": (("q", "vals"), _first_as_string),
+    "a.vals-string": (("a", "vals"), _first_as_string),
+    "x-string": (("solution", "x"), _first_as_string),
+    "lam-string": (("solution", "lam"), _first_as_string),
+    "map-values-string": (("provenance", 0, "solution_map", "values"), _first_as_string),
+    "objective-string": (("solution", "objective"), str),
+}
+
+
+def malformed_instance_file(path, case):
+    """Write the labeled fixture to `path` in today's form, with one field
+    edited as MALFORMED_NUMBERS[case] says."""
+    save_instance(path, *load_instance(DATA / "e1_labeled_lists_v3.json"))
+    doc = json.loads(path.read_text())
+    (*outer, key), edit = MALFORMED_NUMBERS[case]
+    field = doc
+    for step in outer:
+        field = field[step]
+    field[key] = edit(field[key])
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def make_instance(q, a, b, c, kind=ProblemKind.QP, name=""):

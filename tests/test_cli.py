@@ -11,7 +11,7 @@ from qpaug import Solution, SparseMatrix
 from qpaug.cli import main
 from qpaug.fileio import load_instance, load_manifest, save_instance, save_manifest
 
-from conftest import make_instance
+from conftest import MALFORMED_NUMBERS, make_instance, malformed_instance_file, repacked
 
 GEN_LP = ["generate", "--family", "lp", "--rows", "8", "--cols", "4",
           "--density-a", "0.5", "--bounded", "--slack-noise", "4.0"]
@@ -246,7 +246,7 @@ def test_verify_exit_5_on_corruption(tmp_path, capsys):
     corpus = gen_corpus(tmp_path, capsys, count=3)
     victim = corpus / "lp_00001.json"
     doc = json.loads(victim.read_text())
-    doc["solution"]["lam"] = [-abs(v) - 1.0 for v in doc["solution"]["lam"]]
+    doc["solution"]["lam"] = repacked(doc["solution"]["lam"], lambda lam: [-abs(v) - 1.0 for v in lam])
     victim.write_text(json.dumps(doc))
     code, stdout, _ = run(capsys, ["verify", "--manifest", str(corpus / "manifest.json")])
     assert code == 5
@@ -435,3 +435,16 @@ def test_malformed_solution_map_exits_2(tmp_path, capsys, command, key, value):
     code, _, err = run(capsys, [command, "--manifest", str(manifest), *extra])
     assert code == 2
     assert err.startswith("error:") and "e.json" in err and "solution_map" in err
+
+
+@pytest.mark.parametrize("command", ["graph", "solve", "verify"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
+def test_malformed_numbers_exit_2(tmp_path, capsys, command, case):
+    malformed_instance_file(tmp_path / "e.json", case)
+    manifest = tmp_path / "manifest.json"
+    save_manifest(manifest, [{"path": "e.json", "split": "train", "family": "qp",
+                              "seed": 0, "labeled": True, "solver_status": "ok"}])
+    extra = [str(tmp_path / "out") if a == "OUT" else a for a in MANIFEST_COMMANDS[command]]
+    code, _, err = run(capsys, [command, "--manifest", str(manifest), *extra])
+    assert code == 2
+    assert err.startswith("error:") and "e.json" in err

@@ -92,6 +92,34 @@ def test_sparse_dense_round_trip_random(n_rows, n_cols, seed):
     assert m.nnz == np.count_nonzero(dense)
 
 
+def _symmetric_by_lexsort(m):
+    t = np.lexsort((m.rows, m.cols))
+    return (m.n_rows == m.n_cols and np.array_equal(m.rows, m.cols[t])
+            and np.array_equal(m.cols, m.rows[t]) and np.array_equal(m.vals, m.vals[t]))
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 1000))
+def test_sparse_sort_key_matches_lexsort(n_rows, n_cols, seed):
+    """Entries given shuffled are stored in np.lexsort's (row, col) order,
+    and is_symmetric agrees with a lexsort of the transposed entries."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.3)
+    rows, cols = np.nonzero(dense)
+    shuffle = rng.permutation(rows.size)
+    rows, cols = rows[shuffle], cols[shuffle]
+    m = SparseMatrix(n_rows, n_cols, rows, cols, dense[rows, cols])
+    ref = np.lexsort((cols, rows))
+    assert np.array_equal(m.rows, rows[ref]) and np.array_equal(m.cols, cols[ref])
+    assert np.array_equal(m.vals, dense[rows, cols][ref])
+
+    k = min(n_rows, n_cols)
+    sym = SparseMatrix.from_dense(dense[:k, :k] + dense[:k, :k].T)
+    bumped = SparseMatrix(k, k, sym.rows, sym.cols, sym.vals + (np.arange(sym.nnz) == 0))
+    assert sym.is_symmetric()
+    for mat in (m, sym, bumped):
+        assert mat.is_symmetric() == _symmetric_by_lexsort(mat)
+
+
 # ---------------------------------------------------------------- LcqpInstance
 
 def test_instance_validation_errors():

@@ -8,19 +8,20 @@ import numpy as np
 import pytest
 
 from qpaug import (
-    InputError, ProblemKind, gen_lasso, gen_lp, gen_portfolio, gen_qp, gen_svm, kkt_residuals,
-    solve_splitting, to_bipartite_graph,
+    InputError, LcqpInstance, ProblemKind, Solution, SparseMatrix, gen_lasso, gen_lp,
+    gen_portfolio, gen_qp, gen_svm, kkt_residuals, solve_splitting, to_bipartite_graph,
 )
 from qpaug.fileio import (
-    load_graph, load_instance, load_manifest, save_graph, save_instance, save_manifest,
+    load_graph, load_instance, load_instance_unchecked, load_manifest, save_graph, save_instance,
+    save_manifest,
 )
 from qpaug.transforms import (
-    COMBO_STRENGTHS, SSL_STRENGTHS_QP, AugmentPolicy, MapKind, _drop_constraints, add_constraints,
-    add_variable_constrained, apply_policy, map_solution, remove_inactive_constraints,
-    scale_variables,
+    COMBO_STRENGTHS, SSL_STRENGTHS_QP, AugmentPolicy, MapKind, SolutionMap, TransformRecord,
+    _drop_constraints, add_constraints, add_variable_constrained, apply_policy, bias_instance,
+    map_solution, remove_inactive_constraints, scale_variables,
 )
 
-from conftest import make_instance
+from conftest import DATA, MALFORMED_NUMBERS, make_instance, malformed_instance_file, repacked, unpacked
 
 
 def test_schema_frozen(tmp_path, e1):
@@ -31,14 +32,19 @@ def test_schema_frozen(tmp_path, e1):
     assert doc["kind"] == "qp"
     assert doc["name"] == "e1"
     assert doc["n"] == 2 and doc["m"] == 3
-    assert doc["q"] == {"rows": [0, 1], "cols": [0, 1], "vals": [2.0, 2.0]}
+    assert doc["q"] == {"rows": [0, 1], "cols": [0, 1], "vals": "AAAAAAAAAEAAAAAAAAAAQA=="}
     assert doc["a"] == {
         "rows": [0, 0, 1, 2],
         "cols": [0, 1, 0, 1],
-        "vals": [1.0, 1.0, -1.0, -1.0],
+        "vals": "AAAAAAAA8D8AAAAAAADwPwAAAAAAAPC/AAAAAAAA8L8=",
     }
-    assert doc["b"] == [1.0, 0.0, 0.0]
-    assert doc["c"] == [-2.0, -2.0]
+    assert doc["b"] == "AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAA"
+    assert doc["c"] == "AAAAAAAAAMAAAAAAAAAAwA=="
+    # each packed string holds the little-endian float64 bytes of the values
+    assert unpacked(doc["q"]["vals"]) == [2.0, 2.0]
+    assert unpacked(doc["a"]["vals"]) == [1.0, 1.0, -1.0, -1.0]
+    assert unpacked(doc["b"]) == [1.0, 0.0, 0.0]
+    assert unpacked(doc["c"]) == [-2.0, -2.0]
 
 
 def test_round_trip_unlabeled(tmp_path, e1):
@@ -96,15 +102,33 @@ def test_provenance_round_trip(tmp_path, e1, e1_sol):
 
 
 # save_instance of e1 scaled by alpha = (2, 1), with its mapped solution and
-# one provenance record, frozen: compact JSON, and the scale vector stored
-# once, as the map's 1/alpha values
+# one provenance record, frozen: compact JSON, float arrays packed, and the
+# scale vector stored once, as the map's 1/alpha values
 E1_SCALED_FILE = (
-    '{"name":"e1","kind":"qp","n":2,"m":3,"q":{"rows":[0,1],"cols":[0,1],"vals":[8.0,2.0]},'
-    '"a":{"rows":[0,0,1,2],"cols":[0,1,0,1],"vals":[2.0,1.0,-2.0,-1.0]},"b":[1.0,0.0,0.0],'
-    '"c":[-4.0,-2.0],"solution":{"x":[0.25,0.5],"lam":[1.0,0.0,0.0],"objective":-1.5},'
-    '"provenance":[{"op":"scale_variables","params":{},"solution_map":{"kind":"primal_scaled",'
-    '"side":"primal","values":[0.5,1.0],"indices":null}}]}\n'
+    '{"name":"e1","kind":"qp","n":2,"m":3,"q":{"rows":[0,1],"cols":[0,1],'
+    '"vals":"AAAAAAAAIEAAAAAAAAAAQA=="},"a":{"rows":[0,0,1,2],"cols":[0,1,0,1],'
+    '"vals":"AAAAAAAAAEAAAAAAAADwPwAAAAAAAADAAAAAAAAA8L8="},'
+    '"b":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAA","c":"AAAAAAAAEMAAAAAAAAAAwA==",'
+    '"solution":{"x":"AAAAAAAA0D8AAAAAAADgPw==","lam":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAA",'
+    '"objective":-1.5},"provenance":[{"op":"scale_variables","params":{},"solution_map":'
+    '{"kind":"primal_scaled","side":"primal","values":"AAAAAAAA4D8AAAAAAADwPw==",'
+    '"indices":null}}]}\n'
 )
+
+
+def _as_lists(doc):
+    """An instance file's JSON with every packed float field decoded to a
+    list of floats, the form earlier versions wrote."""
+    doc = json.loads(json.dumps(doc))
+    for part in (doc["q"], doc["a"]):
+        part["vals"] = unpacked(part["vals"])
+    for part, keys in ((doc, ("b", "c")), (doc.get("solution", {}), ("x", "lam"))):
+        for key in keys:
+            part[key] = unpacked(part[key])
+    for rec in doc.get("provenance", []):
+        if rec["solution_map"]["values"] is not None:
+            rec["solution_map"]["values"] = unpacked(rec["solution_map"]["values"])
+    return doc
 
 
 def test_instance_file_exact_text(tmp_path, e1, e1_sol):
@@ -112,6 +136,16 @@ def test_instance_file_exact_text(tmp_path, e1, e1_sol):
     path = tmp_path / "scaled.json"
     save_instance(path, transformed, map_solution(rec, transformed, e1_sol))
     assert path.read_text() == E1_SCALED_FILE
+    # the same values as the list form an earlier version wrote
+    assert _as_lists(json.loads(E1_SCALED_FILE)) == {
+        "name": "e1", "kind": "qp", "n": 2, "m": 3,
+        "q": {"rows": [0, 1], "cols": [0, 1], "vals": [8.0, 2.0]},
+        "a": {"rows": [0, 0, 1, 2], "cols": [0, 1, 0, 1], "vals": [2.0, 1.0, -2.0, -1.0]},
+        "b": [1.0, 0.0, 0.0], "c": [-4.0, -2.0],
+        "solution": {"x": [0.25, 0.5], "lam": [1.0, 0.0, 0.0], "objective": -1.5},
+        "provenance": [{"op": "scale_variables", "params": {}, "solution_map": {
+            "kind": "primal_scaled", "side": "primal", "values": [0.5, 1.0], "indices": None}}],
+    }
 
 
 def test_loads_indented_file_with_dense_provenance(e1, e1_sol):
@@ -129,9 +163,6 @@ def test_loads_indented_file_with_dense_provenance(e1, e1_sol):
     replayed = map_solution(add, inst, mid)
     assert np.array_equal(replayed.x, sol.x) and np.array_equal(replayed.lam, sol.lam)
     assert replayed.objective == sol.objective
-
-
-DATA = Path(__file__).parent / "data"
 
 
 def test_loads_dense_explicit_dual_and_dropped_partition(e1, e1_sol):
@@ -223,7 +254,7 @@ def test_symmetric_pairs_stored_once(tmp_path, case):
     q = json.loads(path.read_text())["q"]
     assert all(r <= c for r, c in zip(q["rows"], q["cols"]))
     upper = inst.q.rows <= inst.q.cols
-    assert q["vals"] == inst.q.vals[upper].tolist()
+    assert unpacked(q["vals"]) == inst.q.vals[upper].tolist()
     back, back_sol = load_instance(path)
     assert back.data_equal(inst) and back.name == inst.name
     assert len(back.provenance) == len(inst.provenance)
@@ -263,11 +294,117 @@ def test_loads_full_storage_files(tmp_path):
     path = tmp_path / "again.json"
     save_instance(path, inst, sol)
     old = json.loads((DATA / "qp_s0_full_storage_v1.json").read_text())
-    new = json.loads(path.read_text())
+    new = _as_lists(json.loads(path.read_text()))
     assert new["q"] == {"rows": [0, 0, 1, 1, 2], "cols": [0, 1, 1, 2, 2],
                         "vals": [old["q"]["vals"][i] for i in (0, 1, 3, 4, 6)]}
     assert {k: v for k, v in new.items() if k != "q"} == {
         k: v for k, v in old.items() if k != "q"}
+
+
+# the steps from e1 that wrote tests/data/e1_labeled_lists_v3.json
+V3_STEPS = (
+    lambda inst, sol: scale_variables(inst, np.array([2.0, 0.5])),
+    lambda inst, sol: bias_instance(inst, sol, rank=1, magnitude=0.5, seed=3),
+    lambda inst, sol: add_variable_constrained(
+        inst, q_diag=0.5, a_col=np.array([-0.75, 0.0, -0.25]), c_new=-0.5),
+    lambda inst, sol: add_constraints(inst, [[0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.75, 0.0]]),
+)
+
+
+def test_loads_float_lists_v3(tmp_path, e1, e1_sol):
+    """Files written by an earlier version, every float array a JSON list: a
+    labeled QP with four provenance records, and its graph with a side list.
+    They load to today's objects, replay their solution, and save packed."""
+    stored = json.loads((DATA / "e1_labeled_lists_v3.json").read_text())
+    assert isinstance(stored["b"], list) and isinstance(stored["solution"]["lam"], list)
+    inst, sol = load_instance(DATA / "e1_labeled_lists_v3.json")
+    step, step_sol = e1, e1_sol
+    for rec, op in zip(inst.provenance, V3_STEPS, strict=True):
+        step, want = op(step, step_sol)
+        assert (rec.op_name, rec.params, rec.solution_map) == (
+            want.op_name, want.params, want.solution_map)
+        step_sol = map_solution(rec, step, step_sol)
+    assert step.data_equal(inst) and step.name == inst.name
+    assert np.array_equal(step_sol.x, sol.x) and np.array_equal(step_sol.lam, sol.lam)
+    assert step_sol.objective == sol.objective
+
+    graph = load_graph(DATA / "e1_labeled_lists_v3.graph.json")
+    want = to_bipartite_graph(step)
+    assert graph.vv_edges.tolist() == want.vv_edges.tolist()
+    assert graph.ca_edges.tolist() == want.ca_edges.tolist()
+    assert np.array_equal(graph.var_features, want.var_features)
+    assert np.array_equal(graph.con_features, want.con_features)
+
+    # saving again packs every float array and changes no value
+    path = tmp_path / "again.json"
+    save_instance(path, inst, sol)
+    assert isinstance(json.loads(path.read_text())["b"], str)
+    assert _as_lists(json.loads(path.read_text())) == stored
+    save_graph(path, graph)
+    old = json.loads((DATA / "e1_labeled_lists_v3.graph.json").read_text())
+    new = json.loads(path.read_text())
+    assert {**new["nodes"], "feature": unpacked(new["nodes"]["feature"])} == {
+        "n_var": 3, "n_con": 6, "feature": old["nodes"]["feature"]}
+    assert {**new["edges"], "weight": unpacked(new["edges"]["weight"])} == old["edges"]
+
+
+EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300])
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=np.float64).tobytes()
+
+
+def test_packed_round_trip_is_bit_exact(tmp_path):
+    """Signed zero, the smallest subnormal, the largest finite magnitudes and
+    a tiny normal survive save and load bit for bit in every packed field."""
+    diag = np.arange(4)
+    inst = LcqpInstance(
+        q=SparseMatrix(5, 5, diag, diag, np.abs(EXTREMES[1:])),
+        a=SparseMatrix(5, 5, diag + 1, diag, EXTREMES[1:]),
+        b=EXTREMES, c=EXTREMES[::-1], kind=ProblemKind.QP, name="extremes",
+        provenance=(TransformRecord(
+            "scale_variables", {}, SolutionMap(MapKind.PRIMAL_SCALED, "primal", EXTREMES)),),
+    )
+    lam = np.array([-0.0, 5e-324, 1.7976931348623157e308, 1e-300, 0.0])
+    sol = Solution(x=EXTREMES, lam=lam, slack=np.zeros(5), objective=0.0)
+    path = tmp_path / "x.json"
+    save_instance(path, inst, sol)
+    doc = json.loads(path.read_text())
+    assert _bits(unpacked(doc["b"])) == _bits(EXTREMES)
+    back, (x, back_lam, objective) = load_instance_unchecked(path)
+    assert back.data_equal(inst) and objective == 0.0
+    for got, want in ((back.q.vals, inst.q.vals), (back.a.vals, inst.a.vals),
+                      (back.b, inst.b), (back.c, inst.c), (x, EXTREMES), (back_lam, lam),
+                      (back.provenance[0].solution_map.values, EXTREMES)):
+        assert _bits(got) == _bits(want)
+
+    graph = to_bipartite_graph(inst)
+    save_graph(path, graph)
+    gback = load_graph(path)
+    assert _bits(gback.var_features) == _bits(inst.c)
+    assert _bits(gback.con_features) == _bits(inst.b)
+    assert _bits(gback.vv_edges["weight"]) == _bits(graph.vv_edges["weight"])
+    assert _bits(gback.ca_edges["weight"]) == _bits(graph.ca_edges["weight"])
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
+def test_load_rejects_malformed_numbers(tmp_path, case):
+    """Bad packed strings (not base64, a partial value, NaN or infinity, the
+    wrong count), booleans among indices, and strings among numbers."""
+    path = malformed_instance_file(tmp_path / "bad.json", case)
+    with pytest.raises(InputError):
+        load_instance(path)
+    with pytest.raises(InputError):
+        load_instance_unchecked(path)
+
+
+def test_save_refuses_non_finite_values(tmp_path, e1):
+    bad = LcqpInstance(q=e1.q, a=e1.a, b=e1.b, c=e1.c, kind=e1.kind, name="bad", provenance=(
+        TransformRecord("scale_variables", {}, SolutionMap(
+            MapKind.PRIMAL_SCALED, "primal", [np.inf, 1.0])),))
+    with pytest.raises(ValueError):
+        save_instance(tmp_path / "bad.json", bad)
 
 
 @pytest.mark.parametrize("edit", ["value", "missing"])
@@ -319,7 +456,7 @@ def test_load_rejects_length_mismatch(tmp_path, e1):
     path = tmp_path / "inst.json"
     save_instance(path, e1)
     doc = json.loads(path.read_text())
-    doc["b"] = doc["b"][:-1]
+    doc["b"] = repacked(doc["b"], lambda b: b[:-1])
     path.write_text(json.dumps(doc))
     with pytest.raises(InputError):
         load_instance(path)
@@ -357,7 +494,7 @@ def test_unchecked_loader_tolerates_bad_duals(tmp_path, e1, e1_sol):
     path = tmp_path / "inst.json"
     save_instance(path, e1, e1_sol)
     doc = json.loads(path.read_text())
-    doc["solution"]["lam"][0] = -1.0
+    doc["solution"]["lam"] = repacked(doc["solution"]["lam"], lambda lam: [-1.0, *lam[1:]])
     path.write_text(json.dumps(doc))
     with pytest.raises(InputError):
         load_instance(path)

@@ -21,7 +21,7 @@ from qpaug.graphenc import (
 )
 from qpaug.transforms import AugmentPolicy, SSL_STRENGTHS_QP, apply_policy, scale_variables
 
-from conftest import make_instance
+from conftest import make_instance, packed, unpacked
 
 
 # ---------------------------------------------------------------- graph building
@@ -350,26 +350,34 @@ def test_graph_file_schema_and_determinism(tmp_path, e1):
     assert p1.read_bytes() == p2.read_bytes()
     doc = json.loads(p1.read_text())
     assert set(doc) == {"nodes", "edges"}
-    assert set(doc["nodes"]) == {"side", "feature"}
+    assert set(doc["nodes"]) == {"n_var", "n_con", "feature"}
     assert set(doc["edges"]) == {"src", "dst", "weight"}
-    assert doc["nodes"]["side"] == ["var", "var", "con", "con", "con"]
+    assert (doc["nodes"]["n_var"], doc["nodes"]["n_con"]) == (2, 3)
+    assert unpacked(doc["nodes"]["feature"]) == [-2.0, -2.0, 1.0, 0.0, 0.0]
+    assert unpacked(doc["edges"]["weight"]) == [2.0, 2.0, 1.0, 1.0, -1.0, -1.0]
     assert p1.read_text() == E1_GRAPH_FILE
 
 
-# save_graph(to_bipartite_graph(e1)), frozen: compact JSON, vv edges first,
-# then ca edges, constraint nodes numbered after the variable nodes, no kind
+# save_graph(to_bipartite_graph(e1)), frozen: compact JSON, node counts, vv
+# edges first, then ca edges, constraint nodes numbered after the variable
+# nodes, no kind, features and weights packed
 E1_GRAPH_FILE = (
-    '{"nodes":{"side":["var","var","con","con","con"],"feature":[-2.0,-2.0,1.0,0.0,0.0]},'
-    '"edges":{"src":[0,1,2,2,3,4],"dst":[0,1,0,1,0,1],"weight":[2.0,2.0,1.0,1.0,-1.0,-1.0]}}\n'
+    '{"nodes":{"n_var":2,"n_con":3,'
+    '"feature":"AAAAAAAAAMAAAAAAAAAAwAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAA=="},'
+    '"edges":{"src":[0,1,2,2,3,4],"dst":[0,1,0,1,0,1],'
+    '"weight":"AAAAAAAAAEAAAAAAAAAAQAAAAAAAAPA/AAAAAAAA8D8AAAAAAADwvwAAAAAAAPC/"}}\n'
 )
 
+# two var nodes and one con node in the earlier form, with a side list
+SIDE_NODES = {"side": ["var", "var", "con"], "feature": [0.0, 0.0, 1.0]}
 
-def _graph_doc(**edges):
+
+def _graph_doc(nodes=SIDE_NODES, **edges):
     """Two ca edges in the earlier form with a kind list; a field set to None
     is left out."""
     edges = {"src": [2, 2], "dst": [0, 1], "weight": [1.0, 2.0], "kind": ["ca", "ca"], **edges}
     return {
-        "nodes": {"side": ["var", "var", "con"], "feature": [0.0, 0.0, 1.0]},
+        "nodes": nodes,
         "edges": {key: val for key, val in edges.items() if val is not None},
     }
 
@@ -389,6 +397,16 @@ def test_graph_file_loads_hand_written_edges(tmp_path):
     g = load_graph(path)
     assert g.ca_edges.tolist() == [(0, 1, 4.0)]
     assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
+    assert g.con_features.tolist() == [1.0]
+    # node counts, and packed features and weights
+    path.write_text(json.dumps(_graph_doc(
+        nodes={"n_var": 2, "n_con": 1, "feature": packed([0.0, 0.5, 1.0])},
+        src=[1, 2, 0, 0], dst=[1, 1, 1, 0], kind=None,
+        weight=packed([3.0, 4.0, 0.5, 2.0]))))
+    g = load_graph(path)
+    assert g.ca_edges.tolist() == [(0, 1, 4.0)]
+    assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
+    assert g.var_features.tolist() == [0.0, 0.5] and g.con_features.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("edges", [
@@ -412,6 +430,13 @@ def test_graph_file_loads_hand_written_edges(tmp_path):
     {"src": [0, 1], "dst": [1, 0], "weight": [1.0, 2.0], "kind": None},
     {"src": [0, 0], "dst": [1, 1], "kind": None},  # duplicate one-way edge
     {"src": [2, 2], "kind": None, "weight": [1.0]},  # lengths differ without kind
+    {"dst": [0, True]},  # a boolean among integers used to load as 1
+    {"weight": [1.0, "2.0"]},
+    {"weight": "AAAAAAAA8D8=!"},  # not base64
+    {"weight": "AAAAAAAA8D8AAAAAAAAAQAAA"},  # 18 bytes, not whole float64 values
+    {"weight": packed([1.0, float("nan")])},
+    {"weight": packed([1.0, float("inf")])},
+    {"weight": packed([1.0, 2.0, 3.0])},  # one value too many
 ])
 def test_graph_file_rejects_malformed_edges(tmp_path, edges):
     import json
@@ -420,6 +445,52 @@ def test_graph_file_rejects_malformed_edges(tmp_path, edges):
     path.write_text(json.dumps(_graph_doc(**edges)))
     with pytest.raises(InputError):
         load_graph(path)
+
+
+@pytest.mark.parametrize("nodes", [
+    {"side": ["con", "var", "var"], "feature": [0.0, 0.0, 1.0]},  # con before var
+    {"side": ["var", "var", "con", "var"], "feature": [0.0, 0.0, 1.0, 2.0]},
+    {"side": ["var", "var", "con"], "feature": [0.0, 0.0]},
+    {"side": ["var", "var", "con"], "feature": [0.0, "0.5", 1.0]},  # used to load as 0.5
+    {"n_var": 2, "n_con": 1, "feature": [0.0, 0.0]},
+    {"n_var": 2, "n_con": 2, "feature": [0.0, 0.0, 1.0]},
+    {"n_var": 3, "n_con": -1, "feature": [0.0, 0.0, 1.0]},
+    {"n_var": 2, "n_con": True, "feature": [0.0, 0.0, 1.0]},
+    {"n_var": 2.0, "n_con": 1, "feature": [0.0, 0.0, 1.0]},
+    {"n_var": 2, "feature": [0.0, 0.0, 1.0]},
+    {"n_var": 2, "n_con": 1, "feature": "AAAAAAAAAAA"},  # bad padding
+    {"n_var": 2, "n_con": 1, "feature": packed([0.0, float("-inf"), 1.0])},
+])
+def test_graph_file_rejects_malformed_nodes(tmp_path, nodes):
+    import json
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_graph_doc(nodes=nodes)))
+    with pytest.raises(InputError):
+        load_graph(path)
+
+
+def test_graph_file_sorts_vv_edges_like_lexsort(tmp_path):
+    """load_graph orders vv edges by one integer key; the order is the
+    (src, dst) lexicographic order, checked on edges stored shuffled."""
+    import json
+
+    rng = np.random.default_rng(5)
+    n = 7
+    upper = [(i, j) for i in range(n) for j in range(i, n) if rng.random() < 0.5]
+    order = rng.permutation(len(upper))
+    src = [upper[k][0] for k in order]
+    dst = [upper[k][1] for k in order]
+    weight = rng.uniform(0.5, 1.5, len(upper))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "nodes": {"n_var": n, "n_con": 0, "feature": [0.0] * n},
+        "edges": {"src": src, "dst": dst, "weight": weight.tolist()},
+    }))
+    g = load_graph(path)
+    both = np.array([(s, d) for s, d in zip(src, dst)] + [(d, s) for s, d in zip(src, dst) if s != d])
+    ref = np.lexsort((both[:, 1], both[:, 0]))
+    assert [(s, d) for s, d, _ in g.vv_edges.tolist()] == [tuple(both[k]) for k in ref]
 
 
 def test_policy_views_give_finite_loss(e1):
