@@ -13,7 +13,7 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +35,11 @@ from .fileio import (
     save_instance,
     save_manifest,
 )
-from .generators import GENERATOR_FAMILIES, gen_dataset, split_labels
+from .generators import GENERATOR_FAMILIES, _label_and_save, _run_tasks, gen_dataset, split_labels
 from .graphenc import to_bipartite_graph
 from .rng import derive_seed
-from .solver import InfeasibleOrUnbounded, Unbounded, Unconverged, solve_splitting
+# with kkt_residuals, not called here: perfbench/tracing.py wraps both names in cli
+from .solver import solve_splitting  # noqa: F401
 from .transforms import (
     _SOLUTION_DEPENDENT,
     AugmentPolicy,
@@ -90,23 +91,36 @@ def _report(doc: dict):
     print(json.dumps(doc, indent=2))
 
 
-def _status_counts(statuses):
-    counts: dict[str, int] = {}
-    for s in statuses:
-        counts[s] = counts.get(s, 0) + 1
-    return counts
-
-
-def _budget_exit(statuses: list, budget: float) -> int:
-    """3 when more than `budget` of the solver statuses are not "ok", else 0."""
-    failures = sum(1 for s in statuses if s != "ok")
-    if statuses and failures / len(statuses) > budget:
-        print(
-            f"solver failed on {failures}/{len(statuses)} instances, "
-            f"over budget {budget}", file=sys.stderr,
-        )
+def _label_report(manifest: Path, entries: list, budget: float | None) -> int:
+    """Print the report of a manifest `generate` or `solve` wrote; 3 when more
+    than `budget` (None: no limit) of its entries are not "ok", else 0."""
+    statuses = Counter(e["solver_status"] for e in entries)
+    count = len(entries)
+    _report({
+        "manifest": str(manifest),
+        "count": count,
+        "label_rate": sum(e["labeled"] for e in entries) / count if count else 0.0,
+        "statuses": statuses,
+    })
+    failures = count - statuses["ok"]
+    if budget is not None and count and failures / count > budget:
+        print(f"solver failed on {failures}/{count} instances, over budget {budget}",
+              file=sys.stderr)
         return 3
     return 0
+
+
+def _output_names(entries: list, name_of) -> list[str]:
+    """name_of(Path(entry path)) for each entry: the name its output file is
+    written under.  InputError when two entries, or an entry and the output
+    manifest, share a name, before anything is written."""
+    names = [name_of(Path(e["path"])) for e in entries]
+    owner = {"manifest.json": "the output manifest"}
+    for e, name in zip(entries, names):
+        if name in owner:
+            raise InputError(f"{owner[name]} and {e['path']} share the output name {name}")
+        owner[name] = e["path"]
+    return names
 
 
 # ------------------------------------------------------------------- generate
@@ -122,16 +136,8 @@ def cmd_generate(args) -> int:
         args.out, args.family, size_params, args.count, args.seed,
         solve=bool(args.solve), jobs=_resolve_jobs(args),
     )
-    labeled = sum(1 for e in entries if e["labeled"])
-    _report({
-        "manifest": str(Path(args.out) / "manifest.json"),
-        "count": len(entries),
-        "label_rate": labeled / len(entries) if entries else 0.0,
-        "statuses": _status_counts(e["solver_status"] for e in entries),
-    })
-    if args.solve:
-        return _budget_exit([e["solver_status"] for e in entries], args.failure_budget)
-    return 0
+    return _label_report(Path(args.out) / "manifest.json", entries,
+                         args.failure_budget if args.solve else None)
 
 
 # ---------------------------------------------------------------------- solve
@@ -139,53 +145,25 @@ def cmd_generate(args) -> int:
 def _solve_task(task):
     src, dst = task
     inst, _ = load_instance(src)
-    status, sol = "ok", None
-    try:
-        sol = solve_splitting(inst)
-        if kkt_residuals(inst, sol, relative=True).max_residual > 1e-6:
-            sol, status = None, "kkt_check_failed"
-    except Unbounded:
-        status = "unbounded"
-    except InfeasibleOrUnbounded:
-        status = "infeasible_or_unbounded"
-    except Unconverged:
-        status = "unconverged"
-    save_instance(dst, inst, sol)
-    return status, sol is not None
+    return _label_and_save(dst, inst, solve=True)
 
 
 def cmd_solve(args) -> int:
     _require(args, "manifest", "out")
     entries = load_manifest(args.manifest)
+    names = _output_names(entries, lambda p: p.name)
+    jobs = _resolve_jobs(args)
     src_dir = Path(args.manifest).parent
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (str(src_dir / e["path"]), str(out_dir / Path(e["path"]).name))
-        for e in entries
+    tasks = [(str(src_dir / e["path"]), str(out_dir / name)) for e, name in zip(entries, names)]
+    results = _run_tasks(_solve_task, tasks, jobs)
+    out_entries = [
+        {**e, "path": name, "labeled": labeled, "solver_status": status}
+        for e, name, (status, labeled) in zip(entries, names, results)
     ]
-    jobs = _resolve_jobs(args)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_solve_task, tasks))
-    else:
-        results = [_solve_task(t) for t in tasks]
-    out_entries = []
-    for e, (status, got_label) in zip(entries, results):
-        ne = dict(e)
-        ne["path"] = Path(e["path"]).name
-        ne["labeled"] = got_label
-        ne["solver_status"] = status
-        out_entries.append(ne)
     save_manifest(out_dir / "manifest.json", out_entries)
-    labeled = sum(1 for _, got in results if got)
-    _report({
-        "manifest": str(out_dir / "manifest.json"),
-        "count": len(out_entries),
-        "label_rate": labeled / len(out_entries) if out_entries else 0.0,
-        "statuses": _status_counts(s for s, _ in results),
-    })
-    return _budget_exit([s for s, _ in results], args.failure_budget)
+    return _label_report(out_dir / "manifest.json", out_entries, args.failure_budget)
 
 
 # -------------------------------------------------------------------- augment
@@ -245,11 +223,13 @@ def cmd_augment(args) -> int:
             )
             return 4
 
+    copies = views if views is not None else args.per_instance
+    tag = "view" if views is not None else "aug"
+    # outputs are named {stem}_{tag}NN.json, so distinct stems keep them apart
+    _output_names(entries, lambda p: f"{p.stem}_{tag}00.json")
     src_dir = Path(args.manifest).parent
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    copies = views if views is not None else args.per_instance
-    tag = "view" if views is not None else "aug"
     out_entries = []
     for e in entries:
         inst, sol = load_instance(src_dir / e["path"])
@@ -373,8 +353,8 @@ def cmd_split(args) -> int:
         e["split"] = s
     out = args.out if args.out is not None else args.manifest
     save_manifest(out, entries)
-    counts = _status_counts(e["split"] for e in entries)
-    _report({"manifest": str(out), **{k: counts.get(k, 0) for k in ("train", "val", "test")}})
+    counts = Counter(e["split"] for e in entries)
+    _report({"manifest": str(out), **{k: counts[k] for k in ("train", "val", "test")}})
     return 0
 
 
@@ -383,13 +363,14 @@ def cmd_split(args) -> int:
 def cmd_graph(args) -> int:
     _require(args, "manifest", "out")
     entries = load_manifest(args.manifest)
+    names = _output_names(entries, lambda p: f"{p.stem}.graph.json")
     src_dir = Path(args.manifest).parent
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for e in entries:
+    for e, name in zip(entries, names):
         inst, _ = load_instance(src_dir / e["path"])
         graph = to_bipartite_graph(inst)
-        save_graph(out_dir / f"{Path(e['path']).stem}.graph.json", graph)
+        save_graph(out_dir / name, graph)
     _report({"out": str(out_dir), "count": len(entries)})
     return 0
 

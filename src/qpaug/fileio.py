@@ -301,8 +301,8 @@ def load_graph(path):
             ca_edges=edge_array(src[is_ca] - n_var, dst[is_ca], weight[is_ca]),
             vv_edges=vv,
         )
-    except InputError:
-        raise
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"{path}: malformed graph file ({exc})") from exc
 

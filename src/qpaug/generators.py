@@ -1,4 +1,7 @@
-"""Seeded generators for feasible LP/QP instances plus dataset plumbing.
+"""Seeded generators for feasible LP/QP instances plus dataset plumbing,
+including the one labelling path that `generate --solve` and `solve` share:
+`_label` solves and classifies, `_label_and_save` writes the file, and
+`_run_tasks` runs the per-file tasks serially or in a process pool.
 
 Every generator records the feasibility witness it built the right-hand side
 around (params["witness"] on the leading provenance record), so downstream
@@ -248,6 +251,38 @@ GENERATOR_FAMILIES = {
 }
 
 
+def _label(inst):
+    """Solve `inst` and classify the outcome: ("ok", sol), or a failure status
+    and None.  A solution over the 1e-6 relative KKT gate counts as failed."""
+    try:
+        sol = solve_splitting(inst)
+    except Unbounded:
+        return "unbounded", None
+    except InfeasibleOrUnbounded:
+        return "infeasible_or_unbounded", None
+    except Unconverged:
+        return "unconverged", None
+    if kkt_residuals(inst, sol, relative=True).max_residual > 1e-6:
+        return "kkt_check_failed", None
+    return "ok", sol
+
+
+def _label_and_save(path, inst, solve):
+    """Label `inst` when `solve` is set, save it to `path` (unlabeled unless
+    the label is "ok"), and return (solver status, labeled)."""
+    status, sol = _label(inst) if solve else ("not_requested", None)
+    save_instance(path, inst, sol)
+    return status, sol is not None
+
+
+def _run_tasks(fn, tasks, jobs):
+    """[fn(t) for t in tasks], in a pool of `jobs` processes when jobs > 1."""
+    if jobs is not None and jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _dataset_worker(task):
     out_dir, family, size_params, inst_seed, stem, solve = task
     maker = GENERATOR_FAMILIES[family]
@@ -255,21 +290,7 @@ def _dataset_worker(task):
         inst = maker(seed=inst_seed, name=stem, **size_params)
     except TypeError as exc:
         raise InputError(f"bad size_params for family {family!r}: {exc}") from exc
-    status, sol = "not_requested", None
-    if solve:
-        try:
-            sol = solve_splitting(inst)
-            status = "ok"
-            if kkt_residuals(inst, sol, relative=True).max_residual > 1e-6:
-                sol, status = None, "kkt_check_failed"
-        except Unbounded:
-            status = "unbounded"
-        except InfeasibleOrUnbounded:
-            status = "infeasible_or_unbounded"
-        except Unconverged:
-            status = "unconverged"
-    save_instance(Path(out_dir) / f"{stem}.json", inst, sol)
-    return status, sol is not None
+    return _label_and_save(Path(out_dir) / f"{stem}.json", inst, solve)
 
 
 def split_labels(count: int, seed: int) -> list[str]:
@@ -305,11 +326,7 @@ def gen_dataset(out_dir, family, size_params, count, seed, solve=False, jobs=Non
         (str(out_dir), family, dict(size_params), seeds[i], f"{family}_{i:05d}", bool(solve))
         for i in range(count)
     ]
-    if jobs is not None and jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_dataset_worker, tasks))
-    else:
-        results = [_dataset_worker(t) for t in tasks]
+    results = _run_tasks(_dataset_worker, tasks, jobs)
     split = split_labels(count, seed)
     entries = [
         {"path": f"{family}_{i:05d}.json", "split": split[i], "family": family,

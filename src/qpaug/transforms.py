@@ -22,6 +22,7 @@ from .core import (
     ProblemKind,
     Solution,
     SparseMatrix,
+    partition_constraints,
     psd_certificate,
 )
 from .rng import derive_rng
@@ -226,11 +227,11 @@ def remove_inactive_constraints(
     inst: LcqpInstance, sol: Solution, tol: float = 1e-6,
     fraction: float = 1.0, seed: int = 0,
 ):
-    """Drop a sampled fraction of the strictly inactive rows."""
+    """Drop a sampled fraction of the rows partition_constraints calls inactive."""
     _check_sol(inst, sol)
     if not 0.0 <= fraction <= 1.0:
         raise InputError("fraction must lie in [0, 1]")
-    inactive = np.flatnonzero(sol.slack > tol * (1.0 + np.abs(inst.b)))
+    inactive = np.asarray(partition_constraints(inst, sol, tol).inactive, dtype=np.int64)
     count = int(fraction * inactive.size)
     rng = derive_rng(seed, "remove_inactive_constraints")
     drop = np.sort(rng.choice(inactive, size=count, replace=False)) if count else np.empty(0, dtype=int)
@@ -533,7 +534,7 @@ def _policy_drop_vars(inst, sol, aprime, rng):
 
 def _policy_drop_cons(inst, sol, aprime, rng):
     if sol is not None:
-        eligible = np.flatnonzero(sol.slack > 1e-6 * (1.0 + np.abs(inst.b)))
+        eligible = np.asarray(partition_constraints(inst, sol).inactive, dtype=np.int64)
     else:
         k_guess = inst.m - inst.n if inst.m > inst.n else inst.m // 2
         eligible = np.asarray(heuristic_inactive(inst, k_guess), dtype=np.int64)

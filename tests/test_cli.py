@@ -448,3 +448,84 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, command, case):
     code, _, err = run(capsys, [command, "--manifest", str(manifest), *extra])
     assert code == 2
     assert err.startswith("error:") and "e.json" in err
+
+
+# ------------------------------------------------------ colliding output names
+
+# solve names each output after the entry's file name, graph and augment
+# after its stem; solve also writes manifest.json next to its outputs
+@pytest.mark.parametrize("command, second, collides", [
+    ("solve", "b/x.json", True), ("graph", "b/x.json", True), ("augment", "b/x.json", True),
+    ("solve", "b/x.txt", False), ("graph", "b/x.txt", True), ("augment", "b/x.txt", True),
+    ("solve", "b/manifest.json", True), ("graph", "b/manifest.json", False),
+    ("augment", "b/manifest.json", False),
+])
+def test_colliding_output_names_exit_2(tmp_path, capsys, command, second, collides):
+    """Entries a/x.json and `second` whose outputs would share a file name
+    are refused before any output is written."""
+    corpus = gen_corpus(tmp_path, capsys, count=2)
+    entries = load_manifest(corpus / "manifest.json")
+    for e, path in zip(entries, ["a/x.json", second]):
+        (corpus / path).parent.mkdir(exist_ok=True)
+        (corpus / e["path"]).rename(corpus / path)
+        e["path"] = path
+    save_manifest(corpus / "manifest.json", entries)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, [command, "--manifest", str(corpus / "manifest.json"),
+                                "--out", str(out)])
+    if not collides:
+        assert code == 0
+        return
+    assert code == 2
+    assert err.startswith("error:") and second in err and "share the output name" in err
+    assert not out.exists()
+
+
+# ------------------------------------------------------------- solver outcomes
+
+def _stub_solver(status, real):
+    """A stand-in for solve_splitting that gives `status`; "ok" solves."""
+    from qpaug.solver import InfeasibleOrUnbounded, Unbounded, Unconverged
+
+    def stub(inst, *args, **kwargs):
+        if status == "ok":
+            return real(inst, *args, **kwargs)
+        if status == "kkt_check_failed":  # zero pair: stationarity is off by |c|
+            return Solution.from_primal_dual(inst, np.zeros(inst.n), np.zeros(inst.m))
+        if status == "unconverged":
+            raise Unconverged("stub", None, None)
+        raise {"unbounded": Unbounded,
+               "infeasible_or_unbounded": InfeasibleOrUnbounded}[status]("stub")
+    return stub
+
+
+@pytest.mark.parametrize("status", [
+    "ok", "kkt_check_failed", "unbounded", "infeasible_or_unbounded", "unconverged"])
+def test_solver_outcomes_label_alike(tmp_path, capsys, monkeypatch, status):
+    """Each solver outcome gives one solver_status through gen_dataset,
+    generate --solve and solve; a failure leaves its file unlabeled and
+    trips the default failure budget (exit 3)."""
+    from qpaug import generators
+
+    monkeypatch.setattr(generators, "solve_splitting",
+                        _stub_solver(status, generators.solve_splitting))
+    direct = generators.gen_dataset(
+        tmp_path / "direct", "lp", {"m": 8, "n": 4, "density_a": 0.5, "bounded": True,
+                                    "slack_noise": 4.0}, count=2, seed=7, solve=True)
+    unlabeled = gen_corpus(tmp_path, capsys, count=2, solve=False, sub="raw")
+    expected = 0 if status == "ok" else 3
+    for argv, out in [
+        (GEN_LP + ["--count", "2", "--seed", "7", "--solve"], tmp_path / "gen"),
+        (["solve", "--manifest", str(unlabeled / "manifest.json")], tmp_path / "sol"),
+    ]:
+        code, stdout, err = run(capsys, argv + ["--out", str(out)])
+        assert code == expected
+        assert json.loads(stdout)["statuses"] == {status: 2}
+        if expected:
+            assert err == "solver failed on 2/2 instances, over budget 0.1\n"
+        entries = load_manifest(out / "manifest.json")
+        assert [e["solver_status"] for e in entries] == [status, status]
+        for e in entries:
+            assert e["labeled"] == (status == "ok")
+            assert (load_instance(out / e["path"])[1] is not None) == e["labeled"]
+    assert [(e["solver_status"], e["labeled"]) for e in direct] == [(status, status == "ok")] * 2

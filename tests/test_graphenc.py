@@ -470,6 +470,21 @@ def test_graph_file_rejects_malformed_nodes(tmp_path, nodes):
         load_graph(path)
 
 
+def test_graph_file_errors_name_the_file(tmp_path, e1):
+    """An inner check's error carries the file path, as load_instance's do."""
+    import json
+    import re
+
+    path = tmp_path / "e1.graph.json"
+    save_graph(path, to_bipartite_graph(e1))
+    doc = json.loads(path.read_text())
+    doc["nodes"]["n_var"] = 3
+    path.write_text(json.dumps(doc))
+    message = f"{path}: nodes.feature must hold one value per node"
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_graph(path)
+
+
 def test_graph_file_sorts_vv_edges_like_lexsort(tmp_path):
     """load_graph orders vv edges by one integer key; the order is the
     (src, dst) lexicographic order, checked on edges stored shuffled."""

@@ -241,6 +241,9 @@ def test_remove_inactive_fraction_validated(e1, e1_sol):
         remove_inactive_constraints(e1, e1_sol, fraction=1.5)
     with pytest.raises(InputError):
         remove_inactive_constraints(e1, e1_sol, fraction=-0.1)
+    # tol < 0 would count active rows as inactive and drop them
+    with pytest.raises(InputError, match="tol must be nonnegative"):
+        remove_inactive_constraints(e1, e1_sol, tol=-1.0)
 
 
 def test_remove_inactive_partial_deterministic(e1, e1_sol):
