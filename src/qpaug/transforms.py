@@ -86,8 +86,13 @@ class TransformRecord:
 
 def map_solution(record: TransformRecord, new_inst: LcqpInstance, sol: Solution) -> Solution:
     """Reconstruct the transformed Solution from the original one."""
-    sm = record.solution_map
-    x, lam = sol.x, sol.lam
+    x, lam = _map_pair(record.solution_map, sol.x, sol.lam)
+    return Solution.from_primal_dual(new_inst, x, lam)
+
+
+def _map_pair(sm: SolutionMap, x, lam):
+    """One map applied to the bare (x, lam) pair; a fresh position adds one
+    to the length, so the new sizes follow from the map alone."""
     if sm.kind is MapKind.PRIMAL_SCALED:
         x = x * sm.values
     elif sm.kind is MapKind.DUAL_SCALED:
@@ -99,20 +104,21 @@ def map_solution(record: TransformRecord, new_inst: LcqpInstance, sol: Solution)
             lam = lam[sm.indices]
     elif sm.kind is MapKind.EXTENDED_WITH_ZEROS:
         if sm.side == "primal":
-            x = _with_zeros(x, new_inst.n, sm.indices)
+            x = _with_zeros(x, sm.indices)
         else:
-            lam = _with_zeros(lam, new_inst.m, sm.indices)
+            lam = _with_zeros(lam, sm.indices)
     elif sm.kind is MapKind.EXPLICIT_DUAL:
         v = sm.values
         x = np.append(x, 0.0)
         lam = np.append(lam, -(v[0] + v[1:] @ lam[sm.indices]))
     elif sm.kind is not MapKind.IDENTITY:  # pragma: no cover
         raise InputError(f"unknown map kind {sm.kind}")
-    return Solution.from_primal_dual(new_inst, x, lam)
+    return x, lam
 
 
-def _with_zeros(vec, size, fresh):
-    """`vec` spread over the positions of range(size) not in `fresh`."""
+def _with_zeros(vec, fresh):
+    """`vec` spread over the positions of range(len(vec) + len(fresh)) not in `fresh`."""
+    size = vec.size + fresh.size
     out = np.zeros(size)
     out[_kept(size, fresh, "fresh")[0]] = vec
     return out
@@ -243,29 +249,48 @@ def remove_inactive_constraints(
 
 # ---------------------------------------------------------------- addition ops
 
-def _append_variable(inst, q_col, a_col, c_new, kind, record, pin=False):
-    """Emit `inst` with one more variable: row and column q_col of Q (its last
-    entry on the new diagonal), column a_col of A and cost c_new; with pin, a
-    row x_new <= 0 after the existing rows."""
-    n, q, a = inst.n, inst.q, inst.a
-    span = np.arange(n + 1)
-    q_new = SparseMatrix(
-        n + 1, n + 1,
-        np.concatenate([q.rows, span[:n], np.full(n + 1, n)]),
-        np.concatenate([q.cols, np.full(n, n), span]),
-        np.concatenate([q.vals, q_col[:n], q_col]),
+def _append_variables(inst, q_new, a_new, c_new, kind, records, pin=False):
+    """`inst` with k = len(c_new) more variables, built once.
+
+    q_new and a_new hold the new columns as (rows, cols, vals), cols counted
+    from the first new variable: Q entries on or above the new diagonal
+    (mirrored here) and A entries in the existing rows or, with pin, in the
+    pin rows of earlier new variables.  With pin, row m + j is x_{n+j} <= 0.
+    """
+    n, m, q, a = inst.n, inst.m, inst.q, inst.a
+    k = len(c_new)
+    q_rows, q_cols, q_vals = (np.asarray(v) for v in q_new)
+    q_cols = n + q_cols
+    off = q_rows != q_cols
+    q_out = SparseMatrix(
+        n + k, n + k,
+        np.concatenate([q.rows, q_rows, q_cols[off]]),
+        np.concatenate([q.cols, q_cols, q_rows[off]]),
+        np.concatenate([q.vals, q_vals, q_vals[off]]),
     )
+    a_rows, a_cols, a_vals = a_new
+    a_cols = n + np.asarray(a_cols)
+    m_out = m + k if pin else m
     if pin:
-        a_col = np.append(a_col, 1.0)
-    m_new = a_col.size
-    a_new = SparseMatrix(
-        m_new, n + 1,
-        np.concatenate([a.rows, np.arange(m_new)]),
-        np.concatenate([a.cols, np.full(m_new, n)]),
-        np.concatenate([a.vals, a_col]),
+        a_rows = np.concatenate([a_rows, np.arange(m, m_out)])
+        a_cols = np.concatenate([a_cols, np.arange(n, n + k)])
+        a_vals = np.concatenate([a_vals, np.ones(k)])
+    a_out = SparseMatrix(
+        m_out, n + k,
+        np.concatenate([a.rows, a_rows]),
+        np.concatenate([a.cols, a_cols]),
+        np.concatenate([a.vals, a_vals]),
     )
-    b_new = np.append(inst.b, 0.0) if pin else inst.b
-    return _emit(inst, q_new, a_new, b_new, np.append(inst.c, c_new), kind, record)
+    b_out = np.concatenate([inst.b, np.zeros(m_out - m)])
+    return LcqpInstance(
+        q=q_out, a=a_out, b=b_out, c=np.concatenate([inst.c, c_new]), kind=kind,
+        name=inst.name, provenance=inst.provenance + tuple(records),
+    )
+
+
+def _column(vec):
+    """A dense vector as the (rows, cols, vals) of the first new column."""
+    return np.arange(vec.size), np.zeros(vec.size, dtype=np.int64), vec
 
 
 def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
@@ -292,10 +317,11 @@ def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
         {"q_vec": q_vec.tolist(), "ridge": float(ridge)},
         SolutionMap(MapKind.EXTENDED_WITH_ZEROS, side="primal", indices=[inst.n]),
     )
-    return _append_variable(
-        inst, np.append(qq, float(q_vec @ qq) + ridge), inst.a.matvec(q_vec),
-        float(q_vec @ inst.c), inst.kind, record,
+    out = _append_variables(
+        inst, _column(np.append(qq, float(q_vec @ qq) + ridge)),
+        _column(inst.a.matvec(q_vec)), [float(q_vec @ inst.c)], inst.kind, [record],
     )
+    return out, record
 
 
 def add_variable_biased(inst: LcqpInstance, sol: Solution, q_diag: float, a_col):
@@ -312,9 +338,32 @@ def add_variable_biased(inst: LcqpInstance, sol: Solution, q_diag: float, a_col)
         {"q_diag": float(q_diag), "a_col": a_col.tolist()},
         SolutionMap(MapKind.EXTENDED_WITH_ZEROS, side="primal", indices=[inst.n]),
     )
-    return _append_variable(
-        inst, np.append(np.zeros(inst.n), q_diag), a_col, -float(a_col @ sol.lam),
-        inst.kind, record,
+    out = _append_variables(
+        inst, ([inst.n], [0], [float(q_diag)]), _column(a_col), [-float(a_col @ sol.lam)],
+        inst.kind, [record],
+    )
+    return out, record
+
+
+def _constrained_record(q_diag, rows, vals, c_new) -> TransformRecord:
+    """The add_variable_constrained record for new column entries (rows, vals),
+    after the sign checks that keep its multiplier nonnegative.  The map holds
+    the column's support as indices, and c_new with the entries there as
+    values."""
+    if q_diag < 0:
+        raise InputError("q_diag must be nonnegative")
+    if vals.max(initial=0.0) > 0:
+        raise InputError("a_col entries must be nonpositive")
+    if c_new > 0:
+        raise InputError("c_new must be nonpositive")
+    support = vals != 0.0
+    return TransformRecord(
+        "add_variable_constrained",
+        {"q_diag": float(q_diag)},
+        SolutionMap(
+            MapKind.EXPLICIT_DUAL, side="dual",
+            values=np.append(float(c_new), vals[support]), indices=rows[support],
+        ),
     )
 
 
@@ -327,28 +376,16 @@ def add_variable_constrained(inst: LcqpInstance, q_diag: float, a_col, c_new: fl
     stores a_col sparsely: its support as indices, c_new and those entries
     as values.
     """
-    if q_diag < 0:
-        raise InputError("q_diag must be nonnegative")
     a_col = np.asarray(a_col, dtype=np.float64)
     if a_col.shape != (inst.m,):
         raise InputError(f"a_col must have shape ({inst.m},)")
-    if a_col.max(initial=0.0) > 0:
-        raise InputError("a_col entries must be nonpositive")
-    if c_new > 0:
-        raise InputError("c_new must be nonpositive")
+    record = _constrained_record(q_diag, np.arange(inst.m), a_col, c_new)
     kind = inst.kind if (inst.kind is ProblemKind.QP or q_diag == 0.0) else ProblemKind.QP
-    support = np.flatnonzero(a_col)
-    record = TransformRecord(
-        "add_variable_constrained",
-        {"q_diag": float(q_diag)},
-        SolutionMap(
-            MapKind.EXPLICIT_DUAL, side="dual",
-            values=np.append(float(c_new), a_col[support]), indices=support,
-        ),
+    out = _append_variables(
+        inst, ([inst.n], [0], [float(q_diag)]), _column(a_col), [c_new], kind, [record],
+        pin=True,
     )
-    return _append_variable(
-        inst, np.append(np.zeros(inst.n), q_diag), a_col, c_new, kind, record, pin=True,
-    )
+    return out, record
 
 
 def add_constraints(inst: LcqpInstance, weights: Sequence):
@@ -559,25 +596,57 @@ def _policy_add_cons(inst, aprime, rng):
     return add_constraints(inst, weights)
 
 
-def _policy_add_var(inst, rng):
-    if inst.kind is ProblemKind.LP:
-        q_diag = 0.0
-    else:
-        trace = float(inst.q.vals[inst.q.rows == inst.q.cols].sum())
-        q_diag = 1e-2 * trace / inst.n
-    a_col = np.zeros(inst.m)
-    if inst.m:
-        picked = rng.choice(inst.m, size=min(3, inst.m), replace=False)
-        a_col[picked] = -np.abs(rng.standard_normal(picked.size))
-    c_new = -abs(rng.standard_normal())
-    return add_variable_constrained(inst, q_diag=q_diag, a_col=a_col, c_new=c_new)
+def _policy_add_vars(inst, count, rng):
+    """`count` constrained variables, drawn in sequence and appended in one
+    build: draw i sees the m + i rows and n + i variables the draws before it
+    leave, so its rows may include their pin rows, and its q_diag is
+    1e-2 * trace / (n + i) summed over the diagonal Q would store by then."""
+    if count <= 0:
+        return None
+    n, m, q = inst.n, inst.m, inst.q
+    stored = q.vals[q.rows == q.cols]
+    diag = np.concatenate([stored, np.empty(count)])
+    top = stored.size
+    q_diag, c_new = np.zeros(count), np.empty(count)
+    a_rows, a_cols, a_vals, records = [], [], [], []
+    for i in range(count):
+        if inst.kind is not ProblemKind.LP:
+            # np.sum over the array a stored diagonal holds; a running
+            # scalar would round differently
+            q_diag[i] = 1e-2 * float(diag[:top].sum()) / (n + i)
+            if q_diag[i] != 0.0:  # Q stores no explicit zero
+                diag[top] = q_diag[i]
+                top += 1
+        rows, vals = np.empty(0, dtype=np.int64), np.empty(0)
+        if m + i:
+            rows = rng.choice(m + i, size=min(3, m + i), replace=False)
+            vals = -np.abs(rng.standard_normal(rows.size))
+            order = np.argsort(rows)
+            rows, vals = rows[order], vals[order]
+        c_new[i] = -abs(rng.standard_normal())
+        records.append(_constrained_record(q_diag[i], rows, vals, c_new[i]))
+        a_rows.append(rows)
+        a_cols.append(np.full(rows.size, i))
+        a_vals.append(vals)
+    span = np.arange(count)
+    out = _append_variables(
+        inst, (n + span, span, q_diag),
+        (np.concatenate(a_rows), np.concatenate(a_cols), np.concatenate(a_vals)),
+        c_new, inst.kind, records, pin=True,
+    )
+    return out, records
 
 
 def apply_policy(
     inst: LcqpInstance, policy: AugmentPolicy, sol: Solution | None = None,
 ) -> tuple[LcqpInstance, Solution | None, list[TransformRecord]]:
     """Sample ops (probability proportional to strength, no replacement) and
-    apply them in catalog order; deterministic given (seed, instance name)."""
+    apply them in catalog order; deterministic given (seed, instance name).
+
+    add-vars draws its variables in sequence and appends them in one build,
+    one record per variable; instance, records and mapped solution are
+    byte-identical to one add_variable_constrained and map_solution call per
+    variable."""
     strengths = policy.strengths
     for op in _SOLUTION_DEPENDENT:
         if strengths.get(op, 0.0) > 0.0 and sol is None:
@@ -618,6 +687,13 @@ def apply_policy(
         elif op == "add-cons":
             advance(_policy_add_cons(cur, aprime, rng))
         elif op == "add-vars":
-            for _ in range(int(aprime * cur.n)):
-                advance(_policy_add_var(cur, rng))
+            added = _policy_add_vars(cur, int(aprime * cur.n), rng)
+            if added is not None:
+                cur, recs = added
+                records.extend(recs)
+                if cur_sol is not None:
+                    x, lam = cur_sol.x, cur_sol.lam
+                    for rec in recs:  # each EXPLICIT_DUAL reads the duals before it
+                        x, lam = _map_pair(rec.solution_map, x, lam)
+                    cur_sol = Solution.from_primal_dual(cur, x, lam)
     return cur, cur_sol, records

@@ -1,6 +1,7 @@
 """Command surface: exit-code contract (0 ok, 2 usage, 3 solver budget,
 4 policy/label mismatch, 5 verification failure), stdout JSON reports,
 and pipeline byte determinism."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -213,6 +214,97 @@ def test_augment_deterministic(tmp_path, capsys):
         outs.append(out)
     for name in sorted(p.name for p in outs[0].iterdir()):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+PINNED_GENERATE = {
+    "qp": ["generate", "--family", "qp", "--rows", "12", "--cols", "10",
+           "--density-a", "0.3", "--density-q", "0.3"],
+    "lp": ["generate", "--family", "lp", "--rows", "12", "--cols", "10",
+           "--density-a", "0.3", "--bounded", "--slack-noise", "4.0"],
+}
+
+# sha256 of every file the runs in test_augment_bytes_pinned write, recorded
+# with the per-variable add-vars loop; both run kinds sample add-vars on QPs
+# and LPs, and the add-vars runs map the solution through every record
+PINNED_AUGMENT_SHA256 = {
+    "qp_views/manifest.json":
+        "e1250be290533f640039da22d8df0ee981f63dd4bba8aa3f6236cd5a7ceedb08",
+    "qp_views/qp_00000_view00.json":
+        "b0f8f68716dae12dfd3899c98ced2a1eddb3cbe541b319663c067b3a5c29bbcf",
+    "qp_views/qp_00000_view01.json":
+        "668b201a69ffaf13a5faa0cae365bbd82b639f7cd3d3bd817a0ddf1bccaadf42",
+    "qp_views/qp_00000_view02.json":
+        "c42423b6107cefb3cc42e1e3f5625a85852eb239982c58f44fe1434bbb7295de",
+    "qp_views/qp_00000_view03.json":
+        "7235a9d99c85d3b37ce581816d12684bf4917fbd21ea2978fcec623d8bccdf18",
+    "qp_views/qp_00001_view00.json":
+        "2927801a8819ed9c93ba54dc4e21346dd311bbbb392acc09417c00c3d42d50a2",
+    "qp_views/qp_00001_view01.json":
+        "1ad2481a46a1850d29d3882c55e8f113c7f23436a0720968a0cc5a87428bda9e",
+    "qp_views/qp_00001_view02.json":
+        "7d1d967366543c06035d3388c5c0c84c63174d9a4ce23ba2efb19172991521a2",
+    "qp_views/qp_00001_view03.json":
+        "5d0f745788bc1ff752df2cbaf8307c616498b7449be9c460966e486aa9ba26fa",
+    "qp_addvars/manifest.json":
+        "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
+    "qp_addvars/qp_00000_aug00.json":
+        "ddeefc9263f06f19fd294f7cc7ef950182d78d95ffcb72a8a780564675c4fac1",
+    "qp_addvars/qp_00000_aug01.json":
+        "c65d742f0c55d22a0bad47a1fbcabf821d7b7b3a0eef96a9256a0e9e9ccf362b",
+    "qp_addvars/qp_00001_aug00.json":
+        "1c73146bdfe2ec8fe37d24e5f607742e131e7c759ba7b1a5b280f9af8d687668",
+    "qp_addvars/qp_00001_aug01.json":
+        "b847213aaffecca7da5848f96667ac3b6e42fddb0b5d5f4900eabea5b1a02e76",
+    "lp_views/lp_00000_view00.json":
+        "8ab48af8df3e3bdab5ac307373a2c108da121fca3d00111da568fa82a95e8275",
+    "lp_views/lp_00000_view01.json":
+        "c9b085252f3ededd735c3f90d14a782478c8aa8c87fae74d6c1300e5b7674509",
+    "lp_views/lp_00000_view02.json":
+        "be0fe044704f36ebda541c8ee0523644e7edb319dfd6067883b91042d9d7dc74",
+    "lp_views/lp_00000_view03.json":
+        "f1856d8b8d8410762c103a85049f5f0375e6d859cbbb738be843e8907f78615a",
+    "lp_views/lp_00001_view00.json":
+        "a05b9d2cba2e326e05c93d098cc4731067387ceac01b622392ebb9564ac41b60",
+    "lp_views/lp_00001_view01.json":
+        "357285113eaa7647fb822e7b1453fd13e1cea8079eae00945e508a674c745a3f",
+    "lp_views/lp_00001_view02.json":
+        "555e71dd2b413a2665009e08165253e11a39f02566d857b2c367ffbcda753a96",
+    "lp_views/lp_00001_view03.json":
+        "f3a4da100a33fedc10606f908cddf5ec337eb34f44261b089617b3f3a286e188",
+    "lp_views/manifest.json":
+        "b775bc99908590454554afd00c5ca13bd2f8f9c51d73f4244db1d2451b7dbb3c",
+    "lp_addvars/lp_00000_aug00.json":
+        "03e90931d38a09e69919ad5d82ed121a318d34e4da21383421192dc7e6676673",
+    "lp_addvars/lp_00000_aug01.json":
+        "cafc5e6eeb00687fd11e319bfea81d59302c5b02671e503003e41f3e947bc67a",
+    "lp_addvars/lp_00001_aug00.json":
+        "6c3d3195cd76013274e4475c1519ba9a12a74cca32342bea0b62901da62c32c6",
+    "lp_addvars/lp_00001_aug01.json":
+        "f5781eb798e4513bb45e6a668fb1341b3261ea83e110d75b7791e70b5dbaf81d",
+    "lp_addvars/manifest.json":
+        "f5624d42e239a20c5b0de1fa48e3dba2befdb348bac7214fbdb4fa5e7967a75b",
+}
+
+
+def test_augment_bytes_pinned(tmp_path, capsys):
+    """A change to augmentation's arithmetic or draw order shows here as a
+    changed file, even when every other test still passes."""
+    digests = {}
+    for family, gen in PINNED_GENERATE.items():
+        corpus = tmp_path / family
+        code, _, _ = run(capsys, gen + ["--count", "2", "--seed", "11", "--solve",
+                                        "--out", str(corpus)])
+        assert code == 0
+        manifest = str(corpus / "manifest.json")
+        for sub, args in (("views", ["--views", "4"]),
+                          ("addvars", ["--ops", "add-vars:0.8", "--per-instance", "2"])):
+            out = tmp_path / f"{family}_{sub}"
+            code, _, _ = run(capsys, ["augment", "--manifest", manifest, *args,
+                                      "--seed", "3", "--out", str(out)])
+            assert code == 0
+            for path in out.iterdir():
+                digests[f"{out.name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == PINNED_AUGMENT_SHA256
 
 
 # ---------------------------------------------------------------- solve/verify

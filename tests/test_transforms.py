@@ -5,6 +5,7 @@ Most expected values here were worked out by hand on the e1/e2 fixtures and
 cross-checked with solve_enumeration before the ops were written.
 """
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qpaug import (
     InputError,
     ProblemKind,
     Solution,
+    gen_lp,
     gen_qp,
     kkt_residuals,
     objective,
@@ -53,6 +55,7 @@ from qpaug.transforms import (
 )
 
 import qpaug.transforms as transforms_module
+from qpaug.rng import derive_rng
 from conftest import make_instance
 
 
@@ -844,11 +847,10 @@ def test_solution_map_rejects_bad_fields(kwargs):
         SolutionMap(MapKind.RESTRICTED_TO, **kwargs)
 
 
-def _replay_loop(record, new_inst, sol):
+def _replay_loop(sm, x, lam):
     """Test-only reference: the replay as it was written on tuples, one entry
     at a time, with EXPLICIT_DUAL's a_col expanded to a dense m-vector."""
-    sm = record.solution_map
-    x, lam = sol.x.tolist(), sol.lam.tolist()
+    x, lam = x.tolist(), lam.tolist()
     values = None if sm.values is None else sm.values.tolist()
     indices = None if sm.indices is None else sm.indices.tolist()
     primal = sm.side == "primal"
@@ -865,10 +867,10 @@ def _replay_loop(record, new_inst, sol):
         fresh = set(indices)
         if primal:
             old = iter(x)
-            x = [0.0 if i in fresh else next(old) for i in range(new_inst.n)]
+            x = [0.0 if i in fresh else next(old) for i in range(len(x) + len(fresh))]
         else:
             old = iter(lam)
-            lam = [0.0 if i in fresh else next(old) for i in range(new_inst.m)]
+            lam = [0.0 if i in fresh else next(old) for i in range(len(lam) + len(fresh))]
     elif sm.kind is MapKind.EXPLICIT_DUAL:
         a_col = [0.0] * len(lam)
         for i, v in zip(indices, values[1:]):
@@ -882,14 +884,17 @@ def _replay_loop(record, new_inst, sol):
     (SSL_STRENGTHS_QP, False), (COMBO_STRENGTHS, True),
 ], ids=["views", "combo"])
 def test_map_solution_matches_loop_reference(monkeypatch, strengths, interpolate):
+    # the spy sits on the per-record step that map_solution and the add-vars
+    # batch in apply_policy both call
     calls = []
+    map_pair = transforms_module._map_pair
 
-    def spy(record, new_inst, sol):
-        out = map_solution(record, new_inst, sol)
-        calls.append((record, new_inst, sol, out))
-        return out
+    def spy(sm, x, lam):
+        x_out, lam_out = map_pair(sm, x, lam)
+        calls.append((sm, x, lam, SimpleNamespace(x=x_out, lam=lam_out)))
+        return x_out, lam_out
 
-    monkeypatch.setattr(transforms_module, "map_solution", spy)
+    monkeypatch.setattr(transforms_module, "_map_pair", spy)
     for seed in range(4):
         inst = gen_qp(100, 100, 0.05, 0.05, seed=seed)
         sol = solve_splitting(inst)
@@ -897,13 +902,12 @@ def test_map_solution_matches_loop_reference(monkeypatch, strengths, interpolate
             policy = AugmentPolicy(strengths, interpolate=interpolate, seed=10 * seed + copy)
             apply_policy(inst, policy, sol)
     kinds = set()
-    for record, new_inst, sol, out in calls:
-        sm = record.solution_map
+    for sm, x, lam, out in calls:
         kinds.add(sm.kind)
-        x_ref, lam_ref = _replay_loop(record, new_inst, sol)
+        x_ref, lam_ref = _replay_loop(sm, x, lam)
         assert np.array_equal(out.x, x_ref)
         if sm.kind is MapKind.EXPLICIT_DUAL:
-            # _policy_add_var gives a_col at most 3 nonzeros, all stored
+            # _policy_add_vars gives a_col at most 3 nonzeros, all stored
             assert 1 <= sm.indices.size <= 3 and sm.values.size == sm.indices.size + 1
             assert np.all(sm.values[1:] != 0.0)
             assert np.array_equal(out.lam[:-1], lam_ref[:-1])
@@ -917,3 +921,83 @@ def test_map_solution_matches_loop_reference(monkeypatch, strengths, interpolate
     if strengths is SSL_STRENGTHS_QP:
         expected.add(MapKind.EXPLICIT_DUAL)
     assert kinds == expected
+
+
+# ------------------------------------------------------------ batched add-vars
+
+def _add_vars_loop(inst, policy, sol):
+    """Test-only reference: apply_policy's add-vars as one build and one
+    map_solution per variable, each draw made on the instance so far."""
+    rng = derive_rng(policy.seed, inst.name, "add-vars")
+    cur, cur_sol, records = inst, sol, []
+    for _ in range(int(policy.strengths["add-vars"] * inst.n)):
+        if cur.kind is ProblemKind.LP:
+            q_diag = 0.0
+        else:
+            trace = float(cur.q.vals[cur.q.rows == cur.q.cols].sum())
+            q_diag = 1e-2 * trace / cur.n
+        a_col = np.zeros(cur.m)
+        if cur.m:
+            picked = rng.choice(cur.m, size=min(3, cur.m), replace=False)
+            a_col[picked] = -np.abs(rng.standard_normal(picked.size))
+        c_new = -abs(rng.standard_normal())
+        cur, rec = add_variable_constrained(cur, q_diag=q_diag, a_col=a_col, c_new=c_new)
+        records.append(rec)
+        if cur_sol is not None:
+            cur_sol = map_solution(rec, cur, cur_sol)
+    return cur, cur_sol, records
+
+
+def _unconstrained_qp():
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((6, 6))
+    return make_instance(g @ g.T + np.eye(6), np.zeros((0, 6)), [], rng.standard_normal(6),
+                         name="free")
+
+
+ADD_VARS_INSTANCES = {
+    "qp": lambda: gen_qp(12, 10, 0.3, 0.3, seed=3),
+    "lp": lambda: gen_lp(12, 10, 0.3, 3, bounded=True),
+    "qp-m0": _unconstrained_qp,
+}
+
+
+def _bits(arr):
+    return np.asarray(arr).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 30])
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+@pytest.mark.parametrize("family", sorted(ADD_VARS_INSTANCES))
+def test_add_vars_batch_matches_loop_reference(family, labeled, count):
+    inst = ADD_VARS_INSTANCES[family]()
+    sol = None
+    if labeled:
+        sol = solve_splitting(inst) if inst.m else Solution.from_primal_dual(
+            inst, np.linalg.solve(inst.q.to_dense(), -inst.c), np.empty(0))
+    policy = AugmentPolicy({"add-vars": (count + 0.5) / inst.n}, ops_per_instance=1,
+                           interpolate=False, seed=5)
+    out, out_sol, records = apply_policy(inst, policy, sol)
+    ref, ref_sol, ref_records = _add_vars_loop(inst, policy, sol)
+    assert len(records) == count and records == ref_records
+    assert out.provenance == ref.provenance
+    assert out.kind is ref.kind is inst.kind
+    assert (out.n, out.m) == (inst.n + count, inst.m + count)
+    for got, want in ((out.q, ref.q), (out.a, ref.a)):
+        assert got.shape == want.shape
+        assert _bits(got.rows) == _bits(want.rows) and _bits(got.cols) == _bits(want.cols)
+        assert _bits(got.vals) == _bits(want.vals)
+    assert _bits(out.b) == _bits(ref.b) and _bits(out.c) == _bits(ref.c)
+    if family == "lp":
+        assert out.q.nnz == 0 and all(r.params == {"q_diag": 0.0} for r in records)
+    if family == "qp-m0":
+        # the first draw has no row to pick; the second may pick its pin row
+        assert records[0].solution_map.indices.size == 0
+        assert count == 1 or records[1].solution_map.indices.tolist() == [0]
+    if sol is None:
+        assert out_sol is None and ref_sol is None
+    else:
+        assert _bits(out_sol.x) == _bits(ref_sol.x)
+        assert _bits(out_sol.lam) == _bits(ref_sol.lam)
+        assert _bits(out_sol.slack) == _bits(ref_sol.slack)
+        assert out_sol.objective == ref_sol.objective
