@@ -27,6 +27,7 @@ from .core import (
     partition_constraints,
 )
 from .fileio import (
+    _JSON_TYPES,
     _parse,
     load_instance,
     load_instance_unchecked,
@@ -380,6 +381,13 @@ def cmd_graph(args) -> int:
 def cmd_metrics(args) -> int:
     _require(args, "pairs")
     doc = _parse(args.pairs)
+    # true or "2.0" would convert to a number; the instance reader's rule
+    # takes JSON numbers only
+    numbers = _JSON_TYPES[np.float64]
+    if isinstance(doc, list) and any(
+        not isinstance(pair, list) or not set(map(type, pair)) <= numbers for pair in doc
+    ):
+        raise InputError(f"{args.pairs}: pairs must hold JSON numbers only")
     try:
         arr = np.asarray(doc, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -516,9 +524,37 @@ def _build_parser():
     return parser, registry
 
 
+# a --config value's JSON types, matched exactly as the instance reader
+# does, and their name, by its flag's argparse type
+_CONFIG_TYPES = {
+    int: (_JSON_TYPES[np.int64], "an integer"),
+    float: (_JSON_TYPES[np.float64], "a number"),
+    None: (_JSON_TYPES[np.str_], "a string"),
+}
+
+
+def _config_value(path, key, val, action):
+    """`val` as `action`'s flag would parse it.  InputError unless it has
+    the flag's JSON type: a boolean for a switch, else the type its argparse
+    type parses, inside its choices where it has them."""
+    if isinstance(action, argparse._StoreTrueAction):
+        kinds, want = {bool}, "a boolean"
+    else:
+        kinds, want = _CONFIG_TYPES[action.type]
+    if type(val) not in kinds:
+        raise InputError(f"{path}: config key {key!r} must be {want}, got {json.dumps(val)}")
+    if action.choices is not None and val not in action.choices:
+        raise InputError(
+            f"{path}: config key {key!r} must be one of {sorted(action.choices)}, got {val!r}"
+        )
+    # 1 for a float flag must reach the program, and its records, as 1.0
+    return float(val) if action.type is float else val
+
+
 def _config_defaults(registry, argv):
-    """First pass: pull --config, validate its keys against the subcommand,
-    and install them as defaults so explicit flags still win on re-parse."""
+    """First pass: pull --config, validate its keys and value types against
+    the subcommand, and install them as defaults so explicit flags still win
+    on re-parse."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, rest = probe.parse_known_args(argv)
@@ -531,13 +567,13 @@ def _config_defaults(registry, argv):
     doc = _parse(known.config)
     if not isinstance(doc, dict):
         raise InputError(f"{known.config}: config must hold a JSON object")
-    dests = {a.dest for a in sp._actions} - {"help", "config"}
+    actions = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
     overrides = {}
     for key, val in doc.items():
         dest = key.replace("-", "_")
-        if dest not in dests:
+        if dest not in actions:
             raise InputError(f"{known.config}: unknown config key {key!r} for {cmd}")
-        overrides[dest] = val
+        overrides[dest] = _config_value(known.config, key, val, actions[dest])
     sp.set_defaults(**overrides)
 
 

@@ -181,6 +181,19 @@ def solve_splitting_detailed(
     def as_solution(xv, yv) -> Solution:
         return Solution.from_primal_dual(inst, xv, np.maximum(yv, 0.0))
 
+    def polish(xv, yv):
+        """Polish (xv, yv), score it, and keep it as the best point if it
+        beats it; the polished point and its report, or (None, None)."""
+        nonlocal best_max, best_xy
+        pol = _polish(inst, q_dense, a_dense, xv, yv)
+        if pol is None:
+            return None, None
+        prep = kkt_residuals(inst, pol, relative=True)
+        if prep.max_residual < best_max:
+            best_max = prep.max_residual
+            best_xy = (pol.x.copy(), pol.lam.copy())
+        return pol, prep
+
     it = 0
     while it < cfg.max_iter:
         it += 1
@@ -206,14 +219,9 @@ def solve_splitting_detailed(
             want_polish = cur_max < 0.31 * last_polish_at or it % 2500 == 0
             if cfg.polish and want_polish:
                 last_polish_at = min(last_polish_at, cur_max)
-                pol = _polish(inst, q_dense, a_dense, x, y)
-                if pol is not None:
-                    prep = kkt_residuals(inst, pol, relative=True)
-                    if prep.max_residual <= cfg.tol:
-                        return pol, SolveStats(it, True, prep)
-                    if prep.max_residual < best_max:
-                        best_max = prep.max_residual
-                        best_xy = (pol.x.copy(), pol.lam.copy())
+                pol, prep = polish(x, y)
+                if pol is not None and prep.max_residual <= cfg.tol:
+                    return pol, SolveStats(it, True, prep)
             # certificate of a descent ray: direction with Q d ~ 0, c'd < 0,
             # A d <= 0 means the problem is unbounded below
             delta = x - x_prev_probe
@@ -242,12 +250,7 @@ def solve_splitting_detailed(
                         lu = factor(rho)
 
     if cfg.polish:
-        pol = _polish(inst, q_dense, a_dense, x, y)
-        if pol is not None:
-            prep = kkt_residuals(inst, pol, relative=True)
-            if prep.max_residual < best_max:
-                best_max = prep.max_residual
-                best_xy = (pol.x.copy(), pol.lam.copy())
+        polish(x, y)
     if best_xy is not None and best_max <= 10.0 * cfg.tol:
         sol = as_solution(*best_xy)
         return sol, SolveStats(cfg.max_iter, True, kkt_residuals(inst, sol, relative=True))

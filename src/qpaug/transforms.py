@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     Definiteness,
@@ -124,12 +123,11 @@ def _with_zeros(vec, fresh):
     return out
 
 
-def _emit(inst, q, a, b, c, kind, record):
-    out = LcqpInstance(
-        q=q, a=a, b=b, c=c, kind=kind, name=inst.name,
-        provenance=inst.provenance + (record,),
-    )
-    return out, record
+def _emit(inst, *records, **parts):
+    """The one place a transform builds its output: `inst` with the named
+    parts (q, a, b, c, kind) replaced and `records` added to its provenance."""
+    data = {"q": inst.q, "a": inst.a, "b": inst.b, "c": inst.c, "kind": inst.kind, **parts}
+    return LcqpInstance(**data, name=inst.name, provenance=inst.provenance + records)
 
 
 def _check_sol(inst: LcqpInstance, sol: Solution):
@@ -156,7 +154,7 @@ def scale_variables(inst: LcqpInstance, alpha) -> tuple[LcqpInstance, TransformR
         {},
         SolutionMap(MapKind.PRIMAL_SCALED, values=1.0 / alpha),
     )
-    return _emit(inst, q_new, a_new, inst.b, inst.c * alpha, inst.kind, record)
+    return _emit(inst, record, q=q_new, a=a_new, c=inst.c * alpha), record
 
 
 def scale_constraints(inst: LcqpInstance, d) -> tuple[LcqpInstance, TransformRecord]:
@@ -173,7 +171,7 @@ def scale_constraints(inst: LcqpInstance, d) -> tuple[LcqpInstance, TransformRec
         {},
         SolutionMap(MapKind.DUAL_SCALED, side="dual", values=1.0 / d),
     )
-    return _emit(inst, inst.q, a_new, inst.b * d, inst.c, inst.kind, record)
+    return _emit(inst, record, a=a_new, b=inst.b * d), record
 
 
 # ----------------------------------------------------------------- removal ops
@@ -203,7 +201,7 @@ def _drop_variables(inst, drop: Sequence[int], op_name="drop_variables", params=
         op_name, params or {},
         SolutionMap(MapKind.RESTRICTED_TO, side="primal", indices=np.flatnonzero(keep)),
     )
-    return _emit(inst, q_new, a_new, inst.b, inst.c[keep], inst.kind, record)
+    return _emit(inst, record, q=q_new, a=a_new, c=inst.c[keep]), record
 
 
 def _drop_constraints(inst, drop: Sequence[int], op_name="drop_constraints", params=None):
@@ -215,7 +213,12 @@ def _drop_constraints(inst, drop: Sequence[int], op_name="drop_constraints", par
         op_name, params or {},
         SolutionMap(MapKind.RESTRICTED_TO, side="dual", indices=np.flatnonzero(keep)),
     )
-    return _emit(inst, inst.q, a_new, inst.b[keep], inst.c, inst.kind, record)
+    return _emit(inst, record, a=a_new, b=inst.b[keep]), record
+
+
+def _idle(x, tol=1e-8):
+    """Variables whose optimal value is zero relative to 1 + max |x_j|."""
+    return np.flatnonzero(np.abs(x) <= tol * (1.0 + np.abs(x).max()))
 
 
 def remove_idle_variables(inst: LcqpInstance, sol: Solution, tol: float = 1e-8):
@@ -223,7 +226,7 @@ def remove_idle_variables(inst: LcqpInstance, sol: Solution, tol: float = 1e-8):
     _check_sol(inst, sol)
     if tol < 0:
         raise InputError("tol must be nonnegative")
-    idle = np.flatnonzero(np.abs(sol.x) <= tol * (1.0 + np.abs(sol.x).max()))
+    idle = _idle(sol.x, tol)
     if idle.size == inst.n:
         raise InputError("every variable is idle; refusing to emit an empty instance")
     return _drop_variables(inst, idle, op_name="remove_idle_variables", params={"tol": tol})
@@ -249,48 +252,38 @@ def remove_inactive_constraints(
 
 # ---------------------------------------------------------------- addition ops
 
-def _append_variables(inst, q_new, a_new, c_new, kind, records, pin=False):
-    """`inst` with k = len(c_new) more variables, built once.
+def _grown(mat, shape, blocks):
+    """`mat` resized to `shape`, the (rows, cols, vals) blocks appended."""
+    rows, cols, vals = (np.concatenate(v) for v in zip((mat.rows, mat.cols, mat.vals), *blocks))
+    return SparseMatrix(*shape, rows, cols, vals)
 
-    q_new and a_new hold the new columns as (rows, cols, vals), cols counted
-    from the first new variable: Q entries on or above the new diagonal
-    (mirrored here) and A entries in the existing rows or, with pin, in the
-    pin rows of earlier new variables.  With pin, row m + j is x_{n+j} <= 0.
-    """
-    n, m, q, a = inst.n, inst.m, inst.q, inst.a
-    k = len(c_new)
-    q_rows, q_cols, q_vals = (np.asarray(v) for v in q_new)
-    q_cols = n + q_cols
-    off = q_rows != q_cols
-    q_out = SparseMatrix(
-        n + k, n + k,
-        np.concatenate([q.rows, q_rows, q_cols[off]]),
-        np.concatenate([q.cols, q_cols, q_rows[off]]),
-        np.concatenate([q.vals, q_vals, q_vals[off]]),
-    )
-    a_rows, a_cols, a_vals = a_new
-    a_cols = n + np.asarray(a_cols)
-    m_out = m + k if pin else m
-    if pin:
-        a_rows = np.concatenate([a_rows, np.arange(m, m_out)])
-        a_cols = np.concatenate([a_cols, np.arange(n, n + k)])
-        a_vals = np.concatenate([a_vals, np.ones(k)])
-    a_out = SparseMatrix(
-        m_out, n + k,
-        np.concatenate([a.rows, a_rows]),
-        np.concatenate([a.cols, a_cols]),
-        np.concatenate([a.vals, a_vals]),
-    )
-    b_out = np.concatenate([inst.b, np.zeros(m_out - m)])
-    return LcqpInstance(
-        q=q_out, a=a_out, b=b_out, c=np.concatenate([inst.c, c_new]), kind=kind,
-        name=inst.name, provenance=inst.provenance + tuple(records),
+
+def _append(inst, *records, a_new, q_new=(), c_new=(), b_new=(), kind=None):
+    """`inst` with len(c_new) more variables and len(b_new) more rows, built
+    once: rows and columns alike are (rows, cols, vals) blocks, indexed in
+    the grown instance, concatenated onto the stored entries.  q_new holds
+    Q's new entries on or above the diagonal and is mirrored here."""
+    n, m = inst.n + len(c_new), inst.m + len(b_new)
+    q = inst.q
+    if q_new:
+        rows, cols, vals = (np.concatenate(v) for v in zip(*q_new))
+        off = rows != cols
+        q = _grown(q, (n, n), [(rows, cols, vals), (cols[off], rows[off], vals[off])])
+    return _emit(
+        inst, *records, q=q, a=_grown(inst.a, (m, n), a_new),
+        b=np.concatenate([inst.b, b_new]), c=np.concatenate([inst.c, c_new]),
+        kind=kind or inst.kind,
     )
 
 
-def _column(vec):
-    """A dense vector as the (rows, cols, vals) of the first new column."""
-    return np.arange(vec.size), np.zeros(vec.size, dtype=np.int64), vec
+def _column(vec, col):
+    """A dense vector as the entry block of column `col`."""
+    return np.arange(vec.size), np.full(vec.size, col), vec
+
+
+def _pins(n, m, k):
+    """The entry block of rows m .. m+k-1, row m + j being x_{n+j} <= 0."""
+    return np.arange(m, m + k), np.arange(n, n + k), np.ones(k)
 
 
 def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
@@ -317,9 +310,10 @@ def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
         {"q_vec": q_vec.tolist(), "ridge": float(ridge)},
         SolutionMap(MapKind.EXTENDED_WITH_ZEROS, side="primal", indices=[inst.n]),
     )
-    out = _append_variables(
-        inst, _column(np.append(qq, float(q_vec @ qq) + ridge)),
-        _column(inst.a.matvec(q_vec)), [float(q_vec @ inst.c)], inst.kind, [record],
+    out = _append(
+        inst, record, c_new=[float(q_vec @ inst.c)],
+        q_new=[_column(np.append(qq, float(q_vec @ qq) + ridge), inst.n)],
+        a_new=[_column(inst.a.matvec(q_vec), inst.n)],
     )
     return out, record
 
@@ -338,9 +332,9 @@ def add_variable_biased(inst: LcqpInstance, sol: Solution, q_diag: float, a_col)
         {"q_diag": float(q_diag), "a_col": a_col.tolist()},
         SolutionMap(MapKind.EXTENDED_WITH_ZEROS, side="primal", indices=[inst.n]),
     )
-    out = _append_variables(
-        inst, ([inst.n], [0], [float(q_diag)]), _column(a_col), [-float(a_col @ sol.lam)],
-        inst.kind, [record],
+    out = _append(
+        inst, record, c_new=[-float(a_col @ sol.lam)],
+        q_new=[([inst.n], [inst.n], [float(q_diag)])], a_new=[_column(a_col, inst.n)],
     )
     return out, record
 
@@ -381,9 +375,10 @@ def add_variable_constrained(inst: LcqpInstance, q_diag: float, a_col, c_new: fl
         raise InputError(f"a_col must have shape ({inst.m},)")
     record = _constrained_record(q_diag, np.arange(inst.m), a_col, c_new)
     kind = inst.kind if (inst.kind is ProblemKind.QP or q_diag == 0.0) else ProblemKind.QP
-    out = _append_variables(
-        inst, ([inst.n], [0], [float(q_diag)]), _column(a_col), [c_new], kind, [record],
-        pin=True,
+    n, m = inst.n, inst.m
+    out = _append(
+        inst, record, kind=kind, c_new=[c_new], b_new=[0.0],
+        q_new=[([n], [n], [float(q_diag)])], a_new=[_column(a_col, n), _pins(n, m, 1)],
     )
     return out, record
 
@@ -405,60 +400,53 @@ def add_constraints(inst: LcqpInstance, weights: Sequence):
     if not np.all(w.max(axis=1, initial=0.0) > 0):
         raise InputError("weight vector must not be all zero")
     new_rows = (inst.a.csr.T @ w.T).T
-    a_new = SparseMatrix.from_scipy(sp.vstack([inst.a.csr, sp.csr_matrix(new_rows)]))
-    # per-row dots: one W @ b would round differently from w . b
-    b_extra = [float(row @ inst.b) for row in w]
-    stored = SparseMatrix.from_dense(w)
+    rows, cols = np.nonzero(new_rows)
+    w_rows, w_cols = np.nonzero(w)
     record = TransformRecord(
         "add_constraints",
         {"weights": {
-            "rows": stored.rows.tolist(), "cols": stored.cols.tolist(),
-            "vals": stored.vals.tolist(),
+            "rows": w_rows.tolist(), "cols": w_cols.tolist(),
+            "vals": w[w_rows, w_cols].tolist(),
         }},
         SolutionMap(
             MapKind.EXTENDED_WITH_ZEROS, side="dual",
             indices=np.arange(m, m + len(w)),
         ),
     )
-    return _emit(inst, inst.q, a_new, np.append(inst.b, b_extra), inst.c, inst.kind, record)
+    out = _append(
+        inst, record,
+        # per-row dots: one W @ b would round differently from w . b
+        b_new=[float(row @ inst.b) for row in w],
+        a_new=[(m + rows, cols, new_rows[rows, cols])],
+    )
+    return out, record
 
 
 # ------------------------------------------------------------------- bias terms
-
-def _bias_apply(inst: LcqpInstance, sol: Solution, b11, b21, params=None):
-    """Shift (Q, A, b, c) by the given bias blocks while fixing (x*, lam*)."""
-    _check_sol(inst, sol)
-    b11 = np.asarray(b11, dtype=np.float64)
-    b21 = np.asarray(b21, dtype=np.float64)
-    if b11.shape != (inst.n, inst.n) or b21.shape != (inst.m, inst.n):
-        raise InputError("bias blocks have wrong shape")
-    b11 = (b11 + b11.T) / 2.0
-    q_new = SparseMatrix.from_dense((inst.q.to_dense() + b11))
-    a_new = SparseMatrix.from_dense(inst.a.to_dense() + b21)
-    b_new = inst.b + b21 @ sol.x
-    c_new = inst.c - b11 @ sol.x - b21.T @ sol.lam
-    kind = ProblemKind.QP if q_new.nnz else inst.kind
-    record = TransformRecord(
-        "bias_instance",
-        params if params is not None else {"b11": b11.tolist(), "b21": b21.tolist()},
-        SolutionMap(MapKind.IDENTITY),
-    )
-    return _emit(inst, q_new, a_new, b_new, c_new, kind, record)
-
 
 def bias_instance(inst: LcqpInstance, sol: Solution, rank: int, magnitude: float, seed: int):
     """Add a random PSD block to Q and a dense shift to A, compensating b and c
     so the original primal-dual pair stays optimal."""
     if rank < 1:
         raise InputError("rank must be at least 1")
+    _check_sol(inst, sol)
     rng = derive_rng(seed, "bias_instance")
     r = magnitude * rng.standard_normal((inst.n, rank))
     b21 = magnitude * rng.standard_normal((inst.m, inst.n))
     b11 = r @ r.T
-    return _bias_apply(
-        inst, sol, b11, b21,
-        params={"rank": int(rank), "magnitude": float(magnitude), "seed": int(seed)},
+    b11 = (b11 + b11.T) / 2.0  # exactly symmetric whatever the product rounds
+    q_new = SparseMatrix.from_dense(inst.q.to_dense() + b11)
+    record = TransformRecord(
+        "bias_instance",
+        {"rank": int(rank), "magnitude": float(magnitude), "seed": int(seed)},
+        SolutionMap(MapKind.IDENTITY),
     )
+    out = _emit(
+        inst, record, q=q_new, a=SparseMatrix.from_dense(inst.a.to_dense() + b21),
+        b=inst.b + b21 @ sol.x, c=inst.c - b11 @ sol.x - b21.T @ sol.lam,
+        kind=ProblemKind.QP if q_new.nnz else inst.kind,
+    )
+    return out, record
 
 
 # ------------------------------------------------------------ inactive heuristic
@@ -560,7 +548,7 @@ class AugmentPolicy:
 
 
 def _policy_drop_vars(inst, sol, aprime, rng):
-    idle = np.flatnonzero(np.abs(sol.x) <= 1e-8 * (1.0 + np.abs(sol.x).max()))
+    idle = _idle(sol.x)
     frac = min(1.0, rng.uniform(0.0, aprime))
     k = min(int(frac * idle.size), inst.n - 1)
     if k <= 0:
@@ -608,7 +596,7 @@ def _policy_add_vars(inst, count, rng):
     diag = np.concatenate([stored, np.empty(count)])
     top = stored.size
     q_diag, c_new = np.zeros(count), np.empty(count)
-    a_rows, a_cols, a_vals, records = [], [], [], []
+    a_new, records = [], []
     for i in range(count):
         if inst.kind is not ProblemKind.LP:
             # np.sum over the array a stored diagonal holds; a running
@@ -625,14 +613,11 @@ def _policy_add_vars(inst, count, rng):
             rows, vals = rows[order], vals[order]
         c_new[i] = -abs(rng.standard_normal())
         records.append(_constrained_record(q_diag[i], rows, vals, c_new[i]))
-        a_rows.append(rows)
-        a_cols.append(np.full(rows.size, i))
-        a_vals.append(vals)
-    span = np.arange(count)
-    out = _append_variables(
-        inst, (n + span, span, q_diag),
-        (np.concatenate(a_rows), np.concatenate(a_cols), np.concatenate(a_vals)),
-        c_new, inst.kind, records, pin=True,
+        a_new.append((rows, np.full(rows.size, n + i), vals))
+    out = _append(
+        inst, *records, c_new=c_new, b_new=np.zeros(count),
+        q_new=[(n + np.arange(count), n + np.arange(count), q_diag)],
+        a_new=[*a_new, _pins(n, m, count)],
     )
     return out, records
 

@@ -123,6 +123,41 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "zzz" in err
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    (["generate", "--family", "lp"], {"count": 2.5}, "count"),
+    (["generate", "--family", "lp"], {"count": True}, "count"),
+    (["generate", "--family", "lp", "--count", "1"], {"solve": "no"}, "solve"),
+    (["generate", "--count", "1"], {"family": "zzz"}, "family"),
+    (["verify"], {"manifest": 5}, "manifest"),
+], ids=["float-count", "bool-count", "string-switch", "family-choice", "int-manifest"])
+def test_config_value_types_checked(tmp_path, capsys, command, doc, key):
+    """A config value must have its flag's JSON type; before, 2.5, true and
+    5 crashed with a traceback and "no" switched --solve on."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "x"
+    argv = [*command, "--config", str(cfg)]
+    if command[0] == "generate":
+        argv += ["--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {cfg}: config key {key!r} must be ")
+    assert not out.exists()
+
+
+def test_config_number_writes_what_the_flag_writes(tmp_path, capsys):
+    """An integer config value for a float flag is parsed as the flag
+    parses it; before, {"density-a": 1} recorded density_a as 1, not 1.0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"density-a": 1}))
+    base = ["generate", "--family", "lp", "--rows", "3", "--cols", "2", "--count", "1"]
+    for sub, extra in (("config", ["--config", str(cfg)]), ("flag", ["--density-a", "1"])):
+        code, _, _ = run(capsys, [*base, *extra, "--out", str(tmp_path / sub)])
+        assert code == 0
+    assert ((tmp_path / "config" / "lp_00000.json").read_bytes()
+            == (tmp_path / "flag" / "lp_00000.json").read_bytes())
+
+
 def test_jobs_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QPAUG_JOBS", "2")
     out = gen_corpus(tmp_path, capsys, count=4, sub="par")
@@ -224,8 +259,11 @@ PINNED_GENERATE = {
 }
 
 # sha256 of every file the runs in test_augment_bytes_pinned write, recorded
-# with the per-variable add-vars loop; both run kinds sample add-vars on QPs
-# and LPs, and the add-vars runs map the solution through every record
+# with the per-variable add-vars loop; the views and add-vars runs sample
+# add-vars on QPs and LPs, and the add-vars runs map the solution through
+# every record.  The combo entries, recorded while add_constraints still
+# built its rows through scipy, map it through drop-cons, scale-cons,
+# scale-vars and add-cons.
 PINNED_AUGMENT_SHA256 = {
     "qp_views/manifest.json":
         "e1250be290533f640039da22d8df0ee981f63dd4bba8aa3f6236cd5a7ceedb08",
@@ -283,6 +321,26 @@ PINNED_AUGMENT_SHA256 = {
         "f5781eb798e4513bb45e6a668fb1341b3261ea83e110d75b7791e70b5dbaf81d",
     "lp_addvars/manifest.json":
         "f5624d42e239a20c5b0de1fa48e3dba2befdb348bac7214fbdb4fa5e7967a75b",
+    "lp_combo/lp_00000_aug00.json":
+        "31311fa76f0320b26233bf5d51e96d053f94a9b753c3ff0d31f419ed40409038",
+    "lp_combo/lp_00000_aug01.json":
+        "970ee77f9fa027761a8c52f0725c9c405e48e17f63fcf7feaa63c7af357ff47f",
+    "lp_combo/lp_00001_aug00.json":
+        "9854d99330608aa7be2df128f718fce14c4357f8413b41775051c61f6832bbcd",
+    "lp_combo/lp_00001_aug01.json":
+        "fc1e30c71150dae0ccd805fbc3a54d04dab2e7faaa9594adafb07bdccffb6bb4",
+    "lp_combo/manifest.json":
+        "f5624d42e239a20c5b0de1fa48e3dba2befdb348bac7214fbdb4fa5e7967a75b",
+    "qp_combo/manifest.json":
+        "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
+    "qp_combo/qp_00000_aug00.json":
+        "173cf45ee0192fc3fc415afa936803df9d0543c7dc34fd8b7db6a98dd06ec83f",
+    "qp_combo/qp_00000_aug01.json":
+        "ab8c4bf78f65d2e9818a3d74c84d48a71175b08c67896d27fce1a107963e5b31",
+    "qp_combo/qp_00001_aug00.json":
+        "b542be485e8d2773a2b02ef31d98e9d29caa6ded87fa7206e1c6695ab1578f27",
+    "qp_combo/qp_00001_aug01.json":
+        "c09017a39b9253363b1e46c19c4a95d5f952e59bf499038de865f52253da765a",
 }
 
 
@@ -297,7 +355,8 @@ def test_augment_bytes_pinned(tmp_path, capsys):
         assert code == 0
         manifest = str(corpus / "manifest.json")
         for sub, args in (("views", ["--views", "4"]),
-                          ("addvars", ["--ops", "add-vars:0.8", "--per-instance", "2"])):
+                          ("addvars", ["--ops", "add-vars:0.8", "--per-instance", "2"]),
+                          ("combo", ["--per-instance", "2"])):
             out = tmp_path / f"{family}_{sub}"
             code, _, _ = run(capsys, ["augment", "--manifest", manifest, *args,
                                       "--seed", "3", "--out", str(out)])
@@ -477,6 +536,19 @@ def test_metrics_rejects_zero_reference(tmp_path, capsys):
         "metrics", "--pairs", metrics_file(tmp_path, [[1.0, 1.0], [0.5, 0.0]])])
     assert code == 2
     assert "1" in err
+
+
+@pytest.mark.parametrize("pairs", [
+    [[True, 1.0], ["2.0", 4]],
+    [[1.0, 1.0], [2.0, False]],
+    [[1.0, "1.0"]],
+], ids=["bool-and-string", "bool-reference", "string-reference"])
+def test_metrics_rejects_non_numbers(tmp_path, capsys, pairs):
+    """Booleans and strings are not objective values; before, true read as
+    1 and "2.0" as 2.0, and the first case reported 25%."""
+    code, stdout, err = run(capsys, ["metrics", "--pairs", metrics_file(tmp_path, pairs)])
+    assert code == 2 and stdout == ""
+    assert "JSON numbers only" in err
 
 
 # ------------------------------------------------------- malformed manifests

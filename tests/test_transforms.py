@@ -4,6 +4,7 @@ properties that make them safe to use on labeled data.
 Most expected values here were worked out by hand on the e1/e2 fixtures and
 cross-checked with solve_enumeration before the ops were written.
 """
+import hashlib
 import zlib
 from types import SimpleNamespace
 
@@ -35,7 +36,6 @@ from qpaug.transforms import (
     AugmentPolicy,
     MapKind,
     SolutionMap,
-    _bias_apply,
     _drop_constraints,
     _drop_variables,
     add_constraints,
@@ -55,6 +55,7 @@ from qpaug.transforms import (
 )
 
 import qpaug.transforms as transforms_module
+from qpaug.fileio import save_instance
 from qpaug.rng import derive_rng
 from conftest import make_instance
 
@@ -467,9 +468,23 @@ def test_add_then_drop_round_trip(e1):
 
 # ----------------------------------------------------------------- bias terms
 
-def test_bias_apply_quadratic_only(e1, e1_sol):
-    b11 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    out, rec = _bias_apply(e1, e1_sol, b11, np.zeros((3, 2)))
+def _bias_with_draws(monkeypatch, inst, sol, r, b21):
+    """bias_instance at magnitude 1 with its two normal draws replaced by r
+    (n x rank, so the Q block is r r') and b21 (m x n)."""
+    draws = iter([np.asarray(r, dtype=np.float64), np.asarray(b21, dtype=np.float64)])
+
+    def standard_normal(shape):
+        out = next(draws)
+        assert out.shape == shape
+        return out
+
+    fake = SimpleNamespace(standard_normal=standard_normal)
+    monkeypatch.setattr(transforms_module, "derive_rng", lambda *key: fake)
+    return bias_instance(inst, sol, rank=np.shape(r)[1], magnitude=1.0, seed=0)
+
+
+def test_bias_instance_quadratic_only(monkeypatch, e1, e1_sol):
+    out, rec = _bias_with_draws(monkeypatch, e1, e1_sol, [[1.0], [0.0]], np.zeros((3, 2)))
     assert np.array_equal(out.q.to_dense(), [[3.0, 0.0], [0.0, 2.0]])
     assert np.array_equal(out.c, [-2.5, -2.0])
     assert np.array_equal(out.b, e1.b)
@@ -479,10 +494,10 @@ def test_bias_apply_quadratic_only(e1, e1_sol):
     assert_kkt_clean(out, mapped, 1e-12)
 
 
-def test_bias_apply_constraint_shift(e1, e1_sol):
+def test_bias_instance_constraint_shift(monkeypatch, e1, e1_sol):
     b21 = np.zeros((3, 2))
     b21[0, 0] = 1.0
-    out, rec = _bias_apply(e1, e1_sol, np.zeros((2, 2)), b21)
+    out, rec = _bias_with_draws(monkeypatch, e1, e1_sol, np.zeros((2, 1)), b21)
     assert np.array_equal(out.a.to_dense()[0], [2.0, 1.0])
     assert np.array_equal(out.b, [1.5, 0.0, 0.0])
     assert np.array_equal(out.c, [-3.0, -2.0])
@@ -1001,3 +1016,61 @@ def test_add_vars_batch_matches_loop_reference(family, labeled, count):
         assert _bits(out_sol.lam) == _bits(ref_sol.lam)
         assert _bits(out_sol.slack) == _bits(ref_sol.slack)
         assert out_sol.objective == ref_sol.objective
+
+
+# ------------------------------------------------------------ public-op bytes
+
+# sha256 of the file save_instance writes for each public addition op and
+# bias_instance applied to a seeded QP and LP, with the mapped solution;
+# recorded while add_constraints still built its rows through scipy
+PINNED_PUBLIC_OPS_SHA256 = {
+    "lp_add_constraints.json":
+        "4209b53efddc6f420ce34b88100684068072a3b9dda24aad62a90494d3e8d05a",
+    "lp_add_variable_constrained.json":
+        "ed06eebebe726b3d071903c629a20d190657aeeea6aa22d63bad315eccc2c2ed",
+    "lp_bias_instance.json":
+        "5e8da7126390d99255b555cf68d3eaace851116d2cade9510d98824842cfa100",
+    "qp_add_constraints.json":
+        "401f0241f54977258330984bc37ac03d1e803e4480a77261a9d99a176e2f9d9e",
+    "qp_add_variable_biased.json":
+        "af61fd58fdc7b005e8f29d416e8af11fcdb759ec7037d212a44dace67a57cd2b",
+    "qp_add_variable_constrained.json":
+        "c2079f36b433d2d9bc5598608fe6db76a1b8166161c3579d812a2c19afd4fcff",
+    "qp_add_variables.json":
+        "bfaa8076b5cb669c5f6a90e80d363f5f0d8de82176a57348c8b110ea334641f0",
+    "qp_bias_instance.json":
+        "a7a25da1e1a0d704684866bdb348f954e1357cabb13b9eddcfdd9bee556a1ebc",
+}
+
+
+def test_public_addition_and_bias_ops_bytes_pinned(tmp_path):
+    """A change to the arithmetic of an addition op or bias_instance, or to
+    the instance it builds, shows here as a changed file."""
+    digests = {}
+    for label, inst in (("qp", gen_qp(12, 8, 0.4, 0.4, seed=21)),
+                        ("lp", gen_lp(12, 8, 0.4, 21, bounded=True))):
+        sol = solve_splitting(inst)
+        rng = np.random.default_rng(5)
+        n, m = inst.n, inst.m
+        weights = np.zeros((3, m))
+        for w in weights:
+            w[rng.choice(m, size=3, replace=False)] = rng.random(3) + 1e-9
+        half = rng.random(m) < 0.5
+        results = {
+            "add_variable_constrained": add_variable_constrained(
+                inst, 0.0 if inst.kind is ProblemKind.LP else 0.5,
+                -np.abs(rng.standard_normal(m)) * ~half, -0.3),
+            "add_constraints": add_constraints(inst, weights),
+            "bias_instance": bias_instance(inst, sol, rank=2, magnitude=0.25, seed=9),
+        }
+        if inst.kind is ProblemKind.QP:
+            # add_variables needs a positive definite Q, and add_variable_biased
+            # keeps the kind while adding a positive diagonal entry
+            results["add_variables"] = add_variables(inst, rng.standard_normal(n))
+            results["add_variable_biased"] = add_variable_biased(
+                inst, sol, 0.7, rng.standard_normal(m) * half)
+        for op, (out, rec) in results.items():
+            path = tmp_path / f"{label}_{op}.json"
+            save_instance(path, out, map_solution(rec, out, sol))
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == PINNED_PUBLIC_OPS_SHA256
