@@ -37,10 +37,12 @@ from .fileio import (
     save_manifest,
 )
 from .generators import GENERATOR_FAMILIES, _label_and_save, _run_tasks, gen_dataset, split_labels
+# solve_splitting and kkt_residuals are not called here but stay importable from
+# cli, where perfbench/tracing.py wraps them; this solve_splitting is the
+# generators one, which imports the solver (and scipy) only on the first solve
+from .generators import solve_splitting  # noqa: F401
 from .graphenc import to_bipartite_graph
 from .rng import derive_seed
-# with kkt_residuals, not called here: perfbench/tracing.py wraps both names in cli
-from .solver import solve_splitting  # noqa: F401
 from .transforms import (
     _SOLUTION_DEPENDENT,
     AugmentPolicy,
@@ -158,7 +160,7 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(str(src_dir / e["path"]), str(out_dir / name)) for e, name in zip(entries, names)]
-    results = _run_tasks(_solve_task, tasks, jobs)
+    results = _run_tasks(_solve_task, tasks, jobs, solve=True)
     out_entries = [
         {**e, "path": name, "labeled": labeled, "solver_status": status}
         for e, name, (status, labeled) in zip(entries, names, results)

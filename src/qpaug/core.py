@@ -18,10 +18,10 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lapack
 
 if TYPE_CHECKING:  # pragma: no cover
+    import scipy.sparse
+
     from .transforms import TransformRecord
 
 
@@ -48,6 +48,19 @@ def _as_float_vector(v, length: int, label: str) -> np.ndarray:
         raise InputError(f"{label} contains non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+def _operand(v, length: int, label: str) -> np.ndarray:
+    v = np.asarray(v)
+    if v.shape != (length,):
+        raise InputError(f"{label} must have shape ({length},), got {v.shape}")
+    return v
+
+
+def _ordered_sum(keys: np.ndarray, terms: np.ndarray, length: int) -> np.ndarray:
+    """out[k] = the sum of terms[keys == k], added in array order from 0.0."""
+    # bincount gives integer zeros when there are no terms
+    return np.bincount(keys, terms, minlength=length).astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +113,8 @@ class SparseMatrix:
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseMatrix":
+        import scipy.sparse as sp
+
         coo = sp.coo_matrix(mat)
         coo.sum_duplicates()
         return cls(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
@@ -118,11 +133,14 @@ class SparseMatrix:
         return (self.n_rows, self.n_cols)
 
     @cached_property
-    def csr(self) -> sp.csr_matrix:
-        m = sp.csr_matrix(
+    def csr(self) -> scipy.sparse.csr_matrix:
+        """The matrix as scipy CSR, for the solver and the graph encoder; the
+        rest of the package runs on numpy alone, so scipy loads here."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix(
             (self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols)
         )
-        return m
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
@@ -130,10 +148,16 @@ class SparseMatrix:
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
+        """A x.  Each row is summed in storage order from 0.0, as scipy's CSR
+        kernel sums it, so the result is bit-identical to `self.csr @ x`."""
+        x = _operand(x, self.n_cols, "x")
+        return _ordered_sum(self.rows, self.vals * x[self.cols], self.n_rows)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.csr.T @ y
+        """A' y, bit-identical to `self.csr.T @ y` (each column summed in
+        row order)."""
+        y = _operand(y, self.n_rows, "y")
+        return _ordered_sum(self.cols, self.vals * y[self.rows], self.n_cols)
 
     def row_norms(self) -> np.ndarray:
         sq = np.zeros(self.n_rows)
@@ -360,6 +384,8 @@ def psd_certificate(q: SparseMatrix, tol: float | None = None) -> Definiteness:
         tol = 1e-10 * scale
     # limit for off-diagonal mass of a PSD matrix whose diagonal is below tol
     off_limit = max(tol, np.sqrt(tol * scale))
+    from scipy.linalg import lapack
+
     fac, piv, rank, _ = lapack.dpstrf(h, tol=tol, lower=1)
     if rank == n:
         return Definiteness.PD

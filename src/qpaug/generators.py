@@ -26,7 +26,6 @@ from .core import (
 )
 from .fileio import save_instance, save_manifest
 from .rng import derive_rng, derive_seed
-from .solver import InfeasibleOrUnbounded, Unbounded, Unconverged, solve_splitting
 from .transforms import MapKind, SolutionMap, TransformRecord
 
 
@@ -251,9 +250,19 @@ GENERATOR_FAMILIES = {
 }
 
 
+def solve_splitting(inst, *args, **kwargs):
+    """`solver.solve_splitting`.  The solver, and with it scipy, is imported
+    on the first solve: generating without --solve never loads them."""
+    from .solver import solve_splitting
+
+    return solve_splitting(inst, *args, **kwargs)
+
+
 def _label(inst):
     """Solve `inst` and classify the outcome: ("ok", sol), or a failure status
     and None.  A solution over the 1e-6 relative KKT gate counts as failed."""
+    from .solver import InfeasibleOrUnbounded, Unbounded, Unconverged
+
     try:
         sol = solve_splitting(inst)
     except Unbounded:
@@ -275,9 +284,12 @@ def _label_and_save(path, inst, solve):
     return status, sol is not None
 
 
-def _run_tasks(fn, tasks, jobs):
-    """[fn(t) for t in tasks], in a pool of `jobs` processes when jobs > 1."""
+def _run_tasks(fn, tasks, jobs, solve):
+    """[fn(t) for t in tasks], in a pool of `jobs` processes when jobs > 1.
+    Tasks that `solve` find the solver imported in every forked worker."""
     if jobs is not None and jobs > 1:
+        if solve:
+            from . import solver  # noqa: F401
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
@@ -326,7 +338,7 @@ def gen_dataset(out_dir, family, size_params, count, seed, solve=False, jobs=Non
         (str(out_dir), family, dict(size_params), seeds[i], f"{family}_{i:05d}", bool(solve))
         for i in range(count)
     ]
-    results = _run_tasks(_dataset_worker, tasks, jobs)
+    results = _run_tasks(_dataset_worker, tasks, jobs, solve)
     split = split_labels(count, seed)
     entries = [
         {"path": f"{family}_{i:05d}.json", "split": split[i], "family": family,

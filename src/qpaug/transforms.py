@@ -21,6 +21,7 @@ from .core import (
     ProblemKind,
     Solution,
     SparseMatrix,
+    _ordered_sum,
     partition_constraints,
     psd_certificate,
 )
@@ -320,7 +321,8 @@ def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
 
 def add_variable_biased(inst: LcqpInstance, sol: Solution, q_diag: float, a_col):
     """Append a decoupled variable; its cost is chosen so the stationarity row
-    closes at zero, which needs the optimal duals."""
+    closes at zero, which needs the optimal duals.  Its q_diag > 0 makes the
+    result a QP, from an LP too."""
     _check_sol(inst, sol)
     if q_diag <= 0:
         raise InputError("q_diag must be positive")
@@ -333,7 +335,7 @@ def add_variable_biased(inst: LcqpInstance, sol: Solution, q_diag: float, a_col)
         SolutionMap(MapKind.EXTENDED_WITH_ZEROS, side="primal", indices=[inst.n]),
     )
     out = _append(
-        inst, record, c_new=[-float(a_col @ sol.lam)],
+        inst, record, c_new=[-float(a_col @ sol.lam)], kind=ProblemKind.QP,
         q_new=[([inst.n], [inst.n], [float(q_diag)])], a_new=[_column(a_col, inst.n)],
     )
     return out, record
@@ -399,7 +401,12 @@ def add_constraints(inst: LcqpInstance, weights: Sequence):
         raise InputError("weights must be nonnegative")
     if not np.all(w.max(axis=1, initial=0.0) > 0):
         raise InputError("weight vector must not be all zero")
-    new_rows = (inst.a.csr.T @ w.T).T
+    # W A, entry (r, j) summed over A's column j in row order from 0.0: the
+    # bits of scipy's (A.csr.T @ W.T).T
+    a, k = inst.a, len(w)
+    terms = a.vals[:, None] * w[:, a.rows].T
+    keys = a.cols[:, None] * k + np.arange(k)
+    new_rows = _ordered_sum(keys.ravel(), terms.ravel(), inst.n * k).reshape(inst.n, k).T
     rows, cols = np.nonzero(new_rows)
     w_rows, w_cols = np.nonzero(w)
     record = TransformRecord(

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpaug import (
@@ -118,6 +118,56 @@ def test_sparse_sort_key_matches_lexsort(n_rows, n_cols, seed):
     assert sym.is_symmetric()
     for mat in (m, sym, bumped):
         assert mat.is_symmetric() == _symmetric_by_lexsort(mat)
+
+
+def _wide_range_sparse(rng, n_rows, n_cols):
+    """Random signs and magnitudes 1e-6 .. 1e6, about half the entries zero,
+    with one row and one column emptied when there are any."""
+    dense = np.where(rng.random((n_rows, n_cols)) < 0.5, 0.0,
+                     rng.choice([-1.0, 1.0], (n_rows, n_cols))
+                     * 10.0 ** rng.uniform(-6, 6, (n_rows, n_cols)))
+    if n_rows and n_cols:
+        dense[rng.integers(n_rows)] = 0.0
+        dense[:, rng.integers(n_cols)] = 0.0
+    return SparseMatrix.from_dense(dense)
+
+
+@settings(max_examples=500)
+@given(st.integers(0, 20), st.integers(0, 20), st.integers(1, 4), st.integers(0, 10**6))
+def test_products_bit_identical_to_scipy(n_rows, n_cols, k, seed):
+    """matvec, rmatvec and add_constraints' rows W A hold the same bytes as
+    scipy's csr @ x, csr.T @ y and (csr.T @ W.T).T, m = 0 included."""
+    from qpaug import add_constraints
+
+    rng = np.random.default_rng(seed)
+    a = _wide_range_sparse(rng, n_rows, n_cols)
+    csr = sp.csr_matrix(a.to_dense())
+    x = rng.standard_normal(n_cols) * 10.0 ** rng.uniform(-6, 6, n_cols)
+    y = rng.standard_normal(n_rows) * 10.0 ** rng.uniform(-6, 6, n_rows)
+    assert a.matvec(x).tobytes() == (csr @ x).tobytes()
+    assert a.rmatvec(y).tobytes() == (csr.T @ y).tobytes()
+    if not (n_rows and n_cols):
+        return
+    w = np.where(rng.random((k, n_rows)) < 0.5, 0.0, 10.0 ** rng.uniform(-6, 6, (k, n_rows)))
+    w[np.arange(k), rng.integers(n_rows, size=k)] = 1.0  # no all-zero weight row
+    inst = LcqpInstance(q=SparseMatrix.zeros(n_cols, n_cols), a=a, b=np.zeros(n_rows),
+                        c=np.zeros(n_cols), kind=ProblemKind.LP)
+    out, _ = add_constraints(inst, w)
+    assert out.a.to_dense()[n_rows:].tobytes() == (csr.T @ w.T).T.tobytes()
+
+
+def test_products_reject_misshapen_operands():
+    """scipy took a 2-D operand as a matrix product; a bare x[cols] would read
+    a longer vector's head.  Both shapes are refused."""
+    a = SparseMatrix.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+    assert a.matvec([1.0, 1.0, 1.0]).tolist() == [3.0, 3.0]
+    assert a.rmatvec([1.0, 1.0]).tolist() == [1.0, 3.0, 2.0]
+    for bad in ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0], np.ones((3, 1)), np.ones((3, 2)), 1.0):
+        with pytest.raises(InputError, match="x must have shape"):
+            a.matvec(bad)
+    for bad in ([1.0, 1.0, 1.0], [1.0], np.ones((2, 1)), np.ones((1, 2)), 1.0):
+        with pytest.raises(InputError, match="y must have shape"):
+            a.rmatvec(bad)
 
 
 # ---------------------------------------------------------------- LcqpInstance

@@ -1,0 +1,105 @@
+"""Import discipline: scipy loads only where the program solves or factors.
+
+`import qpaug` and the commands that never solve (help, generate without
+--solve, augment, verify, graph) run on numpy alone; each is run here as its
+own process, the way `python -m qpaug` runs it, and must leave no scipy
+module behind.  `generate --solve` and `solve` must load it, so the check can
+tell the two apart."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qpaug
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# runs `python -m qpaug ARGS`, then prints the exit code and the scipy modules
+# loaded as the last line of stdout
+PROBE = """
+import json, runpy, sys
+try:
+    runpy.run_module("qpaug", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+QP = ["--family", "qp", "--rows", "6", "--cols", "5", "--density-a", "0.5",
+      "--density-q", "0.5", "--count", "2", "--seed", "3"]
+
+
+def python(*args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def probe(cwd, *args):
+    proc = python("-c", PROBE, *args, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0, proc.stderr
+    return result["scipy"]
+
+
+def test_only_solving_commands_load_scipy(tmp_path):
+    no_scipy = [
+        ["--help"],
+        ["generate", *QP, "--out", "raw"],
+        ["augment", "--manifest", "raw/manifest.json", "--views", "2", "--seed", "1",
+         "--out", "views"],
+        ["graph", "--manifest", "views/manifest.json", "--out", "graphs"],
+    ]
+    for args in no_scipy:
+        assert probe(tmp_path, *args) == [], args
+    assert "scipy.sparse.linalg" in probe(tmp_path, "generate", *QP, "--solve", "--out", "lab")
+    no_scipy = [
+        ["augment", "--manifest", "lab/manifest.json", "--per-instance", "1", "--seed", "1",
+         "--out", "aug"],
+        ["verify", "--manifest", "aug/manifest.json"],
+        ["graph", "--manifest", "aug/manifest.json", "--out", "graphs-aug"],
+    ]
+    for args in no_scipy:
+        assert probe(tmp_path, *args) == [], args
+    assert "scipy.sparse.linalg" in probe(tmp_path, "solve", "--manifest", "aug/manifest.json",
+                                          "--out", "sol")
+    assert probe(tmp_path, "verify", "--manifest", "sol/manifest.json") == []
+
+
+def test_import_qpaug_loads_no_scipy():
+    proc = python("-c", "import sys, qpaug; "
+                  "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from qpaug import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(qpaug.__all__)
+    assert len(set(qpaug.__all__)) == len(qpaug.__all__) == 55
+
+
+def test_public_names_are_the_defining_modules_objects():
+    from qpaug import core, generators, graphenc, solver, transforms
+
+    assert qpaug.solve_splitting is solver.solve_splitting
+    assert qpaug.SparseMatrix is core.SparseMatrix
+    assert qpaug.apply_policy is transforms.apply_policy
+    assert qpaug.gen_qp is generators.gen_qp
+    assert qpaug.mpnn_forward is graphenc.mpnn_forward
+    assert set(qpaug.__all__) <= set(dir(qpaug))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qpaug.no_such_name  # noqa: B018
+    assert not hasattr(qpaug, "solve_splitting_fast")
+    assert qpaug.__version__ == "0.1.0"

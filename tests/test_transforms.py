@@ -334,6 +334,21 @@ def test_add_variable_biased_needs_positive_diag(e1, e1_sol):
         add_variable_biased(e1, e1_sol, q_diag=0.0, a_col=np.zeros(3))
 
 
+def test_add_variable_biased_upgrades_lp_to_qp():
+    """Its positive q_diag makes an LP's result a QP, as add_variable_constrained
+    and bias_instance do; the mapped pair stays optimal."""
+    inst = gen_lp(12, 8, 0.4, 21, bounded=True)
+    sol = solve_splitting(inst)
+    a_col = np.random.default_rng(5).standard_normal(inst.m)
+    out, rec = add_variable_biased(inst, sol, 0.7, a_col)
+    assert inst.kind is ProblemKind.LP and out.kind is ProblemKind.QP
+    assert out.q.nnz == 1 and out.q.to_dense()[inst.n, inst.n] == 0.7
+    mapped = map_solution(rec, out, sol)
+    assert np.array_equal(mapped.x, np.append(sol.x, 0.0))
+    assert np.array_equal(mapped.lam, sol.lam)
+    assert kkt_residuals(out, mapped, relative=True).max_residual <= 1e-6
+
+
 # ----------------------------------------------------- add_variable_constrained
 
 def test_add_variable_constrained_e1(e1, e1_sol):
@@ -1064,8 +1079,8 @@ def test_public_addition_and_bias_ops_bytes_pinned(tmp_path):
             "bias_instance": bias_instance(inst, sol, rank=2, magnitude=0.25, seed=9),
         }
         if inst.kind is ProblemKind.QP:
-            # add_variables needs a positive definite Q, and add_variable_biased
-            # keeps the kind while adding a positive diagonal entry
+            # add_variables needs a positive definite Q; add_variable_biased on
+            # an LP is test_add_variable_biased_upgrades_lp_to_qp
             results["add_variables"] = add_variables(inst, rng.standard_normal(n))
             results["add_variable_biased"] = add_variable_biased(
                 inst, sol, 0.7, rng.standard_normal(m) * half)
