@@ -160,7 +160,7 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(str(src_dir / e["path"]), str(out_dir / name)) for e, name in zip(entries, names)]
-    results = _run_tasks(_solve_task, tasks, jobs, solve=True)
+    results = _run_tasks(_solve_task, tasks, jobs)
     out_entries = [
         {**e, "path": name, "labeled": labeled, "solver_status": status}
         for e, name, (status, labeled) in zip(entries, names, results)

@@ -41,9 +41,7 @@ class Definiteness(enum.Enum):
 
 
 def _as_float_vector(v, length: int, label: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (length,):
-        raise InputError(f"{label} must have shape ({length},), got {arr.shape}")
+    arr = _operand(np.asarray(v, dtype=np.float64), length, label)
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{label} contains non-finite entries")
     arr.flags.writeable = False

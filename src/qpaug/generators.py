@@ -284,12 +284,9 @@ def _label_and_save(path, inst, solve):
     return status, sol is not None
 
 
-def _run_tasks(fn, tasks, jobs, solve):
-    """[fn(t) for t in tasks], in a pool of `jobs` processes when jobs > 1.
-    Tasks that `solve` find the solver imported in every forked worker."""
+def _run_tasks(fn, tasks, jobs):
+    """[fn(t) for t in tasks], in a pool of `jobs` processes when jobs > 1."""
     if jobs is not None and jobs > 1:
-        if solve:
-            from . import solver  # noqa: F401
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
@@ -338,7 +335,7 @@ def gen_dataset(out_dir, family, size_params, count, seed, solve=False, jobs=Non
         (str(out_dir), family, dict(size_params), seeds[i], f"{family}_{i:05d}", bool(solve))
         for i in range(count)
     ]
-    results = _run_tasks(_dataset_worker, tasks, jobs, solve)
+    results = _run_tasks(_dataset_worker, tasks, jobs)
     split = split_labels(count, seed)
     entries = [
         {"path": f"{family}_{i:05d}.json", "split": split[i], "family": family,

@@ -21,7 +21,6 @@ from .core import (
     ProblemKind,
     Solution,
     SparseMatrix,
-    _ordered_sum,
     partition_constraints,
     psd_certificate,
 )
@@ -401,12 +400,7 @@ def add_constraints(inst: LcqpInstance, weights: Sequence):
         raise InputError("weights must be nonnegative")
     if not np.all(w.max(axis=1, initial=0.0) > 0):
         raise InputError("weight vector must not be all zero")
-    # W A, entry (r, j) summed over A's column j in row order from 0.0: the
-    # bits of scipy's (A.csr.T @ W.T).T
-    a, k = inst.a, len(w)
-    terms = a.vals[:, None] * w[:, a.rows].T
-    keys = a.cols[:, None] * k + np.arange(k)
-    new_rows = _ordered_sum(keys.ravel(), terms.ravel(), inst.n * k).reshape(inst.n, k).T
+    new_rows = np.array([inst.a.rmatvec(wr) for wr in w]).reshape(len(w), inst.n)
     rows, cols = np.nonzero(new_rows)
     w_rows, w_cols = np.nonzero(w)
     record = TransformRecord(
