@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -135,6 +136,11 @@ def cmd_generate(args) -> int:
         val = getattr(args, flag)
         if val is not None:
             size_params[kw] = val
+    params = inspect.signature(GENERATOR_FAMILIES[args.family]).parameters
+    missing = [f"--{flag.replace('_', '-')}" for flag, kw in _SIZE_FLAG_TO_KW
+               if kw in params and params[kw].default is params[kw].empty and kw not in size_params]
+    if missing:
+        raise InputError(f"--family {args.family} needs {', '.join(missing)}")
     entries = gen_dataset(
         args.out, args.family, size_params, args.count, args.seed,
         solve=bool(args.solve), jobs=_resolve_jobs(args),

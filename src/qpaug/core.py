@@ -41,7 +41,8 @@ class Definiteness(enum.Enum):
 
 
 def _as_float_vector(v, length: int, label: str) -> np.ndarray:
-    arr = _operand(np.asarray(v, dtype=np.float64), length, label)
+    """A read-only float64 copy of `v`; the caller's array stays writeable."""
+    arr = _operand(np.array(v, dtype=np.float64), length, label)
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{label} contains non-finite entries")
     arr.flags.writeable = False
@@ -90,13 +91,15 @@ class SparseMatrix:
                 raise InputError("column index out of range")
             if not np.all(np.isfinite(vals)):
                 raise InputError("matrix values must be finite")
+            # the mask copies, so storage never aliases the caller's arrays
             keep = vals != 0.0
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
             flat = rows * self.n_cols + cols  # (row, col) order as one key
-            order = np.argsort(flat, kind="stable")
-            rows, cols, vals, flat = rows[order], cols[order], vals[order], flat[order]
-            if np.any(flat[1:] == flat[:-1]):
-                raise InputError("duplicate (row, col) entry")
+            if np.any(flat[1:] <= flat[:-1]):  # not already in canonical order
+                order = np.argsort(flat, kind="stable")
+                rows, cols, vals, flat = rows[order], cols[order], vals[order], flat[order]
+                if np.any(flat[1:] == flat[:-1]):
+                    raise InputError("duplicate (row, col) entry")
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -166,7 +169,10 @@ class SparseMatrix:
         """Exact structural symmetry: (i, j, v) stored iff (j, i, v) stored."""
         if self.n_rows != self.n_cols:
             return False
-        order = np.argsort(self.cols * self.n_rows + self.rows, kind="stable")
+        # rows increase within each column of canonical storage, so a stable
+        # sort by column alone gives the (col, row) order; in the narrowest
+        # unsigned dtype numpy sorts it by radix, in O(nnz)
+        order = np.argsort(self.cols.astype(np.min_scalar_type(self.n_cols)), kind="stable")
         return (
             np.array_equal(self.rows, self.cols[order])
             and np.array_equal(self.cols, self.rows[order])
@@ -250,9 +256,10 @@ class Solution:
     objective: float
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        lam = np.asarray(self.lam, dtype=np.float64)
-        slack = np.asarray(self.slack, dtype=np.float64)
+        # copies: the stored arrays are frozen, the caller's stay writeable
+        x = np.array(self.x, dtype=np.float64)
+        lam = np.array(self.lam, dtype=np.float64)
+        slack = np.array(self.slack, dtype=np.float64)
         if lam.shape != slack.shape:
             raise InputError("lam and slack must have equal length")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):

@@ -1,34 +1,42 @@
 """Instance, graph and manifest serialization.
 
-One instance per JSON file: name, kind, n, m, q/a as parallel COO arrays,
-b, c, an optional solution {x, lam, objective}, and optional provenance
-(the transform records that produced the instance).  Every file is compact
-JSON, written atomically via a temp file so readers never observe a partial
-document.
+One instance per JSON file: name, kind, n, m, q/a as packed keys and
+values, b, c, an optional solution {x, lam, objective}, and optional
+provenance (the transform records that produced the instance).  Every file
+is compact JSON, written atomically via a temp file so readers never observe
+a partial document.
 
 Fixed-schema float64 arrays (q/a vals, b, c, the solution's x and lam, a
 solution map's values, a graph's node features and edge weights) are each
 one string: the base64 of their little-endian float64 bytes, which
-round-trips every value bit for bit.  Indices, dimensions, the objective
-and free-form params stay plain JSON.  Every numeric field goes through one
+round-trips every value bit for bit.  A sparse matrix's coordinates are
+one string too: the keys row * n_cols + col of its entries, in canonical
+(strictly increasing) order, packed in the narrowest of <u2, <u4 and <i8
+that holds n_rows * n_cols - 1, so the reader, which knows the shape, needs
+no dtype tag.  Dimensions, solution map indices, the objective and
+free-form params stay plain JSON.  Every numeric field goes through one
 checked reader: a packed string must decode strictly to a whole number of
-finite float64 values, and a list must hold JSON numbers only (integers
-for an index), never booleans or strings.
+finite float64 values or of keys that strictly increase below
+n_rows * n_cols, and a list must hold JSON numbers only (integers for an
+index), never booleans or strings.
 
 A symmetric matrix is stored once per pair: an instance's q keeps the
 entries with row <= col, a graph's variable-variable edges those with
 src <= dst, and loading mirrors the rest back.  Storage holding any entry
 below the diagonal is the earlier full form and must itself be symmetric.
-A graph file gives its node counts (n_var, n_con); an edge leaving a
-constraint node (src >= n_var) is a constraint edge.
+A graph file gives its node counts (n_var, n_con) and keys its edges over
+the square of all n_var + n_con nodes, constraint nodes numbered after the
+variable nodes; an edge leaving a constraint node (src >= n_var) is a
+constraint edge.
 
 Files written by earlier versions load to equal objects: indented files,
-float arrays as JSON lists, full storage, graphs with a per-node side list
-(all var entries, then all con entries) or a per-edge kind list.  A
-solution map's values and indices must be flat arrays of numbers and of
-nonnegative integers.  An earlier dense add_variable_constrained map (null
-indices, values c_new then all of a_col) loads in the sparse form; an
-earlier drop record's `dropped` param loads as read and is never replayed.
+float arrays as JSON lists, coordinates as rows/cols or src/dst lists, full
+storage, graphs with a per-node side list (all var entries, then all con
+entries) or a per-edge kind list.  A solution map's values and indices must
+be flat arrays of numbers and of nonnegative integers.  An earlier dense
+add_variable_constrained map (null indices, values c_new then all of a_col)
+loads in the sparse form; an earlier drop record's `dropped` param loads as
+read and is never replayed.
 """
 from __future__ import annotations
 
@@ -63,12 +71,44 @@ def _parse(path) -> object:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _packed(arr) -> str:
-    """A float64 array as the base64 of its little-endian bytes."""
-    arr = np.ascontiguousarray(arr, dtype="<f8")
+def _packed(arr, dtype="<f8") -> str:
+    """`arr` as the base64 of its little-endian `dtype` bytes."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite values cannot be stored")
     return base64.b64encode(arr.tobytes()).decode("ascii")
+
+
+def _unpacked(text, dtype) -> np.ndarray:
+    """The `dtype` values whose bytes `text` holds in strict base64."""
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) % np.dtype(dtype).itemsize:
+        raise ValueError(f"{len(raw)} bytes is not a whole number of {dtype} values")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _key_dtype(n_rows, n_cols) -> str:
+    """The narrowest of <u2, <u4 and <i8 that holds every key of the shape."""
+    top = n_rows * n_cols - 1
+    return "<u2" if top < 2**16 else "<u4" if top < 2**32 else "<i8"
+
+
+def _packed_keys(rows, cols, n_rows, n_cols) -> str:
+    """Entries (rows, cols) of an n_rows x n_cols matrix as packed keys."""
+    return _packed(rows * n_cols + cols, _key_dtype(n_rows, n_cols))
+
+
+def _keys_field(value, label, n_rows, n_cols):
+    """(rows, cols) int64 arrays from a `_packed_keys` string, which must
+    decode strictly to keys that strictly increase within [0, n_rows * n_cols)."""
+    try:  # b64decode raises TypeError on a value that is not a string
+        keys = _unpacked(value, _key_dtype(n_rows, n_cols)).astype(np.int64)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise InputError(f"{label} must be packed keys ({exc})") from exc
+    size = n_rows * n_cols
+    if keys.size and not (keys[0] >= 0 and keys[-1] < size and np.all(keys[1:] > keys[:-1])):
+        raise InputError(f"{label} must strictly increase within [0, {size})")
+    return np.divmod(keys, n_cols)
 
 
 # the JSON types a list of each dtype may hold: bool is an int subclass and a
@@ -83,10 +123,7 @@ def _array_field(value, label, dtype, ndim=1) -> np.ndarray:
     index, "1.0" as a number) and non-finite floats."""
     try:
         if isinstance(value, str) and dtype is np.float64 and ndim == 1:
-            raw = base64.b64decode(value, validate=True)
-            if len(raw) % 8:
-                raise ValueError(f"{len(raw)} bytes is not a whole number of float64 values")
-            vals = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+            vals = _unpacked(value, "<f8").astype(np.float64)
         else:
             items = value if ndim else [value]
             if not (isinstance(items, list) and set(map(type, items)) <= _JSON_TYPES[dtype]):
@@ -113,23 +150,26 @@ def _mirrored(rows, cols, vals):
 
 
 def _matrix_to_doc(mat: SparseMatrix, upper=False) -> dict:
-    """COO arrays of `mat`; with `upper`, only its entries with row <= col."""
+    """Packed keys and values of `mat`; with `upper`, only its entries with
+    row <= col."""
     keep = mat.rows <= mat.cols if upper else slice(None)
-    return {"rows": mat.rows[keep].tolist(), "cols": mat.cols[keep].tolist(),
+    return {"keys": _packed_keys(mat.rows[keep], mat.cols[keep], *mat.shape),
             "vals": _packed(mat.vals[keep])}
 
 
 def _matrix_from_doc(doc, n_rows, n_cols, label, upper=False) -> SparseMatrix:
-    if not isinstance(doc, dict) or set(doc) - {"rows", "cols", "vals"}:
-        raise InputError(f"field {label}: expected rows/cols/vals arrays")
-    try:
-        rows = _array_field(doc["rows"], f"{label}.rows", np.int64)
-        cols = _array_field(doc["cols"], f"{label}.cols", np.int64)
-        vals = _array_field(doc["vals"], f"{label}.vals", np.float64)
-    except KeyError as exc:
-        raise InputError(f"field {label}: {exc}") from exc
+    """A matrix from packed keys and vals, or from earlier rows/cols/vals."""
+    keyed = isinstance(doc, dict) and "keys" in doc
+    fields = {"keys", "vals"} if keyed else {"rows", "cols", "vals"}
+    if not isinstance(doc, dict) or set(doc) != fields:
+        raise InputError(f"field {label}: expected keys/vals or rows/cols/vals arrays")
+    if keyed:
+        rows, cols = _keys_field(doc["keys"], f"{label}.keys", n_rows, n_cols)
+    else:
+        rows, cols = (_array_field(doc[k], f"{label}.{k}", np.int64) for k in ("rows", "cols"))
+    vals = _array_field(doc["vals"], f"{label}.vals", np.float64)
     if not (rows.shape == cols.shape == vals.shape):
-        raise InputError(f"field {label}: rows/cols/vals lengths differ")
+        raise InputError(f"field {label}: coordinate and value counts differ")
     if upper:
         rows, cols, vals = _mirrored(rows, cols, vals)
     return SparseMatrix(n_rows, n_cols, rows, cols, vals)
@@ -247,21 +287,24 @@ def load_instance_unchecked(path):
 
 
 def save_graph(path, graph):
-    """Graph export: node counts and features, and flat edge arrays, vv
-    edges first and stored one way (src <= dst), with constraint nodes
-    numbered after the variable nodes."""
-    n = graph.n_var_nodes
-    vv = graph.vv_edges[graph.vv_edges["src"] <= graph.vv_edges["dst"]]
-    edges = np.concatenate([vv, graph.ca_edges])
-    edges["src"][len(vv):] += n
+    """Graph export: node counts and features, and the edges keyed over the
+    square of all nodes, constraint nodes numbered after the variable nodes:
+    vv edges first, stored one way (src <= dst), then ca edges, so the keys
+    strictly increase."""
+    n, q, a = graph.n_var_nodes, graph.q, graph.a
+    side = n + graph.n_con_nodes
+    upper = q.rows <= q.cols
     doc = {
         "nodes": {
             "n_var": n,
             "n_con": graph.n_con_nodes,
             "feature": _packed(np.concatenate([graph.var_features, graph.con_features])),
         },
-        "edges": {"src": edges["src"].tolist(), "dst": edges["dst"].tolist(),
-                  "weight": _packed(edges["weight"])},
+        "edges": {
+            "keys": _packed_keys(np.concatenate([q.rows[upper], a.rows + n]),
+                                 np.concatenate([q.cols[upper], a.cols]), side, side),
+            "weight": _packed(np.concatenate([q.vals[upper], a.vals])),
+        },
     }
     _write_json(path, doc)
 
@@ -284,10 +327,16 @@ def load_graph(path):
         if min(n_var, n_con) < 0 or len(feature) != n_var + n_con:
             raise InputError("nodes.feature must hold one value per node")
         edges = doc["edges"]
-        src, dst = (_array_field(edges[key], f"edges.{key}", np.int64) for key in ("src", "dst"))
+        if "keys" in edges:
+            if set(edges) != {"keys", "weight"}:
+                raise InputError("edges with keys hold keys and weight only")
+            side = n_var + n_con
+            src, dst = _keys_field(edges["keys"], "edges.keys", side, side)
+        else:  # earlier files list src and dst
+            src, dst = (_array_field(edges[k], f"edges.{k}", np.int64) for k in ("src", "dst"))
         weight = _array_field(edges["weight"], "edges.weight", np.float64)
         if not src.shape == dst.shape == weight.shape:
-            raise InputError("edges.src, dst and weight differ in length")
+            raise InputError("edges: coordinate and weight counts differ")
         is_ca = src >= n_var
         if "kind" in edges:  # earlier files list each edge's kind
             kind = _array_field(edges["kind"], "edges.kind", np.str_)

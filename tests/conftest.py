@@ -43,15 +43,40 @@ def repacked(text, edit):
     return packed(edit(unpacked(text)))
 
 
+# the key width of every matrix in the suite's small fixtures, which have
+# fewer than 2**16 cells
+KEY_DTYPE = "<u2"
+
+
+def unpacked_keys(text):
+    """A packed keys field (row * n_cols + col per entry) as a list of ints,
+    decoded here without the package's reader."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype=KEY_DTYPE).tolist()
+
+
+def packed_keys(keys):
+    """`keys` as a packed keys field, encoded here without the package."""
+    return base64.b64encode(np.asarray(keys, dtype=KEY_DTYPE).tobytes()).decode("ascii")
+
+
+def rekeyed(text, edit):
+    """The packed keys field `text` with `edit` applied to its decoded list."""
+    return packed_keys(edit(unpacked_keys(text)))
+
+
 def _first_as_string(text):
     values = unpacked(text)
     return [str(values[0]), *values[1:]]
 
 
+# the labeled fixture's a is 6 x 3, so 18 is the first key out of its range
+A_CELLS = 18
+
 # (path of a field in an instance file, edit of its stored value): each edit
-# of the labeled fixture, saved in today's form, must make loading raise
-# InputError.  An earlier version loaded each list case but map-values-string:
-# true as 1, a string parsed as the number it spells.
+# of the labeled fixture, saved in today's form (or, for LIST_FORM_CASES, as
+# stored, with coordinates as lists), must make loading raise InputError.  An
+# earlier version loaded each list case but map-values-string: true as 1, a
+# string parsed as the number it spells.
 MALFORMED_NUMBERS = {
     "b-bad-base64": (("b",), lambda s: "!" + s[1:]),
     "x-partial-value": (("solution", "x"), lambda s: base64.b64encode(bytes(12)).decode()),
@@ -76,14 +101,29 @@ MALFORMED_NUMBERS = {
     "lam-string": (("solution", "lam"), _first_as_string),
     "map-values-string": (("provenance", 0, "solution_map", "values"), _first_as_string),
     "objective-string": (("solution", "objective"), str),
+    "q.keys-bad-base64": (("q", "keys"), lambda s: "!" + s[1:]),
+    "a.keys-partial-key": (("a", "keys"), lambda s: base64.b64encode(
+        base64.b64decode(s) + bytes(1)).decode()),
+    "q.keys-duplicate": (("q", "keys"), lambda s: rekeyed(s, lambda k: [k[0], *k[:-1]])),
+    "a.keys-duplicate": (("a", "keys"), lambda s: rekeyed(s, lambda k: [k[0], k[0], *k[2:]])),
+    "a.keys-decreasing": (("a", "keys"), lambda s: rekeyed(s, lambda k: [k[1], k[0], *k[2:]])),
+    "a.keys-out-of-range": (("a", "keys"), lambda s: rekeyed(s, lambda k: [*k[:-1], A_CELLS])),
+    "q.keys-list": (("q", "keys"), unpacked_keys),
 }
+
+# the cases edited in the fixture as stored, which loads as it stands
+LIST_FORM_CASES = {"q.rows-bool", "a.cols-bool"}
 
 
 def malformed_instance_file(path, case):
-    """Write the labeled fixture to `path` in today's form, with one field
-    edited as MALFORMED_NUMBERS[case] says."""
-    save_instance(path, *load_instance(DATA / "e1_labeled_lists_v3.json"))
-    doc = json.loads(path.read_text())
+    """Write the labeled fixture to `path` in today's form (as stored for
+    LIST_FORM_CASES), with one field edited as MALFORMED_NUMBERS[case] says."""
+    source = DATA / "e1_labeled_lists_v3.json"
+    if case not in LIST_FORM_CASES:
+        save_instance(path, *load_instance(source))
+        source = path
+    doc = json.loads(source.read_text())
+    assert doc["m"] * doc["n"] == A_CELLS
     (*outer, key), edit = MALFORMED_NUMBERS[case]
     field = doc
     for step in outer:

@@ -90,6 +90,21 @@ def test_generate_usage_errors(tmp_path, capsys):
     assert "density" in err
 
 
+@pytest.mark.parametrize("family, given, missing", [
+    ("lasso", [], "--samples, --features, --lambda-reg, --density"),
+    ("svm", ["--samples", "8", "--density", "0.5"], "--features, --lambda-reg"),
+    ("portfolio", ["--density", "0.4"], "--assets"),
+])
+def test_generate_names_missing_size_flags(tmp_path, capsys, family, given, missing):
+    """The error names the flags, not the generator's parameters."""
+    out = tmp_path / "x"
+    code, _, err = run(capsys, ["generate", "--family", family, *given, "--count", "1",
+                                "--out", str(out)])
+    assert code == 2
+    assert err == f"error: --family {family} needs {missing}\n"
+    assert not out.exists()
+
+
 def test_unknown_subcommand(capsys):
     assert main(["transmogrify"]) == 2
     capsys.readouterr()
@@ -263,84 +278,86 @@ PINNED_GENERATE = {
 # add-vars on QPs and LPs, and the add-vars runs map the solution through
 # every record.  The combo entries, recorded while add_constraints still
 # built its rows through scipy, map it through drop-cons, scale-cons,
-# scale-vars and add-cons.
+# scale-vars and add-cons.  The instance files were re-pinned once when
+# coordinates became packed keys: the files written before load to the same
+# arrays, bit for bit, and the manifests did not change.
 PINNED_AUGMENT_SHA256 = {
     "qp_views/manifest.json":
         "e1250be290533f640039da22d8df0ee981f63dd4bba8aa3f6236cd5a7ceedb08",
     "qp_views/qp_00000_view00.json":
-        "b0f8f68716dae12dfd3899c98ced2a1eddb3cbe541b319663c067b3a5c29bbcf",
+        "82153474264d68aa02206f4e06a6e897e53f6193e3e660ccf4650286f24b823b",
     "qp_views/qp_00000_view01.json":
-        "668b201a69ffaf13a5faa0cae365bbd82b639f7cd3d3bd817a0ddf1bccaadf42",
+        "c55149650c58d8a2af4bee3c93d843e6d2f8dfff957a97c914dd8e57d809dfe1",
     "qp_views/qp_00000_view02.json":
-        "c42423b6107cefb3cc42e1e3f5625a85852eb239982c58f44fe1434bbb7295de",
+        "e40407f19855a21e27c90f8d170246efe5906ef7d97134f8ae2ff086269e8a7a",
     "qp_views/qp_00000_view03.json":
-        "7235a9d99c85d3b37ce581816d12684bf4917fbd21ea2978fcec623d8bccdf18",
+        "ccad24d15313a18983d0011718fb8cd21a5e2afec0fe1b4f30b49c06f8e28b6a",
     "qp_views/qp_00001_view00.json":
-        "2927801a8819ed9c93ba54dc4e21346dd311bbbb392acc09417c00c3d42d50a2",
+        "155ac3779e5678e52eeced797ccaf9debe3fde9fc4a9474f6a2a158a81647543",
     "qp_views/qp_00001_view01.json":
-        "1ad2481a46a1850d29d3882c55e8f113c7f23436a0720968a0cc5a87428bda9e",
+        "9436f15eebb234ad7dd2caab6b83952d1ed4cecb0db2508fc50819b2320ce290",
     "qp_views/qp_00001_view02.json":
-        "7d1d967366543c06035d3388c5c0c84c63174d9a4ce23ba2efb19172991521a2",
+        "1c5e5f5f695dae6e5d134fbabe40066331587c97b2b1de4c4f95fb3534094d92",
     "qp_views/qp_00001_view03.json":
-        "5d0f745788bc1ff752df2cbaf8307c616498b7449be9c460966e486aa9ba26fa",
+        "432f90c4c18efd15f4ab529dcfc7a1e28438987ce6cf3dc84fa56b6c0b7c7131",
     "qp_addvars/manifest.json":
         "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
     "qp_addvars/qp_00000_aug00.json":
-        "ddeefc9263f06f19fd294f7cc7ef950182d78d95ffcb72a8a780564675c4fac1",
+        "1fb8172ee4d74f1b894f59845833d7e46d35b857780d54d99afaedb63c5915e2",
     "qp_addvars/qp_00000_aug01.json":
-        "c65d742f0c55d22a0bad47a1fbcabf821d7b7b3a0eef96a9256a0e9e9ccf362b",
+        "c42282f59319476ef211cd9916caf4bff9d6c2592dc9bfe5a5377a3278dd0bf2",
     "qp_addvars/qp_00001_aug00.json":
-        "1c73146bdfe2ec8fe37d24e5f607742e131e7c759ba7b1a5b280f9af8d687668",
+        "66258908820efa8c38a74e4a302ddf7c48ac5516f9549040c7810bc399a25e62",
     "qp_addvars/qp_00001_aug01.json":
-        "b847213aaffecca7da5848f96667ac3b6e42fddb0b5d5f4900eabea5b1a02e76",
+        "cd9f8af4b958edcc868fe1dad8d5b42c14d1d6aba077bc54cccd6dbce4269a5f",
     "lp_views/lp_00000_view00.json":
-        "8ab48af8df3e3bdab5ac307373a2c108da121fca3d00111da568fa82a95e8275",
+        "a37bbc9ad1fe46730beb82c52f9bc2730ad4234b71a34a5f1b78adceccb2f825",
     "lp_views/lp_00000_view01.json":
-        "c9b085252f3ededd735c3f90d14a782478c8aa8c87fae74d6c1300e5b7674509",
+        "7d93c223ff334de4a672efdff991947fa2f089dfdfc7da2e56893693b51b007b",
     "lp_views/lp_00000_view02.json":
-        "be0fe044704f36ebda541c8ee0523644e7edb319dfd6067883b91042d9d7dc74",
+        "d93ef96b7727ef295740a436bdd01d38fdae677e1bee258f2f58a2d0f3c92f28",
     "lp_views/lp_00000_view03.json":
-        "f1856d8b8d8410762c103a85049f5f0375e6d859cbbb738be843e8907f78615a",
+        "8e00825fb24e303aedb4462b2a9ba261054ea2f36069f8ef98af84090c0b15f5",
     "lp_views/lp_00001_view00.json":
-        "a05b9d2cba2e326e05c93d098cc4731067387ceac01b622392ebb9564ac41b60",
+        "07e185c420ad376fcdf2583d02f5e11be78ba0bc292af03819c4cf9882b77669",
     "lp_views/lp_00001_view01.json":
-        "357285113eaa7647fb822e7b1453fd13e1cea8079eae00945e508a674c745a3f",
+        "d313809d82203208a4545f54bdd1c61485f87ff94179158cb267433b016d469d",
     "lp_views/lp_00001_view02.json":
-        "555e71dd2b413a2665009e08165253e11a39f02566d857b2c367ffbcda753a96",
+        "3721cc47b874d954fb51f064956e32aae5b625302fe863b65ca6412561676489",
     "lp_views/lp_00001_view03.json":
-        "f3a4da100a33fedc10606f908cddf5ec337eb34f44261b089617b3f3a286e188",
+        "306ba8a8c49b5fb1721119f4c9889ec0152ee0a68e915af623617bad9f23192d",
     "lp_views/manifest.json":
         "b775bc99908590454554afd00c5ca13bd2f8f9c51d73f4244db1d2451b7dbb3c",
     "lp_addvars/lp_00000_aug00.json":
-        "03e90931d38a09e69919ad5d82ed121a318d34e4da21383421192dc7e6676673",
+        "eb9869a04388ec17957a42bee79023613c19831f24b5fe3a963c3afdeb3d4f24",
     "lp_addvars/lp_00000_aug01.json":
-        "cafc5e6eeb00687fd11e319bfea81d59302c5b02671e503003e41f3e947bc67a",
+        "fc5c723492711b03279328c1d8b324a349ebb25a2fa95c717d944ef58cc9beaf",
     "lp_addvars/lp_00001_aug00.json":
-        "6c3d3195cd76013274e4475c1519ba9a12a74cca32342bea0b62901da62c32c6",
+        "d15d76b378cb5cacc8b6183f469a8351f39c02d2760e723d3b8882d367981cd3",
     "lp_addvars/lp_00001_aug01.json":
-        "f5781eb798e4513bb45e6a668fb1341b3261ea83e110d75b7791e70b5dbaf81d",
+        "1028e953c3cad48faf1134ce81ef2c69978432aea3675dd8e124e97e40b7f077",
     "lp_addvars/manifest.json":
         "f5624d42e239a20c5b0de1fa48e3dba2befdb348bac7214fbdb4fa5e7967a75b",
     "lp_combo/lp_00000_aug00.json":
-        "31311fa76f0320b26233bf5d51e96d053f94a9b753c3ff0d31f419ed40409038",
+        "349444d6d1ad72769eb37cbb48806a92a1b15183284145457959f2926996f895",
     "lp_combo/lp_00000_aug01.json":
-        "970ee77f9fa027761a8c52f0725c9c405e48e17f63fcf7feaa63c7af357ff47f",
+        "776d29690c423ffec4d7aa518b4dbafd1ff232675ae02f20838847f9aba0b0b7",
     "lp_combo/lp_00001_aug00.json":
-        "9854d99330608aa7be2df128f718fce14c4357f8413b41775051c61f6832bbcd",
+        "e9707c5f22161009584ae3eb0d3179027c2cf2ab931893803f250d83bc486d86",
     "lp_combo/lp_00001_aug01.json":
-        "fc1e30c71150dae0ccd805fbc3a54d04dab2e7faaa9594adafb07bdccffb6bb4",
+        "a1c8e37e8a07c638404f372bf32d033e2f3e3553b9a6a05b1aa98f372e17bf7a",
     "lp_combo/manifest.json":
         "f5624d42e239a20c5b0de1fa48e3dba2befdb348bac7214fbdb4fa5e7967a75b",
     "qp_combo/manifest.json":
         "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
     "qp_combo/qp_00000_aug00.json":
-        "173cf45ee0192fc3fc415afa936803df9d0543c7dc34fd8b7db6a98dd06ec83f",
+        "5019185f6e83007187e9f59404b698d516fc67e06b41392c35efa93f92f49e3d",
     "qp_combo/qp_00000_aug01.json":
-        "ab8c4bf78f65d2e9818a3d74c84d48a71175b08c67896d27fce1a107963e5b31",
+        "a0c1227c9bb639a239eb6bd8ea0c8c443a49a718d91cc817d3fd04b8d207658b",
     "qp_combo/qp_00001_aug00.json":
-        "b542be485e8d2773a2b02ef31d98e9d29caa6ded87fa7206e1c6695ab1578f27",
+        "321c2c13ebe5e1da91d087100bf352e3f60d3a00cd1c13500d48cd37905c6ddc",
     "qp_combo/qp_00001_aug01.json":
-        "c09017a39b9253363b1e46c19c4a95d5f952e59bf499038de865f52253da765a",
+        "fab21dcf8ba0f0d3f5e2f4bb259311c4fbd8153dd83325fbaa423265ac1b41f2",
 }
 
 

@@ -120,6 +120,62 @@ def test_sparse_sort_key_matches_lexsort(n_rows, n_cols, seed):
         assert mat.is_symmetric() == _symmetric_by_lexsort(mat)
 
 
+@given(st.sampled_from([(1, 1), (7, 5), (40, 40), (300, 300), (3, 70_000), (70_000, 70_000)]),
+       st.integers(0, 10**6))
+def test_sparse_presorted_and_shuffled_store_alike(shape, seed):
+    """Entries given in canonical order (the branch that skips the sort) and
+    the same entries shuffled are stored identically; a duplicate is refused
+    either way; is_symmetric agrees with a lexsort of the transposed entries
+    at every column dtype its radix sort may use."""
+    n_rows, n_cols = shape
+    rng = np.random.default_rng(seed)
+    nnz = int(rng.integers(1, min(n_rows * n_cols, 200) + 1))
+    keys = np.sort(rng.choice(n_rows * n_cols, size=nnz, replace=False))
+    rows, cols = np.divmod(keys, n_cols)
+    vals = rng.standard_normal(nnz)
+    shuffle = rng.permutation(nnz)
+    for m in (SparseMatrix(n_rows, n_cols, rows, cols, vals),
+              SparseMatrix(n_rows, n_cols, rows[shuffle], cols[shuffle], vals[shuffle])):
+        assert m.rows.tobytes() == rows.tobytes() and m.cols.tobytes() == cols.tobytes()
+        assert m.vals.tobytes() == vals.tobytes()
+        assert m.is_symmetric() == _symmetric_by_lexsort(m)
+
+    dup = np.sort(np.append(keys, keys[rng.integers(nnz)]))
+    d_rows, d_cols = np.divmod(dup, n_cols)
+    d_vals = rng.standard_normal(dup.size)
+    perm = rng.permutation(dup.size)
+    for order in (slice(None), perm):
+        with pytest.raises(InputError, match="duplicate"):
+            SparseMatrix(n_rows, n_cols, d_rows[order], d_cols[order], d_vals[order])
+
+    up, off = rows <= cols, rows < cols
+    if n_rows == n_cols and up.any():  # the upper entries mirrored, then one value changed
+        sym = SparseMatrix(n_rows, n_cols, np.append(rows[up], cols[off]),
+                           np.append(cols[up], rows[off]), np.append(vals[up], vals[off]))
+        bumped = SparseMatrix(n_rows, n_cols, sym.rows, sym.cols,
+                              sym.vals + (np.arange(sym.nnz) == rng.integers(sym.nnz)))
+        assert sym.is_symmetric() and _symmetric_by_lexsort(sym)
+        assert bumped.is_symmetric() == _symmetric_by_lexsort(bumped)
+
+
+def test_constructors_leave_callers_arrays_writeable(e1):
+    """Stored arrays are read-only copies: the caller's arrays stay writeable,
+    and writing them afterwards changes nothing stored."""
+    shuffled = np.array([1, 0]), np.array([0, 1]), np.array([3.0, 2.0])
+    in_order = np.array([0, 1]), np.array([1, 0]), np.array([2.0, 3.0])  # no sort needed
+    b, c, x, lam = np.ones(3), np.zeros(2), np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0])
+    mats = [SparseMatrix(2, 2, *arrays) for arrays in (shuffled, in_order)]
+    inst = LcqpInstance(q=e1.q, a=e1.a, b=b, c=c, kind=e1.kind)
+    sol = Solution.from_primal_dual(e1, x, lam)
+    for arr in (*shuffled, *in_order, b, c, x, lam):
+        assert arr.flags.writeable
+        arr[0] = 1
+    for m in mats:
+        assert (m.rows.tolist(), m.cols.tolist(), m.vals.tolist()) == ([0, 1], [1, 0], [2.0, 3.0])
+    assert inst.b.tolist() == [1.0] * 3 and inst.c.tolist() == [0.0] * 2
+    assert sol.x.tolist() == [0.5, 0.5] and sol.lam.tolist() == [1.0, 0.0, 0.0]
+
+
 def _wide_range_sparse(rng, n_rows, n_cols):
     """Random signs and magnitudes 1e-6 .. 1e6, about half the entries zero,
     with one row and one column emptied when there are any."""

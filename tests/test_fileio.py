@@ -1,7 +1,9 @@
 """Instance file round-trips: the on-disk schema is a contract, so one test
 pins the literal JSON layout and the rest check bitwise reconstruction."""
+import base64
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,8 @@ from qpaug import (
     gen_portfolio, gen_qp, gen_svm, kkt_residuals, solve_splitting, to_bipartite_graph,
 )
 from qpaug.fileio import (
-    load_graph, load_instance, load_instance_unchecked, load_manifest, save_graph, save_instance,
-    save_manifest,
+    _matrix_from_doc, _matrix_to_doc, load_graph, load_instance, load_instance_unchecked,
+    load_manifest, save_graph, save_instance, save_manifest,
 )
 from qpaug.transforms import (
     COMBO_STRENGTHS, SSL_STRENGTHS_QP, AugmentPolicy, MapKind, SolutionMap, TransformRecord,
@@ -21,7 +23,10 @@ from qpaug.transforms import (
     map_solution, remove_inactive_constraints, scale_variables,
 )
 
-from conftest import DATA, MALFORMED_NUMBERS, make_instance, malformed_instance_file, repacked, unpacked
+from conftest import (
+    DATA, MALFORMED_NUMBERS, make_instance, malformed_instance_file, repacked, unpacked,
+    unpacked_keys,
+)
 
 
 def test_schema_frozen(tmp_path, e1):
@@ -32,14 +37,17 @@ def test_schema_frozen(tmp_path, e1):
     assert doc["kind"] == "qp"
     assert doc["name"] == "e1"
     assert doc["n"] == 2 and doc["m"] == 3
-    assert doc["q"] == {"rows": [0, 1], "cols": [0, 1], "vals": "AAAAAAAAAEAAAAAAAAAAQA=="}
+    assert doc["q"] == {"keys": "AAADAA==", "vals": "AAAAAAAAAEAAAAAAAAAAQA=="}
     assert doc["a"] == {
-        "rows": [0, 0, 1, 2],
-        "cols": [0, 1, 0, 1],
+        "keys": "AAABAAIABQA=",
         "vals": "AAAAAAAA8D8AAAAAAADwPwAAAAAAAPC/AAAAAAAA8L8=",
     }
     assert doc["b"] == "AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAA"
     assert doc["c"] == "AAAAAAAAAMAAAAAAAAAAwA=="
+    # each keys string holds the little-endian <u2 keys row * n + col of
+    # (0, 0), (1, 1) in q and (0, 0), (0, 1), (1, 0), (2, 1) in a
+    assert unpacked_keys(doc["q"]["keys"]) == [0, 3]
+    assert unpacked_keys(doc["a"]["keys"]) == [0, 1, 2, 5]
     # each packed string holds the little-endian float64 bytes of the values
     assert unpacked(doc["q"]["vals"]) == [2.0, 2.0]
     assert unpacked(doc["a"]["vals"]) == [1.0, 1.0, -1.0, -1.0]
@@ -102,11 +110,11 @@ def test_provenance_round_trip(tmp_path, e1, e1_sol):
 
 
 # save_instance of e1 scaled by alpha = (2, 1), with its mapped solution and
-# one provenance record, frozen: compact JSON, float arrays packed, and the
-# scale vector stored once, as the map's 1/alpha values
+# one provenance record, frozen: compact JSON, coordinates and float arrays
+# packed, and the scale vector stored once, as the map's 1/alpha values
 E1_SCALED_FILE = (
-    '{"name":"e1","kind":"qp","n":2,"m":3,"q":{"rows":[0,1],"cols":[0,1],'
-    '"vals":"AAAAAAAAIEAAAAAAAAAAQA=="},"a":{"rows":[0,0,1,2],"cols":[0,1,0,1],'
+    '{"name":"e1","kind":"qp","n":2,"m":3,"q":{"keys":"AAADAA==",'
+    '"vals":"AAAAAAAAIEAAAAAAAAAAQA=="},"a":{"keys":"AAABAAIABQA=",'
     '"vals":"AAAAAAAAAEAAAAAAAADwPwAAAAAAAADAAAAAAAAA8L8="},'
     '"b":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAA","c":"AAAAAAAAEMAAAAAAAAAAwA==",'
     '"solution":{"x":"AAAAAAAA0D8AAAAAAADgPw==","lam":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAA",'
@@ -117,10 +125,12 @@ E1_SCALED_FILE = (
 
 
 def _as_lists(doc):
-    """An instance file's JSON with every packed float field decoded to a
-    list of floats, the form earlier versions wrote."""
+    """An instance file's JSON with every packed field decoded to the list
+    form earlier versions wrote: keys to rows and cols, floats to floats."""
     doc = json.loads(json.dumps(doc))
     for part in (doc["q"], doc["a"]):
+        part["rows"], part["cols"] = np.divmod(unpacked_keys(part.pop("keys")), doc["n"])
+        part["rows"], part["cols"] = part["rows"].tolist(), part["cols"].tolist()
         part["vals"] = unpacked(part["vals"])
     for part, keys in ((doc, ("b", "c")), (doc.get("solution", {}), ("x", "lam"))):
         for key in keys:
@@ -252,7 +262,9 @@ def test_symmetric_pairs_stored_once(tmp_path, case):
     path = tmp_path / "inst.json"
     save_instance(path, inst, sol)
     q = json.loads(path.read_text())["q"]
-    assert all(r <= c for r, c in zip(q["rows"], q["cols"]))
+    keys = unpacked_keys(q["keys"])
+    assert all(np.diff(keys) > 0)
+    assert all(r <= c for r, c in zip(*np.divmod(keys, inst.n)))
     upper = inst.q.rows <= inst.q.cols
     assert unpacked(q["vals"]) == inst.q.vals[upper].tolist()
     back, back_sol = load_instance(path)
@@ -265,8 +277,10 @@ def test_symmetric_pairs_stored_once(tmp_path, case):
     gpath = tmp_path / "inst.graph.json"
     save_graph(gpath, graph)
     edges = json.loads(gpath.read_text())["edges"]
-    assert set(edges) == {"src", "dst", "weight"}
-    vv = [(s, d) for s, d in zip(edges["src"], edges["dst"]) if s < inst.n]
+    assert set(edges) == {"keys", "weight"}
+    keys = unpacked_keys(edges["keys"])
+    assert all(np.diff(keys) > 0)
+    vv = [(s, d) for s, d in zip(*np.divmod(keys, inst.n + inst.m)) if s < inst.n]
     assert all(s <= d for s, d in vv) and len(vv) == int(upper.sum())
     gback = load_graph(gpath)
     assert gback.vv_edges.tolist() == graph.vv_edges.tolist()
@@ -345,7 +359,9 @@ def test_loads_float_lists_v3(tmp_path, e1, e1_sol):
     new = json.loads(path.read_text())
     assert {**new["nodes"], "feature": unpacked(new["nodes"]["feature"])} == {
         "n_var": 3, "n_con": 6, "feature": old["nodes"]["feature"]}
-    assert {**new["edges"], "weight": unpacked(new["edges"]["weight"])} == old["edges"]
+    src, dst = np.divmod(unpacked_keys(new["edges"]["keys"]), 3 + 6)
+    assert {"src": src.tolist(), "dst": dst.tolist(),
+            "weight": unpacked(new["edges"]["weight"])} == old["edges"]
 
 
 EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300])
@@ -388,14 +404,38 @@ def test_packed_round_trip_is_bit_exact(tmp_path):
     assert _bits(gback.ca_edges["weight"]) == _bits(graph.ca_edges["weight"])
 
 
+@pytest.mark.parametrize("shape, dtype", [
+    ((256, 256), "<u2"),  # the largest key is 2**16 - 1
+    ((256, 257), "<u4"),
+    ((2**16 + 1, 1), "<u4"),  # the largest key is 2**16
+    ((2**16, 2**16), "<u4"),  # the largest key is 2**32 - 1
+    ((2**16, 2**16 + 1), "<i8"),
+    ((2**32 + 1, 1), "<i8"),  # a tall column, still sparse
+])
+def test_keys_take_the_narrowest_width(shape, dtype):
+    """Keys are packed in the narrowest of <u2, <u4 and <i8 that holds
+    n_rows * n_cols - 1, the key of the last cell, which each matrix holds."""
+    n_rows, n_cols = shape
+    mat = SparseMatrix(n_rows, n_cols, [0, n_rows // 2, n_rows - 1], [n_cols - 1, 0, n_cols - 1],
+                       [1.0, -2.0, 3.0])
+    doc = _matrix_to_doc(mat)
+    keys = mat.rows * n_cols + mat.cols
+    assert keys[-1] == n_rows * n_cols - 1
+    assert base64.b64decode(doc["keys"]) == keys.astype(dtype).tobytes()
+    assert _matrix_from_doc(doc, n_rows, n_cols, "a") == mat
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
 def test_load_rejects_malformed_numbers(tmp_path, case):
     """Bad packed strings (not base64, a partial value, NaN or infinity, the
-    wrong count), booleans among indices, and strings among numbers."""
+    wrong count), keys that are not a packed string, repeat, decrease or
+    leave the matrix, booleans among indices, and strings among numbers."""
     path = malformed_instance_file(tmp_path / "bad.json", case)
-    with pytest.raises(InputError):
+    # the keys reader itself, not a later check, refuses a bad keys field
+    match = re.escape(".".join(MALFORMED_NUMBERS[case][0])) if ".keys-" in case else None
+    with pytest.raises(InputError, match=match):
         load_instance(path)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=match):
         load_instance_unchecked(path)
 
 

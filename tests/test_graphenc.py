@@ -1,6 +1,8 @@
 """Bipartite encoding, the forward-only message passer, pooling, and the
 contrastive loss.  The loss has a brute-force double-loop oracle here; the
 network itself is locked by structural properties plus a frozen snapshot."""
+import base64
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +23,7 @@ from qpaug.graphenc import (
 )
 from qpaug.transforms import AugmentPolicy, SSL_STRENGTHS_QP, apply_policy, scale_variables
 
-from conftest import make_instance, packed, unpacked
+from conftest import make_instance, packed, packed_keys, unpacked, unpacked_keys
 
 
 # ---------------------------------------------------------------- graph building
@@ -351,20 +353,23 @@ def test_graph_file_schema_and_determinism(tmp_path, e1):
     doc = json.loads(p1.read_text())
     assert set(doc) == {"nodes", "edges"}
     assert set(doc["nodes"]) == {"n_var", "n_con", "feature"}
-    assert set(doc["edges"]) == {"src", "dst", "weight"}
+    assert set(doc["edges"]) == {"keys", "weight"}
     assert (doc["nodes"]["n_var"], doc["nodes"]["n_con"]) == (2, 3)
     assert unpacked(doc["nodes"]["feature"]) == [-2.0, -2.0, 1.0, 0.0, 0.0]
+    # src * 5 + dst over the 5 nodes: vv (0, 0), (1, 1), then ca (2, 0),
+    # (2, 1), (3, 0), (4, 1)
+    assert unpacked_keys(doc["edges"]["keys"]) == [0, 6, 10, 11, 15, 21]
     assert unpacked(doc["edges"]["weight"]) == [2.0, 2.0, 1.0, 1.0, -1.0, -1.0]
     assert p1.read_text() == E1_GRAPH_FILE
 
 
 # save_graph(to_bipartite_graph(e1)), frozen: compact JSON, node counts, vv
 # edges first, then ca edges, constraint nodes numbered after the variable
-# nodes, no kind, features and weights packed
+# nodes, no kind, keys, features and weights packed
 E1_GRAPH_FILE = (
     '{"nodes":{"n_var":2,"n_con":3,'
     '"feature":"AAAAAAAAAMAAAAAAAAAAwAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAA=="},'
-    '"edges":{"src":[0,1,2,2,3,4],"dst":[0,1,0,1,0,1],'
+    '"edges":{"keys":"AAAGAAoACwAPABUA",'
     '"weight":"AAAAAAAAAEAAAAAAAAAAQAAAAAAAAPA/AAAAAAAA8D8AAAAAAADwvwAAAAAAAPC/"}}\n'
 )
 
@@ -407,6 +412,42 @@ def test_graph_file_loads_hand_written_edges(tmp_path):
     assert g.ca_edges.tolist() == [(0, 1, 4.0)]
     assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
     assert g.var_features.tolist() == [0.0, 0.5] and g.con_features.tolist() == [1.0]
+    # today's form: the same edges keyed src * 3 + dst over the 3 nodes
+    path.write_text(json.dumps(_keyed_doc(packed_keys([0, 1, 4, 7]), weight=[2, 0.5, 3, 4])))
+    g = load_graph(path)
+    assert g.ca_edges.tolist() == [(0, 1, 4.0)]
+    assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
+
+
+def _keyed_doc(keys, **edges):
+    """Two var nodes and one con node, and edges keyed over the 3 x 3 node
+    square: by default the ca edges (2, 0) and (2, 1), keys 6 and 7."""
+    return _graph_doc(nodes={"n_var": 2, "n_con": 1, "feature": packed([0.0, 0.0, 1.0])},
+                      **{"src": None, "dst": None, "kind": None, "keys": keys, **edges})
+
+
+@pytest.mark.parametrize("keys, edges, message", [
+    (packed_keys([6, 7]), {}, None),  # loads
+    ("!" + packed_keys([6, 7])[1:], {}, "edges.keys"),  # not base64
+    (base64.b64encode(bytes(3)).decode(), {}, "edges.keys"),  # a partial key
+    (packed_keys([6, 6]), {}, "edges.keys"),  # a duplicate key
+    (packed_keys([7, 6]), {}, "edges.keys"),  # decreasing keys
+    (packed_keys([6, 9]), {}, "edges.keys"),  # 9, the node square's cell count
+    ([6, 7], {}, "edges.keys"),  # not a packed string
+    (packed_keys([6, 7]), {"src": [2, 2]}, "keys and weight only"),
+    (packed_keys([6, 7]), {"kind": ["ca", "ca"]}, "keys and weight only"),
+    (packed_keys([6]), {}, "coordinate and weight counts differ"),
+])
+def test_graph_file_checks_edge_keys(tmp_path, keys, edges, message):
+    import json
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_keyed_doc(keys, **edges)))
+    if message is None:
+        assert load_graph(path).ca_edges.tolist() == [(0, 0, 1.0), (0, 1, 2.0)]
+        return
+    with pytest.raises(InputError, match=message):
+        load_graph(path)
 
 
 @pytest.mark.parametrize("edges", [

@@ -1037,24 +1037,26 @@ def test_add_vars_batch_matches_loop_reference(family, labeled, count):
 
 # sha256 of the file save_instance writes for each public addition op and
 # bias_instance applied to a seeded QP and LP, with the mapped solution;
-# recorded while add_constraints still built its rows through scipy
+# recorded while add_constraints still built its rows through scipy, and
+# re-pinned once when coordinates became packed keys (the files written
+# before load to the same arrays, bit for bit)
 PINNED_PUBLIC_OPS_SHA256 = {
     "lp_add_constraints.json":
-        "4209b53efddc6f420ce34b88100684068072a3b9dda24aad62a90494d3e8d05a",
+        "7d19bf8d0246d327d9babfa91b725d00e0cfd9da7d144389fba2d5bccda3448c",
     "lp_add_variable_constrained.json":
-        "ed06eebebe726b3d071903c629a20d190657aeeea6aa22d63bad315eccc2c2ed",
+        "df5d59993036b339eadb2364c718d3f4866ef0ff5dfd909125fd91d5f34defee",
     "lp_bias_instance.json":
-        "5e8da7126390d99255b555cf68d3eaace851116d2cade9510d98824842cfa100",
+        "cb8e85d4bc29f5a00d67a36e17b527bc1e0c02b5c1fbdd38fde89576c615c556",
     "qp_add_constraints.json":
-        "401f0241f54977258330984bc37ac03d1e803e4480a77261a9d99a176e2f9d9e",
+        "6372ecfcce07525e7c0fd56825bc33a6d18212aa477f7a23029f7855475e71be",
     "qp_add_variable_biased.json":
-        "af61fd58fdc7b005e8f29d416e8af11fcdb759ec7037d212a44dace67a57cd2b",
+        "90f5affd817c99881b041e7cdbc1fc2c9109c266e6b3331c59e8b182a70d4c8d",
     "qp_add_variable_constrained.json":
-        "c2079f36b433d2d9bc5598608fe6db76a1b8166161c3579d812a2c19afd4fcff",
+        "5163592521bf08bd5843587361ea45755d26a6ae7e7f6837ae14bd67ed320de1",
     "qp_add_variables.json":
-        "bfaa8076b5cb669c5f6a90e80d363f5f0d8de82176a57348c8b110ea334641f0",
+        "66ed39eb137bde6fd5f08079bbe6da2956a674618a9f61635f719e5305a52e55",
     "qp_bias_instance.json":
-        "a7a25da1e1a0d704684866bdb348f954e1357cabb13b9eddcfdd9bee556a1ebc",
+        "76dc1a0ea62c1432cea15178e6be50990dd55d4903ccace66668f595afb3edc6",
 }
 
 
