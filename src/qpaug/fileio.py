@@ -310,7 +310,7 @@ def save_graph(path, graph):
 
 
 def load_graph(path):
-    from .graphenc import BipartiteGraph, edge_array
+    from .graphenc import BipartiteGraph
 
     doc = _parse(path)
     try:
@@ -342,14 +342,13 @@ def load_graph(path):
             kind = _array_field(edges["kind"], "edges.kind", np.str_)
             if not np.array_equal(kind, np.where(is_ca, "ca", "vv")):
                 raise InputError("edges.kind must be 'ca' exactly where src >= the variable count")
-        vv = edge_array(*_mirrored(src[~is_ca], dst[~is_ca], weight[~is_ca]))
-        vv = vv[np.argsort(vv["src"] * n_var + vv["dst"], kind="stable")]  # to_bipartite_graph's order
+        if not np.all(weight):  # SparseMatrix would drop an explicit zero
+            raise InputError("edges must have nonzero weights")
+        vv = ~is_ca
         return BipartiteGraph(
-            n_var_nodes=n_var, n_con_nodes=n_con,
             var_features=feature[:n_var], con_features=feature[n_var:],
-            ca_edges=edge_array(src[is_ca] - n_var, dst[is_ca], weight[is_ca]),
-            vv_edges=vv,
-        )
+            a=SparseMatrix(n_con, n_var, src[is_ca] - n_var, dst[is_ca], weight[is_ca]),
+            q=SparseMatrix(n_var, n_var, *_mirrored(src[vv], dst[vv], weight[vv])))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

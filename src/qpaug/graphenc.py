@@ -1,80 +1,79 @@
 """Bipartite instance encoding and a deterministic forward-only message passer.
 
 The graph carries all instance data losslessly: variable nodes hold c,
-constraint nodes hold b, cross edges hold A's nonzeros and variable-variable
-edges hold Q's nonzeros (diagonal entries become self-loops).  The network is
-a reference forward pass, not a trainable model: fixed tanh updates with a
-constraint half-step feeding the variable update, then sum pooling per side
-and an affine readout.  Everything is reproducible from integer seeds.
+constraint nodes hold b, and the edges are the instance's own matrices, A
+between constraints and variables and Q among variables (its diagonal as
+self-loops).  The network is a reference forward pass, not a trainable
+model: fixed tanh updates with a constraint half-step feeding the variable
+update, then sum pooling per side and an affine readout.  Everything is
+reproducible from integer seeds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import InputError, LcqpInstance, SparseMatrix
+from .core import InputError, LcqpInstance, SparseMatrix, _as_float_vector
 from .rng import derive_rng
 
 
 EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", np.float64)])
 
 
-def edge_array(src, dst, weight) -> np.ndarray:
-    """Pack parallel (src, dst, weight) columns into one EDGE_DTYPE array."""
-    edges = np.empty(len(weight), dtype=EDGE_DTYPE)
-    edges["src"], edges["dst"], edges["weight"] = src, dst, weight
+def _edges(mat: SparseMatrix) -> np.ndarray:
+    """The entries of `mat` as a read-only EDGE_DTYPE array, in storage order."""
+    edges = np.empty(mat.nnz, dtype=EDGE_DTYPE)
+    edges["src"], edges["dst"], edges["weight"] = mat.rows, mat.cols, mat.vals
+    edges.flags.writeable = False
     return edges
 
 
-def _edge_matrix(edges, n_rows: int, n_cols: int, label: str):
-    """Validate one edge array and return (read-only copy, SparseMatrix)."""
-    if not (isinstance(edges, np.ndarray) and edges.dtype == EDGE_DTYPE and edges.ndim == 1):
-        raise InputError(f"{label} edges must be a 1-D EDGE_DTYPE array")
-    edges = edges.copy()
-    edges.flags.writeable = False
-    try:
-        mat = SparseMatrix(n_rows, n_cols, edges["src"], edges["dst"], edges["weight"])
-    except InputError as exc:
-        raise InputError(f"{label} edges: {exc}") from exc
-    if mat.nnz != edges.size:
-        raise InputError(f"{label} edges must have nonzero weights")
-    return edges, mat
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    n_var_nodes: int
-    n_con_nodes: int
-    var_features: np.ndarray
-    con_features: np.ndarray
-    ca_edges: np.ndarray  # EDGE_DTYPE (con, var, weight), one per nonzero of A
-    vv_edges: np.ndarray  # EDGE_DTYPE (u, v, weight), one per nonzero of Q, mirrored
-    a: SparseMatrix = field(init=False, repr=False, compare=False)  # ca_edges as a matrix
-    q: SparseMatrix = field(init=False, repr=False, compare=False)  # vv_edges as a matrix
+    var_features: np.ndarray  # c, one per variable node
+    con_features: np.ndarray  # b, one per constraint node
+    a: SparseMatrix  # constraint-variable edges, n_con x n_var
+    q: SparseMatrix  # variable-variable edges, symmetric, n_var x n_var
 
     def __post_init__(self):
-        vf = np.asarray(self.var_features, dtype=np.float64)
-        cf = np.asarray(self.con_features, dtype=np.float64)
-        if vf.shape != (self.n_var_nodes,) or cf.shape != (self.n_con_nodes,):
-            raise InputError("node feature lengths must match node counts")
-        ca, a = _edge_matrix(self.ca_edges, self.n_con_nodes, self.n_var_nodes, "ca")
-        vv, q = _edge_matrix(self.vv_edges, self.n_var_nodes, self.n_var_nodes, "vv")
-        if not q.is_symmetric():
-            raise InputError("vv edges must come in mirrored pairs")
-        for name, value in (("var_features", vf), ("con_features", cf),
-                            ("ca_edges", ca), ("vv_edges", vv), ("a", a), ("q", q)):
-            object.__setattr__(self, name, value)
+        if not (isinstance(self.a, SparseMatrix) and isinstance(self.q, SparseMatrix)):
+            raise InputError("a and q must be SparseMatrix objects")
+        if not self.q.is_symmetric():
+            raise InputError("q must be square and symmetric")
+        if self.a.n_cols != self.q.n_rows:
+            raise InputError("a must have one column per variable node")
+        for name, count in (("var_features", self.n_var_nodes), ("con_features", self.n_con_nodes)):
+            object.__setattr__(self, name, _as_float_vector(getattr(self, name), count, name))
+
+    @property
+    def n_var_nodes(self) -> int:
+        return self.q.n_rows
+
+    @property
+    def n_con_nodes(self) -> int:
+        return self.a.n_rows
+
+    @property
+    def ca_edges(self) -> np.ndarray:  # (con, var, weight), one per nonzero of a
+        return _edges(self.a)
+
+    @property
+    def vv_edges(self) -> np.ndarray:  # (u, v, weight), one per nonzero of q, mirrored
+        return _edges(self.q)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BipartiteGraph):
+            return NotImplemented
+        return (np.array_equal(self.var_features, other.var_features)
+                and np.array_equal(self.con_features, other.con_features)
+                and self.a == other.a and self.q == other.q)
 
 
 def to_bipartite_graph(inst: LcqpInstance) -> BipartiteGraph:
-    return BipartiteGraph(
-        n_var_nodes=inst.n, n_con_nodes=inst.m,
-        var_features=inst.c.copy(), con_features=inst.b.copy(),
-        ca_edges=edge_array(inst.a.rows, inst.a.cols, inst.a.vals),
-        vv_edges=edge_array(inst.q.rows, inst.q.cols, inst.q.vals),
-    )
+    """The instance's graph, sharing its immutable matrices as the edges."""
+    return BipartiteGraph(var_features=inst.c, con_features=inst.b, a=inst.a, q=inst.q)
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def pooled_embedding(h_var, h_con, weights: MpnnWeights) -> np.ndarray:
     """Sum per side, concatenate, apply the affine readout."""
     h_var = np.asarray(h_var, dtype=np.float64)
     h_con = np.asarray(h_con, dtype=np.float64)
-    if h_var.ndim != 2 or h_con.ndim != 2 or h_var.shape[1] != weights.width:
+    if not (h_var.ndim == h_con.ndim == 2 and h_var.shape[1] == h_con.shape[1] == weights.width):
         raise InputError("embeddings must be (nodes, width) arrays")
     rw, rb = weights.readout
     return rw @ np.concatenate([h_var.sum(axis=0), h_con.sum(axis=0)]) + rb

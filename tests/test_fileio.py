@@ -283,6 +283,7 @@ def test_symmetric_pairs_stored_once(tmp_path, case):
     vv = [(s, d) for s, d in zip(*np.divmod(keys, inst.n + inst.m)) if s < inst.n]
     assert all(s <= d for s, d in vv) and len(vv) == int(upper.sum())
     gback = load_graph(gpath)
+    assert gback == graph
     assert gback.vv_edges.tolist() == graph.vv_edges.tolist()
     assert gback.ca_edges.tolist() == graph.ca_edges.tolist()
     assert np.array_equal(gback.var_features, graph.var_features)
@@ -299,6 +300,7 @@ def test_loads_full_storage_files(tmp_path):
     assert sol is not None
     graph = load_graph(DATA / "qp_s0_full_storage_v1.graph.json")
     want = to_bipartite_graph(expected)
+    assert graph == want
     assert graph.vv_edges.tolist() == want.vv_edges.tolist()
     assert graph.ca_edges.tolist() == want.ca_edges.tolist()
     assert np.array_equal(graph.var_features, want.var_features)
@@ -344,6 +346,7 @@ def test_loads_float_lists_v3(tmp_path, e1, e1_sol):
 
     graph = load_graph(DATA / "e1_labeled_lists_v3.graph.json")
     want = to_bipartite_graph(step)
+    assert graph == want
     assert graph.vv_edges.tolist() == want.vv_edges.tolist()
     assert graph.ca_edges.tolist() == want.ca_edges.tolist()
     assert np.array_equal(graph.var_features, want.var_features)

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpaug import InputError, ProblemKind, gen_lp, gen_qp, permute_instance
+from qpaug import InputError, ProblemKind, SparseMatrix, gen_lp, gen_qp, permute_instance
 from qpaug.fileio import load_graph, save_graph
 from qpaug.graphenc import (
+    EDGE_DTYPE,
     BipartiteGraph,
     MpnnWeights,
-    edge_array,
     encode_instance,
     init_mpnn_weights,
     mpnn_forward,
@@ -65,44 +65,68 @@ def test_bipartite_weight_multiset_permutation_invariant(e1):
     assert sorted(g1.vv_edges["weight"]) == sorted(g2.vv_edges["weight"])
 
 
-NO_EDGES = edge_array([], [], [])
+NO_A = SparseMatrix.zeros(1, 2)
+NO_Q = SparseMatrix.zeros(2, 2)
 
 
-BAD_EDGES = [
-    ("var index out of range", edge_array([0], [5], [1.0]), NO_EDGES),
-    ("con index out of range", edge_array([-1], [0], [1.0]), NO_EDGES),
-    ("missing mirror edge", NO_EDGES, edge_array([0], [1], [3.0])),
-    ("mirror weight differs", NO_EDGES, edge_array([0, 1], [1, 0], [3.0, 2.0])),
-    ("duplicate edge", edge_array([0, 0], [1, 1], [1.0, 2.0]), NO_EDGES),
-    ("explicit zero weight", edge_array([0], [1], [0.0]), NO_EDGES),
-    ("non-finite weight", edge_array([0], [1], [np.nan]), NO_EDGES),
-    ("tuple rows", ((0, 1, 1.0),), NO_EDGES),
-    ("plain matrix", np.zeros((1, 3)), NO_EDGES),
-    ("not 1-D", edge_array([0], [1], [1.0]).reshape(1, 1), NO_EDGES),
+BAD_GRAPHS = [
+    ("a with the wrong column count", {"a": SparseMatrix.zeros(1, 3)}),
+    ("non-square q", {"q": SparseMatrix.zeros(2, 3)}),
+    ("missing mirror entry", {"q": SparseMatrix(2, 2, [0], [1], [3.0])}),
+    ("mirror weight differs", {"q": SparseMatrix(2, 2, [0, 1], [1, 0], [3.0, 2.0])}),
+    ("edge array for a", {"a": np.zeros(0, dtype=EDGE_DTYPE)}),
+    ("edge array for q", {"q": np.zeros(0, dtype=EDGE_DTYPE)}),
+    ("tuple rows", {"a": ((0, 1, 1.0),)}),
+    ("plain matrix", {"a": np.zeros((1, 2))}),
+    ("var feature length mismatch", {"var_features": np.zeros(3)}),
+    ("con feature length mismatch", {"con_features": np.zeros(2)}),
+    ("2-D features", {"var_features": np.zeros((2, 1))}),
+    ("non-finite feature", {"con_features": np.array([np.inf])}),
 ]
 
 
 def test_bipartite_validates_edges():
-    for label, ca, vv in BAD_EDGES:
+    """Bad a/q inputs and feature lengths are refused; out-of-range,
+    duplicate and non-finite entries never reach here, since SparseMatrix
+    refuses them itself."""
+    for label, bad in BAD_GRAPHS:
+        parts = {"var_features": np.zeros(2), "con_features": np.zeros(1),
+                 "a": NO_A, "q": NO_Q, **bad}
         with pytest.raises(InputError):
-            BipartiteGraph(
-                n_var_nodes=2, n_con_nodes=1,
-                var_features=np.zeros(2), con_features=np.zeros(1),
-                ca_edges=ca, vv_edges=vv,
-            )
+            BipartiteGraph(**parts)
             pytest.fail(f"accepted {label}")
 
 
-def test_bipartite_copies_edges():
-    ca = edge_array([0], [1], [1.0])
-    g = BipartiteGraph(
-        n_var_nodes=2, n_con_nodes=1,
-        var_features=np.zeros(2), con_features=np.zeros(1),
-        ca_edges=ca, vv_edges=NO_EDGES,
-    )
-    ca["weight"] = 5.0
-    assert ca.flags.writeable
-    assert g.ca_edges.tolist() == [(0, 1, 1.0)]
+def test_bipartite_shares_instance_matrices(e1):
+    """The edges are the instance's own matrices, which are immutable."""
+    g = to_bipartite_graph(e1)
+    assert g.a is e1.a and g.q is e1.q
+    assert (g.n_con_nodes, g.n_var_nodes) == e1.a.shape
+
+
+def test_bipartite_freezes_feature_copies():
+    vf, cf = np.array([1.0, 2.0]), np.array([3.0])
+    g = BipartiteGraph(var_features=vf, con_features=cf, a=NO_A, q=NO_Q)
+    for mine, held in ((vf, g.var_features), (cf, g.con_features)):
+        assert mine.flags.writeable and not np.shares_memory(mine, held)
+        assert not held.flags.writeable
+    vf[0] = 5.0
+    assert g.var_features.tolist() == [1.0, 2.0]
+
+
+def test_bipartite_equality(e1, e2):
+    g = to_bipartite_graph(e1)
+    same = BipartiteGraph(var_features=e1.c.copy(), con_features=e1.b.copy(),
+                          a=SparseMatrix.from_dense(e1.a.to_dense()), q=e1.q)
+    assert g == same and not g != same
+    assert g != to_bipartite_graph(e2)
+    assert g != BipartiteGraph(var_features=e1.c + 1.0, con_features=e1.b, a=e1.a, q=e1.q)
+    assert g != BipartiteGraph(var_features=e1.c, con_features=e1.b + 1.0, a=e1.a, q=e1.q)
+    assert g != BipartiteGraph(var_features=e1.c, con_features=e1.b,
+                               a=SparseMatrix.from_dense(2.0 * e1.a.to_dense()), q=e1.q)
+    assert g != BipartiteGraph(var_features=e1.c, con_features=e1.b, a=e1.a,
+                               q=SparseMatrix.from_dense(2.0 * e1.q.to_dense()))
+    assert g != "graph"
 
 
 # -------------------------------------------------------------------- forward
@@ -237,19 +261,29 @@ def test_pooled_permutation_invariant(e1):
 def test_pooled_not_invariant_to_node_duplication(e1):
     w = init_mpnn_weights(seed=4, width=8, layers=2)
     g = to_bipartite_graph(e1)
+    a = g.a
     doubled = BipartiteGraph(
-        n_var_nodes=g.n_var_nodes,
-        n_con_nodes=g.n_con_nodes * 2,
         var_features=g.var_features,
         con_features=np.concatenate([g.con_features, g.con_features]),
-        ca_edges=np.concatenate([g.ca_edges, edge_array(
-            g.ca_edges["src"] + g.n_con_nodes, g.ca_edges["dst"], g.ca_edges["weight"] / 2.0
-        )]),
-        vv_edges=g.vv_edges,
+        a=SparseMatrix(2 * a.n_rows, a.n_cols, np.concatenate([a.rows, a.rows + a.n_rows]),
+                       np.concatenate([a.cols, a.cols]), np.concatenate([a.vals, a.vals / 2.0])),
+        q=g.q,
     )
     z1 = pooled_embedding(*mpnn_forward(g, w), w)
     z2 = pooled_embedding(*mpnn_forward(doubled, w), w)
     assert not np.allclose(z1, z2)
+
+
+def test_pooled_validates_embeddings():
+    w = init_mpnn_weights(0)
+    for h_var, h_con in (
+        (np.ones((3, 5)), np.ones((2, 16))),  # h_var too narrow
+        (np.ones((3, 16)), np.ones((2, 5))),  # h_con too narrow
+        (np.ones(16), np.ones((2, 16))),  # not (nodes, width)
+        (np.ones((3, 16)), np.ones(16)),
+    ):
+        with pytest.raises(InputError, match="embeddings must be"):
+            pooled_embedding(h_var, h_con, w)
 
 
 # --------------------------------------------------------------------- nt-xent
@@ -340,6 +374,7 @@ def test_graph_file_round_trip(tmp_path, e1):
     assert np.array_equal(back.con_features, g.con_features)
     assert back.ca_edges.tolist() == g.ca_edges.tolist()
     assert back.vv_edges.tolist() == g.vv_edges.tolist()
+    assert back == g
 
 
 def test_graph_file_schema_and_determinism(tmp_path, e1):
@@ -390,16 +425,25 @@ def _graph_doc(nodes=SIDE_NODES, **edges):
 def test_graph_file_loads_hand_written_edges(tmp_path):
     import json
 
+    def expected(vv, var_features=(0.0, 0.0)):
+        return BipartiteGraph(var_features=var_features, con_features=[1.0],
+                              a=SparseMatrix(1, 2, [0], [1], [4.0]),
+                              q=SparseMatrix.from_dense(vv))
+
+    offdiag = expected([[0.0, 0.5], [0.5, 0.0]])
+    full = expected([[2.0, 0.5], [0.5, 3.0]])
     path = tmp_path / "g.json"
     path.write_text(json.dumps(_graph_doc(
         src=[2, 0, 1], dst=[1, 1, 0], weight=[4, 0.5, 0.5], kind=["ca", "vv", "vv"])))
     g = load_graph(path)
+    assert g == offdiag
     assert g.ca_edges.tolist() == [(0, 1, 4.0)]
     assert g.vv_edges.tolist() == [(0, 1, 0.5), (1, 0, 0.5)]
     # today's form: vv edges one way, kind derived from src >= 2 var nodes
     path.write_text(json.dumps(_graph_doc(
         src=[1, 2, 0, 0], dst=[1, 1, 1, 0], weight=[3, 4, 0.5, 2], kind=None)))
     g = load_graph(path)
+    assert g == full
     assert g.ca_edges.tolist() == [(0, 1, 4.0)]
     assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
     assert g.con_features.tolist() == [1.0]
@@ -409,12 +453,14 @@ def test_graph_file_loads_hand_written_edges(tmp_path):
         src=[1, 2, 0, 0], dst=[1, 1, 1, 0], kind=None,
         weight=packed([3.0, 4.0, 0.5, 2.0]))))
     g = load_graph(path)
+    assert g == expected([[2.0, 0.5], [0.5, 3.0]], var_features=(0.0, 0.5))
     assert g.ca_edges.tolist() == [(0, 1, 4.0)]
     assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
     assert g.var_features.tolist() == [0.0, 0.5] and g.con_features.tolist() == [1.0]
     # today's form: the same edges keyed src * 3 + dst over the 3 nodes
     path.write_text(json.dumps(_keyed_doc(packed_keys([0, 1, 4, 7]), weight=[2, 0.5, 3, 4])))
     g = load_graph(path)
+    assert g == full
     assert g.ca_edges.tolist() == [(0, 1, 4.0)]
     assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
 
@@ -437,6 +483,8 @@ def _keyed_doc(keys, **edges):
     (packed_keys([6, 7]), {"src": [2, 2]}, "keys and weight only"),
     (packed_keys([6, 7]), {"kind": ["ca", "ca"]}, "keys and weight only"),
     (packed_keys([6]), {}, "coordinate and weight counts differ"),
+    (packed_keys([6, 7]), {"weight": [1.0, 0.0]}, "nonzero weights"),  # an explicit zero
+    (packed_keys([1, 6, 7]), {"weight": packed([0.0, 1.0, 2.0])}, "nonzero weights"),  # vv pair
 ])
 def test_graph_file_checks_edge_keys(tmp_path, keys, edges, message):
     import json
@@ -478,6 +526,8 @@ def test_graph_file_checks_edge_keys(tmp_path, keys, edges, message):
     {"weight": packed([1.0, float("nan")])},
     {"weight": packed([1.0, float("inf")])},
     {"weight": packed([1.0, 2.0, 3.0])},  # one value too many
+    {"weight": [0.0, 2.0]},  # an explicit zero
+    {"src": [2, 0, 1], "dst": [1, 1, 0], "weight": [4, 0.0, 0.0], "kind": ["ca", "vv", "vv"]},
 ])
 def test_graph_file_rejects_malformed_edges(tmp_path, edges):
     import json
@@ -527,7 +577,7 @@ def test_graph_file_errors_name_the_file(tmp_path, e1):
 
 
 def test_graph_file_sorts_vv_edges_like_lexsort(tmp_path):
-    """load_graph orders vv edges by one integer key; the order is the
+    """load_graph's vv edges come in q's canonical storage order, the
     (src, dst) lexicographic order, checked on edges stored shuffled."""
     import json
 
