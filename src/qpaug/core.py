@@ -167,6 +167,11 @@ class SparseMatrix:
 
     def is_symmetric(self) -> bool:
         """Exact structural symmetry: (i, j, v) stored iff (j, i, v) stored."""
+        return self._symmetric
+
+    @cached_property
+    def _symmetric(self) -> bool:
+        """The verdict of `is_symmetric`, found once: storage never changes."""
         if self.n_rows != self.n_cols:
             return False
         # rows increase within each column of canonical storage, so a stable

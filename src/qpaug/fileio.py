@@ -1,24 +1,27 @@
 """Instance, graph and manifest serialization.
 
-One instance per JSON file: name, kind, n, m, q/a as packed keys and
+One instance per JSON file: name, kind, n, m, q/a as packed gaps and
 values, b, c, an optional solution {x, lam, objective}, and optional
 provenance (the transform records that produced the instance).  Every file
 is compact JSON, written atomically via a temp file so readers never observe
 a partial document.
 
 Fixed-schema float64 arrays (q/a vals, b, c, the solution's x and lam, a
-solution map's values, a graph's node features and edge weights) are each
-one string: the base64 of their little-endian float64 bytes, which
-round-trips every value bit for bit.  A sparse matrix's coordinates are
-one string too: the keys row * n_cols + col of its entries, in canonical
-(strictly increasing) order, packed in the narrowest of <u2, <u4 and <i8
-that holds n_rows * n_cols - 1, so the reader, which knows the shape, needs
-no dtype tag.  Dimensions, solution map indices, the objective and
-free-form params stay plain JSON.  Every numeric field goes through one
-checked reader: a packed string must decode strictly to a whole number of
-finite float64 values or of keys that strictly increase below
-n_rows * n_cols, and a list must hold JSON numbers only (integers for an
-index), never booleans or strings.
+solution map's values, a generator record's witness, a graph's node
+features and edge weights) are each one string: the base64 of their
+little-endian float64 bytes, which round-trips every value bit for bit.  A
+sparse matrix's coordinates are one string too.  Its entries, in canonical
+order, have strictly increasing keys k = row * n_cols + col, stored as the
+gaps k0, k1 - k0 - 1, k2 - k1 - 1, ... in the narrowest of <u1, <u2, <u4
+and <u8 that holds the largest gap.  The reader takes the width from the
+byte count over the entry count, which the values string gives, so the
+file needs no width tag, and keys = cumsum(gaps + 1) - 1 strictly increase
+whatever the bytes.  Dimensions, solution map indices, the objective and
+the other params stay plain JSON.  Every numeric field goes through one
+checked reader: a packed float string must decode strictly to a whole
+number of finite float64 values; gaps must come in the narrowest width and
+give keys below n_rows * n_cols; a list must hold JSON numbers only
+(integers for an index), never booleans or strings.
 
 A symmetric matrix is stored once per pair: an instance's q keeps the
 entries with row <= col, a graph's variable-variable edges those with
@@ -30,9 +33,11 @@ variable nodes; an edge leaving a constraint node (src >= n_var) is a
 constraint edge.
 
 Files written by earlier versions load to equal objects: indented files,
-float arrays as JSON lists, coordinates as rows/cols or src/dst lists, full
-storage, graphs with a per-node side list (all var entries, then all con
-entries) or a per-edge kind list.  A solution map's values and indices must
+float arrays (the witness too) as JSON lists, coordinates as the packed
+keys themselves (in the narrowest of <u2, <u4 and <i8 that holds
+n_rows * n_cols - 1) or as rows/cols or src/dst lists, full storage,
+graphs with a per-node side list (all var entries, then all con entries)
+or a per-edge kind list.  A solution map's values and indices must
 be flat arrays of numbers and of nonnegative integers.  An earlier dense
 add_variable_constrained map (null indices, values c_new then all of a_col)
 loads in the sparse form; an earlier drop record's `dropped` param loads as
@@ -71,9 +76,9 @@ def _parse(path) -> object:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _packed(arr, dtype="<f8") -> str:
-    """`arr` as the base64 of its little-endian `dtype` bytes."""
-    arr = np.ascontiguousarray(arr, dtype=dtype)
+def _packed(arr) -> str:
+    """`arr` as the base64 of its little-endian float64 bytes."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite values cannot be stored")
     return base64.b64encode(arr.tobytes()).decode("ascii")
@@ -87,25 +92,53 @@ def _unpacked(text, dtype) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype)
 
 
-def _key_dtype(n_rows, n_cols) -> str:
-    """The narrowest of <u2, <u4 and <i8 that holds every key of the shape."""
-    top = n_rows * n_cols - 1
-    return "<u2" if top < 2**16 else "<u4" if top < 2**32 else "<i8"
+def _packed_gaps(keys) -> str:
+    """Strictly increasing int64 `keys` as the base64 of their gaps
+    k0, k1 - k0 - 1, k2 - k1 - 1, ..., little-endian in the narrowest of
+    <u1, <u2, <u4 and <u8 that holds the largest."""
+    gaps = np.diff(keys, prepend=-1) - 1
+    dtype = np.dtype(np.min_scalar_type(gaps.max(initial=0))).newbyteorder("<")
+    return base64.b64encode(gaps.astype(dtype).tobytes()).decode("ascii")
 
 
-def _packed_keys(rows, cols, n_rows, n_cols) -> str:
-    """Entries (rows, cols) of an n_rows x n_cols matrix as packed keys."""
-    return _packed(rows * n_cols + cols, _key_dtype(n_rows, n_cols))
+def _gaps_field(value, label, nnz, n_rows, n_cols):
+    """(rows, cols) int64 arrays from a `_packed_gaps` string of `nnz` gaps,
+    whose width the byte count gives.  The width must be the narrowest that
+    holds the largest gap, so a matrix has one encoding, and the keys, which
+    strictly increase by construction, must lie in [0, n_rows * n_cols)."""
+    try:  # b64decode raises TypeError on a value that is not a string
+        raw = base64.b64decode(value, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise InputError(f"{label} must be packed gaps ({exc})") from exc
+    width = len(raw) // max(nnz, 1)
+    if len(raw) != nnz * width or (nnz and width not in (1, 2, 4, 8)):
+        raise InputError(f"{label} holds {len(raw)} bytes, not {nnz} gaps of 1, 2, 4 or 8 bytes")
+    if not nnz:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    gaps = np.frombuffer(raw, f"<u{width}")
+    top = int(gaps.max())
+    if np.min_scalar_type(top).itemsize != width:
+        raise InputError(f"{label} stores gaps up to {top} in {width} bytes, wider than needed")
+    size = n_rows * n_cols
+    # with every gap below size, a key that wraps past int64 comes out
+    # negative, or as the largest int64 when it is the last
+    keys = np.cumsum(gaps, dtype=np.int64) + np.arange(nnz)
+    if not (top < size and keys.min() >= 0 and keys[-1] < size):
+        raise InputError(f"{label} must give keys within [0, {size})")
+    return np.divmod(keys, n_cols)
 
 
 def _keys_field(value, label, n_rows, n_cols):
-    """(rows, cols) int64 arrays from a `_packed_keys` string, which must
-    decode strictly to keys that strictly increase within [0, n_rows * n_cols)."""
+    """(rows, cols) int64 arrays from the packed keys earlier versions wrote:
+    row * n_cols + col per entry, in the narrowest of <u2, <u4 and <i8 that
+    holds n_rows * n_cols - 1, which must decode strictly to keys that
+    strictly increase within [0, n_rows * n_cols)."""
+    size = n_rows * n_cols
+    dtype = "<u2" if size <= 2**16 else "<u4" if size <= 2**32 else "<i8"
     try:  # b64decode raises TypeError on a value that is not a string
-        keys = _unpacked(value, _key_dtype(n_rows, n_cols)).astype(np.int64)
+        keys = _unpacked(value, dtype).astype(np.int64)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise InputError(f"{label} must be packed keys ({exc})") from exc
-    size = n_rows * n_cols
     if keys.size and not (keys[0] >= 0 and keys[-1] < size and np.all(keys[1:] > keys[:-1])):
         raise InputError(f"{label} must strictly increase within [0, {size})")
     return np.divmod(keys, n_cols)
@@ -138,48 +171,62 @@ def _array_field(value, label, dtype, ndim=1) -> np.ndarray:
     return vals
 
 
-def _mirrored(rows, cols, vals):
-    """Both triangles from a stored upper triangle.  Storage with an entry
-    below the diagonal is the earlier full form and is returned as is, for
-    the caller's symmetry check to judge."""
+def _mirrored(rows, cols, vals, n):
+    """Both triangles of an n x n matrix from its stored upper triangle, in
+    canonical order when the upper triangle is.  Storage with an entry below
+    the diagonal is the earlier full form and is returned as is, for the
+    caller's symmetry check to judge."""
     if np.any(rows > cols):
         return rows, cols, vals
-    off = rows != cols
-    return (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]),
-            np.concatenate([vals, vals[off]]))
+    # the lower entries are the off-diagonal upper ones in column order, and
+    # a stable sort by row alone puts them before the upper entries of each
+    # row; in the narrowest unsigned dtype numpy sorts both by radix
+    dtype = np.min_scalar_type(n)
+    off = np.flatnonzero(rows != cols)
+    lower = off[np.argsort(cols[off].astype(dtype), kind="stable")]
+    rows, cols = np.concatenate([cols[lower], rows]), np.concatenate([rows[lower], cols])
+    order = np.argsort(rows.astype(dtype), kind="stable")
+    return rows[order], cols[order], np.concatenate([vals[lower], vals])[order]
 
 
 def _matrix_to_doc(mat: SparseMatrix, upper=False) -> dict:
-    """Packed keys and values of `mat`; with `upper`, only its entries with
+    """Packed gaps and values of `mat`; with `upper`, only its entries with
     row <= col."""
     keep = mat.rows <= mat.cols if upper else slice(None)
-    return {"keys": _packed_keys(mat.rows[keep], mat.cols[keep], *mat.shape),
+    return {"gaps": _packed_gaps(mat.rows[keep] * mat.n_cols + mat.cols[keep]),
             "vals": _packed(mat.vals[keep])}
 
 
 def _matrix_from_doc(doc, n_rows, n_cols, label, upper=False) -> SparseMatrix:
-    """A matrix from packed keys and vals, or from earlier rows/cols/vals."""
-    keyed = isinstance(doc, dict) and "keys" in doc
-    fields = {"keys", "vals"} if keyed else {"rows", "cols", "vals"}
+    """A matrix from packed gaps and vals, or from the keys/vals or
+    rows/cols/vals of earlier files."""
+    packed = next((k for k in ("gaps", "keys") if isinstance(doc, dict) and k in doc), None)
+    fields = {packed, "vals"} if packed else {"rows", "cols", "vals"}
     if not isinstance(doc, dict) or set(doc) != fields:
-        raise InputError(f"field {label}: expected keys/vals or rows/cols/vals arrays")
-    if keyed:
+        raise InputError(f"field {label}: expected {label}.gaps and {label}.vals, or the "
+                         "keys/vals or rows/cols/vals of earlier files")
+    vals = _array_field(doc["vals"], f"{label}.vals", np.float64)
+    if packed == "gaps":
+        rows, cols = _gaps_field(doc["gaps"], f"{label}.gaps", vals.size, n_rows, n_cols)
+    elif packed == "keys":
         rows, cols = _keys_field(doc["keys"], f"{label}.keys", n_rows, n_cols)
     else:
         rows, cols = (_array_field(doc[k], f"{label}.{k}", np.int64) for k in ("rows", "cols"))
-    vals = _array_field(doc["vals"], f"{label}.vals", np.float64)
     if not (rows.shape == cols.shape == vals.shape):
         raise InputError(f"field {label}: coordinate and value counts differ")
     if upper:
-        rows, cols, vals = _mirrored(rows, cols, vals)
+        rows, cols, vals = _mirrored(rows, cols, vals, n_rows)
     return SparseMatrix(n_rows, n_cols, rows, cols, vals)
 
 
 def _record_to_doc(rec: TransformRecord) -> dict:
     sm = rec.solution_map
+    params = rec.params
+    if "witness" in params:  # a generator record's float array
+        params = {**params, "witness": _packed(params["witness"])}
     return {
         "op": rec.op_name,
-        "params": rec.params,
+        "params": params,
         "solution_map": {
             "kind": sm.kind.value,
             "side": sm.side,
@@ -199,7 +246,11 @@ def _record_from_doc(doc) -> TransformRecord:
         if kind is MapKind.EXPLICIT_DUAL and indices is None:  # earlier dense (c_new, *a_col)
             indices = np.flatnonzero(values[1:])
             values = np.append(values[0], values[1:][indices])
-        return TransformRecord(str(doc["op"]), dict(doc["params"]),
+        params = dict(doc["params"])
+        if isinstance(params.get("witness"), str):  # packed; earlier files list it
+            params["witness"] = _array_field(params["witness"], "params.witness",
+                                             np.float64).tolist()
+        return TransformRecord(str(doc["op"]), params,
                                SolutionMap(kind, sm_doc["side"], values, indices))
     except InputError:
         raise
@@ -290,7 +341,7 @@ def save_graph(path, graph):
     """Graph export: node counts and features, and the edges keyed over the
     square of all nodes, constraint nodes numbered after the variable nodes:
     vv edges first, stored one way (src <= dst), then ca edges, so the keys
-    strictly increase."""
+    strictly increase and pack as gaps."""
     n, q, a = graph.n_var_nodes, graph.q, graph.a
     side = n + graph.n_con_nodes
     upper = q.rows <= q.cols
@@ -301,8 +352,8 @@ def save_graph(path, graph):
             "feature": _packed(np.concatenate([graph.var_features, graph.con_features])),
         },
         "edges": {
-            "keys": _packed_keys(np.concatenate([q.rows[upper], a.rows + n]),
-                                 np.concatenate([q.cols[upper], a.cols]), side, side),
+            "gaps": _packed_gaps(np.concatenate([q.rows[upper] * side + q.cols[upper],
+                                                 (a.rows + n) * side + a.cols])),
             "weight": _packed(np.concatenate([q.vals[upper], a.vals])),
         },
     }
@@ -327,14 +378,17 @@ def load_graph(path):
         if min(n_var, n_con) < 0 or len(feature) != n_var + n_con:
             raise InputError("nodes.feature must hold one value per node")
         edges = doc["edges"]
-        if "keys" in edges:
-            if set(edges) != {"keys", "weight"}:
-                raise InputError("edges with keys hold keys and weight only")
-            side = n_var + n_con
+        weight = _array_field(edges["weight"], "edges.weight", np.float64)
+        side = n_var + n_con
+        packed = next((k for k in ("gaps", "keys") if k in edges), None)
+        if packed and set(edges) != {packed, "weight"}:
+            raise InputError(f"edges with {packed} hold {packed} and weight only")
+        if packed == "gaps":
+            src, dst = _gaps_field(edges["gaps"], "edges.gaps", weight.size, side, side)
+        elif packed == "keys":  # earlier files pack the keys themselves
             src, dst = _keys_field(edges["keys"], "edges.keys", side, side)
         else:  # earlier files list src and dst
             src, dst = (_array_field(edges[k], f"edges.{k}", np.int64) for k in ("src", "dst"))
-        weight = _array_field(edges["weight"], "edges.weight", np.float64)
         if not src.shape == dst.shape == weight.shape:
             raise InputError("edges: coordinate and weight counts differ")
         is_ca = src >= n_var
@@ -348,7 +402,7 @@ def load_graph(path):
         return BipartiteGraph(
             var_features=feature[:n_var], con_features=feature[n_var:],
             a=SparseMatrix(n_con, n_var, src[is_ca] - n_var, dst[is_ca], weight[is_ca]),
-            q=SparseMatrix(n_var, n_var, *_mirrored(src[vv], dst[vv], weight[vv])))
+            q=SparseMatrix(n_var, n_var, *_mirrored(src[vv], dst[vv], weight[vv], n_var)))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -43,19 +43,48 @@ def repacked(text, edit):
     return packed(edit(unpacked(text)))
 
 
-# the key width of every matrix in the suite's small fixtures, which have
+def unpacked_gaps(text, nnz):
+    """A packed gaps field of `nnz` entries as the list of its keys
+    (row * n_cols + col per entry), decoded here without the package's
+    reader: the byte count gives the width, and each key is the previous
+    one plus its gap plus one."""
+    raw = base64.b64decode(text, validate=True)
+    gaps = np.frombuffer(raw, dtype=f"<u{len(raw) // nnz}") if nnz else []
+    return [int(k) for k in np.cumsum(np.asarray(gaps, dtype=object) + 1) - 1]
+
+
+def gaps_of(keys):
+    """The gaps k0, k1 - k0 - 1, ... of strictly increasing `keys`."""
+    return [k - before - 1 for before, k in zip([-1, *keys], keys)]
+
+
+def packed_gaps(keys, width=None):
+    """`keys` as a packed gaps field, encoded here without the package: by
+    default in the narrowest of 1, 2, 4 and 8 bytes that holds every gap."""
+    gaps = gaps_of(keys)
+    width = width or next(w for w in (1, 2, 4, 8) if max(gaps, default=0) < 256**w)
+    return base64.b64encode(b"".join(g.to_bytes(width, "little") for g in gaps)).decode()
+
+
+def regapped(text, nnz, edit):
+    """The packed gaps field `text` with `edit` applied to its decoded keys."""
+    return packed_gaps(edit(unpacked_gaps(text, nnz)))
+
+
+# the key width of every matrix in the earlier keyed fixtures, which have
 # fewer than 2**16 cells
 KEY_DTYPE = "<u2"
 
 
 def unpacked_keys(text):
-    """A packed keys field (row * n_cols + col per entry) as a list of ints,
-    decoded here without the package's reader."""
+    """A packed keys field of an earlier file (row * n_cols + col per entry)
+    as a list of ints, decoded here without the package's reader."""
     return np.frombuffer(base64.b64decode(text, validate=True), dtype=KEY_DTYPE).tolist()
 
 
 def packed_keys(keys):
-    """`keys` as a packed keys field, encoded here without the package."""
+    """`keys` as an earlier file's packed keys field, encoded here without
+    the package."""
     return base64.b64encode(np.asarray(keys, dtype=KEY_DTYPE).tobytes()).decode("ascii")
 
 
@@ -69,14 +98,15 @@ def _first_as_string(text):
     return [str(values[0]), *values[1:]]
 
 
-# the labeled fixture's a is 6 x 3, so 18 is the first key out of its range
-A_CELLS = 18
+# the labeled fixture's a is 6 x 3, so 18 is the first key out of its range;
+# it has A_NNZ entries, and q, stored as its upper triangle, Q_NNZ
+A_CELLS, A_NNZ, Q_NNZ = 18, 15, 4
 
 # (path of a field in an instance file, edit of its stored value): each edit
-# of the labeled fixture, saved in today's form (or, for LIST_FORM_CASES, as
-# stored, with coordinates as lists), must make loading raise InputError.  An
-# earlier version loaded each list case but map-values-string: true as 1, a
-# string parsed as the number it spells.
+# of the labeled fixture, saved in today's form (or, for a field only an
+# earlier form has, in that form as stored: EARLIER_FORMS), must make loading
+# raise InputError.  An earlier version loaded each list case but
+# map-values-string: true as 1, a string parsed as the number it spells.
 MALFORMED_NUMBERS = {
     "b-bad-base64": (("b",), lambda s: "!" + s[1:]),
     "x-partial-value": (("solution", "x"), lambda s: base64.b64encode(bytes(12)).decode()),
@@ -109,22 +139,38 @@ MALFORMED_NUMBERS = {
     "a.keys-decreasing": (("a", "keys"), lambda s: rekeyed(s, lambda k: [k[1], k[0], *k[2:]])),
     "a.keys-out-of-range": (("a", "keys"), lambda s: rekeyed(s, lambda k: [*k[:-1], A_CELLS])),
     "q.keys-list": (("q", "keys"), unpacked_keys),
+    "q.gaps-bad-base64": (("q", "gaps"), lambda s: "!" + s[1:]),
+    "a.gaps-byte-count-off-by-one": (("a", "gaps"), lambda s: base64.b64encode(
+        base64.b64decode(s) + bytes(1)).decode()),
+    "a.gaps-width-3": (("a", "gaps"), lambda s: packed_gaps(unpacked_gaps(s, A_NNZ), 3)),
+    "a.gaps-wider-than-needed": (("a", "gaps"), lambda s: packed_gaps(unpacked_gaps(s, A_NNZ), 2)),
+    "a.gaps-out-of-range": (("a", "gaps"), lambda s: regapped(
+        s, A_NNZ, lambda k: [*k[:-1], A_CELLS])),
+    # 2**64 - 1 wraps to -1 in int64, so the key after it would repeat
+    "a.gaps-u8-overflow": (("a", "gaps"), lambda s: base64.b64encode(np.array(
+        [0, 2**64 - 1, *range(1, A_NNZ - 1)], dtype="<u8").tobytes()).decode()),
+    "q.gaps-list": (("q", "gaps"), lambda s: gaps_of(unpacked_gaps(s, Q_NNZ))),
+    "a.gaps-beside-keys": (("a",), lambda a: {**a, "keys": packed_keys(
+        unpacked_gaps(a["gaps"], A_NNZ))}),
 }
 
-# the cases edited in the fixture as stored, which loads as it stands
-LIST_FORM_CASES = {"q.rows-bool", "a.cols-bool"}
+# the earlier fixtures of the labeled instance, by the field only they hold;
+# each loads as it stands
+EARLIER_FORMS = {"rows": "e1_labeled_lists_v3.json", "cols": "e1_labeled_lists_v3.json",
+                 "keys": "e1_labeled_keys_v4.json"}
 
 
 def malformed_instance_file(path, case):
-    """Write the labeled fixture to `path` in today's form (as stored for
-    LIST_FORM_CASES), with one field edited as MALFORMED_NUMBERS[case] says."""
-    source = DATA / "e1_labeled_lists_v3.json"
-    if case not in LIST_FORM_CASES:
+    """Write the labeled fixture to `path` in today's form (in an earlier
+    form as stored, for a field of EARLIER_FORMS), with one field edited as
+    MALFORMED_NUMBERS[case] says."""
+    (*outer, key), edit = MALFORMED_NUMBERS[case]
+    source = DATA / EARLIER_FORMS.get(key, "e1_labeled_lists_v3.json")
+    if key not in EARLIER_FORMS:
         save_instance(path, *load_instance(source))
         source = path
     doc = json.loads(source.read_text())
     assert doc["m"] * doc["n"] == A_CELLS
-    (*outer, key), edit = MALFORMED_NUMBERS[case]
     field = doc
     for step in outer:
         field = field[step]

@@ -279,85 +279,87 @@ PINNED_GENERATE = {
 # every record.  The combo entries, recorded while add_constraints still
 # built its rows through scipy, map it through drop-cons, scale-cons,
 # scale-vars and add-cons.  The instance files were re-pinned once when
-# coordinates became packed keys: the files written before load to the same
-# arrays, bit for bit, and the manifests did not change.
+# coordinates became packed keys, and once when they became packed gaps and
+# the generator witness a packed float string: each time the files written
+# before load to the same arrays, bit for bit, and the manifests did not
+# change.
 PINNED_AUGMENT_SHA256 = {
     "qp_views/manifest.json":
         "e1250be290533f640039da22d8df0ee981f63dd4bba8aa3f6236cd5a7ceedb08",
     "qp_views/qp_00000_view00.json":
-        "82153474264d68aa02206f4e06a6e897e53f6193e3e660ccf4650286f24b823b",
+        "0f40629191f287c76546c3b155eaea8fb518081a6b497b836df568c524902330",
     "qp_views/qp_00000_view01.json":
-        "c55149650c58d8a2af4bee3c93d843e6d2f8dfff957a97c914dd8e57d809dfe1",
+        "abc7cc9c552d9a17f6adb0c5b70bc4adf7a189a89fb6181fb2d261d8e0d22cd2",
     "qp_views/qp_00000_view02.json":
-        "e40407f19855a21e27c90f8d170246efe5906ef7d97134f8ae2ff086269e8a7a",
+        "ae6d12b716518cfac5178b809adfa939892dfa1777b83f47a2a45cf331e54848",
     "qp_views/qp_00000_view03.json":
-        "ccad24d15313a18983d0011718fb8cd21a5e2afec0fe1b4f30b49c06f8e28b6a",
+        "8320dd003fd45fed74241ef87547b3374e7eb8d15b38e0141615d39eaf48d475",
     "qp_views/qp_00001_view00.json":
-        "155ac3779e5678e52eeced797ccaf9debe3fde9fc4a9474f6a2a158a81647543",
+        "ca06621064b194e24c5cfa3250da0bad21dea81a003dad2b1abe8f0aeace8e53",
     "qp_views/qp_00001_view01.json":
-        "9436f15eebb234ad7dd2caab6b83952d1ed4cecb0db2508fc50819b2320ce290",
+        "26338e74a0894c0e97204cb0ac536576d01c748e03ec40af890387f0c7161eb5",
     "qp_views/qp_00001_view02.json":
-        "1c5e5f5f695dae6e5d134fbabe40066331587c97b2b1de4c4f95fb3534094d92",
+        "591493a3283a469d53f18cc76a882cc6b422166ec6736a42bbcd591ce7b900d0",
     "qp_views/qp_00001_view03.json":
-        "432f90c4c18efd15f4ab529dcfc7a1e28438987ce6cf3dc84fa56b6c0b7c7131",
+        "273b7c2ae908783225546c3a1f40863f8d1a36fba1f2442592f6fdf67473b0b4",
     "qp_addvars/manifest.json":
         "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
     "qp_addvars/qp_00000_aug00.json":
-        "1fb8172ee4d74f1b894f59845833d7e46d35b857780d54d99afaedb63c5915e2",
+        "f3d66902841be4735383e2bf09d7bb9c3f11638af577e5403ca0ab7ac86f8048",
     "qp_addvars/qp_00000_aug01.json":
-        "c42282f59319476ef211cd9916caf4bff9d6c2592dc9bfe5a5377a3278dd0bf2",
+        "967bf964a29aa9077cc48f349105d8333a71319550f386b22c1d7d06730e3d75",
     "qp_addvars/qp_00001_aug00.json":
-        "66258908820efa8c38a74e4a302ddf7c48ac5516f9549040c7810bc399a25e62",
+        "4d4edd07821acd991847f826e5b761c6307ff2ade2fffffe15dbe0a5f62b1dc7",
     "qp_addvars/qp_00001_aug01.json":
-        "cd9f8af4b958edcc868fe1dad8d5b42c14d1d6aba077bc54cccd6dbce4269a5f",
+        "9354774c19d8078ebd8530676dc28cbd5a32e1334fd64a44a98e1dad07473e7e",
     "lp_views/lp_00000_view00.json":
-        "a37bbc9ad1fe46730beb82c52f9bc2730ad4234b71a34a5f1b78adceccb2f825",
+        "f12787274ac4ea24be786ea3d9c5d828599edfd0736c9e742a983407138a0e9e",
     "lp_views/lp_00000_view01.json":
-        "7d93c223ff334de4a672efdff991947fa2f089dfdfc7da2e56893693b51b007b",
+        "c077943b3e3eee88519a8f55d2d0dee1f95b27ecb58c4a6b1b10845115bb68e0",
     "lp_views/lp_00000_view02.json":
-        "d93ef96b7727ef295740a436bdd01d38fdae677e1bee258f2f58a2d0f3c92f28",
+        "c02cc5e1ecf6850834ff5a631f25d652522779c1f80213252315d62c5e26de9f",
     "lp_views/lp_00000_view03.json":
-        "8e00825fb24e303aedb4462b2a9ba261054ea2f36069f8ef98af84090c0b15f5",
+        "066896cbf7d94a321f590cd53a5e98fd90a457e83b598ac69fd4b55d471ea5d5",
     "lp_views/lp_00001_view00.json":
-        "07e185c420ad376fcdf2583d02f5e11be78ba0bc292af03819c4cf9882b77669",
+        "3d9215dc8a675aa4a44c7b0598e6f314c66e14bd73fbdf4f79b4829c3e79a979",
     "lp_views/lp_00001_view01.json":
-        "d313809d82203208a4545f54bdd1c61485f87ff94179158cb267433b016d469d",
+        "fe92b15f6abc3dc9e3b478366d2b05ed7de87a88d9f9ba537dca096e7254dd68",
     "lp_views/lp_00001_view02.json":
-        "3721cc47b874d954fb51f064956e32aae5b625302fe863b65ca6412561676489",
+        "40877e0619cc62b3e16b15a7534bd5bdae5a65e03926231aba0033b593ae455a",
     "lp_views/lp_00001_view03.json":
-        "306ba8a8c49b5fb1721119f4c9889ec0152ee0a68e915af623617bad9f23192d",
+        "c30ab63acf24fa945c4eab0535c489ac04efca42cd7564e2b82a84b851518fc6",
     "lp_views/manifest.json":
         "b775bc99908590454554afd00c5ca13bd2f8f9c51d73f4244db1d2451b7dbb3c",
     "lp_addvars/lp_00000_aug00.json":
-        "eb9869a04388ec17957a42bee79023613c19831f24b5fe3a963c3afdeb3d4f24",
+        "93abb50388f046e43fb68c2cb2b0c1304a5c1106010187145ab6c1969b29c96d",
     "lp_addvars/lp_00000_aug01.json":
-        "fc5c723492711b03279328c1d8b324a349ebb25a2fa95c717d944ef58cc9beaf",
+        "e86ece4768f638c07e7494fcc2dae8f9bfca16e6ef6756c6790e04d2de0060e5",
     "lp_addvars/lp_00001_aug00.json":
-        "d15d76b378cb5cacc8b6183f469a8351f39c02d2760e723d3b8882d367981cd3",
+        "f1fa91a117932ed887abd004256efe58f84232172af6f9475f424106edfb4312",
     "lp_addvars/lp_00001_aug01.json":
-        "1028e953c3cad48faf1134ce81ef2c69978432aea3675dd8e124e97e40b7f077",
+        "454d5dbfac3cdc657ad0f6c5944e179d03320a37a3bd413aeba84cd43b9b8c03",
     "lp_addvars/manifest.json":
         "f5624d42e239a20c5b0de1fa48e3dba2befdb348bac7214fbdb4fa5e7967a75b",
     "lp_combo/lp_00000_aug00.json":
-        "349444d6d1ad72769eb37cbb48806a92a1b15183284145457959f2926996f895",
+        "8c363a23b1d562b05c6b675c967e3d352100c688bca13d0f6ac079764155a250",
     "lp_combo/lp_00000_aug01.json":
-        "776d29690c423ffec4d7aa518b4dbafd1ff232675ae02f20838847f9aba0b0b7",
+        "12fa1f3227b44cd647ce10aad2d536426b9b32d0e2821868b8475d6a7546a13c",
     "lp_combo/lp_00001_aug00.json":
-        "e9707c5f22161009584ae3eb0d3179027c2cf2ab931893803f250d83bc486d86",
+        "03b109cfdf57759e3a9d3b38fe9fbf65a987334334452a82bbea04151f44eaea",
     "lp_combo/lp_00001_aug01.json":
-        "a1c8e37e8a07c638404f372bf32d033e2f3e3553b9a6a05b1aa98f372e17bf7a",
+        "7adc1f0fe48ec74db7c64e02ee727edd38734f8ba8cfb1ab70a5fe7e235a7cbd",
     "lp_combo/manifest.json":
         "f5624d42e239a20c5b0de1fa48e3dba2befdb348bac7214fbdb4fa5e7967a75b",
     "qp_combo/manifest.json":
         "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
     "qp_combo/qp_00000_aug00.json":
-        "5019185f6e83007187e9f59404b698d516fc67e06b41392c35efa93f92f49e3d",
+        "5df2e052cc8b594a17358860ed4a9c23b37e37e60b1628bd7c6f7185ea15f4fc",
     "qp_combo/qp_00000_aug01.json":
-        "a0c1227c9bb639a239eb6bd8ea0c8c443a49a718d91cc817d3fd04b8d207658b",
+        "a891465a79e4382c93c63ef20e0aa39a79691173df5636b5d92cc99143063c3f",
     "qp_combo/qp_00001_aug00.json":
-        "321c2c13ebe5e1da91d087100bf352e3f60d3a00cd1c13500d48cd37905c6ddc",
+        "2e70673fad52ee6d51449e7f7887b2b84832be51376f94b0c7af231899919b0a",
     "qp_combo/qp_00001_aug01.json":
-        "fab21dcf8ba0f0d3f5e2f4bb259311c4fbd8153dd83325fbaa423265ac1b41f2",
+        "c46b270a765cf5efadea3ce612b92210eab7db4ec487b9b433eb1156c152283e",
 }
 
 

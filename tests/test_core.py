@@ -83,6 +83,24 @@ def test_sparse_symmetry_detects_value_mismatch():
     assert not SparseMatrix.from_dense([[1.0, 2.0]]).is_symmetric()
 
 
+def test_sparse_symmetry_is_checked_once(e1, monkeypatch):
+    """A matrix never changes, so is_symmetric sorts once: the q that
+    LcqpInstance checked answers again, and builds the instance's graph,
+    with no sort; a matrix not yet asked still sorts."""
+    from qpaug import to_bipartite_graph
+
+    asymmetric = SparseMatrix.from_dense([[1.0, 2.0], [3.0, 1.0]])
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted again")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    assert e1.q.is_symmetric() and e1.q.is_symmetric()
+    assert to_bipartite_graph(e1).q is e1.q
+    with pytest.raises(AssertionError, match="sorted again"):
+        asymmetric.is_symmetric()
+
+
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 1000))
 def test_sparse_dense_round_trip_random(n_rows, n_cols, seed):
     rng = np.random.default_rng(seed)

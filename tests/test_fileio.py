@@ -8,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qpaug import (
     InputError, LcqpInstance, ProblemKind, Solution, SparseMatrix, gen_lasso, gen_lp,
     gen_portfolio, gen_qp, gen_svm, kkt_residuals, solve_splitting, to_bipartite_graph,
 )
 from qpaug.fileio import (
-    _matrix_from_doc, _matrix_to_doc, load_graph, load_instance, load_instance_unchecked,
+    _matrix_from_doc, _matrix_to_doc, _mirrored, load_graph, load_instance, load_instance_unchecked,
     load_manifest, save_graph, save_instance, save_manifest,
 )
 from qpaug.transforms import (
@@ -24,8 +26,8 @@ from qpaug.transforms import (
 )
 
 from conftest import (
-    DATA, MALFORMED_NUMBERS, make_instance, malformed_instance_file, repacked, unpacked,
-    unpacked_keys,
+    DATA, MALFORMED_NUMBERS, make_instance, malformed_instance_file, packed, repacked, unpacked,
+    unpacked_gaps, unpacked_keys,
 )
 
 
@@ -37,17 +39,19 @@ def test_schema_frozen(tmp_path, e1):
     assert doc["kind"] == "qp"
     assert doc["name"] == "e1"
     assert doc["n"] == 2 and doc["m"] == 3
-    assert doc["q"] == {"keys": "AAADAA==", "vals": "AAAAAAAAAEAAAAAAAAAAQA=="}
+    assert doc["q"] == {"gaps": "AAI=", "vals": "AAAAAAAAAEAAAAAAAAAAQA=="}
     assert doc["a"] == {
-        "keys": "AAABAAIABQA=",
+        "gaps": "AAAAAg==",
         "vals": "AAAAAAAA8D8AAAAAAADwPwAAAAAAAPC/AAAAAAAA8L8=",
     }
     assert doc["b"] == "AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAA"
     assert doc["c"] == "AAAAAAAAAMAAAAAAAAAAwA=="
-    # each keys string holds the little-endian <u2 keys row * n + col of
-    # (0, 0), (1, 1) in q and (0, 0), (0, 1), (1, 0), (2, 1) in a
-    assert unpacked_keys(doc["q"]["keys"]) == [0, 3]
-    assert unpacked_keys(doc["a"]["keys"]) == [0, 1, 2, 5]
+    # each gaps string holds one byte per entry, the gaps (0, 2) and
+    # (0, 0, 0, 2) between the keys row * n + col of (0, 0), (1, 1) in q and
+    # (0, 0), (0, 1), (1, 0), (2, 1) in a
+    assert base64.b64decode(doc["q"]["gaps"]) == bytes([0, 2])
+    assert unpacked_gaps(doc["q"]["gaps"], 2) == [0, 3]
+    assert unpacked_gaps(doc["a"]["gaps"], 4) == [0, 1, 2, 5]
     # each packed string holds the little-endian float64 bytes of the values
     assert unpacked(doc["q"]["vals"]) == [2.0, 2.0]
     assert unpacked(doc["a"]["vals"]) == [1.0, 1.0, -1.0, -1.0]
@@ -110,11 +114,11 @@ def test_provenance_round_trip(tmp_path, e1, e1_sol):
 
 
 # save_instance of e1 scaled by alpha = (2, 1), with its mapped solution and
-# one provenance record, frozen: compact JSON, coordinates and float arrays
-# packed, and the scale vector stored once, as the map's 1/alpha values
+# one provenance record, frozen: compact JSON, coordinates as gaps and float
+# arrays packed, and the scale vector stored once, as the map's 1/alpha values
 E1_SCALED_FILE = (
-    '{"name":"e1","kind":"qp","n":2,"m":3,"q":{"keys":"AAADAA==",'
-    '"vals":"AAAAAAAAIEAAAAAAAAAAQA=="},"a":{"keys":"AAABAAIABQA=",'
+    '{"name":"e1","kind":"qp","n":2,"m":3,"q":{"gaps":"AAI=",'
+    '"vals":"AAAAAAAAIEAAAAAAAAAAQA=="},"a":{"gaps":"AAAAAg==",'
     '"vals":"AAAAAAAAAEAAAAAAAADwPwAAAAAAAADAAAAAAAAA8L8="},'
     '"b":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAA","c":"AAAAAAAAEMAAAAAAAAAAwA==",'
     '"solution":{"x":"AAAAAAAA0D8AAAAAAADgPw==","lam":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAA",'
@@ -126,18 +130,20 @@ E1_SCALED_FILE = (
 
 def _as_lists(doc):
     """An instance file's JSON with every packed field decoded to the list
-    form earlier versions wrote: keys to rows and cols, floats to floats."""
+    form earlier versions wrote: gaps to rows and cols, floats to floats."""
     doc = json.loads(json.dumps(doc))
     for part in (doc["q"], doc["a"]):
-        part["rows"], part["cols"] = np.divmod(unpacked_keys(part.pop("keys")), doc["n"])
-        part["rows"], part["cols"] = part["rows"].tolist(), part["cols"].tolist()
         part["vals"] = unpacked(part["vals"])
+        keys = unpacked_gaps(part.pop("gaps"), len(part["vals"]))
+        part["rows"], part["cols"] = (k.tolist() for k in np.divmod(keys, doc["n"]))
     for part, keys in ((doc, ("b", "c")), (doc.get("solution", {}), ("x", "lam"))):
         for key in keys:
             part[key] = unpacked(part[key])
     for rec in doc.get("provenance", []):
         if rec["solution_map"]["values"] is not None:
             rec["solution_map"]["values"] = unpacked(rec["solution_map"]["values"])
+        if "witness" in rec["params"]:
+            rec["params"]["witness"] = unpacked(rec["params"]["witness"])
     return doc
 
 
@@ -261,15 +267,23 @@ def test_symmetric_pairs_stored_once(tmp_path, case):
     inst, sol = FORMAT_CASES[case]()
     path = tmp_path / "inst.json"
     save_instance(path, inst, sol)
-    q = json.loads(path.read_text())["q"]
-    keys = unpacked_keys(q["keys"])
+    doc = json.loads(path.read_text())
+    # the generator record's witness is one packed float string
+    witness = inst.provenance[0].params["witness"]
+    assert unpacked(doc["provenance"][0]["params"]["witness"]) == witness
+    q = doc["q"]
+    keys = unpacked_gaps(q["gaps"], len(unpacked(q["vals"])))
     assert all(np.diff(keys) > 0)
     assert all(r <= c for r, c in zip(*np.divmod(keys, inst.n)))
     upper = inst.q.rows <= inst.q.cols
     assert unpacked(q["vals"]) == inst.q.vals[upper].tolist()
+    # mirrored straight into canonical order, so loading sorts nothing
+    mirrored = _mirrored(inst.q.rows[upper], inst.q.cols[upper], inst.q.vals[upper], inst.n)
+    for got, want in zip(mirrored, (inst.q.rows, inst.q.cols, inst.q.vals), strict=True):
+        assert got.tobytes() == want.tobytes()
     back, back_sol = load_instance(path)
     assert back.data_equal(inst) and back.name == inst.name
-    assert len(back.provenance) == len(inst.provenance)
+    assert back.provenance == inst.provenance
     if sol is not None:
         assert np.array_equal(back_sol.x, sol.x) and np.array_equal(back_sol.lam, sol.lam)
 
@@ -277,8 +291,8 @@ def test_symmetric_pairs_stored_once(tmp_path, case):
     gpath = tmp_path / "inst.graph.json"
     save_graph(gpath, graph)
     edges = json.loads(gpath.read_text())["edges"]
-    assert set(edges) == {"keys", "weight"}
-    keys = unpacked_keys(edges["keys"])
+    assert set(edges) == {"gaps", "weight"}
+    keys = unpacked_gaps(edges["gaps"], len(unpacked(edges["weight"])))
     assert all(np.diff(keys) > 0)
     vv = [(s, d) for s, d in zip(*np.divmod(keys, inst.n + inst.m)) if s < inst.n]
     assert all(s <= d for s, d in vv) and len(vv) == int(upper.sum())
@@ -362,9 +376,35 @@ def test_loads_float_lists_v3(tmp_path, e1, e1_sol):
     new = json.loads(path.read_text())
     assert {**new["nodes"], "feature": unpacked(new["nodes"]["feature"])} == {
         "n_var": 3, "n_con": 6, "feature": old["nodes"]["feature"]}
-    src, dst = np.divmod(unpacked_keys(new["edges"]["keys"]), 3 + 6)
+    weight = unpacked(new["edges"]["weight"])
+    src, dst = np.divmod(unpacked_gaps(new["edges"]["gaps"], len(weight)), 3 + 6)
     assert {"src": src.tolist(), "dst": dst.tolist(),
-            "weight": unpacked(new["edges"]["weight"])} == old["edges"]
+            "weight": weight} == old["edges"]
+
+
+def test_loads_packed_keys_v4(tmp_path):
+    """Files written by an earlier version, coordinates as packed keys: the
+    v3 instance and graph saved again.  They load to the v3 objects, and
+    saving again stores the same entries as gaps."""
+    inst, sol = load_instance(DATA / "e1_labeled_keys_v4.json")
+    v3, v3_sol = load_instance(DATA / "e1_labeled_lists_v3.json")
+    assert inst.data_equal(v3) and inst.name == v3.name and inst.provenance == v3.provenance
+    assert np.array_equal(sol.x, v3_sol.x) and np.array_equal(sol.lam, v3_sol.lam)
+    graph = load_graph(DATA / "e1_labeled_keys_v4.graph.json")
+    assert graph == load_graph(DATA / "e1_labeled_lists_v3.graph.json")
+
+    stored = json.loads((DATA / "e1_labeled_keys_v4.json").read_text())
+    path = tmp_path / "again.json"
+    save_instance(path, inst, sol)
+    new = json.loads(path.read_text())
+    for key, nnz in (("q", 4), ("a", 15)):
+        assert unpacked_gaps(new[key].pop("gaps"), nnz) == unpacked_keys(stored[key].pop("keys"))
+    assert new == stored
+    old = json.loads((DATA / "e1_labeled_keys_v4.graph.json").read_text())
+    save_graph(path, graph)
+    new = json.loads(path.read_text())
+    assert unpacked_gaps(new["edges"].pop("gaps"), 19) == unpacked_keys(old["edges"].pop("keys"))
+    assert new == old
 
 
 EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300])
@@ -416,30 +456,99 @@ def test_packed_round_trip_is_bit_exact(tmp_path):
     ((2**32 + 1, 1), "<i8"),  # a tall column, still sparse
 ])
 def test_keys_take_the_narrowest_width(shape, dtype):
-    """Keys are packed in the narrowest of <u2, <u4 and <i8 that holds
-    n_rows * n_cols - 1, the key of the last cell, which each matrix holds."""
+    """Earlier files pack keys in the narrowest of <u2, <u4 and <i8 that
+    holds n_rows * n_cols - 1, the key of the last cell, which each matrix
+    holds.  They load at that width and no other, to the matrix today's
+    gaps give."""
     n_rows, n_cols = shape
     mat = SparseMatrix(n_rows, n_cols, [0, n_rows // 2, n_rows - 1], [n_cols - 1, 0, n_cols - 1],
                        [1.0, -2.0, 3.0])
-    doc = _matrix_to_doc(mat)
     keys = mat.rows * n_cols + mat.cols
     assert keys[-1] == n_rows * n_cols - 1
-    assert base64.b64decode(doc["keys"]) == keys.astype(dtype).tobytes()
+    for width in ("<u2", "<u4", "<i8"):
+        doc = {"keys": base64.b64encode(keys.astype(width).tobytes()).decode(),
+               "vals": packed(mat.vals)}
+        if width == dtype:
+            assert _matrix_from_doc(doc, n_rows, n_cols, "a") == mat
+        else:
+            with pytest.raises(InputError):
+                _matrix_from_doc(doc, n_rows, n_cols, "a")
+    assert _matrix_from_doc(_matrix_to_doc(mat), n_rows, n_cols, "a") == mat
+
+
+# the largest gap each width holds, and the smallest the next one needs
+WIDTH_BOUNDARIES = (255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32)
+
+
+@given(gaps=st.lists(st.integers(0, 3) | st.sampled_from(WIDTH_BOUNDARIES), max_size=40),
+       n_cols=st.sampled_from([1, 2, 7, 300]))
+@example(gaps=[], n_cols=3)  # no entries: an empty string
+@example(gaps=[2**32], n_cols=1)  # <u8 in a tall 2**32 + 1 x 1 column
+@example(gaps=[1, 255, 0], n_cols=7)
+@example(gaps=[1, 256, 0], n_cols=7)
+@example(gaps=[1, 2**16 - 1, 0], n_cols=7)
+@example(gaps=[1, 2**16, 0], n_cols=7)
+@example(gaps=[1, 2**32 - 1, 0], n_cols=7)
+@example(gaps=[1, 2**32, 0], n_cols=7)
+def test_gaps_round_trip_at_the_narrowest_width(gaps, n_cols):
+    """A matrix's coordinates are stored as the gaps between its keys, one
+    byte string in the narrowest of 1, 2, 4 and 8 bytes per gap that holds
+    the largest; they load back to the same matrix, and the same gaps one
+    width wider are refused, so each matrix has one encoding."""
+    keys = np.cumsum(np.array(gaps, dtype=np.int64) + 1) - 1
+    n_rows = int(keys[-1]) // n_cols + 1 if gaps else 4
+    mat = SparseMatrix(n_rows, n_cols, *np.divmod(keys, n_cols), np.arange(1.0, len(gaps) + 1))
+    width = next(w for w in (1, 2, 4, 8) if max(gaps, default=0) < 256**w)
+    doc = _matrix_to_doc(mat)
+    assert base64.b64decode(doc["gaps"]) == b"".join(g.to_bytes(width, "little") for g in gaps)
     assert _matrix_from_doc(doc, n_rows, n_cols, "a") == mat
+    if gaps and width < 8:
+        wider = np.array(gaps, dtype=f"<u{2 * width}").tobytes()
+        with pytest.raises(InputError, match="a.gaps"):
+            _matrix_from_doc({**doc, "gaps": base64.b64encode(wider).decode()}, n_rows, n_cols, "a")
+
+
+def test_gaps_refuse_keys_that_wrap_past_int64():
+    """Gaps that each fit a huge matrix but sum past the largest int64 wrap
+    to keys that would seem in range; the reader refuses them."""
+    n_rows = 2**62  # one column, so a key is its row
+    gaps = [2**62 - 1] * 4 + [5]  # the keys wrap to 2**64 + 5, read as 5
+    doc = {"gaps": base64.b64encode(np.array(gaps, dtype="<u8").tobytes()).decode(),
+           "vals": packed(np.ones(5))}
+    assert (np.cumsum(np.array(gaps, dtype=np.int64)) + np.arange(5))[-1] == 5
+    with pytest.raises(InputError, match="a.gaps"):
+        _matrix_from_doc(doc, n_rows, 1, "a")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
 def test_load_rejects_malformed_numbers(tmp_path, case):
     """Bad packed strings (not base64, a partial value, NaN or infinity, the
-    wrong count), keys that are not a packed string, repeat, decrease or
-    leave the matrix, booleans among indices, and strings among numbers."""
+    wrong count), gaps of a wrong or too wide width, gaps or earlier keys
+    that are not a packed string or leave the matrix, gaps beside keys,
+    keys that repeat or decrease, booleans among indices, and strings among
+    numbers."""
     path = malformed_instance_file(tmp_path / "bad.json", case)
-    # the keys reader itself, not a later check, refuses a bad keys field
-    match = re.escape(".".join(MALFORMED_NUMBERS[case][0])) if ".keys-" in case else None
+    # the gaps or keys reader itself, not a later check, refuses a bad field
+    field = case.split("-")[0]
+    match = re.escape(field) if field.endswith((".gaps", ".keys")) else None
     with pytest.raises(InputError, match=match):
         load_instance(path)
     with pytest.raises(InputError, match=match):
         load_instance_unchecked(path)
+
+
+@pytest.mark.parametrize("edit", [lambda s: "!" + s[1:], lambda s: s[:-4],
+                                  lambda s: repacked(s, lambda v: [float("nan"), *v[1:]])],
+                         ids=["bad-base64", "partial-value", "nan"])
+def test_load_rejects_malformed_witness(tmp_path, edit):
+    path = tmp_path / "gen.json"
+    save_instance(path, gen_qp(6, 4, 0.5, 0.5, seed=0))
+    doc = json.loads(path.read_text())
+    params = doc["provenance"][0]["params"]
+    params["witness"] = edit(params["witness"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="params.witness"):
+        load_instance(path)
 
 
 def test_save_refuses_non_finite_values(tmp_path, e1):

@@ -23,7 +23,7 @@ from qpaug.graphenc import (
 )
 from qpaug.transforms import AugmentPolicy, SSL_STRENGTHS_QP, apply_policy, scale_variables
 
-from conftest import make_instance, packed, packed_keys, unpacked, unpacked_keys
+from conftest import make_instance, packed, packed_gaps, packed_keys, unpacked, unpacked_gaps
 
 
 # ---------------------------------------------------------------- graph building
@@ -388,23 +388,23 @@ def test_graph_file_schema_and_determinism(tmp_path, e1):
     doc = json.loads(p1.read_text())
     assert set(doc) == {"nodes", "edges"}
     assert set(doc["nodes"]) == {"n_var", "n_con", "feature"}
-    assert set(doc["edges"]) == {"keys", "weight"}
+    assert set(doc["edges"]) == {"gaps", "weight"}
     assert (doc["nodes"]["n_var"], doc["nodes"]["n_con"]) == (2, 3)
     assert unpacked(doc["nodes"]["feature"]) == [-2.0, -2.0, 1.0, 0.0, 0.0]
-    # src * 5 + dst over the 5 nodes: vv (0, 0), (1, 1), then ca (2, 0),
-    # (2, 1), (3, 0), (4, 1)
-    assert unpacked_keys(doc["edges"]["keys"]) == [0, 6, 10, 11, 15, 21]
+    # the gaps, one byte each, between the keys src * 5 + dst over the 5
+    # nodes: vv (0, 0), (1, 1), then ca (2, 0), (2, 1), (3, 0), (4, 1)
+    assert unpacked_gaps(doc["edges"]["gaps"], 6) == [0, 6, 10, 11, 15, 21]
     assert unpacked(doc["edges"]["weight"]) == [2.0, 2.0, 1.0, 1.0, -1.0, -1.0]
     assert p1.read_text() == E1_GRAPH_FILE
 
 
 # save_graph(to_bipartite_graph(e1)), frozen: compact JSON, node counts, vv
 # edges first, then ca edges, constraint nodes numbered after the variable
-# nodes, no kind, keys, features and weights packed
+# nodes, no kind, gaps, features and weights packed
 E1_GRAPH_FILE = (
     '{"nodes":{"n_var":2,"n_con":3,'
     '"feature":"AAAAAAAAAMAAAAAAAAAAwAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAA=="},'
-    '"edges":{"keys":"AAAGAAoACwAPABUA",'
+    '"edges":{"gaps":"AAUDAAMF",'
     '"weight":"AAAAAAAAAEAAAAAAAAAAQAAAAAAAAPA/AAAAAAAA8D8AAAAAAADwvwAAAAAAAPC/"}}\n'
 )
 
@@ -457,12 +457,15 @@ def test_graph_file_loads_hand_written_edges(tmp_path):
     assert g.ca_edges.tolist() == [(0, 1, 4.0)]
     assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
     assert g.var_features.tolist() == [0.0, 0.5] and g.con_features.tolist() == [1.0]
-    # today's form: the same edges keyed src * 3 + dst over the 3 nodes
-    path.write_text(json.dumps(_keyed_doc(packed_keys([0, 1, 4, 7]), weight=[2, 0.5, 3, 4])))
-    g = load_graph(path)
-    assert g == full
-    assert g.ca_edges.tolist() == [(0, 1, 4.0)]
-    assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
+    # the same edges keyed src * 3 + dst over the 3 nodes, packed as keys
+    # (an earlier form) and as today's gaps
+    for doc in (_keyed_doc(packed_keys([0, 1, 4, 7]), weight=[2, 0.5, 3, 4]),
+                _gapped_doc(packed_gaps([0, 1, 4, 7]), weight=[2, 0.5, 3, 4])):
+        path.write_text(json.dumps(doc))
+        g = load_graph(path)
+        assert g == full
+        assert g.ca_edges.tolist() == [(0, 1, 4.0)]
+        assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
 
 
 def _keyed_doc(keys, **edges):
@@ -493,6 +496,41 @@ def test_graph_file_checks_edge_keys(tmp_path, keys, edges, message):
     path.write_text(json.dumps(_keyed_doc(keys, **edges)))
     if message is None:
         assert load_graph(path).ca_edges.tolist() == [(0, 0, 1.0), (0, 1, 2.0)]
+        return
+    with pytest.raises(InputError, match=message):
+        load_graph(path)
+
+
+def _gapped_doc(gaps, **edges):
+    """_keyed_doc with the edges packed as gaps: by default those of the ca
+    edges (2, 0) and (2, 1), keys 6 and 7."""
+    return _graph_doc(nodes=_keyed_doc(None)["nodes"],
+                      **{"src": None, "dst": None, "kind": None, "gaps": gaps, **edges})
+
+
+@pytest.mark.parametrize("gaps, edges, message", [
+    (packed_gaps([6, 7]), {}, None),  # loads
+    ("!" + packed_gaps([6, 7])[1:], {}, "edges.gaps"),  # not base64
+    (base64.b64encode(bytes(3)).decode(), {}, "edges.gaps"),  # 3 bytes for 2 gaps
+    (base64.b64encode(bytes(6)).decode(), {}, "edges.gaps"),  # a width of 3
+    (packed_gaps([6, 7], width=2), {}, "edges.gaps"),  # wider than needed
+    (packed_gaps([6, 9]), {}, "edges.gaps"),  # 9, the node square's cell count
+    (base64.b64encode(np.array([6, 2**64 - 1], "<u8").tobytes()).decode(), {},
+     "edges.gaps"),  # wraps to a repeat of key 6 in int64
+    ([6, 0], {}, "edges.gaps"),  # not a packed string
+    (packed_gaps([6, 7]), {"keys": packed_keys([6, 7])}, "gaps and weight only"),
+    (packed_gaps([6, 7]), {"src": [2, 2]}, "gaps and weight only"),
+    (packed_gaps([6, 7]), {"weight": [1.0, 0.0]}, "nonzero weights"),  # an explicit zero
+    ("", {"weight": []}, None),  # no edges
+])
+def test_graph_file_checks_edge_gaps(tmp_path, gaps, edges, message):
+    import json
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_gapped_doc(gaps, **edges)))
+    if message is None:
+        want = [(0, 0, 1.0), (0, 1, 2.0)] if gaps else []
+        assert load_graph(path).ca_edges.tolist() == want
         return
     with pytest.raises(InputError, match=message):
         load_graph(path)

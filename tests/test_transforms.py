@@ -1038,25 +1038,26 @@ def test_add_vars_batch_matches_loop_reference(family, labeled, count):
 # sha256 of the file save_instance writes for each public addition op and
 # bias_instance applied to a seeded QP and LP, with the mapped solution;
 # recorded while add_constraints still built its rows through scipy, and
-# re-pinned once when coordinates became packed keys (the files written
-# before load to the same arrays, bit for bit)
+# re-pinned once when coordinates became packed keys and once when they
+# became packed gaps and the generator witness a packed float string (each
+# time the files written before load to the same arrays, bit for bit)
 PINNED_PUBLIC_OPS_SHA256 = {
     "lp_add_constraints.json":
-        "7d19bf8d0246d327d9babfa91b725d00e0cfd9da7d144389fba2d5bccda3448c",
+        "0fa859b40f07959f008896a4e7209dd3db030ab0411c0bb556aacb08192c3bb9",
     "lp_add_variable_constrained.json":
-        "df5d59993036b339eadb2364c718d3f4866ef0ff5dfd909125fd91d5f34defee",
+        "ef7af711307cbef086c786e9e7ee0c3384c82dff2016304644e49984d3191297",
     "lp_bias_instance.json":
-        "cb8e85d4bc29f5a00d67a36e17b527bc1e0c02b5c1fbdd38fde89576c615c556",
+        "f57be3fde73aab1d6ab26700c37fda6663826ed158fcbe6f658680885120899a",
     "qp_add_constraints.json":
-        "6372ecfcce07525e7c0fd56825bc33a6d18212aa477f7a23029f7855475e71be",
+        "00f13aa41b8f08dbd5ac1c06dd72c9cf8c7005aa35fc8eb1ad80289bcee4bbd6",
     "qp_add_variable_biased.json":
-        "90f5affd817c99881b041e7cdbc1fc2c9109c266e6b3331c59e8b182a70d4c8d",
+        "8ef7eaed11348f5b6ce5e5d7402f2e794776959eb64b38a3b5b1b166ea77d2c7",
     "qp_add_variable_constrained.json":
-        "5163592521bf08bd5843587361ea45755d26a6ae7e7f6837ae14bd67ed320de1",
+        "cce3e942b5830c1f392e51b79ee9982acac8a9bd9f8fd239ee6b9252e7e0e6e8",
     "qp_add_variables.json":
-        "66ed39eb137bde6fd5f08079bbe6da2956a674618a9f61635f719e5305a52e55",
+        "fb07490ff2416898ca9b0883d053c6efe1595eb11aeade2451f95150c2eb7af1",
     "qp_bias_instance.json":
-        "76dc1a0ea62c1432cea15178e6be50990dd55d4903ccace66668f595afb3edc6",
+        "7404d20223cb4c932e2bca2ce31aacd5e142a1119537b7148d5c4639128f0fa2",
 }
 
 
