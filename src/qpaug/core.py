@@ -66,8 +66,9 @@ def _ordered_sum(keys: np.ndarray, terms: np.ndarray, length: int) -> np.ndarray
 class SparseMatrix:
     """Real sparse matrix in canonical coordinate form.
 
-    Entries are kept sorted by (row, col); duplicates and explicit zeros are
-    rejected so that equal matrices have identical storage.
+    Entries are kept sorted by (row, col), duplicates are rejected, and
+    explicit zeros are dropped, so that equal matrices have identical
+    storage.  Files refuse an explicit zero in any sparse field instead.
     """
 
     n_rows: int
@@ -161,9 +162,7 @@ class SparseMatrix:
         return _ordered_sum(self.cols, self.vals * y[self.rows], self.n_cols)
 
     def row_norms(self) -> np.ndarray:
-        sq = np.zeros(self.n_rows)
-        np.add.at(sq, self.rows, self.vals**2)
-        return np.sqrt(sq)
+        return np.sqrt(_ordered_sum(self.rows, self.vals**2, self.n_rows))
 
     def is_symmetric(self) -> bool:
         """Exact structural symmetry: (i, j, v) stored iff (j, i, v) stored."""

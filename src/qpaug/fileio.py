@@ -9,19 +9,21 @@ a partial document.
 Fixed-schema float64 arrays (q/a vals, b, c, the solution's x and lam, a
 solution map's values, a generator record's witness, a graph's node
 features and edge weights) are each one string: the base64 of their
-little-endian float64 bytes, which round-trips every value bit for bit.  A
-sparse matrix's coordinates are one string too.  Its entries, in canonical
-order, have strictly increasing keys k = row * n_cols + col, stored as the
-gaps k0, k1 - k0 - 1, k2 - k1 - 1, ... in the narrowest of <u1, <u2, <u4
-and <u8 that holds the largest gap.  The reader takes the width from the
-byte count over the entry count, which the values string gives, so the
-file needs no width tag, and keys = cumsum(gaps + 1) - 1 strictly increase
-whatever the bytes.  Dimensions, solution map indices, the objective and
-the other params stay plain JSON.  Every numeric field goes through one
-checked reader: a packed float string must decode strictly to a whole
-number of finite float64 values; gaps must come in the narrowest width and
-give keys below n_rows * n_cols; a list must hold JSON numbers only
-(integers for an index), never booleans or strings.
+little-endian float64 bytes, which round-trips every value bit for bit.
+One codec writes and reads every sparse field (q, a, a graph's edges) as
+{"gaps", "vals"} ({"gaps", "weight"} for edges): the gaps k0, k1 - k0 - 1,
+... between the strictly increasing keys k = row * n_cols + col of its
+entries, in the narrowest of <u1, <u2, <u4 and <u8 that holds the largest.
+The width is the byte count over the values' count, so the file needs no
+tag, and keys = cumsum(gaps + 1) - 1 strictly increase whatever the bytes.
+Every sparse field, in any form, must hold exactly its fields (earlier
+graph edge lists may add kind), gaps in their narrowest width, keys below
+n_rows * n_cols, as many coordinates as values, and no explicit zero.
+Dimensions, solution map indices, the objective and the other params stay
+plain JSON.  Every numeric field goes through one checked reader: a packed
+float string must decode strictly to a whole number of finite float64
+values; a list must hold JSON numbers only (integers for an index), never
+booleans or strings.
 
 A symmetric matrix is stored once per pair: an instance's q keeps the
 entries with row <= col, a graph's variable-variable edges those with
@@ -92,56 +94,48 @@ def _unpacked(text, dtype) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype)
 
 
-def _packed_gaps(keys) -> str:
-    """Strictly increasing int64 `keys` as the base64 of their gaps
-    k0, k1 - k0 - 1, k2 - k1 - 1, ..., little-endian in the narrowest of
-    <u1, <u2, <u4 and <u8 that holds the largest."""
+def _sparse_doc(keys, vals, vals_name) -> dict:
+    """A sparse field: strictly increasing int64 `keys` as the base64 of their
+    gaps k0, k1 - k0 - 1, ..., little-endian in the narrowest of <u1, <u2,
+    <u4 and <u8 that holds the largest, and `vals` packed as `vals_name`."""
     gaps = np.diff(keys, prepend=-1) - 1
     dtype = np.dtype(np.min_scalar_type(gaps.max(initial=0))).newbyteorder("<")
-    return base64.b64encode(gaps.astype(dtype).tobytes()).decode("ascii")
+    return {"gaps": base64.b64encode(gaps.astype(dtype).tobytes()).decode("ascii"),
+            vals_name: _packed(vals)}
 
 
-def _gaps_field(value, label, nnz, n_rows, n_cols):
-    """(rows, cols) int64 arrays from a `_packed_gaps` string of `nnz` gaps,
-    whose width the byte count gives.  The width must be the narrowest that
-    holds the largest gap, so a matrix has one encoding, and the keys, which
-    strictly increase by construction, must lie in [0, n_rows * n_cols)."""
-    try:  # b64decode raises TypeError on a value that is not a string
-        raw = base64.b64decode(value, validate=True)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise InputError(f"{label} must be packed gaps ({exc})") from exc
+def _keys_from_gaps(raw, label, nnz, size) -> np.ndarray:
+    """The int64 keys whose `nnz` gaps `raw` holds, at the width its byte
+    count gives, which must be the narrowest that holds the largest gap (one
+    encoding per matrix); the keys strictly increase and must be below size."""
     width = len(raw) // max(nnz, 1)
     if len(raw) != nnz * width or (nnz and width not in (1, 2, 4, 8)):
         raise InputError(f"{label} holds {len(raw)} bytes, not {nnz} gaps of 1, 2, 4 or 8 bytes")
     if not nnz:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+        return np.zeros(0, np.int64)
     gaps = np.frombuffer(raw, f"<u{width}")
     top = int(gaps.max())
     if np.min_scalar_type(top).itemsize != width:
         raise InputError(f"{label} stores gaps up to {top} in {width} bytes, wider than needed")
-    size = n_rows * n_cols
     # with every gap below size, a key that wraps past int64 comes out
     # negative, or as the largest int64 when it is the last
     keys = np.cumsum(gaps, dtype=np.int64) + np.arange(nnz)
     if not (top < size and keys.min() >= 0 and keys[-1] < size):
         raise InputError(f"{label} must give keys within [0, {size})")
-    return np.divmod(keys, n_cols)
+    return keys
 
 
-def _keys_field(value, label, n_rows, n_cols):
-    """(rows, cols) int64 arrays from the packed keys earlier versions wrote:
-    row * n_cols + col per entry, in the narrowest of <u2, <u4 and <i8 that
-    holds n_rows * n_cols - 1, which must decode strictly to keys that
-    strictly increase within [0, n_rows * n_cols)."""
-    size = n_rows * n_cols
-    dtype = "<u2" if size <= 2**16 else "<u4" if size <= 2**32 else "<i8"
-    try:  # b64decode raises TypeError on a value that is not a string
-        keys = _unpacked(value, dtype).astype(np.int64)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise InputError(f"{label} must be packed keys ({exc})") from exc
+def _earlier_keys(raw, label, size) -> np.ndarray:
+    """The int64 keys earlier versions packed in `raw` themselves: in the
+    narrowest of <u2, <u4 and <i8 that holds size - 1, and strictly
+    increasing within [0, size)."""
+    dtype = np.dtype("<u2" if size <= 2**16 else "<u4" if size <= 2**32 else "<i8")
+    if len(raw) % dtype.itemsize:
+        raise InputError(f"{label} holds {len(raw)} bytes, not whole {dtype.str} keys")
+    keys = np.frombuffer(raw, dtype).astype(np.int64)
     if keys.size and not (keys[0] >= 0 and keys[-1] < size and np.all(keys[1:] > keys[:-1])):
         raise InputError(f"{label} must strictly increase within [0, {size})")
-    return np.divmod(keys, n_cols)
+    return keys
 
 
 # the JSON types a list of each dtype may hold: bool is an int subclass and a
@@ -189,31 +183,48 @@ def _mirrored(rows, cols, vals, n):
     return rows[order], cols[order], np.concatenate([vals[lower], vals])[order]
 
 
+def _sparse_field(doc, label, n_rows, n_cols, names=("rows", "cols", "vals")):
+    """(rows, cols, vals) of an n_rows x n_cols sparse field: packed gaps and
+    values, or the keys or lists of earlier files, under `names`: the lists',
+    the values' and any field earlier files may hold beside the lists.  Any
+    other field set, unequal counts and an explicit zero are refused."""
+    row_name, col_name, vals_name, *earlier = names
+    given = set(doc) if isinstance(doc, dict) else set()
+    packed = next((k for k in ("gaps", "keys") if k in given), None)
+    fields = {packed, vals_name} if packed else {row_name, col_name, vals_name}
+    if not fields <= given <= (fields if packed else fields.union(earlier)):
+        raise InputError(f"{label} with {label}.{packed} holds {packed} and {vals_name} only"
+                         if packed else
+                         f"{label} must hold gaps and {vals_name}, or keys or {'/'.join(names)}")
+    vals = _array_field(doc[vals_name], f"{label}.{vals_name}", np.float64)
+    if packed:
+        where = f"{label}.{packed}"
+        try:  # b64decode raises TypeError on a value that is not a string
+            raw = base64.b64decode(doc[packed], validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise InputError(f"{where} must be packed {packed} ({exc})") from exc
+        keys = (_keys_from_gaps(raw, where, vals.size, n_rows * n_cols) if packed == "gaps"
+                else _earlier_keys(raw, where, n_rows * n_cols))
+        rows, cols = np.divmod(keys, n_cols)
+    else:  # earlier files list the coordinates
+        rows, cols = (_array_field(doc[k], f"{label}.{k}", np.int64) for k in (row_name, col_name))
+    if not rows.shape == cols.shape == vals.shape:
+        raise InputError(f"{label}: coordinate and {vals_name} counts differ")
+    if not np.all(vals):  # SparseMatrix would drop it, so the file would not round-trip
+        raise InputError(f"{label}.{vals_name} holds a zero; stored entries need nonzero weights")
+    return rows, cols, vals
+
+
 def _matrix_to_doc(mat: SparseMatrix, upper=False) -> dict:
     """Packed gaps and values of `mat`; with `upper`, only its entries with
     row <= col."""
     keep = mat.rows <= mat.cols if upper else slice(None)
-    return {"gaps": _packed_gaps(mat.rows[keep] * mat.n_cols + mat.cols[keep]),
-            "vals": _packed(mat.vals[keep])}
+    return _sparse_doc(mat.rows[keep] * mat.n_cols + mat.cols[keep], mat.vals[keep], "vals")
 
 
 def _matrix_from_doc(doc, n_rows, n_cols, label, upper=False) -> SparseMatrix:
-    """A matrix from packed gaps and vals, or from the keys/vals or
-    rows/cols/vals of earlier files."""
-    packed = next((k for k in ("gaps", "keys") if isinstance(doc, dict) and k in doc), None)
-    fields = {packed, "vals"} if packed else {"rows", "cols", "vals"}
-    if not isinstance(doc, dict) or set(doc) != fields:
-        raise InputError(f"field {label}: expected {label}.gaps and {label}.vals, or the "
-                         "keys/vals or rows/cols/vals of earlier files")
-    vals = _array_field(doc["vals"], f"{label}.vals", np.float64)
-    if packed == "gaps":
-        rows, cols = _gaps_field(doc["gaps"], f"{label}.gaps", vals.size, n_rows, n_cols)
-    elif packed == "keys":
-        rows, cols = _keys_field(doc["keys"], f"{label}.keys", n_rows, n_cols)
-    else:
-        rows, cols = (_array_field(doc[k], f"{label}.{k}", np.int64) for k in ("rows", "cols"))
-    if not (rows.shape == cols.shape == vals.shape):
-        raise InputError(f"field {label}: coordinate and value counts differ")
+    """A matrix from its sparse field; with `upper`, from its upper triangle."""
+    rows, cols, vals = _sparse_field(doc, label, n_rows, n_cols)
     if upper:
         rows, cols, vals = _mirrored(rows, cols, vals, n_rows)
     return SparseMatrix(n_rows, n_cols, rows, cols, vals)
@@ -351,11 +362,9 @@ def save_graph(path, graph):
             "n_con": graph.n_con_nodes,
             "feature": _packed(np.concatenate([graph.var_features, graph.con_features])),
         },
-        "edges": {
-            "gaps": _packed_gaps(np.concatenate([q.rows[upper] * side + q.cols[upper],
-                                                 (a.rows + n) * side + a.cols])),
-            "weight": _packed(np.concatenate([q.vals[upper], a.vals])),
-        },
+        "edges": _sparse_doc(np.concatenate([q.rows[upper] * side + q.cols[upper],
+                                             (a.rows + n) * side + a.cols]),
+                             np.concatenate([q.vals[upper], a.vals]), "weight"),
     }
     _write_json(path, doc)
 
@@ -378,26 +387,14 @@ def load_graph(path):
         if min(n_var, n_con) < 0 or len(feature) != n_var + n_con:
             raise InputError("nodes.feature must hold one value per node")
         edges = doc["edges"]
-        weight = _array_field(edges["weight"], "edges.weight", np.float64)
         side = n_var + n_con
-        packed = next((k for k in ("gaps", "keys") if k in edges), None)
-        if packed and set(edges) != {packed, "weight"}:
-            raise InputError(f"edges with {packed} hold {packed} and weight only")
-        if packed == "gaps":
-            src, dst = _gaps_field(edges["gaps"], "edges.gaps", weight.size, side, side)
-        elif packed == "keys":  # earlier files pack the keys themselves
-            src, dst = _keys_field(edges["keys"], "edges.keys", side, side)
-        else:  # earlier files list src and dst
-            src, dst = (_array_field(edges[k], f"edges.{k}", np.int64) for k in ("src", "dst"))
-        if not src.shape == dst.shape == weight.shape:
-            raise InputError("edges: coordinate and weight counts differ")
+        src, dst, weight = _sparse_field(edges, "edges", side, side,
+                                         ("src", "dst", "weight", "kind"))
         is_ca = src >= n_var
         if "kind" in edges:  # earlier files list each edge's kind
             kind = _array_field(edges["kind"], "edges.kind", np.str_)
             if not np.array_equal(kind, np.where(is_ca, "ca", "vv")):
                 raise InputError("edges.kind must be 'ca' exactly where src >= the variable count")
-        if not np.all(weight):  # SparseMatrix would drop an explicit zero
-            raise InputError("edges must have nonzero weights")
         vv = ~is_ca
         return BipartiteGraph(
             var_features=feature[:n_var], con_features=feature[n_var:],

@@ -173,6 +173,7 @@ def solve_splitting_detailed(
     x_prev_probe = x.copy()
     cert_hits = 0
     best_xy: tuple[np.ndarray, np.ndarray] | None = None
+    best_polished = False  # whether polish, not an iterate, gave best_xy
     best_max = np.inf
     last_polish_at = np.inf
     c_scale = 1.0 + (np.abs(c).max() if n else 0.0)
@@ -184,14 +185,14 @@ def solve_splitting_detailed(
     def polish(xv, yv):
         """Polish (xv, yv), score it, and keep it as the best point if it
         beats it; the polished point and its report, or (None, None)."""
-        nonlocal best_max, best_xy
+        nonlocal best_max, best_xy, best_polished
         pol = _polish(inst, q_dense, a_dense, xv, yv)
         if pol is None:
             return None, None
         prep = kkt_residuals(inst, pol, relative=True)
         if prep.max_residual < best_max:
             best_max = prep.max_residual
-            best_xy = (pol.x.copy(), pol.lam.copy())
+            best_xy, best_polished = (pol.x.copy(), pol.lam.copy()), True
         return pol, prep
 
     it = 0
@@ -212,7 +213,7 @@ def solve_splitting_detailed(
             cur_max = kkt_residuals_raw(inst, x, y, relative=True).max_residual
             if cur_max < best_max:
                 best_max = cur_max
-                best_xy = (x.copy(), y.copy())
+                best_xy, best_polished = (x.copy(), y.copy()), False
             if cur_max <= cfg.tol:
                 sol = as_solution(x, y)
                 return sol, SolveStats(it, False, kkt_residuals(inst, sol, relative=True))
@@ -253,7 +254,7 @@ def solve_splitting_detailed(
         polish(x, y)
     if best_xy is not None and best_max <= 10.0 * cfg.tol:
         sol = as_solution(*best_xy)
-        return sol, SolveStats(cfg.max_iter, True, kkt_residuals(inst, sol, relative=True))
+        return sol, SolveStats(cfg.max_iter, best_polished, kkt_residuals(inst, sol, relative=True))
     best_sol = as_solution(*best_xy) if best_xy is not None else None
     raise Unconverged(
         f"no solution within {10.0 * cfg.tol:g} after {cfg.max_iter} iterations",

@@ -152,6 +152,9 @@ MALFORMED_NUMBERS = {
     "q.gaps-list": (("q", "gaps"), lambda s: gaps_of(unpacked_gaps(s, Q_NNZ))),
     "a.gaps-beside-keys": (("a",), lambda a: {**a, "keys": packed_keys(
         unpacked_gaps(a["gaps"], A_NNZ))}),
+    # an earlier version loaded these, dropping the entry the zero stands for
+    "a.vals-explicit-zero": (("a", "vals"), lambda s: repacked(s, lambda v: [0.0, *v[1:]])),
+    "q.vals-explicit-zero": (("q", "vals"), lambda s: repacked(s, lambda v: [*v[:-1], 0.0])),
 }
 
 # the earlier fixtures of the labeled instance, by the field only they hold;

@@ -194,12 +194,12 @@ def test_constructors_leave_callers_arrays_writeable(e1):
     assert sol.x.tolist() == [0.5, 0.5] and sol.lam.tolist() == [1.0, 0.0, 0.0]
 
 
-def _wide_range_sparse(rng, n_rows, n_cols):
-    """Random signs and magnitudes 1e-6 .. 1e6, about half the entries zero,
-    with one row and one column emptied when there are any."""
+def _wide_range_sparse(rng, n_rows, n_cols, decades=6):
+    """Random signs and magnitudes 1e-decades .. 1e+decades, about half the
+    entries zero, with one row and one column emptied when there are any."""
     dense = np.where(rng.random((n_rows, n_cols)) < 0.5, 0.0,
                      rng.choice([-1.0, 1.0], (n_rows, n_cols))
-                     * 10.0 ** rng.uniform(-6, 6, (n_rows, n_cols)))
+                     * 10.0 ** rng.uniform(-decades, decades, (n_rows, n_cols)))
     if n_rows and n_cols:
         dense[rng.integers(n_rows)] = 0.0
         dense[:, rng.integers(n_cols)] = 0.0
@@ -242,6 +242,19 @@ def test_products_reject_misshapen_operands():
     for bad in ([1.0, 1.0, 1.0], [1.0], np.ones((2, 1)), np.ones((1, 2)), 1.0):
         with pytest.raises(InputError, match="y must have shape"):
             a.rmatvec(bad)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 10**6))
+def test_row_norms_sum_in_storage_order(n_rows, n_cols, seed):
+    """row_norms adds each row's squares in storage order from 0.0, the one
+    summation rule of matvec and rmatvec: bit for bit a sequential loop, with
+    magnitudes from 1e-20 to 1e20."""
+    a = _wide_range_sparse(np.random.default_rng(seed), n_rows, n_cols, decades=20)
+    sq = [0.0] * n_rows
+    for row, val in zip(a.rows.tolist(), a.vals.tolist()):
+        sq[row] += val * val
+    assert a.row_norms().tobytes() == np.sqrt(np.array(sq, dtype=np.float64)).tobytes()
 
 
 # ---------------------------------------------------------------- LcqpInstance

@@ -566,6 +566,8 @@ def test_graph_file_checks_edge_gaps(tmp_path, gaps, edges, message):
     {"weight": packed([1.0, 2.0, 3.0])},  # one value too many
     {"weight": [0.0, 2.0]},  # an explicit zero
     {"src": [2, 0, 1], "dst": [1, 1, 0], "weight": [4, 0.0, 0.0], "kind": ["ca", "vv", "vv"]},
+    {"foo": "bar"},  # an unknown field beside the lists used to load
+    {"kind": None, "foo": "bar"},
 ])
 def test_graph_file_rejects_malformed_edges(tmp_path, edges):
     import json

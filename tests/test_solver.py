@@ -15,6 +15,7 @@ from qpaug import (
     solve_splitting,
     solve_splitting_detailed,
 )
+from qpaug.generators import gen_qp
 from qpaug.solver import Unconverged, enumerate_candidates
 
 from conftest import make_instance
@@ -154,6 +155,25 @@ def test_unconverged_carries_best_iterate(e1):
         solve_splitting(e1, SolverConfig(tol=1e-14, max_iter=2, polish=False))
     assert exc.value.best is not None
     assert exc.value.report is not None
+
+
+def test_max_iter_fallback_reports_where_its_point_came_from():
+    """At the iteration cap the solver returns its best point when that is
+    within 10 * tol; `polished` says whether polish gave it.  With polish
+    off, it is an ADMM iterate (an earlier version reported True here); with
+    a tol just below what polish reaches, it is the polished point."""
+    inst = gen_qp(30, 30, 0.2, 0.2, seed=0)
+    cfg = SolverConfig(max_iter=400, polish=False, tol=1e-9)
+    _, stats = solve_splitting_detailed(inst, cfg)
+    assert stats.iterations == cfg.max_iter
+    assert cfg.tol < stats.report.max_residual <= 10.0 * cfg.tol
+    assert stats.polished is False
+    reached = solve_splitting_detailed(inst)[1].report.max_residual
+    cfg = SolverConfig(max_iter=400, tol=reached / 2)
+    _, stats = solve_splitting_detailed(inst, cfg)
+    assert stats.iterations == cfg.max_iter
+    assert stats.report.max_residual == reached
+    assert stats.polished is True
 
 
 # ------------------------------------------------------------------ agreement
