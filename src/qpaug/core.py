@@ -106,6 +106,21 @@ class SparseMatrix:
             object.__setattr__(self, name, arr)
 
     @classmethod
+    def _canonical(cls, n_rows, n_cols, rows, cols, vals, symmetric=None) -> "SparseMatrix":
+        """A matrix on arrays a file reader has proved canonical: int64 rows
+        and cols within the shape, in strictly increasing (row, col) order,
+        and finite nonzero float64 vals, none of them shared.  They are
+        frozen in place, neither checked nor copied, and a known `symmetric`
+        verdict is kept.  Every other caller goes through the checks above."""
+        mat = object.__new__(cls)
+        for arr in (rows, cols, vals):
+            arr.flags.writeable = False
+        mat.__dict__.update(n_rows=n_rows, n_cols=n_cols, rows=rows, cols=cols, vals=vals)
+        if symmetric is not None:
+            mat.__dict__["_symmetric"] = symmetric
+        return mat
+
+    @classmethod
     def from_dense(cls, arr) -> "SparseMatrix":
         dense = np.asarray(arr, dtype=np.float64)
         if dense.ndim != 2:

@@ -6,44 +6,47 @@ provenance (the transform records that produced the instance).  Every file
 is compact JSON, written atomically via a temp file so readers never observe
 a partial document.
 
-Fixed-schema float64 arrays (q/a vals, b, c, the solution's x and lam, a
-solution map's values, a generator record's witness, a graph's node
-features and edge weights) are each one string: the base64 of their
+Today's form.  Fixed-schema float64 arrays (q/a vals, b, c, the solution's x
+and lam, a solution map's values, a generator record's witness, a graph's
+node features and edge weights) are each one string: the base64 of their
 little-endian float64 bytes, which round-trips every value bit for bit.
-One codec writes and reads every sparse field (q, a, a graph's edges) as
-{"gaps", "vals"} ({"gaps", "weight"} for edges): the gaps k0, k1 - k0 - 1,
-... between the strictly increasing keys k = row * n_cols + col of its
-entries, in the narrowest of <u1, <u2, <u4 and <u8 that holds the largest.
-The width is the byte count over the values' count, so the file needs no
-tag, and keys = cumsum(gaps + 1) - 1 strictly increase whatever the bytes.
-Every sparse field, in any form, must hold exactly its fields (earlier
-graph edge lists may add kind), gaps in their narrowest width, keys below
-n_rows * n_cols, as many coordinates as values, and no explicit zero.
-Dimensions, solution map indices, the objective and the other params stay
-plain JSON.  Every numeric field goes through one checked reader: a packed
-float string must decode strictly to a whole number of finite float64
-values; a list must hold JSON numbers only (integers for an index), never
-booleans or strings.
+Every sparse field (q, a, a graph's edges) is {"gaps", "vals"} ({"gaps",
+"weight"} for edges): the gaps k0, k1 - k0 - 1, ... between the strictly
+increasing keys k = row * n_cols + col of its entries, in the narrowest of
+<u1, <u2, <u4 and <u8 that holds the largest.  The width is the byte count
+over the values' count, so the file needs no tag.  A symmetric matrix is
+stored once per pair: q keeps the entries with row <= col, a graph's
+variable-variable (vv) edges those with src <= dst, and loading mirrors the
+rest back.  A graph file gives its node counts (n_var, n_con) and keys its
+edges over the square of all nodes, constraint nodes numbered after the
+variable nodes; an edge leaving a constraint node is a constraint (ca) edge.
 
-A symmetric matrix is stored once per pair: an instance's q keeps the
-entries with row <= col, a graph's variable-variable edges those with
-src <= dst, and loading mirrors the rest back.  Storage holding any entry
-below the diagonal is the earlier full form and must itself be symmetric.
-A graph file gives its node counts (n_var, n_con) and keys its edges over
-the square of all n_var + n_con nodes, constraint nodes numbered after the
-variable nodes; an edge leaving a constraint node (src >= n_var) is a
-constraint edge.
+One reader reads today's form, and builds every matrix from what it proved
+(SparseMatrix._canonical): keys = cumsum(gaps + 1) - 1 strictly increase,
+and must be below n_rows * n_cols, so the entries are in range and in order;
+values are finite and nonzero; a q mirrored from its upper triangle is
+symmetric.  It refuses a sparse field with any other field, gaps wider than
+needed, unequal counts or an explicit zero; an entry of q or a vv edge below
+the diagonal; an edge that ends at a constraint node; a negative dimension
+or node count.  A packed float string must decode strictly to a whole
+number of finite float64 values; a float array may also be a list of JSON
+numbers, and an index list holds integers, never booleans or strings.
 
-Files written by earlier versions load to equal objects: indented files,
-float arrays (the witness too) as JSON lists, coordinates as the packed
-keys themselves (in the narrowest of <u2, <u4 and <i8 that holds
-n_rows * n_cols - 1) or as rows/cols or src/dst lists, full storage,
-graphs with a per-node side list (all var entries, then all con entries)
-or a per-edge kind list.  A solution map's values and indices must
-be flat arrays of numbers and of nonnegative integers.  An earlier dense
-add_variable_constrained map (null indices, values c_new then all of a_col)
-loads in the sparse form; an earlier drop record's `dropped` param loads as
-read and is never replayed.
+Earlier forms are rewritten into today's at one boundary, before that reader
+runs (_upgrade, _upgrade_graph), and load to equal objects: packed keys (in
+the narrowest of <u2, <u4 and <i8 that holds n_rows * n_cols - 1) or
+rows/cols and src/dst lists, q and vv edges in full storage, a per-node side
+list, a per-edge kind list, and a dense add_variable_constrained map (null
+indices, values c_new then all of a_col).  The upgrade builds each matrix
+through the public, fully checked SparseMatrix constructor, and keeps every
+check: keys strictly increasing in range at their width, only the form's
+fields, equal counts, no explicit zero, full storage exactly symmetric (only
+its upper triangle goes on), kind 'ca' exactly on constraint edges, all var
+nodes before all con nodes.  Indented files and an earlier drop record's
+`dropped` param need no rewrite; `dropped` is never replayed.  Three
+refusals are newer than the forms they concern, and no version wrote such a
+file: an unknown field beside a graph's edge lists, an explicit zero among
+q or a values, and an entry below the diagonal of a gaps-form q or vv edges.
 """
 from __future__ import annotations
 
@@ -104,10 +107,19 @@ def _sparse_doc(keys, vals, vals_name) -> dict:
             vals_name: _packed(vals)}
 
 
-def _keys_from_gaps(raw, label, nnz, size) -> np.ndarray:
-    """The int64 keys whose `nnz` gaps `raw` holds, at the width its byte
+def _raw(text, label) -> bytes:
+    """The bytes that `text` holds in strict base64."""
+    try:  # b64decode raises TypeError on a value that is not a string
+        return base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise InputError(f"{label} must be a packed string ({exc})") from exc
+
+
+def _keys_from_gaps(text, label, nnz, size) -> np.ndarray:
+    """The int64 keys whose `nnz` gaps `text` packs, at the width its byte
     count gives, which must be the narrowest that holds the largest gap (one
     encoding per matrix); the keys strictly increase and must be below size."""
+    raw = _raw(text, label)
     width = len(raw) // max(nnz, 1)
     if len(raw) != nnz * width or (nnz and width not in (1, 2, 4, 8)):
         raise InputError(f"{label} holds {len(raw)} bytes, not {nnz} gaps of 1, 2, 4 or 8 bytes")
@@ -122,19 +134,6 @@ def _keys_from_gaps(raw, label, nnz, size) -> np.ndarray:
     keys = np.cumsum(gaps, dtype=np.int64) + np.arange(nnz)
     if not (top < size and keys.min() >= 0 and keys[-1] < size):
         raise InputError(f"{label} must give keys within [0, {size})")
-    return keys
-
-
-def _earlier_keys(raw, label, size) -> np.ndarray:
-    """The int64 keys earlier versions packed in `raw` themselves: in the
-    narrowest of <u2, <u4 and <i8 that holds size - 1, and strictly
-    increasing within [0, size)."""
-    dtype = np.dtype("<u2" if size <= 2**16 else "<u4" if size <= 2**32 else "<i8")
-    if len(raw) % dtype.itemsize:
-        raise InputError(f"{label} holds {len(raw)} bytes, not whole {dtype.str} keys")
-    keys = np.frombuffer(raw, dtype).astype(np.int64)
-    if keys.size and not (keys[0] >= 0 and keys[-1] < size and np.all(keys[1:] > keys[:-1])):
-        raise InputError(f"{label} must strictly increase within [0, {size})")
     return keys
 
 
@@ -165,13 +164,17 @@ def _array_field(value, label, dtype, ndim=1) -> np.ndarray:
     return vals
 
 
+def _count(value, label) -> int:
+    """`value` as a nonnegative JSON integer: a dimension or a node count."""
+    count = int(_array_field(value, label, np.int64, ndim=0))
+    if count < 0:
+        raise InputError(f"{label} must be nonnegative")
+    return count
+
+
 def _mirrored(rows, cols, vals, n):
-    """Both triangles of an n x n matrix from its stored upper triangle, in
-    canonical order when the upper triangle is.  Storage with an entry below
-    the diagonal is the earlier full form and is returned as is, for the
-    caller's symmetry check to judge."""
-    if np.any(rows > cols):
-        return rows, cols, vals
+    """Both triangles of an n x n matrix from its upper triangle, in
+    canonical order when the upper triangle is."""
     # the lower entries are the off-diagonal upper ones in column order, and
     # a stable sort by row alone puts them before the upper entries of each
     # row; in the narrowest unsigned dtype numpy sorts both by radix
@@ -183,36 +186,23 @@ def _mirrored(rows, cols, vals, n):
     return rows[order], cols[order], np.concatenate([vals[lower], vals])[order]
 
 
-def _sparse_field(doc, label, n_rows, n_cols, names=("rows", "cols", "vals")):
-    """(rows, cols, vals) of an n_rows x n_cols sparse field: packed gaps and
-    values, or the keys or lists of earlier files, under `names`: the lists',
-    the values' and any field earlier files may hold beside the lists.  Any
-    other field set, unequal counts and an explicit zero are refused."""
-    row_name, col_name, vals_name, *earlier = names
-    given = set(doc) if isinstance(doc, dict) else set()
-    packed = next((k for k in ("gaps", "keys") if k in given), None)
-    fields = {packed, vals_name} if packed else {row_name, col_name, vals_name}
-    if not fields <= given <= (fields if packed else fields.union(earlier)):
-        raise InputError(f"{label} with {label}.{packed} holds {packed} and {vals_name} only"
-                         if packed else
-                         f"{label} must hold gaps and {vals_name}, or keys or {'/'.join(names)}")
-    vals = _array_field(doc[vals_name], f"{label}.{vals_name}", np.float64)
-    if packed:
-        where = f"{label}.{packed}"
-        try:  # b64decode raises TypeError on a value that is not a string
-            raw = base64.b64decode(doc[packed], validate=True)
-        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-            raise InputError(f"{where} must be packed {packed} ({exc})") from exc
-        keys = (_keys_from_gaps(raw, where, vals.size, n_rows * n_cols) if packed == "gaps"
-                else _earlier_keys(raw, where, n_rows * n_cols))
-        rows, cols = np.divmod(keys, n_cols)
-    else:  # earlier files list the coordinates
-        rows, cols = (_array_field(doc[k], f"{label}.{k}", np.int64) for k in (row_name, col_name))
-    if not rows.shape == cols.shape == vals.shape:
-        raise InputError(f"{label}: coordinate and {vals_name} counts differ")
+def _sparse_field(doc, label, n_rows, n_cols, vals_name="vals"):
+    """(rows, cols, vals) of an n_rows x n_cols sparse field: exactly packed
+    gaps and values under `vals_name`.  The keys strictly increase below
+    n_rows * n_cols, so the rows and columns are in range and in canonical
+    order."""
+    if set(doc) != {"gaps", vals_name}:
+        raise InputError(f"{label} must hold {label}.gaps and {vals_name} only")
+    vals = _nonzero(_array_field(doc[vals_name], f"{label}.{vals_name}", np.float64),
+                    f"{label}.{vals_name}")
+    keys = _keys_from_gaps(doc["gaps"], f"{label}.gaps", vals.size, n_rows * n_cols)
+    return (*np.divmod(keys, n_cols), vals)
+
+
+def _nonzero(vals, label) -> np.ndarray:
     if not np.all(vals):  # SparseMatrix would drop it, so the file would not round-trip
-        raise InputError(f"{label}.{vals_name} holds a zero; stored entries need nonzero weights")
-    return rows, cols, vals
+        raise InputError(f"{label} holds a zero; stored entries need nonzero weights")
+    return vals
 
 
 def _matrix_to_doc(mat: SparseMatrix, upper=False) -> dict:
@@ -222,12 +212,17 @@ def _matrix_to_doc(mat: SparseMatrix, upper=False) -> dict:
     return _sparse_doc(mat.rows[keep] * mat.n_cols + mat.cols[keep], mat.vals[keep], "vals")
 
 
-def _matrix_from_doc(doc, n_rows, n_cols, label, upper=False) -> SparseMatrix:
-    """A matrix from its sparse field; with `upper`, from its upper triangle."""
-    rows, cols, vals = _sparse_field(doc, label, n_rows, n_cols)
-    if upper:
-        rows, cols, vals = _mirrored(rows, cols, vals, n_rows)
-    return SparseMatrix(n_rows, n_cols, rows, cols, vals)
+def _matrix_from_doc(doc, n_rows, n_cols, label) -> SparseMatrix:
+    """A matrix from its sparse field, built on what the reader proved."""
+    return SparseMatrix._canonical(n_rows, n_cols, *_sparse_field(doc, label, n_rows, n_cols))
+
+
+def _from_upper(rows, cols, vals, n, label) -> SparseMatrix:
+    """The symmetric n x n matrix whose upper triangle the field `label` holds."""
+    if np.any(rows > cols):
+        raise InputError(f"{label} holds an entry below the diagonal; only the upper "
+                         "triangle is stored")
+    return SparseMatrix._canonical(n, n, *_mirrored(rows, cols, vals, n), symmetric=True)
 
 
 def _record_to_doc(rec: TransformRecord) -> dict:
@@ -248,25 +243,97 @@ def _record_to_doc(rec: TransformRecord) -> dict:
 
 
 def _record_from_doc(doc) -> TransformRecord:
-    try:
-        sm_doc = doc["solution_map"]
-        kind = MapKind(sm_doc["kind"])
-        values, indices = (
-            None if sm_doc[key] is None else _array_field(sm_doc[key], f"solution_map.{key}", dtype)
-            for key, dtype in (("values", np.float64), ("indices", np.int64)))
-        if kind is MapKind.EXPLICIT_DUAL and indices is None:  # earlier dense (c_new, *a_col)
-            indices = np.flatnonzero(values[1:])
-            values = np.append(values[0], values[1:][indices])
-        params = dict(doc["params"])
-        if isinstance(params.get("witness"), str):  # packed; earlier files list it
-            params["witness"] = _array_field(params["witness"], "params.witness",
-                                             np.float64).tolist()
-        return TransformRecord(str(doc["op"]), params,
-                               SolutionMap(kind, sm_doc["side"], values, indices))
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise InputError(f"malformed provenance record: {exc}") from exc
+    sm_doc = doc["solution_map"]
+    values, indices = (
+        None if sm_doc[key] is None else _array_field(sm_doc[key], f"solution_map.{key}", dtype)
+        for key, dtype in (("values", np.float64), ("indices", np.int64)))
+    params = dict(doc["params"])
+    if "witness" in params:  # a generator record's float array
+        params["witness"] = _array_field(params["witness"], "params.witness", np.float64).tolist()
+    return TransformRecord(str(doc["op"]), params,
+                           SolutionMap(MapKind(sm_doc["kind"]), sm_doc["side"], values, indices))
+
+
+# Earlier forms.  Each is rewritten here into today's form, once, before the
+# reader above runs: its fields are read with every check, built by the
+# public SparseMatrix constructor, and written back as today's writer would.
+
+
+def _earlier_keys(text, label, size) -> np.ndarray:
+    """The int64 keys earlier versions packed themselves: in the narrowest of
+    <u2, <u4 and <i8 that holds size - 1, and strictly increasing within
+    [0, size)."""
+    raw = _raw(text, label)
+    dtype = np.dtype("<u2" if size <= 2**16 else "<u4" if size <= 2**32 else "<i8")
+    if len(raw) % dtype.itemsize:
+        raise InputError(f"{label} holds {len(raw)} bytes, not whole {dtype.str} keys")
+    keys = np.frombuffer(raw, dtype).astype(np.int64)
+    if keys.size and not (keys[0] >= 0 and keys[-1] < size and np.all(keys[1:] > keys[:-1])):
+        raise InputError(f"{label} must strictly increase within [0, {size})")
+    return keys
+
+
+def _upgraded_field(doc, label, n_rows, n_cols, n_sym, names=("rows", "cols", "vals")) -> dict:
+    """Today's form of an earlier sparse field, built through the checked
+    SparseMatrix constructor from packed keys and values, or from lists
+    under `names` (coordinates, values, and any field earlier files hold
+    beside them).  Any other field, unequal counts and an explicit zero are
+    refused.  The entries in the first n_sym rows are a symmetric n_sym x
+    n_sym block (q, or a graph's vv edges): stored with an entry below the
+    diagonal, it must be symmetric, and only its upper triangle goes on."""
+    vals_name = names[2]
+    fields = {"keys", vals_name} if "keys" in doc else set(names)
+    if not set(doc) <= fields:
+        raise InputError(f"{label} may hold {' and '.join(sorted(fields))} only")
+    vals = _array_field(doc[vals_name], f"{label}.{vals_name}", np.float64)
+    if "keys" in doc:
+        rows, cols = np.divmod(_earlier_keys(doc["keys"], f"{label}.keys", n_rows * n_cols), n_cols)
+    else:
+        rows, cols = (_array_field(doc[k], f"{label}.{k}", np.int64) for k in names[:2])
+    if not rows.shape == cols.shape == vals.shape:
+        raise InputError(f"{label}: coordinate and {vals_name} counts differ")
+    _nonzero(vals, f"{label}.{vals_name}")
+    sym = rows < n_sym
+    if "kind" in doc and doc["kind"] != np.where(sym, "vv", "ca").tolist():
+        raise InputError(f"{label}.kind must be 'ca' exactly where src >= the variable count")
+    lower = sym & (rows > cols)
+    if lower.any() and not SparseMatrix(n_sym, n_sym, rows[sym], cols[sym], vals[sym]).is_symmetric():
+        raise InputError(f"{label} stores both triangles of a matrix that is not symmetric")
+    mat = SparseMatrix(n_rows, n_cols, rows[~lower], cols[~lower], vals[~lower])
+    return _sparse_doc(mat.rows * n_cols + mat.cols, mat.vals, vals_name)
+
+
+def _upgrade(doc, n, m):
+    """Rewrite an instance document of n variables and m constraints into
+    today's form, in place.  Earlier versions stored q and a as packed keys
+    or lists, q maybe in full storage, and add_variable_constrained's map
+    densely: indices null, values c_new then all of a_col."""
+    for label, n_rows, n_sym in (("q", n, n), ("a", m, 0)):
+        if "gaps" not in doc[label]:
+            doc[label] = _upgraded_field(doc[label], label, n_rows, n, n_sym)
+    for rec in doc.get("provenance", []):
+        sm = rec["solution_map"]
+        if sm["kind"] == MapKind.EXPLICIT_DUAL.value and sm["indices"] is None:
+            dense = _array_field(sm["values"], "solution_map.values", np.float64)
+            sm["indices"] = np.flatnonzero(dense[1:]).tolist()
+            sm["values"] = _packed(np.append(dense[0], dense[1:][sm["indices"]]))
+
+
+def _upgrade_graph(doc):
+    """Rewrite a graph document into today's form, in place.  Earlier
+    versions listed each node's side in place of the node counts, and stored
+    the edges as packed keys or lists, vv edges maybe both ways, maybe with
+    a per-edge kind list."""
+    nodes, edges = doc["nodes"], doc["edges"]
+    if "side" in nodes:
+        side = nodes.pop("side")
+        nodes["n_var"], nodes["n_con"] = side.count("var"), side.count("con")
+        if side != ["var"] * nodes["n_var"] + ["con"] * nodes["n_con"]:
+            raise InputError("nodes.side must list all var nodes, then all con nodes")
+    if "gaps" not in edges:
+        n_var, n_con = (_count(nodes[key], f"nodes.{key}") for key in ("n_var", "n_con"))
+        doc["edges"] = _upgraded_field(edges, "edges", n_var + n_con, n_var + n_con, n_var,
+                                       ("src", "dst", "weight", "kind"))
 
 
 def save_instance(path, inst: LcqpInstance, sol: Solution | None = None):
@@ -320,11 +387,9 @@ def load_instance_unchecked(path):
         raise InputError(f"{path}: missing fields {sorted(missing)}")
     try:
         kind = ProblemKind(doc["kind"])
-    except ValueError as exc:
-        raise InputError(f"{path}: unknown kind {doc['kind']!r}") from exc
-    try:
-        n, m = (int(_array_field(doc[key], key, np.int64, ndim=0)) for key in ("n", "m"))
-        q = _matrix_from_doc(doc["q"], n, n, "q", upper=True)
+        n, m = (_count(doc[key], key) for key in ("n", "m"))
+        _upgrade(doc, n, m)
+        q = _from_upper(*_sparse_field(doc["q"], "q", n, n), n, "q.gaps")
         a = _matrix_from_doc(doc["a"], m, n, "a")
         b, c = (_array_field(doc[key], key, np.float64) for key in ("b", "c"))
         provenance = tuple(_record_from_doc(r) for r in doc.get("provenance", []))
@@ -333,7 +398,7 @@ def load_instance_unchecked(path):
         )
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # a malformed record too
         raise InputError(f"{path}: malformed field ({exc})") from exc
     if "solution" not in doc:
         return inst, None
@@ -374,32 +439,22 @@ def load_graph(path):
 
     doc = _parse(path)
     try:
+        _upgrade_graph(doc)
         nodes = doc["nodes"]
         feature = _array_field(nodes["feature"], "nodes.feature", np.float64)
-        if "side" in nodes:  # earlier files list each node's side
-            side = nodes["side"]
-            n_var, n_con = side.count("var"), side.count("con")
-            if side != ["var"] * n_var + ["con"] * n_con:
-                raise InputError("nodes.side must list all var nodes, then all con nodes")
-        else:
-            n_var, n_con = (int(_array_field(nodes[key], f"nodes.{key}", np.int64, ndim=0))
-                            for key in ("n_var", "n_con"))
-        if min(n_var, n_con) < 0 or len(feature) != n_var + n_con:
+        n_var, n_con = (_count(nodes[key], f"nodes.{key}") for key in ("n_var", "n_con"))
+        if len(feature) != n_var + n_con:
             raise InputError("nodes.feature must hold one value per node")
-        edges = doc["edges"]
         side = n_var + n_con
-        src, dst, weight = _sparse_field(edges, "edges", side, side,
-                                         ("src", "dst", "weight", "kind"))
+        src, dst, weight = _sparse_field(doc["edges"], "edges", side, side, "weight")
+        if np.any(dst >= n_var):
+            raise InputError("edges hold an edge that ends at a constraint node")
         is_ca = src >= n_var
-        if "kind" in edges:  # earlier files list each edge's kind
-            kind = _array_field(edges["kind"], "edges.kind", np.str_)
-            if not np.array_equal(kind, np.where(is_ca, "ca", "vv")):
-                raise InputError("edges.kind must be 'ca' exactly where src >= the variable count")
         vv = ~is_ca
         return BipartiteGraph(
             var_features=feature[:n_var], con_features=feature[n_var:],
-            a=SparseMatrix(n_con, n_var, src[is_ca] - n_var, dst[is_ca], weight[is_ca]),
-            q=SparseMatrix(n_var, n_var, *_mirrored(src[vv], dst[vv], weight[vv], n_var)))
+            a=SparseMatrix._canonical(n_con, n_var, src[is_ca] - n_var, dst[is_ca], weight[is_ca]),
+            q=_from_upper(src[vv], dst[vv], weight[vv], n_var, "edges.gaps"))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

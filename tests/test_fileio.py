@@ -1,6 +1,9 @@
 """Instance file round-trips: the on-disk schema is a contract, so one test
 pins the literal JSON layout and the rest check bitwise reconstruction."""
 import base64
+import dataclasses
+import enum
+import hashlib
 import json
 import os
 import re
@@ -16,8 +19,8 @@ from qpaug import (
     gen_portfolio, gen_qp, gen_svm, kkt_residuals, solve_splitting, to_bipartite_graph,
 )
 from qpaug.fileio import (
-    _matrix_from_doc, _matrix_to_doc, _mirrored, load_graph, load_instance, load_instance_unchecked,
-    load_manifest, save_graph, save_instance, save_manifest,
+    _matrix_from_doc, _matrix_to_doc, _mirrored, _upgraded_field, load_graph, load_instance,
+    load_instance_unchecked, load_manifest, save_graph, save_instance, save_manifest,
 )
 from qpaug.transforms import (
     COMBO_STRENGTHS, SSL_STRENGTHS_QP, AugmentPolicy, MapKind, SolutionMap, TransformRecord,
@@ -26,8 +29,8 @@ from qpaug.transforms import (
 )
 
 from conftest import (
-    DATA, MALFORMED_NUMBERS, make_instance, malformed_instance_file, packed, repacked, unpacked,
-    unpacked_gaps, unpacked_keys,
+    DATA, MALFORMED_NUMBERS, make_instance, malformed_instance_file, packed, packed_gaps, repacked,
+    unpacked, unpacked_gaps, unpacked_keys,
 )
 
 
@@ -407,6 +410,54 @@ def test_loads_packed_keys_v4(tmp_path):
     assert new == old
 
 
+def _described(value):
+    """A loaded object as text: every array as its dtype, shape and the
+    sha256 of its bytes, every float as hex, every other scalar as its type
+    and value, and every dataclass, list and dict field by field."""
+    if isinstance(value, np.ndarray):
+        digest = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+        return f"{value.dtype.str}{list(value.shape)}:{digest}"
+    if isinstance(value, float):
+        return f"{type(value).__name__}:{value.hex()}"
+    if isinstance(value, enum.Enum):
+        return f"{type(value).__name__}.{value.name}"
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return f"{type(value).__name__}({_described(fields)})"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_described, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k!r}:{_described(v)}" for k, v in sorted(value.items())) + "}"
+    return f"{type(value).__name__}:{value!r}"
+
+
+# the sha256 of _described(the object each earlier-form file in tests/data
+# loads to): load_instance's (instance, solution) pair, or load_graph's graph
+PINNED_DATA_OBJECTS = {
+    "e1_dense_provenance_v2.json": "d80fec707c811485e531af0a2f762dd6f2a6d43e8b3e6df782b2b1e1d37d0fae",
+    "e1_indented_v0.json": "78c065dc8ae5a76f032868bd4290de478fad7284ebc7afcb70c6f323446d850c",
+    "e1_labeled_keys_v4.graph.json": "4d85a0bf4973f5a17c34ebe94c3fef1a2e25d106bf2d2b2067af6fe9090394f7",
+    "e1_labeled_keys_v4.json": "a33deb906f8baf54a0cfd69042ae19628e99b8bfc4b900561f86ac96c12fd040",
+    "e1_labeled_lists_v3.graph.json": "4d85a0bf4973f5a17c34ebe94c3fef1a2e25d106bf2d2b2067af6fe9090394f7",
+    "e1_labeled_lists_v3.json": "a33deb906f8baf54a0cfd69042ae19628e99b8bfc4b900561f86ac96c12fd040",
+    "qp_s0_full_storage_v1.graph.json": "349db4b84b6b332901e30080dbbd8a2ae09334cac230db360c5023dd94bcf5f1",
+    "qp_s0_full_storage_v1.json": "e3fe3e9651cae4fe845e62392b06ab36411b4acde2ff43827c8cf27c069f1c55",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DATA_OBJECTS))
+def test_earlier_forms_load_to_pinned_objects(name):
+    """Every fixture of an earlier file form loads to the same objects, down
+    to each array's bytes and each float's bits."""
+    load = load_graph if name.endswith(".graph.json") else load_instance
+    text = _described(load(DATA / name))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DATA_OBJECTS[name], text
+
+
+def test_every_data_file_is_pinned():
+    assert sorted(PINNED_DATA_OBJECTS) == sorted(p.name for p in DATA.glob("*.json"))
+
+
 EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300])
 
 
@@ -465,14 +516,18 @@ def test_keys_take_the_narrowest_width(shape, dtype):
                        [1.0, -2.0, 3.0])
     keys = mat.rows * n_cols + mat.cols
     assert keys[-1] == n_rows * n_cols - 1
+
+    def earlier(doc):  # upgraded to today's form, then read
+        return _matrix_from_doc(_upgraded_field(doc, "a", n_rows, n_cols, 0), n_rows, n_cols, "a")
+
     for width in ("<u2", "<u4", "<i8"):
         doc = {"keys": base64.b64encode(keys.astype(width).tobytes()).decode(),
                "vals": packed(mat.vals)}
         if width == dtype:
-            assert _matrix_from_doc(doc, n_rows, n_cols, "a") == mat
+            assert earlier(doc) == mat
         else:
             with pytest.raises(InputError):
-                _matrix_from_doc(doc, n_rows, n_cols, "a")
+                earlier(doc)
     assert _matrix_from_doc(_matrix_to_doc(mat), n_rows, n_cols, "a") == mat
 
 
@@ -559,6 +614,34 @@ def test_save_refuses_non_finite_values(tmp_path, e1):
         save_instance(tmp_path / "bad.json", bad)
 
 
+def test_loaded_matrices_are_not_checked_again(tmp_path, monkeypatch):
+    """A current-form file's q is symmetric by construction: loading it and
+    its graph never runs the symmetry computation, and every loaded matrix
+    owns read-only arrays.  A full-storage file still has its q checked."""
+    inst = gen_qp(300, 300, 0.05, 0.05, seed=0)  # one qp-m benchmark instance
+    path, gpath = tmp_path / "qp.json", tmp_path / "qp.graph.json"
+    save_instance(path, inst)
+    save_graph(gpath, to_bipartite_graph(inst))
+
+    def symmetry_computed(mat):
+        raise AssertionError("the symmetry of a loaded matrix was computed")
+
+    monkeypatch.setattr(SparseMatrix.__dict__["_symmetric"], "func", symmetry_computed)
+    back, _ = load_instance(path)
+    graph = load_graph(gpath)
+    assert back.data_equal(inst) and graph == to_bipartite_graph(inst)
+    assert back.q.is_symmetric() and graph.q.is_symmetric()
+    arrays = [getattr(mat, name) for mat in (back.q, back.a, graph.q, graph.a)
+              for name in ("rows", "cols", "vals")]
+    assert not any(arr.flags.writeable for arr in arrays)
+    for i, first in enumerate(arrays):
+        assert not any(np.shares_memory(first, other) for other in arrays[i + 1:])
+    with pytest.raises(AssertionError, match="symmetry of a loaded matrix"):
+        load_instance(DATA / "qp_s0_full_storage_v1.json")
+    with pytest.raises(AssertionError, match="symmetry of a loaded matrix"):
+        load_graph(DATA / "qp_s0_full_storage_v1.graph.json")
+
+
 @pytest.mark.parametrize("edit", ["value", "missing"])
 def test_load_rejects_asymmetric_full_storage(tmp_path, edit):
     doc = json.loads((DATA / "qp_s0_full_storage_v1.json").read_text())
@@ -619,6 +702,11 @@ def test_load_rejects_length_mismatch(tmp_path, e1):
     ("m", "3"),
     ("a", {"rows": [0, 0, 1, 2], "cols": [0, 1.7, 0, 1], "vals": [1.0, 1.0, -1.0, -1.0]}),
     ("q", {"rows": [0.0, 1.0], "cols": [0, 1], "vals": [2.0, 2.0]}),
+    ("n", -2),  # n * n is positive, so q's keys alone would pass
+    ("m", -3),
+    # keys 0, 2, 3 are (0, 0), (1, 0), (1, 1): an entry below the diagonal of
+    # a gaps-form q, which no version wrote
+    ("q", {"gaps": packed_gaps([0, 2, 3]), "vals": packed([2.0, 1.0, 2.0])}),
 ])
 def test_load_rejects_non_integer_indices_and_dims(tmp_path, e1, field, value):
     path = tmp_path / "inst.json"
@@ -626,7 +714,8 @@ def test_load_rejects_non_integer_indices_and_dims(tmp_path, e1, field, value):
     doc = json.loads(path.read_text())
     doc[field] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(InputError):
+    # the error names the field it refuses, as the reader's own checks do
+    with pytest.raises(InputError, match=rf": {field}\b"):
         load_instance(path)
 
 

@@ -522,6 +522,12 @@ def _gapped_doc(gaps, **edges):
     (packed_gaps([6, 7]), {"src": [2, 2]}, "gaps and weight only"),
     (packed_gaps([6, 7]), {"weight": [1.0, 0.0]}, "nonzero weights"),  # an explicit zero
     ("", {"weight": []}, None),  # no edges
+    # key 2 is (0, 2): a vv edge that ends at the constraint node
+    (packed_gaps([2, 7]), {}, "ends at a constraint node"),
+    # key 8 is (2, 2): a ca edge that ends at the constraint node
+    (packed_gaps([7, 8]), {}, "ends at a constraint node"),
+    # key 3 is (1, 0): a vv edge below the diagonal, which no version wrote
+    (packed_gaps([3, 6]), {}, "edges.gaps holds an entry below the diagonal"),
 ])
 def test_graph_file_checks_edge_gaps(tmp_path, gaps, edges, message):
     import json
