@@ -398,11 +398,10 @@ def psd_certificate(q: SparseMatrix, tol: float | None = None) -> Definiteness:
     """
     if q.n_rows != q.n_cols:
         raise InputError("matrix must be square")
+    if not q.is_symmetric():
+        raise InputError("matrix must be stored symmetrically")
     n = q.n_rows
     h = q.to_dense()
-    # the same test as q.is_symmetric() on canonical storage, without its sort
-    if not np.array_equal(h, h.T):
-        raise InputError("matrix must be stored symmetrically")
     scale = max(1.0, float(np.abs(np.diag(h)).max()) if n else 1.0)
     if tol is None:
         tol = 1e-10 * scale

@@ -1,52 +1,57 @@
 """Instance, graph and manifest serialization.
 
-One instance per JSON file: name, kind, n, m, q/a as packed gaps and
-values, b, c, an optional solution {x, lam, objective}, and optional
-provenance (the transform records that produced the instance).  Every file
-is compact JSON, written atomically via a temp file so readers never observe
-a partial document.
+One instance per JSON file: name, kind, and its data n, m, q/a as packed
+gaps and values, b, c; then an optional solution {x, lam, objective}, and
+optional provenance (the transform records that produced the instance).  A
+graph file holds exactly the data members n, m, q, a, b, c of its
+instance's file: c is the variable nodes' features, b the constraint
+nodes', q (its upper triangle) the variable-variable (vv) edges and a the
+constraint-variable (ca) edges; both writers and both readers share that
+code.  Every file is compact JSON, written atomically via a temp file so
+readers never observe a partial document.
 
 Today's form.  Fixed-schema float64 arrays (q/a vals, b, c, the solution's x
-and lam, a solution map's values, a generator record's witness, a graph's
-node features and edge weights) are each one string: the base64 of their
-little-endian float64 bytes, which round-trips every value bit for bit.
-Every sparse field (q, a, a graph's edges) is {"gaps", "vals"} ({"gaps",
-"weight"} for edges): the gaps k0, k1 - k0 - 1, ... between the strictly
-increasing keys k = row * n_cols + col of its entries, in the narrowest of
-<u1, <u2, <u4 and <u8 that holds the largest.  The width is the byte count
-over the values' count, so the file needs no tag.  A symmetric matrix is
-stored once per pair: q keeps the entries with row <= col, a graph's
-variable-variable (vv) edges those with src <= dst, and loading mirrors the
-rest back.  A graph file gives its node counts (n_var, n_con) and keys its
-edges over the square of all nodes, constraint nodes numbered after the
-variable nodes; an edge leaving a constraint node is a constraint (ca) edge.
+and lam, a solution map's values, a generator record's witness) are each one
+string: the base64 of their little-endian float64 bytes, which round-trips
+every value bit for bit.  Every sparse field (q, a) is {"gaps", "vals"}: the
+gaps k0, k1 - k0 - 1, ... between the strictly increasing keys
+k = row * n_cols + col of its entries, in the narrowest of <u1, <u2, <u4 and
+<u8 that holds the largest.  The width is the byte count over the values'
+count, so the file needs no tag.  q is symmetric and stored once per pair,
+the entries with row <= col, and loading mirrors the rest back.
 
 One reader reads today's form, and builds every matrix from what it proved
 (SparseMatrix._canonical): keys = cumsum(gaps + 1) - 1 strictly increase,
 and must be below n_rows * n_cols, so the entries are in range and in order;
 values are finite and nonzero; a q mirrored from its upper triangle is
 symmetric.  It refuses a sparse field with any other field, gaps wider than
-needed, unequal counts or an explicit zero; an entry of q or a vv edge below
-the diagonal; an edge that ends at a constraint node; a negative dimension
-or node count.  A packed float string must decode strictly to a whole
-number of finite float64 values; a float array may also be a list of JSON
-numbers, and an index list holds integers, never booleans or strings.
+needed, unequal counts or an explicit zero; an entry of q below the
+diagonal; a negative n or m; b or c of the wrong length.  A packed string
+must decode strictly to a whole number of values; a float array may also
+be a list of JSON numbers, and an index list holds integers, never booleans
+or strings.
 
 Earlier forms are rewritten into today's at one boundary, before that reader
 runs (_upgrade, _upgrade_graph), and load to equal objects: packed keys (in
 the narrowest of <u2, <u4 and <i8 that holds n_rows * n_cols - 1) or
-rows/cols and src/dst lists, q and vv edges in full storage, a per-node side
-list, a per-edge kind list, and a dense add_variable_constrained map (null
-indices, values c_new then all of a_col).  The upgrade builds each matrix
-through the public, fully checked SparseMatrix constructor, and keeps every
-check: keys strictly increasing in range at their width, only the form's
-fields, equal counts, no explicit zero, full storage exactly symmetric (only
-its upper triangle goes on), kind 'ca' exactly on constraint edges, all var
-nodes before all con nodes.  Indented files and an earlier drop record's
-`dropped` param need no rewrite; `dropped` is never replayed.  Three
-refusals are newer than the forms they concern, and no version wrote such a
-file: an unknown field beside a graph's edge lists, an explicit zero among
-q or a values, and an entry below the diagonal of a gaps-form q or vv edges.
+rows/cols lists, q in full storage, and a dense add_variable_constrained map
+(null indices, values c_new then all of a_col).  Graph files stored `nodes`
+(the node counts n_var and n_con, or a per-node side list, and the
+features, c then b) and `edges` (weights keyed over the square of all
+nodes, constraint nodes numbered after the variable nodes: gaps with the vv
+edges one way, or packed keys or src/dst lists, vv edges maybe both ways,
+maybe with a per-edge kind list).  The upgrade builds each matrix through
+the public, fully checked SparseMatrix constructor or the reader's own
+sparse-field code, and keeps every check: keys strictly increasing in range
+at their width, only the form's fields, equal counts, no explicit zero,
+full storage exactly symmetric (only its upper triangle goes on), kind 'ca'
+exactly on constraint edges, all var nodes before all con nodes, one
+feature per node, every edge ending at a variable node.  Indented files and
+an earlier drop record's `dropped` param need no rewrite; `dropped` is never
+replayed.  Three refusals are newer than the forms they concern, and no
+version wrote such a file: an unknown field beside a graph's edge lists, an
+explicit zero among q or a values, and an entry below the diagonal of a
+gaps-form q or vv edges.
 """
 from __future__ import annotations
 
@@ -57,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InputError, LcqpInstance, ProblemKind, Solution, SparseMatrix
+from .core import InputError, LcqpInstance, ProblemKind, Solution, SparseMatrix, _operand
 from .transforms import MapKind, SolutionMap, TransformRecord
 
 
@@ -89,12 +94,15 @@ def _packed(arr) -> str:
     return base64.b64encode(arr.tobytes()).decode("ascii")
 
 
-def _unpacked(text, dtype) -> np.ndarray:
+def _unpacked(text, label, dtype="<f8") -> np.ndarray:
     """The `dtype` values whose bytes `text` holds in strict base64."""
-    raw = base64.b64decode(text, validate=True)
+    try:  # b64decode raises TypeError on a value that is not a string
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise InputError(f"{label} must be a packed string ({exc})") from exc
     if len(raw) % np.dtype(dtype).itemsize:
-        raise ValueError(f"{len(raw)} bytes is not a whole number of {dtype} values")
-    return np.frombuffer(raw, dtype=dtype)
+        raise InputError(f"{label} holds {len(raw)} bytes, not whole {np.dtype(dtype).str} values")
+    return np.frombuffer(raw, dtype)
 
 
 def _sparse_doc(keys, vals, vals_name) -> dict:
@@ -107,25 +115,17 @@ def _sparse_doc(keys, vals, vals_name) -> dict:
             vals_name: _packed(vals)}
 
 
-def _raw(text, label) -> bytes:
-    """The bytes that `text` holds in strict base64."""
-    try:  # b64decode raises TypeError on a value that is not a string
-        return base64.b64decode(text, validate=True)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise InputError(f"{label} must be a packed string ({exc})") from exc
-
-
 def _keys_from_gaps(text, label, nnz, size) -> np.ndarray:
     """The int64 keys whose `nnz` gaps `text` packs, at the width its byte
     count gives, which must be the narrowest that holds the largest gap (one
     encoding per matrix); the keys strictly increase and must be below size."""
-    raw = _raw(text, label)
-    width = len(raw) // max(nnz, 1)
-    if len(raw) != nnz * width or (nnz and width not in (1, 2, 4, 8)):
-        raise InputError(f"{label} holds {len(raw)} bytes, not {nnz} gaps of 1, 2, 4 or 8 bytes")
+    raw = _unpacked(text, label, "u1")
+    width = raw.size // max(nnz, 1)
+    if raw.size != nnz * width or (nnz and width not in (1, 2, 4, 8)):
+        raise InputError(f"{label} holds {raw.size} bytes, not {nnz} gaps of 1, 2, 4 or 8 bytes")
     if not nnz:
         return np.zeros(0, np.int64)
-    gaps = np.frombuffer(raw, f"<u{width}")
+    gaps = raw.view(f"<u{width}")
     top = int(gaps.max())
     if np.min_scalar_type(top).itemsize != width:
         raise InputError(f"{label} stores gaps up to {top} in {width} bytes, wider than needed")
@@ -147,18 +147,18 @@ def _array_field(value, label, dtype, ndim=1) -> np.ndarray:
     JSON list, or for float64 a `_packed` string.  Refuses values that would
     be truncated, reinterpreted or parsed on the way (2.5 or true as an
     index, "1.0" as a number) and non-finite floats."""
-    try:
-        if isinstance(value, str) and dtype is np.float64 and ndim == 1:
-            vals = _unpacked(value, "<f8").astype(np.float64)
-        else:
+    if isinstance(value, str) and dtype is np.float64 and ndim == 1:
+        vals = _unpacked(value, label).astype(np.float64)
+    else:
+        try:
             items = value if ndim else [value]
             if not (isinstance(items, list) and set(map(type, items)) <= _JSON_TYPES[dtype]):
                 raise TypeError
             vals = np.array(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:  # binascii.Error is a ValueError
-        shape = "a single" if ndim == 0 else "a flat array of"
-        reason = f" ({exc})" if str(exc) else ""
-        raise InputError(f"{label} must be {shape} {np.dtype(dtype).name} value(s){reason}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            shape = "a single" if ndim == 0 else "a flat array of"
+            reason = f" ({exc})" if str(exc) else ""
+            raise InputError(f"{label} must be {shape} {np.dtype(dtype).name} value(s){reason}") from exc
     if dtype is np.float64 and not np.all(np.isfinite(vals)):
         raise InputError(f"{label} must hold finite values")
     return vals
@@ -225,6 +225,23 @@ def _from_upper(rows, cols, vals, n, label) -> SparseMatrix:
     return SparseMatrix._canonical(n, n, *_mirrored(rows, cols, vals, n), symmetric=True)
 
 
+def _data_to_doc(q: SparseMatrix, a: SparseMatrix, b, c) -> dict:
+    """The members n, m, q, a, b, c that an instance file and its graph file
+    both hold: q as its upper triangle."""
+    return {"n": q.n_rows, "m": a.n_rows, "q": _matrix_to_doc(q, upper=True),
+            "a": _matrix_to_doc(a), "b": _packed(b), "c": _packed(c)}
+
+
+def _data_from_doc(doc):
+    """(q, a, b, c) from the members n, m, q, a, b, c in today's form."""
+    n, m = (_count(doc[key], key) for key in ("n", "m"))
+    q = _from_upper(*_sparse_field(doc["q"], "q", n, n), n, "q.gaps")
+    a = _matrix_from_doc(doc["a"], m, n, "a")
+    b, c = (_operand(_array_field(doc[key], key, np.float64), size, key)
+            for key, size in (("b", m), ("c", n)))
+    return q, a, b, c
+
+
 def _record_to_doc(rec: TransformRecord) -> dict:
     sm = rec.solution_map
     params = rec.params
@@ -255,19 +272,16 @@ def _record_from_doc(doc) -> TransformRecord:
 
 
 # Earlier forms.  Each is rewritten here into today's form, once, before the
-# reader above runs: its fields are read with every check, built by the
-# public SparseMatrix constructor, and written back as today's writer would.
+# reader above runs: its fields are read with every check, built into
+# matrices, and written back as today's writer would.
 
 
 def _earlier_keys(text, label, size) -> np.ndarray:
     """The int64 keys earlier versions packed themselves: in the narrowest of
     <u2, <u4 and <i8 that holds size - 1, and strictly increasing within
     [0, size)."""
-    raw = _raw(text, label)
-    dtype = np.dtype("<u2" if size <= 2**16 else "<u4" if size <= 2**32 else "<i8")
-    if len(raw) % dtype.itemsize:
-        raise InputError(f"{label} holds {len(raw)} bytes, not whole {dtype.str} keys")
-    keys = np.frombuffer(raw, dtype).astype(np.int64)
+    dtype = "<u2" if size <= 2**16 else "<u4" if size <= 2**32 else "<i8"
+    keys = _unpacked(text, label, dtype).astype(np.int64)
     if keys.size and not (keys[0] >= 0 and keys[-1] < size and np.all(keys[1:] > keys[:-1])):
         raise InputError(f"{label} must strictly increase within [0, {size})")
     return keys
@@ -303,11 +317,12 @@ def _upgraded_field(doc, label, n_rows, n_cols, n_sym, names=("rows", "cols", "v
     return _sparse_doc(mat.rows * n_cols + mat.cols, mat.vals, vals_name)
 
 
-def _upgrade(doc, n, m):
-    """Rewrite an instance document of n variables and m constraints into
-    today's form, in place.  Earlier versions stored q and a as packed keys
-    or lists, q maybe in full storage, and add_variable_constrained's map
-    densely: indices null, values c_new then all of a_col."""
+def _upgrade(doc):
+    """Rewrite an instance document into today's form, in place.  Earlier
+    versions stored q and a as packed keys or lists, q maybe in full
+    storage, and add_variable_constrained's map densely: indices null,
+    values c_new then all of a_col."""
+    n, m = (_count(doc[key], key) for key in ("n", "m"))
     for label, n_rows, n_sym in (("q", n, n), ("a", m, 0)):
         if "gaps" not in doc[label]:
             doc[label] = _upgraded_field(doc[label], label, n_rows, n, n_sym)
@@ -320,33 +335,38 @@ def _upgrade(doc, n, m):
 
 
 def _upgrade_graph(doc):
-    """Rewrite a graph document into today's form, in place.  Earlier
-    versions listed each node's side in place of the node counts, and stored
-    the edges as packed keys or lists, vv edges maybe both ways, maybe with
-    a per-edge kind list."""
-    nodes, edges = doc["nodes"], doc["edges"]
+    """Rewrite a graph document into today's form, its instance's members n,
+    m, q, a, b, c, in place.  Earlier versions stored `nodes` and `edges`
+    instead: the node counts or a per-node side list, the features c then
+    b, and the edges keyed over the square of all nodes, as gaps, packed
+    keys or lists, vv edges maybe both ways, maybe with a per-edge kind
+    list."""
+    if "nodes" not in doc:
+        return
+    nodes, edges = doc.pop("nodes"), doc.pop("edges")
     if "side" in nodes:
         side = nodes.pop("side")
         nodes["n_var"], nodes["n_con"] = side.count("var"), side.count("con")
         if side != ["var"] * nodes["n_var"] + ["con"] * nodes["n_con"]:
             raise InputError("nodes.side must list all var nodes, then all con nodes")
+    n, m = (_count(nodes[key], f"nodes.{key}") for key in ("n_var", "n_con"))
+    feature = _array_field(nodes["feature"], "nodes.feature", np.float64)
+    if len(feature) != n + m:
+        raise InputError("nodes.feature must hold one value per node")
     if "gaps" not in edges:
-        n_var, n_con = (_count(nodes[key], f"nodes.{key}") for key in ("n_var", "n_con"))
-        doc["edges"] = _upgraded_field(edges, "edges", n_var + n_con, n_var + n_con, n_var,
-                                       ("src", "dst", "weight", "kind"))
+        edges = _upgraded_field(edges, "edges", n + m, n + m, n, ("src", "dst", "weight", "kind"))
+    src, dst, weight = _sparse_field(edges, "edges", n + m, n + m, "weight")
+    if np.any(dst >= n):
+        raise InputError("edges hold an edge that ends at a constraint node")
+    vv, ca = src < n, src >= n
+    q = _from_upper(src[vv], dst[vv], weight[vv], n, "edges.gaps")
+    doc.update(_data_to_doc(q, SparseMatrix(m, n, src[ca] - n, dst[ca], weight[ca]),
+                            feature[n:], feature[:n]))
 
 
 def save_instance(path, inst: LcqpInstance, sol: Solution | None = None):
-    doc = {
-        "name": inst.name,
-        "kind": inst.kind.value,
-        "n": inst.n,
-        "m": inst.m,
-        "q": _matrix_to_doc(inst.q, upper=True),
-        "a": _matrix_to_doc(inst.a),
-        "b": _packed(inst.b),
-        "c": _packed(inst.c),
-    }
+    doc = {"name": inst.name, "kind": inst.kind.value,
+           **_data_to_doc(inst.q, inst.a, inst.b, inst.c)}
     if sol is not None:
         doc["solution"] = {
             "x": _packed(sol.x),
@@ -387,11 +407,8 @@ def load_instance_unchecked(path):
         raise InputError(f"{path}: missing fields {sorted(missing)}")
     try:
         kind = ProblemKind(doc["kind"])
-        n, m = (_count(doc[key], key) for key in ("n", "m"))
-        _upgrade(doc, n, m)
-        q = _from_upper(*_sparse_field(doc["q"], "q", n, n), n, "q.gaps")
-        a = _matrix_from_doc(doc["a"], m, n, "a")
-        b, c = (_array_field(doc[key], key, np.float64) for key in ("b", "c"))
+        _upgrade(doc)
+        q, a, b, c = _data_from_doc(doc)
         provenance = tuple(_record_from_doc(r) for r in doc.get("provenance", []))
         inst = LcqpInstance(
             q=q, a=a, b=b, c=c, kind=kind, name=str(doc["name"]), provenance=provenance
@@ -414,24 +431,10 @@ def load_instance_unchecked(path):
 
 
 def save_graph(path, graph):
-    """Graph export: node counts and features, and the edges keyed over the
-    square of all nodes, constraint nodes numbered after the variable nodes:
-    vv edges first, stored one way (src <= dst), then ca edges, so the keys
-    strictly increase and pack as gaps."""
-    n, q, a = graph.n_var_nodes, graph.q, graph.a
-    side = n + graph.n_con_nodes
-    upper = q.rows <= q.cols
-    doc = {
-        "nodes": {
-            "n_var": n,
-            "n_con": graph.n_con_nodes,
-            "feature": _packed(np.concatenate([graph.var_features, graph.con_features])),
-        },
-        "edges": _sparse_doc(np.concatenate([q.rows[upper] * side + q.cols[upper],
-                                             (a.rows + n) * side + a.cols]),
-                             np.concatenate([q.vals[upper], a.vals]), "weight"),
-    }
-    _write_json(path, doc)
+    """Graph export: the members n, m, q, a, b, c of the graph's instance
+    file, c and b the variable and constraint nodes' features, q the vv
+    edges and a the ca edges."""
+    _write_json(path, _data_to_doc(graph.q, graph.a, graph.con_features, graph.var_features))
 
 
 def load_graph(path):
@@ -440,21 +443,8 @@ def load_graph(path):
     doc = _parse(path)
     try:
         _upgrade_graph(doc)
-        nodes = doc["nodes"]
-        feature = _array_field(nodes["feature"], "nodes.feature", np.float64)
-        n_var, n_con = (_count(nodes[key], f"nodes.{key}") for key in ("n_var", "n_con"))
-        if len(feature) != n_var + n_con:
-            raise InputError("nodes.feature must hold one value per node")
-        side = n_var + n_con
-        src, dst, weight = _sparse_field(doc["edges"], "edges", side, side, "weight")
-        if np.any(dst >= n_var):
-            raise InputError("edges hold an edge that ends at a constraint node")
-        is_ca = src >= n_var
-        vv = ~is_ca
-        return BipartiteGraph(
-            var_features=feature[:n_var], con_features=feature[n_var:],
-            a=SparseMatrix._canonical(n_con, n_var, src[is_ca] - n_var, dst[is_ca], weight[is_ca]),
-            q=_from_upper(src[vv], dst[vv], weight[vv], n_var, "edges.gaps"))
+        q, a, b, c = _data_from_doc(doc)
+        return BipartiteGraph(var_features=c, con_features=b, a=a, q=q)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

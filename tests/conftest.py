@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qpaug import LcqpInstance, ProblemKind, Solution, SparseMatrix
-from qpaug.fileio import load_instance, save_instance
+from qpaug import LcqpInstance, ProblemKind, Solution, SparseMatrix, to_bipartite_graph
+from qpaug.fileio import load_instance, save_graph, save_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -163,6 +163,15 @@ EARLIER_FORMS = {"rows": "e1_labeled_lists_v3.json", "cols": "e1_labeled_lists_v
                  "keys": "e1_labeled_keys_v4.json"}
 
 
+# the members of an instance file that its graph file holds, and only those
+GRAPH_MEMBERS = ("n", "m", "q", "a", "b", "c")
+
+# the MALFORMED_NUMBERS cases that edit one of those members in today's form,
+# so they apply to a saved graph file too
+GRAPH_CASES = sorted(case for case, ((first, *rest), _) in MALFORMED_NUMBERS.items()
+                     if first in GRAPH_MEMBERS and [first, *rest][-1] not in EARLIER_FORMS)
+
+
 def malformed_instance_file(path, case):
     """Write the labeled fixture to `path` in today's form (in an earlier
     form as stored, for a field of EARLIER_FORMS), with one field edited as
@@ -172,7 +181,21 @@ def malformed_instance_file(path, case):
     if key not in EARLIER_FORMS:
         save_instance(path, *load_instance(source))
         source = path
-    doc = json.loads(source.read_text())
+    return _edited(path, json.loads(source.read_text()), case)
+
+
+def malformed_graph_file(path, case):
+    """Write the labeled fixture's graph file to `path`, as save_graph writes
+    it, with one member edited as MALFORMED_NUMBERS[case] (of GRAPH_CASES)
+    says."""
+    save_graph(path, to_bipartite_graph(load_instance(DATA / "e1_labeled_lists_v3.json")[0]))
+    return _edited(path, json.loads(path.read_text()), case)
+
+
+def _edited(path, doc, case):
+    """Write `doc` to `path` with the field MALFORMED_NUMBERS[case] names
+    edited as it says."""
+    (*outer, key), edit = MALFORMED_NUMBERS[case]
     assert doc["m"] * doc["n"] == A_CELLS
     field = doc
     for step in outer:

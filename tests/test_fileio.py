@@ -29,8 +29,8 @@ from qpaug.transforms import (
 )
 
 from conftest import (
-    DATA, MALFORMED_NUMBERS, make_instance, malformed_instance_file, packed, packed_gaps, repacked,
-    unpacked, unpacked_gaps, unpacked_keys,
+    DATA, GRAPH_CASES, GRAPH_MEMBERS, MALFORMED_NUMBERS, make_instance, malformed_graph_file,
+    malformed_instance_file, packed, packed_gaps, repacked, unpacked, unpacked_gaps, unpacked_keys,
 )
 
 
@@ -290,15 +290,14 @@ def test_symmetric_pairs_stored_once(tmp_path, case):
     if sol is not None:
         assert np.array_equal(back_sol.x, sol.x) and np.array_equal(back_sol.lam, sol.lam)
 
+    # the graph file is the instance file's n, m, q, a, b, c, byte for byte
+    # and in the same order: q's upper triangle holds the vv edges
     graph = to_bipartite_graph(inst)
     gpath = tmp_path / "inst.graph.json"
     save_graph(gpath, graph)
-    edges = json.loads(gpath.read_text())["edges"]
-    assert set(edges) == {"gaps", "weight"}
-    keys = unpacked_gaps(edges["gaps"], len(unpacked(edges["weight"])))
-    assert all(np.diff(keys) > 0)
-    vv = [(s, d) for s, d in zip(*np.divmod(keys, inst.n + inst.m)) if s < inst.n]
-    assert all(s <= d for s, d in vv) and len(vv) == int(upper.sum())
+    members = {key: doc[key] for key in GRAPH_MEMBERS}
+    assert gpath.read_text() == json.dumps(members, separators=(",", ":")) + "\n"
+    assert list(json.loads(gpath.read_text())) == list(GRAPH_MEMBERS)
     gback = load_graph(gpath)
     assert gback == graph
     assert gback.vv_edges.tolist() == graph.vv_edges.tolist()
@@ -374,15 +373,20 @@ def test_loads_float_lists_v3(tmp_path, e1, e1_sol):
     save_instance(path, inst, sol)
     assert isinstance(json.loads(path.read_text())["b"], str)
     assert _as_lists(json.loads(path.read_text())) == stored
-    save_graph(path, graph)
+    # the graph saves as the instance's members, the same values as its
+    # node features (c, then b) and its edges (vv, then ca from node 3 + row)
+    gpath = tmp_path / "again.graph.json"
+    save_graph(gpath, graph)
+    new = json.loads(gpath.read_text())
+    assert new == {key: json.loads(path.read_text())[key] for key in GRAPH_MEMBERS}
     old = json.loads((DATA / "e1_labeled_lists_v3.graph.json").read_text())
-    new = json.loads(path.read_text())
-    assert {**new["nodes"], "feature": unpacked(new["nodes"]["feature"])} == {
-        "n_var": 3, "n_con": 6, "feature": old["nodes"]["feature"]}
-    weight = unpacked(new["edges"]["weight"])
-    src, dst = np.divmod(unpacked_gaps(new["edges"]["gaps"], len(weight)), 3 + 6)
-    assert {"src": src.tolist(), "dst": dst.tolist(),
-            "weight": weight} == old["edges"]
+    assert (new["n"], new["m"]) == (3, 6)
+    assert unpacked(new["c"]) + unpacked(new["b"]) == old["nodes"]["feature"]
+    (q_rows, q_cols), (a_rows, a_cols) = (
+        np.divmod(unpacked_gaps(new[key]["gaps"], nnz), 3) for key, nnz in (("q", 4), ("a", 15)))
+    assert {"src": [*q_rows.tolist(), *(a_rows + 3).tolist()],
+            "dst": [*q_cols.tolist(), *a_cols.tolist()],
+            "weight": unpacked(new["q"]["vals"]) + unpacked(new["a"]["vals"])} == old["edges"]
 
 
 def test_loads_packed_keys_v4(tmp_path):
@@ -403,11 +407,23 @@ def test_loads_packed_keys_v4(tmp_path):
     for key, nnz in (("q", 4), ("a", 15)):
         assert unpacked_gaps(new[key].pop("gaps"), nnz) == unpacked_keys(stored[key].pop("keys"))
     assert new == stored
+    # the graph saves as the instance's members: the same features (c, then
+    # b) and the same edges, keyed src * 9 + dst over the 9 nodes
+    gpath = tmp_path / "again.graph.json"
+    save_graph(gpath, graph)
+    new = json.loads(gpath.read_text())
+    assert new == {key: json.loads(path.read_text())[key] for key in GRAPH_MEMBERS}
     old = json.loads((DATA / "e1_labeled_keys_v4.graph.json").read_text())
-    save_graph(path, graph)
-    new = json.loads(path.read_text())
-    assert unpacked_gaps(new["edges"].pop("gaps"), 19) == unpacked_keys(old["edges"].pop("keys"))
-    assert new == old
+
+    def raw(*texts):  # the bytes the packed strings hold, one after another
+        return b"".join(base64.b64decode(text) for text in texts)
+
+    assert raw(new["c"], new["b"]) == raw(old["nodes"]["feature"])
+    assert raw(new["q"]["vals"], new["a"]["vals"]) == raw(old["edges"]["weight"])
+    (q_rows, q_cols), (a_rows, a_cols) = (
+        np.divmod(unpacked_gaps(new[key]["gaps"], nnz), 3) for key, nnz in (("q", 4), ("a", 15)))
+    src, dst = np.concatenate([q_rows, a_rows + 3]), np.concatenate([q_cols, a_cols])
+    assert (src * 9 + dst).tolist() == unpacked_keys(old["edges"]["keys"])
 
 
 def _described(value):
@@ -436,6 +452,7 @@ def _described(value):
 PINNED_DATA_OBJECTS = {
     "e1_dense_provenance_v2.json": "d80fec707c811485e531af0a2f762dd6f2a6d43e8b3e6df782b2b1e1d37d0fae",
     "e1_indented_v0.json": "78c065dc8ae5a76f032868bd4290de478fad7284ebc7afcb70c6f323446d850c",
+    "e1_labeled_gaps_v5.graph.json": "4d85a0bf4973f5a17c34ebe94c3fef1a2e25d106bf2d2b2067af6fe9090394f7",
     "e1_labeled_keys_v4.graph.json": "4d85a0bf4973f5a17c34ebe94c3fef1a2e25d106bf2d2b2067af6fe9090394f7",
     "e1_labeled_keys_v4.json": "a33deb906f8baf54a0cfd69042ae19628e99b8bfc4b900561f86ac96c12fd040",
     "e1_labeled_lists_v3.graph.json": "4d85a0bf4973f5a17c34ebe94c3fef1a2e25d106bf2d2b2067af6fe9090394f7",
@@ -590,6 +607,30 @@ def test_load_rejects_malformed_numbers(tmp_path, case):
         load_instance(path)
     with pytest.raises(InputError, match=match):
         load_instance_unchecked(path)
+
+
+@pytest.mark.parametrize("case", GRAPH_CASES)
+def test_graph_load_rejects_malformed_numbers(tmp_path, case):
+    """The MALFORMED_NUMBERS cases that edit n, m, q, a, b or c, applied to a
+    saved graph file: load_graph refuses each, and the error names the file
+    and the member, and a bad gaps field itself, as load_instance's do."""
+    path = malformed_graph_file(tmp_path / "bad.graph.json", case)
+    field = case.split("-")[0]
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: {field.split('.')[0]}\b") as info:
+        load_graph(path)
+    assert not field.endswith(".gaps") or field in str(info.value)
+
+
+@pytest.mark.parametrize("field, value", [("n", 2.9), ("m", "3"), ("n", -2), ("m", -3)])
+def test_graph_load_rejects_bad_counts(tmp_path, e1, field, value):
+    """A graph file's n and m are counts, read as an instance file's are."""
+    path = tmp_path / "e1.graph.json"
+    save_graph(path, to_bipartite_graph(e1))
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: {field}\b"):
+        load_graph(path)
 
 
 @pytest.mark.parametrize("edit", [lambda s: "!" + s[1:], lambda s: s[:-4],

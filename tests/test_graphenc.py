@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qpaug import InputError, ProblemKind, SparseMatrix, gen_lp, gen_qp, permute_instance
-from qpaug.fileio import load_graph, save_graph
+from qpaug.fileio import load_graph, save_graph, save_instance
 from qpaug.graphenc import (
     EDGE_DTYPE,
     BipartiteGraph,
@@ -23,7 +23,9 @@ from qpaug.graphenc import (
 )
 from qpaug.transforms import AugmentPolicy, SSL_STRENGTHS_QP, apply_policy, scale_variables
 
-from conftest import make_instance, packed, packed_gaps, packed_keys, unpacked, unpacked_gaps
+from conftest import (
+    DATA, make_instance, packed, packed_gaps, packed_keys, unpacked, unpacked_gaps,
+)
 
 
 # ---------------------------------------------------------------- graph building
@@ -386,26 +388,33 @@ def test_graph_file_schema_and_determinism(tmp_path, e1):
     save_graph(p2, g)
     assert p1.read_bytes() == p2.read_bytes()
     doc = json.loads(p1.read_text())
-    assert set(doc) == {"nodes", "edges"}
-    assert set(doc["nodes"]) == {"n_var", "n_con", "feature"}
-    assert set(doc["edges"]) == {"gaps", "weight"}
-    assert (doc["nodes"]["n_var"], doc["nodes"]["n_con"]) == (2, 3)
-    assert unpacked(doc["nodes"]["feature"]) == [-2.0, -2.0, 1.0, 0.0, 0.0]
-    # the gaps, one byte each, between the keys src * 5 + dst over the 5
-    # nodes: vv (0, 0), (1, 1), then ca (2, 0), (2, 1), (3, 0), (4, 1)
-    assert unpacked_gaps(doc["edges"]["gaps"], 6) == [0, 6, 10, 11, 15, 21]
-    assert unpacked(doc["edges"]["weight"]) == [2.0, 2.0, 1.0, 1.0, -1.0, -1.0]
+    assert list(doc) == ["n", "m", "q", "a", "b", "c"]
+    assert set(doc["q"]) == set(doc["a"]) == {"gaps", "vals"}
+    assert (doc["n"], doc["m"]) == (2, 3)
+    # the variable nodes' features are c, the constraint nodes' b
+    assert unpacked(doc["c"]) == [-2.0, -2.0]
+    assert unpacked(doc["b"]) == [1.0, 0.0, 0.0]
+    # the vv edges (0, 0), (1, 1) are q's upper triangle, keys row * 2 + col;
+    # the ca edges from constraint 0 to variables 0, 1, from 1 to 0 and from
+    # 2 to 1 are a's entries, keys row * 2 + col; one byte per gap
+    assert unpacked_gaps(doc["q"]["gaps"], 2) == [0, 3]
+    assert unpacked(doc["q"]["vals"]) == [2.0, 2.0]
+    assert unpacked_gaps(doc["a"]["gaps"], 4) == [0, 1, 2, 5]
+    assert unpacked(doc["a"]["vals"]) == [1.0, 1.0, -1.0, -1.0]
     assert p1.read_text() == E1_GRAPH_FILE
+    # exactly the members of the instance's own file
+    save_instance(p2, e1)
+    inst_doc = json.loads(p2.read_text())
+    assert doc == {key: inst_doc[key] for key in doc}
 
 
-# save_graph(to_bipartite_graph(e1)), frozen: compact JSON, node counts, vv
-# edges first, then ca edges, constraint nodes numbered after the variable
-# nodes, no kind, gaps, features and weights packed
+# save_graph(to_bipartite_graph(e1)), frozen: compact JSON, the members n,
+# m, q (upper triangle), a, b, c of e1's instance file, gaps and floats packed
 E1_GRAPH_FILE = (
-    '{"nodes":{"n_var":2,"n_con":3,'
-    '"feature":"AAAAAAAAAMAAAAAAAAAAwAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAA=="},'
-    '"edges":{"gaps":"AAUDAAMF",'
-    '"weight":"AAAAAAAAAEAAAAAAAAAAQAAAAAAAAPA/AAAAAAAA8D8AAAAAAADwvwAAAAAAAPC/"}}\n'
+    '{"n":2,"m":3,"q":{"gaps":"AAI=","vals":"AAAAAAAAAEAAAAAAAAAAQA=="},'
+    '"a":{"gaps":"AAAAAg==",'
+    '"vals":"AAAAAAAA8D8AAAAAAADwPwAAAAAAAPC/AAAAAAAA8L8="},'
+    '"b":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAA","c":"AAAAAAAAAMAAAAAAAAAAwA=="}\n'
 )
 
 # two var nodes and one con node in the earlier form, with a side list
@@ -615,7 +624,14 @@ def test_graph_file_errors_name_the_file(tmp_path, e1):
     path = tmp_path / "e1.graph.json"
     save_graph(path, to_bipartite_graph(e1))
     doc = json.loads(path.read_text())
-    doc["nodes"]["n_var"] = 3
+    doc["c"] = packed([-2.0, -2.0, 0.0])  # one feature more than variable nodes
+    path.write_text(json.dumps(doc))
+    message = f"{path}: c must have shape (2,), got (3,)"
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_graph(path)
+    # the same check in the earlier nodes/edges form
+    doc = json.loads((DATA / "e1_labeled_gaps_v5.graph.json").read_text())
+    doc["nodes"]["n_var"] = 4
     path.write_text(json.dumps(doc))
     message = f"{path}: nodes.feature must hold one value per node"
     with pytest.raises(InputError, match=re.escape(message)):
