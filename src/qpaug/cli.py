@@ -91,6 +91,13 @@ def _resolve_jobs(args) -> int:
     return jobs
 
 
+def _check_budget(args):
+    """Refuse a --failure-budget outside [0, 1] before anything is written;
+    NaN fails the comparison too."""
+    if not 0.0 <= args.failure_budget <= 1.0:
+        raise InputError(f"--failure-budget must lie in [0, 1], got {args.failure_budget}")
+
+
 def _report(doc: dict):
     print(json.dumps(doc, indent=2))
 
@@ -131,6 +138,7 @@ def _output_names(entries: list, name_of) -> list[str]:
 
 def cmd_generate(args) -> int:
     _require(args, "family", "count", "out")
+    _check_budget(args)
     size_params = {}
     for flag, kw in _SIZE_FLAG_TO_KW:
         val = getattr(args, flag)
@@ -159,6 +167,7 @@ def _solve_task(task):
 
 def cmd_solve(args) -> int:
     _require(args, "manifest", "out")
+    _check_budget(args)
     entries = load_manifest(args.manifest)
     names = _output_names(entries, lambda p: p.name)
     jobs = _resolve_jobs(args)
@@ -215,12 +224,19 @@ def cmd_augment(args) -> int:
     explicit = _parse_ops(args.ops)
     views = args.views
 
+    # each kind's policy is checked here, before anything is written, and
+    # only reseeded per copy
+    policies = {
+        kind: AugmentPolicy(_strengths(explicit, views, kind), ops_per_instance=args.ops_per_copy,
+                            interpolate=views is None)
+        for kind in ProblemKind
+    }
     # ops that need a solution are rejected up front: views are always
     # unlabeled, and the table of every kind must cover every manifest entry
-    tables = [_strengths(explicit, views, kind) for kind in ProblemKind]
-    needy = sorted(
-        {op for t in tables for op in _SOLUTION_DEPENDENT if t.get(op, 0.0) > 0.0}
-    )
+    needy = sorted({
+        op for p in policies.values() for op in _SOLUTION_DEPENDENT
+        if p.strengths.get(op, 0.0) > 0.0
+    })
     if needy:
         if views is not None:
             print(f"op {needy[0]} needs a solution, views are unlabeled", file=sys.stderr)
@@ -245,17 +261,13 @@ def cmd_augment(args) -> int:
         if views is not None:
             sol = None
         stem = Path(e["path"]).stem
-        strengths = _strengths(explicit, views, inst.kind)
         for j in range(copies):
             pseed = (
                 derive_seed(args.seed, stem, "view", j)
                 if views is not None
                 else derive_seed(args.seed, stem, j)
             )
-            policy = AugmentPolicy(
-                strengths, ops_per_instance=args.ops_per_copy,
-                interpolate=views is None, seed=pseed,
-            )
+            policy = dataclasses.replace(policies[inst.kind], seed=pseed)
             new_inst, new_sol, _ = apply_policy(inst, policy, sol)
             new_stem = f"{stem}_{tag}{j:02d}"
             new_inst = dataclasses.replace(new_inst, name=new_stem)
@@ -280,6 +292,8 @@ def cmd_augment(args) -> int:
 
 def cmd_verify(args) -> int:
     _require(args, "manifest")
+    if not 0.0 < args.tol < np.inf:  # NaN fails the comparison too
+        raise InputError(f"--tol must be positive and finite, got {args.tol}")
     entries = load_manifest(args.manifest)
     src_dir = Path(args.manifest).parent
     checked, failing = 0, []
@@ -452,7 +466,10 @@ def _build_parser():
     sp.add_argument("--rows", type=int, help="constraint count m")
     sp.add_argument("--cols", type=int, help="variable count n")
     sp.add_argument("--density-a", type=float)
-    sp.add_argument("--density-q", type=float)
+    sp.add_argument("--density-q", type=float,
+                    help="density of the strict lower triangle of the unit factor L in "
+                         "Q = L D L'; Q itself fills in, so its density is higher, and "
+                         "only its positive definiteness is guaranteed")
     sp.add_argument("--bounded", action="store_true", default=None,
                     help="add box constraints so the instance stays bounded")
     sp.add_argument("--slack-noise", type=float)

@@ -59,10 +59,15 @@ def _feasible_rows(rng, m, n, density_a, slack_noise):
 
 
 def make_sparse_spd(n, density, eig_lo=10.0, eig_hi=11.0, seed=0) -> SparseMatrix:
-    """Sparse symmetric PD matrix via unit-lower-triangular L D L^T.
+    """Symmetric positive definite matrix L D L^T, stored sparse.
 
-    D is uniform on [eig_lo, eig_hi]; the product's eigenvalue range is only
-    approximately that interval, the PD guarantee is exact.
+    L is unit lower triangular, and `density` is the chance that an entry of
+    its strict lower triangle is nonzero (uniform on [-1, 1]).  D is uniform
+    on [eig_lo, eig_hi].  The product fills in, so the result is denser than
+    `density`, and its spectrum is not bounded by [eig_lo, eig_hi]; only
+    positive definiteness is guaranteed.  At seed 0 and density 0.05 the
+    defaults give nnz/n^2 = 0.139 with eigenvalues in [0.42, 94.8] at n = 100,
+    and nnz/n^2 = 0.242 with eigenvalues in [0.0059, 188.8] at n = 300.
     """
     if not 0.0 < eig_lo <= eig_hi:
         raise InputError("need 0 < eig_lo <= eig_hi")
@@ -107,7 +112,9 @@ def gen_lp(m, n, density_a, seed, bounded=False, slack_noise=1.0,
 
 
 def gen_qp(m, n, density_a, density_q, seed, slack_noise=1.0, name=None) -> LcqpInstance:
-    """Feasible QP: the LP recipe plus a sparse PD quadratic term."""
+    """Feasible QP: the LP recipe plus a PD quadratic term from
+    make_sparse_spd, where `density_q` is the density of L's strict lower
+    triangle, not of Q, which fills in."""
     _check_density(density_q, "density_q")
     if slack_noise < 0:
         raise InputError("slack_noise must be nonnegative")

@@ -21,6 +21,7 @@ from .core import (
     ProblemKind,
     Solution,
     SparseMatrix,
+    _operand,
     partition_constraints,
     psd_certificate,
 )
@@ -85,7 +86,16 @@ class TransformRecord:
 
 def map_solution(record: TransformRecord, new_inst: LcqpInstance, sol: Solution) -> Solution:
     """Reconstruct the transformed Solution from the original one."""
-    x, lam = _map_pair(record.solution_map, sol.x, sol.lam)
+    return _mapped(new_inst, sol, [record])
+
+
+def _mapped(new_inst, sol, records):
+    """`sol` carried through `records` in order, the one way a label crosses
+    a transform; each EXPLICIT_DUAL reads the duals the records before it
+    leave."""
+    x, lam = sol.x, sol.lam
+    for rec in records:
+        x, lam = _map_pair(rec.solution_map, x, lam)
     return Solution.from_primal_dual(new_inst, x, lam)
 
 
@@ -139,9 +149,7 @@ def _check_sol(inst: LcqpInstance, sol: Solution):
 
 def scale_variables(inst: LcqpInstance, alpha) -> tuple[LcqpInstance, TransformRecord]:
     """Rescale variable j by alpha_j > 0; the optimum moves to x_j / alpha_j."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (inst.n,):
-        raise InputError(f"alpha must have shape ({inst.n},)")
+    alpha = _operand(np.asarray(alpha, dtype=np.float64), inst.n, "alpha")
     if not np.all(np.isfinite(alpha)) or alpha.min(initial=np.inf) <= 0:
         raise InputError("alpha entries must be positive")
     q = inst.q
@@ -159,9 +167,7 @@ def scale_variables(inst: LcqpInstance, alpha) -> tuple[LcqpInstance, TransformR
 
 def scale_constraints(inst: LcqpInstance, d) -> tuple[LcqpInstance, TransformRecord]:
     """Rescale row i by d_i > 0; dual i moves to lam_i / d_i, primal untouched."""
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape != (inst.m,):
-        raise InputError(f"d must have shape ({inst.m},)")
+    d = _operand(np.asarray(d, dtype=np.float64), inst.m, "d")
     if not np.all(np.isfinite(d)) or d.min(initial=np.inf) <= 0:
         raise InputError("d entries must be positive")
     a = inst.a
@@ -294,9 +300,7 @@ def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
     keep the quadratic term PD; the mapped optimum has the new coordinate at 0
     either way.
     """
-    q_vec = np.asarray(q_vec, dtype=np.float64)
-    if q_vec.shape != (inst.n,):
-        raise InputError(f"q_vec must have shape ({inst.n},)")
+    q_vec = _operand(np.asarray(q_vec, dtype=np.float64), inst.n, "q_vec")
     if psd_certificate(inst.q) is not Definiteness.PD:
         raise InputError("add_variables needs a positive definite quadratic term")
     trace = float(inst.q.vals[inst.q.rows == inst.q.cols].sum())
@@ -325,9 +329,7 @@ def add_variable_biased(inst: LcqpInstance, sol: Solution, q_diag: float, a_col)
     _check_sol(inst, sol)
     if q_diag <= 0:
         raise InputError("q_diag must be positive")
-    a_col = np.asarray(a_col, dtype=np.float64)
-    if a_col.shape != (inst.m,):
-        raise InputError(f"a_col must have shape ({inst.m},)")
+    a_col = _operand(np.asarray(a_col, dtype=np.float64), inst.m, "a_col")
     record = TransformRecord(
         "add_variable_biased",
         {"q_diag": float(q_diag), "a_col": a_col.tolist()},
@@ -340,26 +342,40 @@ def add_variable_biased(inst: LcqpInstance, sol: Solution, q_diag: float, a_col)
     return out, record
 
 
-def _constrained_record(q_diag, rows, vals, c_new) -> TransformRecord:
-    """The add_variable_constrained record for new column entries (rows, vals),
-    after the sign checks that keep its multiplier nonnegative.  The map holds
-    the column's support as indices, and c_new with the entries there as
-    values."""
-    if q_diag < 0:
-        raise InputError("q_diag must be nonnegative")
-    if vals.max(initial=0.0) > 0:
-        raise InputError("a_col entries must be nonpositive")
-    if c_new > 0:
-        raise InputError("c_new must be nonpositive")
-    support = vals != 0.0
-    return TransformRecord(
-        "add_variable_constrained",
-        {"q_diag": float(q_diag)},
-        SolutionMap(
-            MapKind.EXPLICIT_DUAL, side="dual",
-            values=np.append(float(c_new), vals[support]), indices=rows[support],
-        ),
+def _pinned(inst, q_diag, cols, c_new):
+    """`inst` with one add_variable_constrained variable per entry of c_new,
+    appended in one build: variable n + i has Q diagonal q_diag[i], column
+    entries cols[i] = (rows, vals), cost c_new[i], and row m + i pinning it at
+    zero.  The sign checks keep each appended multiplier -(c_new + a_col . lam)
+    nonnegative; each map holds its column's support as indices, and c_new
+    with the entries there as values."""
+    records = []
+    for d, (rows, vals), c in zip(q_diag, cols, c_new):
+        if d < 0:
+            raise InputError("q_diag must be nonnegative")
+        if vals.max(initial=0.0) > 0:
+            raise InputError("a_col entries must be nonpositive")
+        if c > 0:
+            raise InputError("c_new must be nonpositive")
+        support = vals != 0.0
+        records.append(TransformRecord(
+            "add_variable_constrained",
+            {"q_diag": float(d)},
+            SolutionMap(
+                MapKind.EXPLICIT_DUAL, side="dual",
+                values=np.append(float(c), vals[support]), indices=rows[support],
+            ),
+        ))
+    new = inst.n + np.arange(len(c_new))
+    out = _append(
+        inst, *records, c_new=c_new, b_new=np.zeros(len(c_new)),
+        # a nonzero diagonal makes an LP a QP; zeros keep LPs LPs
+        kind=ProblemKind.QP if np.any(q_diag) else inst.kind,
+        q_new=[(new, new, q_diag)],
+        a_new=[*((rows, np.full(rows.size, j), vals) for j, (rows, vals) in zip(new, cols)),
+               _pins(inst.n, inst.m, len(c_new))],
     )
+    return out, records
 
 
 def add_variable_constrained(inst: LcqpInstance, q_diag: float, a_col, c_new: float):
@@ -371,16 +387,8 @@ def add_variable_constrained(inst: LcqpInstance, q_diag: float, a_col, c_new: fl
     stores a_col sparsely: its support as indices, c_new and those entries
     as values.
     """
-    a_col = np.asarray(a_col, dtype=np.float64)
-    if a_col.shape != (inst.m,):
-        raise InputError(f"a_col must have shape ({inst.m},)")
-    record = _constrained_record(q_diag, np.arange(inst.m), a_col, c_new)
-    kind = inst.kind if (inst.kind is ProblemKind.QP or q_diag == 0.0) else ProblemKind.QP
-    n, m = inst.n, inst.m
-    out = _append(
-        inst, record, kind=kind, c_new=[c_new], b_new=[0.0],
-        q_new=[([n], [n], [float(q_diag)])], a_new=[_column(a_col, n), _pins(n, m, 1)],
-    )
+    a_col = _operand(np.asarray(a_col, dtype=np.float64), inst.m, "a_col")
+    out, [record] = _pinned(inst, [q_diag], [(np.arange(inst.m), a_col)], [c_new])
     return out, record
 
 
@@ -548,31 +556,46 @@ class AugmentPolicy:
         object.__setattr__(self, "strengths", s)
 
 
-def _policy_drop_vars(inst, sol, aprime, rng):
-    idle = _idle(sol.x)
+def _listed(result):
+    """A one-record op's (instance, record) in the policy table's shape."""
+    out, record = result
+    return out, [record]
+
+
+def _drawn(eligible, aprime, rng, cap):
+    """A sorted draw, without replacement, of frac * |eligible| of `eligible`
+    and at most `cap`, with frac ~ U(0, aprime) capped at 1; None if empty."""
     frac = min(1.0, rng.uniform(0.0, aprime))
-    k = min(int(frac * idle.size), inst.n - 1)
+    k = min(int(frac * eligible.size), cap)
     if k <= 0:
         return None
-    drop = np.sort(rng.choice(idle, size=k, replace=False))
-    return _drop_variables(inst, drop)
+    return np.sort(rng.choice(eligible, size=k, replace=False))
+
+
+def _policy_drop_vars(inst, sol, aprime, rng):
+    drop = _drawn(_idle(sol.x), aprime, rng, inst.n - 1)
+    return None if drop is None else _listed(_drop_variables(inst, drop))
 
 
 def _policy_drop_cons(inst, sol, aprime, rng):
     if sol is not None:
-        eligible = np.asarray(partition_constraints(inst, sol).inactive, dtype=np.int64)
+        eligible = partition_constraints(inst, sol).inactive
     else:
         k_guess = inst.m - inst.n if inst.m > inst.n else inst.m // 2
-        eligible = np.asarray(heuristic_inactive(inst, k_guess), dtype=np.int64)
-    frac = min(1.0, rng.uniform(0.0, aprime))
-    k = int(frac * eligible.size)
-    if k <= 0:
-        return None
-    drop = np.sort(rng.choice(eligible, size=k, replace=False))
-    return _drop_constraints(inst, drop)
+        eligible = heuristic_inactive(inst, k_guess)
+    drop = _drawn(np.asarray(eligible, dtype=np.int64), aprime, rng, inst.m)
+    return None if drop is None else _listed(_drop_constraints(inst, drop))
 
 
-def _policy_add_cons(inst, aprime, rng):
+def _policy_scale_cons(inst, sol, aprime, rng):
+    return _listed(scale_constraints(inst, np.exp(rng.uniform(-aprime, aprime, size=inst.m))))
+
+
+def _policy_scale_vars(inst, sol, aprime, rng):
+    return _listed(scale_variables(inst, np.exp(rng.uniform(-aprime, aprime, size=inst.n))))
+
+
+def _policy_add_cons(inst, sol, aprime, rng):
     count = int(aprime * inst.m)
     if count <= 0 or inst.m == 0:
         return None
@@ -582,22 +605,22 @@ def _policy_add_cons(inst, aprime, rng):
         picked = rng.choice(inst.m, size=take, replace=False)
         raw = rng.random(take) + 1e-9
         w[picked] = raw / raw.sum()
-    return add_constraints(inst, weights)
+    return _listed(add_constraints(inst, weights))
 
 
-def _policy_add_vars(inst, count, rng):
-    """`count` constrained variables, drawn in sequence and appended in one
-    build: draw i sees the m + i rows and n + i variables the draws before it
-    leave, so its rows may include their pin rows, and its q_diag is
-    1e-2 * trace / (n + i) summed over the diagonal Q would store by then."""
+def _policy_add_vars(inst, sol, aprime, rng):
+    """int(aprime * n) constrained variables, drawn in sequence and appended
+    in one build: draw i sees the m + i rows and n + i variables the draws
+    before it leave, so its rows may include their pin rows, and its q_diag
+    is 1e-2 * trace / (n + i) summed over the diagonal Q would store by then."""
+    count = int(aprime * inst.n)
     if count <= 0:
         return None
     n, m, q = inst.n, inst.m, inst.q
     stored = q.vals[q.rows == q.cols]
     diag = np.concatenate([stored, np.empty(count)])
     top = stored.size
-    q_diag, c_new = np.zeros(count), np.empty(count)
-    a_new, records = [], []
+    q_diag, c_new, cols = np.zeros(count), np.empty(count), []
     for i in range(count):
         if inst.kind is not ProblemKind.LP:
             # np.sum over the array a stored diagonal holds; a running
@@ -613,14 +636,20 @@ def _policy_add_vars(inst, count, rng):
             order = np.argsort(rows)
             rows, vals = rows[order], vals[order]
         c_new[i] = -abs(rng.standard_normal())
-        records.append(_constrained_record(q_diag[i], rows, vals, c_new[i]))
-        a_new.append((rows, np.full(rows.size, n + i), vals))
-    out = _append(
-        inst, *records, c_new=c_new, b_new=np.zeros(count),
-        q_new=[(n + np.arange(count), n + np.arange(count), q_diag)],
-        a_new=[*a_new, _pins(n, m, count)],
-    )
-    return out, records
+        cols.append((rows, vals))
+    return _pinned(inst, q_diag, cols, c_new)
+
+
+# op name -> fn(inst, sol, aprime, rng) giving (instance, [records]), or
+# None when its draw changes nothing
+_POLICY_OPS = {
+    "drop-vars": _policy_drop_vars,
+    "drop-cons": _policy_drop_cons,
+    "scale-cons": _policy_scale_cons,
+    "scale-vars": _policy_scale_vars,
+    "add-cons": _policy_add_cons,
+    "add-vars": _policy_add_vars,
+}
 
 
 def apply_policy(
@@ -646,40 +675,14 @@ def apply_policy(
     count = min(policy.ops_per_instance, len(eligible))
     w = np.array([strengths[op] for op in eligible])
     chosen_idx = sel.choice(len(eligible), size=count, replace=False, p=w / w.sum())
-    chosen = {eligible[i] for i in chosen_idx}
-
-    def advance(result):
-        nonlocal cur, cur_sol
-        if result is None:
-            return
-        cur, rec = result
-        records.append(rec)
-        if cur_sol is not None:
-            cur_sol = map_solution(rec, cur, cur_sol)
-
-    for op in CATALOG_ORDER:
-        if op not in chosen:
-            continue
+    for op in (eligible[i] for i in np.sort(chosen_idx)):  # eligible is in catalog order
         rng = derive_rng(policy.seed, inst.name, op)
         aprime = strengths[op] * rng.uniform() if policy.interpolate else strengths[op]
-        if op == "drop-vars":
-            advance(_policy_drop_vars(cur, cur_sol, aprime, rng))
-        elif op == "drop-cons":
-            advance(_policy_drop_cons(cur, cur_sol, aprime, rng))
-        elif op == "scale-cons":
-            advance(scale_constraints(cur, np.exp(rng.uniform(-aprime, aprime, size=cur.m))))
-        elif op == "scale-vars":
-            advance(scale_variables(cur, np.exp(rng.uniform(-aprime, aprime, size=cur.n))))
-        elif op == "add-cons":
-            advance(_policy_add_cons(cur, aprime, rng))
-        elif op == "add-vars":
-            added = _policy_add_vars(cur, int(aprime * cur.n), rng)
-            if added is not None:
-                cur, recs = added
-                records.extend(recs)
-                if cur_sol is not None:
-                    x, lam = cur_sol.x, cur_sol.lam
-                    for rec in recs:  # each EXPLICIT_DUAL reads the duals before it
-                        x, lam = _map_pair(rec.solution_map, x, lam)
-                    cur_sol = Solution.from_primal_dual(cur, x, lam)
+        drawn = _POLICY_OPS[op](cur, cur_sol, aprime, rng)
+        if drawn is None:
+            continue
+        cur, recs = drawn
+        records.extend(recs)
+        if cur_sol is not None:
+            cur_sol = _mapped(cur, cur_sol, recs)
     return cur, cur_sol, records

@@ -385,6 +385,52 @@ def test_augment_bytes_pinned(tmp_path, capsys):
     assert digests == PINNED_AUGMENT_SHA256
 
 
+# sha256 of every file a labeled drop-vars run writes, recorded while
+# apply_policy still chose its ops through an if/elif chain: five of the six
+# copies drop variables, two of them then add one through add-vars
+PINNED_DROP_VARS_SHA256 = {
+    "lp_00000_aug00.json": "61474e4c40972360165fdbe55945cb67ff7150f7229fb886b35e4ca67686a24d",
+    "lp_00000_aug01.json": "8c4ecbeef062215c1ca6cf5b3c9f52f657e3b212e8a1483898e33547583a3c2c",
+    "lp_00000_aug02.json": "75cbf541732991d7b2737075125671281a7070c8ffe957cb87c101f2260db2af",
+    "lp_00001_aug00.json": "f1deceab1b968d175799e29a3070b2c043216f8803980136a39b3c1da5346e62",
+    "lp_00001_aug01.json": "25b745fb42246cbccf81ae38a755ee0147f8fb66e5fe04f1956fb22eee4c1c0e",
+    "lp_00001_aug02.json": "6439f2b5d2b4c1ead02206169a59b915a7219bf8e3b25e483eda501c8476557e",
+    "manifest.json": "d019f860c428fd2dc9c44f27e3574c6dcaebdcda450cd7f453e91730d733a908",
+}
+
+
+def test_augment_drop_vars_bytes_pinned(tmp_path, capsys):
+    corpus = tmp_path / "lp"
+    code, _, _ = run(capsys, PINNED_GENERATE["lp"] + ["--count", "2", "--seed", "11",
+                                                      "--solve", "--out", str(corpus)])
+    assert code == 0
+    out = tmp_path / "dropped"
+    code, _, _ = run(capsys, ["augment", "--manifest", str(corpus / "manifest.json"),
+                              "--ops", "drop-vars:3.0,add-vars:0.3", "--per-instance", "3",
+                              "--seed", "3", "--out", str(out)])
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == PINNED_DROP_VARS_SHA256
+    code, _, _ = run(capsys, ["verify", "--manifest", str(out / "manifest.json")])
+    assert code == 0
+
+
+@pytest.mark.parametrize("spec, extra", [
+    ("bogus:1", []),
+    ("scale-vars:-1", []),
+    ("scale-vars:nan", []),
+    ("scale-vars:1", ["--ops-per-copy", "0"]),
+])
+@pytest.mark.parametrize("count", [0, 2])
+def test_augment_bad_options_exit_2_before_writing(tmp_path, capsys, spec, extra, count):
+    corpus = gen_corpus(tmp_path, capsys, count=count, solve=False)
+    out = tmp_path / "aug"
+    code, _, err = run(capsys, ["augment", "--manifest", str(corpus / "manifest.json"),
+                                "--ops", spec, *extra, "--out", str(out)])
+    assert code == 2 and err.startswith("error: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- solve/verify
 
 def test_solve_labels_corpus(tmp_path, capsys):
@@ -410,6 +456,34 @@ def test_solve_budget_exit_3(tmp_path, capsys):
         "--out", str(tmp_path / "lab"), "--failure-budget", "0.0"])
     assert code == 3
     assert err == "solver failed on 3/3 instances, over budget 0.0\n"
+
+
+@pytest.mark.parametrize("via, budget", [
+    ("flag", "-0.5"), ("flag", "1.5"), ("flag", "nan"), ("flag", "inf"),
+    # a config file cannot hold nan or inf: its reader refuses them
+    ("config", "-0.5"), ("config", "1.5"),
+])
+def test_failure_budget_out_of_range_exit_2_before_writing(tmp_path, capsys, via, budget):
+    corpus = gen_corpus(tmp_path, capsys, count=2, solve=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"failure-budget": {budget}}}')
+    option = ["--failure-budget", budget] if via == "flag" else ["--config", str(cfg)]
+    for argv in (GEN_LP + ["--count", "3", "--solve", "--out", str(tmp_path / "gen")],
+                 ["solve", "--manifest", str(corpus / "manifest.json"),
+                  "--out", str(tmp_path / "lab")]):
+        code, _, err = run(capsys, argv + option)
+        assert code == 2, argv
+        assert "failure-budget" in err
+        assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_verify_tol_out_of_range_exit_2(tmp_path, capsys, tol):
+    corpus = gen_corpus(tmp_path, capsys, count=2)
+    code, out, err = run(capsys, ["verify", "--manifest", str(corpus / "manifest.json"),
+                                  "--tol", tol])
+    assert code == 2 and out == ""
+    assert "--tol" in err
 
 
 def test_verify_exit_5_on_corruption(tmp_path, capsys):

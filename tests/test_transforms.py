@@ -747,6 +747,41 @@ def test_policy_ssl_views_preserve_kkt(seed):
     assert_kkt_clean(out, mapped, 1e-9)
 
 
+def nonneg_qp(seed, n=5, m=3):
+    """A QP over x >= 0 whose cost pushes some coordinates onto their bound."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    a = np.vstack([-np.eye(n), rng.standard_normal((m, n))])
+    b = np.concatenate([np.zeros(n), 1.0 + np.abs(rng.standard_normal(m))])
+    return make_instance(g @ g.T + 0.5 * np.eye(n), a, b, rng.standard_normal(n),
+                         name=f"nonneg{seed}")
+
+
+def test_policy_drop_vars_drops_only_idle_variables():
+    dropped = 0
+    for seed in range(12):
+        inst = nonneg_qp(seed)
+        sol = solve_enumeration(inst)
+        idle = set(np.flatnonzero(np.abs(sol.x) <= 1e-8 * (1.0 + np.abs(sol.x).max())).tolist())
+        policy = AugmentPolicy({"drop-vars": 3.0}, ops_per_instance=1, seed=seed)
+        out, mapped, recs = apply_policy(inst, policy, sol)
+        assert_kkt_clean(out, mapped, 1e-9)
+        if recs:
+            [rec] = recs
+            assert rec.op_name == "drop_variables"
+            gone = set(range(inst.n)) - set(rec.solution_map.indices.tolist())
+            assert gone and gone <= idle and out.n == inst.n - len(gone)
+            dropped += 1
+    assert dropped >= 4
+    # min x'x + 1'x over x >= 0 has every variable idle: one must stay
+    inst = make_instance(2.0 * np.eye(3), -np.eye(3), np.zeros(3), np.ones(3), name="idle")
+    sol = solve_enumeration(inst)
+    policy = AugmentPolicy({"drop-vars": 1e6}, ops_per_instance=1, interpolate=False, seed=0)
+    out, mapped, recs = apply_policy(inst, policy, sol)
+    assert out.n == 1 and len(recs) == 1
+    assert_kkt_clean(out, mapped, 1e-9)
+
+
 # ------------------------------------------------------------ master properties
 
 ALL_OPS = [
