@@ -84,15 +84,16 @@ class TransformRecord:
     solution_map: SolutionMap
 
 
-def map_solution(record: TransformRecord, new_inst: LcqpInstance, sol: Solution) -> Solution:
-    """Reconstruct the transformed Solution from the original one."""
-    return _mapped(new_inst, sol, [record])
+def map_solution(
+    record: TransformRecord | Sequence[TransformRecord], new_inst: LcqpInstance, sol: Solution,
+) -> Solution:
+    """Reconstruct the transformed Solution from the original one.
 
-
-def _mapped(new_inst, sol, records):
-    """`sol` carried through `records` in order, the one way a label crosses
-    a transform; each EXPLICIT_DUAL reads the duals the records before it
+    `record` is one TransformRecord or several applied in order, such as
+    the records of one policy op; this is the one way a label crosses a
+    transform, and each EXPLICIT_DUAL reads the duals the records before it
     leave."""
+    records = (record,) if isinstance(record, TransformRecord) else record
     x, lam = sol.x, sol.lam
     for rec in records:
         x, lam = _map_pair(rec.solution_map, x, lam)
@@ -502,8 +503,6 @@ def heuristic_accuracy(gt_inactive, heu_inactive) -> float:
 
 # ----------------------------------------------------------------------- policy
 
-CATALOG_ORDER = ("drop-vars", "drop-cons", "scale-cons", "scale-vars", "add-cons", "add-vars")
-
 # two-op combination strengths used for supervised-style augmentation
 COMBO_STRENGTHS = {
     "drop-vars": 0.0, "drop-cons": 0.5, "scale-cons": 0.5,
@@ -641,7 +640,7 @@ def _policy_add_vars(inst, sol, aprime, rng):
 
 
 # op name -> fn(inst, sol, aprime, rng) giving (instance, [records]), or
-# None when its draw changes nothing
+# None when its draw changes nothing; its order is the catalog order
 _POLICY_OPS = {
     "drop-vars": _policy_drop_vars,
     "drop-cons": _policy_drop_cons,
@@ -650,6 +649,7 @@ _POLICY_OPS = {
     "add-cons": _policy_add_cons,
     "add-vars": _policy_add_vars,
 }
+CATALOG_ORDER = tuple(_POLICY_OPS)
 
 
 def apply_policy(
@@ -684,5 +684,5 @@ def apply_policy(
         cur, recs = drawn
         records.extend(recs)
         if cur_sol is not None:
-            cur_sol = _mapped(cur, cur_sol, recs)
+            cur_sol = map_solution(recs, cur, cur_sol)
     return cur, cur_sol, records

@@ -1068,6 +1068,51 @@ def test_add_vars_batch_matches_loop_reference(family, labeled, count):
         assert out_sol.objective == ref_sol.objective
 
 
+def test_map_solution_takes_one_record_or_an_ops_records():
+    inst = ADD_VARS_INSTANCES["qp"]()
+    sol = solve_splitting(inst)
+    policy = AugmentPolicy({"add-vars": 3.5 / inst.n}, ops_per_instance=1,
+                           interpolate=False, seed=5)
+    out, out_sol, records = apply_policy(inst, policy, sol)
+    assert len(records) == 3
+    for batch in (records, tuple(records)):
+        got = map_solution(batch, out, sol)
+        assert _bits(got.x) == _bits(out_sol.x) and _bits(got.lam) == _bits(out_sol.lam)
+    scaled, rec = scale_variables(inst, np.full(inst.n, 2.0))
+    one, listed = map_solution(rec, scaled, sol), map_solution([rec], scaled, sol)
+    assert _bits(one.x) == _bits(listed.x) and _bits(one.lam) == _bits(listed.lam)
+
+
+@pytest.mark.parametrize("strengths, interpolate", [
+    (SSL_STRENGTHS_QP, False), (COMBO_STRENGTHS, True),
+], ids=["views", "combo"])
+def test_apply_policy_carries_labels_through_map_solution(monkeypatch, strengths, interpolate):
+    # the module's map_solution is the name a caller or a tracer sees, so
+    # apply_policy reads it once per applied op, with that op's records
+    batches = []
+    original = transforms_module.map_solution
+
+    def spy(records, new_inst, sol):
+        batches.append(list(records))
+        return original(records, new_inst, sol)
+
+    inst = gen_qp(100, 100, 0.05, 0.05, seed=0)
+    sol = solve_splitting(inst)
+    results = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(transforms_module, "map_solution", spy)
+        results.append([apply_policy(inst, AugmentPolicy(strengths, interpolate=interpolate,
+                                                          seed=copy), sol)
+                        for copy in range(6)])
+    assert batches
+    assert all(len({rec.op_name for rec in batch}) == 1 for batch in batches)
+    assert [rec for batch in batches for rec in batch] == [
+        rec for _, _, records in results[1] for rec in records]
+    for (_, want, _), (_, got, _) in zip(*results):
+        assert _bits(got.x) == _bits(want.x) and _bits(got.lam) == _bits(want.lam)
+
+
 # ------------------------------------------------------------ public-op bytes
 
 # sha256 of the file save_instance writes for each public addition op and
