@@ -57,9 +57,20 @@ def _operand(v, length: int, label: str) -> np.ndarray:
 
 
 def _ordered_sum(keys: np.ndarray, terms: np.ndarray, length: int) -> np.ndarray:
-    """out[k] = the sum of terms[keys == k], added in array order from 0.0."""
+    """out[k] = the sum of terms[keys == k], added in array order from 0.0.
+    (nnz, d) terms sum into a (length, d) out, each column on its own: keys
+    are then their flat keys, `_row_keys` of the rows they add into."""
+    width = terms.shape[1:]
+    size = length * width[0] if width else length
     # bincount gives integer zeros when there are no terms
-    return np.bincount(keys, terms, minlength=length).astype(np.float64, copy=False)
+    out = np.bincount(keys, terms.ravel(), minlength=size).astype(np.float64, copy=False)
+    return out.reshape(length, *width)
+
+
+def _row_keys(rows: np.ndarray, width: int) -> np.ndarray:
+    """The flat keys that `_ordered_sum` adds (nnz, width) terms by: term
+    [e, j] into row rows[e], column j."""
+    return (rows[:, None] * width + np.arange(width)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +162,8 @@ class SparseMatrix:
 
     @cached_property
     def csr(self) -> scipy.sparse.csr_matrix:
-        """The matrix as scipy CSR, for the solver and the graph encoder; the
-        rest of the package runs on numpy alone, so scipy loads here."""
+        """The matrix as scipy CSR, for the solver; the rest of the package
+        runs on numpy alone, so scipy loads here."""
         import scipy.sparse as sp
 
         return sp.csr_matrix(

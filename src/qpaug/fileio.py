@@ -80,7 +80,7 @@ def _reject_constant(token):
 
 def _parse(path) -> object:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")  # no newline translation
         return json.loads(text, parse_constant=_reject_constant)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
@@ -175,15 +175,22 @@ def _count(value, label) -> int:
 def _mirrored(rows, cols, vals, n):
     """Both triangles of an n x n matrix from its upper triangle, in
     canonical order when the upper triangle is."""
-    # the lower entries are the off-diagonal upper ones in column order, and
-    # a stable sort by row alone puts them before the upper entries of each
-    # row; in the narrowest unsigned dtype numpy sorts both by radix
-    dtype = np.min_scalar_type(n)
+    # the lower entries are the off-diagonal upper ones in column order: one
+    # stable argsort by column alone, by radix in the narrowest unsigned dtype
     off = np.flatnonzero(rows != cols)
-    lower = off[np.argsort(cols[off].astype(dtype), kind="stable")]
-    rows, cols = np.concatenate([cols[lower], rows]), np.concatenate([rows[lower], cols])
-    order = np.argsort(rows.astype(dtype), kind="stable")
-    return rows[order], cols[order], np.concatenate([vals[lower], vals])[order]
+    cols_off = cols[off]
+    lower = off[np.argsort(cols_off.astype(np.min_scalar_type(n)), kind="stable")]
+    # each row holds its lower entries, then its upper ones: an upper entry
+    # moves down by the lower entries of its row and of every row above it
+    n_lower = np.bincount(cols_off, minlength=n)
+    upper_at = np.arange(rows.size) + np.cumsum(n_lower)[rows]
+    in_lower = np.ones(rows.size + lower.size, bool)
+    in_lower[upper_at] = False
+    full_rows = np.repeat(np.arange(n), n_lower + np.bincount(rows, minlength=n))
+    full_cols, full_vals = np.empty_like(full_rows), np.empty(full_rows.size)
+    full_cols[upper_at], full_cols[in_lower] = cols, rows[lower]
+    full_vals[upper_at], full_vals[in_lower] = vals, vals[lower]
+    return full_rows, full_cols, full_vals
 
 
 def _sparse_field(doc, label, n_rows, n_cols, vals_name="vals"):
@@ -196,7 +203,8 @@ def _sparse_field(doc, label, n_rows, n_cols, vals_name="vals"):
     vals = _nonzero(_array_field(doc[vals_name], f"{label}.{vals_name}", np.float64),
                     f"{label}.{vals_name}")
     keys = _keys_from_gaps(doc["gaps"], f"{label}.gaps", vals.size, n_rows * n_cols)
-    return (*np.divmod(keys, n_cols), vals)
+    rows = keys // n_cols  # np.divmod takes about three times as long
+    return rows, keys - rows * n_cols, vals
 
 
 def _nonzero(vals, label) -> np.ndarray:

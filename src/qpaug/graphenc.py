@@ -6,7 +6,9 @@ between constraints and variables and Q among variables (its diagonal as
 self-loops).  The network is a reference forward pass, not a trainable
 model: fixed tanh updates with a constraint half-step feeding the variable
 update, then sum pooling per side and an affine readout.  Everything is
-reproducible from integer seeds.
+reproducible from integer seeds.  Message passing runs on numpy alone: each
+aggregate is a scatter sum through core's ordered sum, bit-identical to
+scipy's CSR products.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InputError, LcqpInstance, SparseMatrix, _as_float_vector
+from .core import InputError, LcqpInstance, SparseMatrix, _as_float_vector, _ordered_sum, _row_keys
 from .rng import derive_rng
 
 
@@ -142,15 +144,31 @@ def init_mpnn_weights(seed: int, width: int = 16, layers: int = 2) -> MpnnWeight
 
 
 def mpnn_forward(graph: BipartiteGraph, weights: MpnnWeights):
-    """Run the fixed-depth forward pass; returns (h_var, h_con)."""
+    """Run the fixed-depth forward pass; returns (h_var, h_con).
+
+    The aggregates A h_v, Q h_v and A' h_c are scatter sums over the
+    matrices' entries (core._ordered_sum): each output row adds its terms in
+    storage order from 0.0, as scipy's CSR and CSC kernels add them."""
+    d = weights.width
     wv, bv = weights.var_lift
     wc, bc = weights.con_lift
     hv = graph.var_features[:, None] * wv + bv
     hc = graph.con_features[:, None] * wc + bc
-    a, q = graph.a.csr, graph.q.csr
+    a, q = graph.a, graph.q
+    # per aggregate, built once: its flat keys, the rows it gathers, the
+    # entries' weights and its row count
+    a_hv = (_row_keys(a.rows, d), a.cols, a.vals[:, None], a.n_rows)
+    q_hv = (_row_keys(q.rows, d), q.cols, q.vals[:, None], q.n_rows)
+    at_hc = (_row_keys(a.cols, d), a.rows, a.vals[:, None], a.n_cols)
+
+    def aggregate(product, h):
+        keys, gather, vals, length = product
+        return _ordered_sum(keys, vals * np.take(h, gather, axis=0), length)
+
     for (cw, cb), (vw, vb) in zip(weights.con_updates, weights.var_updates):
-        hc = np.tanh(np.concatenate([hc, a @ hv], axis=1) @ cw.T + cb)
-        hv = np.tanh(np.concatenate([hv, q @ hv, a.T @ hc], axis=1) @ vw.T + vb)
+        hc = np.tanh(np.concatenate([hc, aggregate(a_hv, hv)], axis=1) @ cw.T + cb)
+        hv = np.tanh(np.concatenate([hv, aggregate(q_hv, hv), aggregate(at_hc, hc)], axis=1)
+                     @ vw.T + vb)
     return hv, hc
 
 

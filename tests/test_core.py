@@ -230,6 +230,28 @@ def test_products_bit_identical_to_scipy(n_rows, n_cols, k, seed):
     assert out.a.to_dense()[n_rows:].tobytes() == (csr.T @ w.T).T.tobytes()
 
 
+@settings(max_examples=300)
+@given(st.integers(0, 20), st.integers(0, 20), st.sampled_from([1, 3, 16]), st.integers(0, 10**6))
+def test_row_sums_bit_identical_to_scipy(n_rows, n_cols, width, seed):
+    """_ordered_sum over (nnz, width) terms by their `_row_keys` holds the
+    same bytes as scipy's csr @ H and csr.T @ Y for (n, width) operands:
+    each output adds its terms in storage order from 0.0, m = 0 included."""
+    from qpaug.core import _ordered_sum, _row_keys
+
+    rng = np.random.default_rng(seed)
+    a = _wide_range_sparse(rng, n_rows, n_cols)
+    csr = sp.csr_matrix(a.to_dense())
+    h = rng.standard_normal((n_cols, width)) * 10.0 ** rng.uniform(-6, 6, (n_cols, width))
+    y = rng.standard_normal((n_rows, width)) * 10.0 ** rng.uniform(-6, 6, (n_rows, width))
+    vals = a.vals[:, None]
+    rows = _ordered_sum(_row_keys(a.rows, width), vals * h[a.cols], n_rows)
+    cols = _ordered_sum(_row_keys(a.cols, width), vals * y[a.rows], n_cols)
+    assert rows.shape == (n_rows, width) and cols.shape == (n_cols, width)
+    assert rows.dtype == cols.dtype == np.float64
+    assert rows.tobytes() == (csr @ h).tobytes()
+    assert cols.tobytes() == (csr.T @ y).tobytes()
+
+
 def test_products_reject_misshapen_operands():
     """scipy took a 2-D operand as a matrix product; a bare x[cols] would read
     a longer vector's head.  Both shapes are refused."""

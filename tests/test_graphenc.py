@@ -5,7 +5,8 @@ import base64
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.sparse as sp
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpaug import InputError, ProblemKind, SparseMatrix, gen_lp, gen_qp, permute_instance
@@ -223,8 +224,52 @@ def test_mpnn_matches_per_edge_reference(make, has_vv):
     w = init_mpnn_weights(seed=0)
     hv, hc = mpnn_forward(g, w)
     ref_hv, ref_hc = _reference_forward(g, w)
-    assert np.abs(hv - ref_hv).max() <= 1e-12
-    assert np.abs(hc - ref_hc).max() <= 1e-12
+    # equal, not close: both add each aggregate's terms in storage order from 0.0
+    assert np.array_equal(hv, ref_hv)
+    assert np.array_equal(hc, ref_hc)
+
+
+def _csr_forward(graph, weights):
+    """The forward pass with its aggregates as scipy's CSR products, the
+    formulation mpnn_forward had before it summed on numpy alone."""
+    wv, bv = weights.var_lift
+    wc, bc = weights.con_lift
+    hv = graph.var_features[:, None] * wv + bv
+    hc = graph.con_features[:, None] * wc + bc
+    a = sp.csr_matrix((graph.a.vals, (graph.a.rows, graph.a.cols)), shape=graph.a.shape)
+    q = sp.csr_matrix((graph.q.vals, (graph.q.rows, graph.q.cols)), shape=graph.q.shape)
+    for (cw, cb), (vw, vb) in zip(weights.con_updates, weights.var_updates):
+        hc = np.tanh(np.concatenate([hc, a @ hv], axis=1) @ cw.T + cb)
+        hv = np.tanh(np.concatenate([hv, q @ hv, a.T @ hc], axis=1) @ vw.T + vb)
+    return hv, hc
+
+
+def _wide_range(rng, shape, density):
+    """Random signs and magnitudes 1e-3 .. 1e+3 at about `density`."""
+    keep = rng.random(shape) < density
+    return np.where(keep, rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3, 3, shape), 0.0)
+
+
+@settings(max_examples=150)
+@given(n=st.integers(1, 12), m=st.integers(0, 12), q_density=st.sampled_from([0.0, 0.3, 0.8]),
+       width=st.sampled_from([1, 16]), layers=st.integers(1, 3), seed=st.integers(0, 10**6))
+def test_mpnn_bit_identical_to_scipy_csr(n, m, q_density, width, layers, seed):
+    """mpnn_forward holds the same bytes as the forward pass on scipy's CSR
+    products: with m = 0, with no Q edges, and with a row and a column of A
+    emptied, at width 1 and 16."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(_wide_range(rng, (n, n), q_density))
+    a = _wide_range(rng, (m, n), 0.5)
+    if m:
+        a[rng.integers(m)] = 0.0
+        a[:, rng.integers(n)] = 0.0
+    g = BipartiteGraph(var_features=_wide_range(rng, n, 0.9), con_features=_wide_range(rng, m, 0.9),
+                       a=SparseMatrix.from_dense(a),
+                       q=SparseMatrix.from_dense(upper + np.triu(upper, 1).T))
+    w = init_mpnn_weights(seed, width=width, layers=layers)
+    for got, want in zip(mpnn_forward(g, w), _csr_forward(g, w)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------------- pooling

@@ -4,7 +4,8 @@
 --solve, augment, verify, graph) run on numpy alone; each is run here as its
 own process, the way `python -m qpaug` runs it, and must leave no scipy
 module behind.  `generate --solve` and `solve` must load it, so the check can
-tell the two apart."""
+tell the two apart.  Loading a view and encoding it with the message passer
+runs on numpy alone too."""
 import json
 import os
 import subprocess
@@ -71,6 +72,35 @@ def test_only_solving_commands_load_scipy(tmp_path):
     assert "scipy.sparse.linalg" in probe(tmp_path, "solve", "--manifest", "aug/manifest.json",
                                           "--out", "sol")
     assert probe(tmp_path, "verify", "--manifest", "sol/manifest.json") == []
+
+
+# loads the instance file argv[1], encodes it, and prints the scipy modules
+# loaded as the last line of stdout
+ENCODE = """
+import json, sys
+from qpaug import fileio, graphenc
+inst, _ = fileio.load_instance(sys.argv[1])
+weights = graphenc.init_mpnn_weights(0)
+graphenc.encode_instance(inst, weights)
+graphenc.mpnn_forward(graphenc.to_bipartite_graph(inst), weights)
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_encoding_a_view_loads_no_scipy(tmp_path):
+    """A process that loads a 100x100 view and runs encode_instance and
+    mpnn_forward on it ends with no scipy module loaded."""
+    for args in (["generate", "--family", "qp", "--rows", "100", "--cols", "100",
+                  "--density-a", "0.05", "--density-q", "0.05", "--count", "1", "--seed", "0",
+                  "--out", "raw"],
+                 ["augment", "--manifest", "raw/manifest.json", "--views", "2", "--seed", "1",
+                  "--out", "views"]):
+        proc = python("-m", "qpaug", *args, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    entry = json.loads((tmp_path / "views" / "manifest.json").read_text())[0]
+    proc = python("-c", ENCODE, str(tmp_path / "views" / entry["path"]))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_import_qpaug_loads_no_scipy():
