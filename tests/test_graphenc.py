@@ -231,7 +231,7 @@ def test_mpnn_matches_per_edge_reference(make, has_vv):
 
 def _csr_forward(graph, weights):
     """The forward pass with its aggregates as scipy's CSR products, the
-    formulation mpnn_forward had before it summed on numpy alone."""
+    reference whose bytes mpnn_forward's numpy sums must match."""
     wv, bv = weights.var_lift
     wc, bc = weights.con_lift
     hv = graph.var_features[:, None] * wv + bv
