@@ -20,8 +20,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    import scipy.sparse
-
     from .transforms import TransformRecord
 
 
@@ -160,16 +158,6 @@ class SparseMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
-    @cached_property
-    def csr(self) -> scipy.sparse.csr_matrix:
-        """The matrix as scipy CSR, for the solver; the rest of the package
-        runs on numpy alone, so scipy loads here."""
-        import scipy.sparse as sp
-
-        return sp.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols)
-        )
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
         out[self.rows, self.cols] = self.vals
@@ -177,12 +165,12 @@ class SparseMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x.  Each row is summed in storage order from 0.0, as scipy's CSR
-        kernel sums it, so the result is bit-identical to `self.csr @ x`."""
+        kernel sums it, so the result is bit-identical to scipy's `csr @ x`."""
         x = _operand(x, self.n_cols, "x")
         return _ordered_sum(self.rows, self.vals * x[self.cols], self.n_rows)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """A' y, bit-identical to `self.csr.T @ y` (each column summed in
+        """A' y, bit-identical to scipy's `csr.T @ y` (each column summed in
         row order)."""
         y = _operand(y, self.n_rows, "y")
         return _ordered_sum(self.cols, self.vals * y[self.rows], self.n_cols)

@@ -33,7 +33,8 @@ class Unbounded(RuntimeError):
 
 
 class InfeasibleOrUnbounded(RuntimeError):
-    """Exhaustive enumeration found no optimal active set."""
+    """No optimal point: enumeration found no optimal active set, or the
+    splitting solver found a certificate that A x <= b has no solution."""
 
 
 class Unconverged(RuntimeError):
@@ -93,14 +94,25 @@ def _kkt_equality_solve(kkt: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray 
     return w
 
 
-def _polish(inst: LcqpInstance, q_dense, a_dense, x: np.ndarray, y: np.ndarray):
+def _kkt_entries(inst: LcqpInstance, place: np.ndarray):
+    """Rows, cols and values of [[Q, A_S'], [A_S, 0]]: row i of A goes to row
+    place[i] of the system (and its transpose to that column), and rows with
+    place[i] < 0 are left out."""
+    q, a = inst.q, inst.a
+    keep = place[a.rows] >= 0
+    ar, ac, av = place[a.rows][keep], a.cols[keep], a.vals[keep]
+    return (np.concatenate([q.rows, ac, ar]), np.concatenate([q.cols, ar, ac]),
+            np.concatenate([q.vals, av, av]))
+
+
+def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray):
     """Re-solve the equality system on the estimated active set.
 
     Repair rounds add every violated row at once but retire negative duals
     one at a time, which avoids add/drop cycling.
     """
     n, m = inst.n, inst.m
-    slack = inst.b - a_dense @ x
+    slack = inst.b - inst.a.matvec(x)
     near = slack <= _ACTIVE_SLACK_TOL * (1.0 + np.abs(inst.b))
     pushed = y > 1e-10 * (1.0 + np.abs(y).max() if m else 1.0)
     active = np.flatnonzero(near | pushed)
@@ -108,18 +120,18 @@ def _polish(inst: LcqpInstance, q_dense, a_dense, x: np.ndarray, y: np.ndarray):
     lam_tol = 1e-9 * (1.0 + (np.abs(y).max() if m else 0.0))
     for _ in range(60):
         k = active.size
+        place = np.full(m, -1)
+        place[active] = n + np.arange(k)
+        rows, cols, vals = _kkt_entries(inst, place)
         kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = q_dense
-        if k:
-            kkt[:n, n:] = a_dense[active].T
-            kkt[n:, :n] = a_dense[active]
+        kkt[rows, cols] = vals
         rhs = np.concatenate([-inst.c, inst.b[active]])
         sol = _kkt_equality_solve(kkt, rhs, n)
         if sol is None:
             return None
         xp = sol[:n]
         lam_act = sol[n:]
-        viol = a_dense @ xp - inst.b
+        viol = inst.a.matvec(xp) - inst.b
         grow = np.flatnonzero(viol > 1e-9 * b_scale)
         grow = np.setdiff1d(grow, active, assume_unique=False)
         if grow.size:
@@ -146,32 +158,25 @@ def solve_splitting_detailed(
         if psd_certificate(inst.q) is Definiteness.INDEFINITE:
             raise InputError("quadratic term must be positive semidefinite")
     n, m = inst.n, inst.m
-    q_csr = inst.q.csr
-    a_csr = inst.a.csr
-    b, c = inst.b, inst.c
-    q_dense = inst.q.to_dense()
+    q, a, b, c = inst.q, inst.a, inst.b, inst.c
     rho = cfg.penalty
 
     def factor(r):
-        kkt = sp.bmat(
-            [
-                [q_csr + _SIGMA * sp.identity(n), a_csr.T if m else None],
-                [a_csr if m else None, -sp.identity(m) / r if m else None],
-            ],
-            format="csc",
-        )
+        rows, cols, vals = _kkt_entries(inst, n + np.arange(m))
+        diag = np.arange(n + m)
+        vals = np.concatenate([vals, np.full(n, _SIGMA), np.full(m, -1.0 / r)])
+        kkt = sp.csc_matrix((vals, (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
+                            shape=(n + m, n + m))
         # quasi-definite (+sigma primal block, -1/r dual block), so it factors
         # under any symmetric ordering without pivoting (Vanderbei 1995)
         return spla.splu(kkt, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
 
     lu = factor(rho)
-    a_dense = inst.a.to_dense()
-    x = np.zeros(n)
+    x = x_prev = np.zeros(n)
+    y = y_prev = np.zeros(m)
     z = np.zeros(m)
-    y = np.zeros(m)
-    x_prev_probe = x.copy()
-    cert_hits = 0
+    cert_hits = np.zeros(2, dtype=int)  # checks in a row each certificate held
     best_xy: tuple[np.ndarray, np.ndarray] | None = None
     best_polished = False  # whether polish, not an iterate, gave best_xy
     best_max = np.inf
@@ -186,7 +191,7 @@ def solve_splitting_detailed(
         """Polish (xv, yv), score it, and keep it as the best point if it
         beats it; the polished point and its report, or (None, None)."""
         nonlocal best_max, best_xy, best_polished
-        pol = _polish(inst, q_dense, a_dense, xv, yv)
+        pol = _polish(inst, xv, yv)
         if pol is None:
             return None, None
         prep = kkt_residuals(inst, pol, relative=True)
@@ -223,27 +228,26 @@ def solve_splitting_detailed(
                 pol, prep = polish(x, y)
                 if pol is not None and prep.max_residual <= cfg.tol:
                     return pol, SolveStats(it, True, prep)
-            # certificate of a descent ray: direction with Q d ~ 0, c'd < 0,
-            # A d <= 0 means the problem is unbounded below
-            delta = x - x_prev_probe
-            x_prev_probe = x.copy()
-            nd = np.abs(delta).max() if n else 0.0
-            if nd > 1e-12:
-                d = delta / nd
-                ray = (
-                    np.abs(q_csr @ d).max(initial=0.0) <= _CERT_TOL
-                    and c @ d <= -_CERT_TOL
-                    and (a_csr @ d).max(initial=-np.inf) <= _CERT_TOL
-                )
-                cert_hits = cert_hits + 1 if ray else 0
-                if cert_hits >= 2:
-                    raise Unbounded("descent ray certificate found")
-            if c @ x + 0.5 * (x @ (q_csr @ x)) < -1e12:
-                raise Unbounded("objective diverged below -1e12")
+            # OSQP's certificates (Stellato et al. 2020, section 3.4) on the
+            # steps since the last check: a descent ray d (Q d ~ 0, c'd < 0,
+            # A d <= 0) means unbounded below, and a dual step dy >= 0 with
+            # A'dy ~ 0 and b'dy < 0 means A x <= b is infeasible (Farkas)
+            delta, dy = x - x_prev, np.maximum(y - y_prev, 0.0)
+            x_prev, y_prev = x, y
+            nd, ny = np.abs(delta).max(), dy.max(initial=0.0)
+            d, e = delta / max(nd, 1e-12), dy / max(ny, 1e-12)
+            ray = (nd > 1e-12 and np.abs(q.matvec(d)).max() <= _CERT_TOL and c @ d <= -_CERT_TOL
+                   and a.matvec(d).max(initial=-np.inf) <= _CERT_TOL)
+            farkas = ny > 1e-12 and np.abs(a.rmatvec(e)).max() <= _CERT_TOL and b @ e <= -_CERT_TOL
+            cert_hits = np.where([ray, farkas], cert_hits + 1, 0)
+            if cert_hits[0] >= 2:
+                raise Unbounded("descent ray certificate found")
+            if cert_hits[1] >= 2:
+                raise InfeasibleOrUnbounded("primal infeasibility certificate found")
             # rebalance the penalty toward equal primal/dual progress
             if m and it % 100 == 0:
-                prim = np.abs(a_csr @ x - z).max() / b_scale
-                dual = np.abs(q_csr @ x + a_csr.T @ y + c).max() / c_scale
+                prim = np.abs(a.matvec(x) - z).max() / b_scale
+                dual = np.abs(q.matvec(x) + a.rmatvec(y) + c).max() / c_scale
                 if prim > 1e-14 and dual > 1e-14:
                     new_rho = float(np.clip(rho * np.sqrt(prim / dual), _RHO_MIN, _RHO_MAX))
                     if new_rho > 5.0 * rho or new_rho < rho / 5.0:

@@ -129,6 +129,31 @@ def test_unbounded_two_var_lp():
         solve_splitting(inst)
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        # x <= -1 and -x <= -1 (x >= 1)
+        make_instance([[1.0]], [[1.0], [-1.0]], [-1.0, -1.0], [0.0]),
+        # x1 + x2 <= -1 with x >= 0
+        make_instance(
+            np.zeros((2, 2)),
+            [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            [-1.0, 0.0, 0.0],
+            [1.0, 1.0],
+            kind=ProblemKind.LP,
+        ),
+    ],
+    ids=["qp-1var", "lp-2var"],
+)
+def test_infeasible_input_raises_within_budget(inst):
+    """The primal infeasibility certificate ends the solve well inside 1,000
+    iterations; without it the solver ran out its budget (Unconverged)."""
+    with pytest.raises(InfeasibleOrUnbounded):
+        solve_splitting(inst, SolverConfig(max_iter=1000))
+    with pytest.raises(InfeasibleOrUnbounded):
+        solve_enumeration(inst)
+
+
 def test_indefinite_q_rejected():
     inst = make_instance([[0.0, 1.0], [1.0, 0.0]], [[1.0, 1.0]], [1.0], [0.0, 0.0])
     with pytest.raises(InputError):
@@ -198,6 +223,27 @@ def test_splitting_residuals_within_contract(seed):
     assert rep.max_residual <= 10.0 * cfg.tol
     assert rep.primal_violation <= 10.0 * cfg.tol
     assert stats.iterations >= 1
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(np.zeros((0, 2)), []), ([[1.0, 1.0], [0.0, 0.0], [-1.0, 0.0]], [1.0, 2.0, 0.0])],
+    ids=["no-rows", "all-zero-row"],
+)
+def test_oracle_agreement_edge_shapes(a, b):
+    """No constraint rows (x = -Q^-1 c), and an all-zero row of A beside an
+    active row: the KKT assembly must handle both."""
+    q, c = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([-3.0, -1.0])
+    inst = make_instance(q, a, b, c)
+    enum = solve_enumeration(inst)
+    split = solve_splitting(inst)
+    assert abs(split.objective - enum.objective) <= 1e-6 * (1.0 + abs(enum.objective))
+    assert np.abs(split.x - enum.x).max() <= 1e-5
+    assert np.abs(split.lam - enum.lam).max(initial=0.0) <= 1e-5
+    if not inst.m:
+        assert np.abs(split.x - np.linalg.solve(q, -c)).max() <= 1e-6
+    else:
+        assert split.lam[0] > 0.1  # the constraint x1 + x2 <= 1 is active
 
 
 def test_determinism_bitwise(e1):
