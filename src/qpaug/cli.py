@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import inspect
 import json
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -80,15 +79,9 @@ def _require(args, *names):
 
 
 def _resolve_jobs(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get("QPAUG_JOBS", "1"))
-        except ValueError as exc:
-            raise InputError(f"QPAUG_JOBS must be an integer: {exc}") from exc
-    if jobs < 1:
-        raise InputError("jobs must be at least 1")
-    return jobs
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
 
 
 def _check_budget(args):
@@ -459,8 +452,8 @@ def _build_parser():
     sp.add_argument("--out", help="output directory")
     sp.add_argument("--solve", action="store_true", default=None,
                     help="label each instance by solving it")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default $QPAUG_JOBS or 1)")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (default 1; see README on BLAS threads)")
     sp.add_argument("--failure-budget", type=float, default=0.1,
                     help="max tolerated solver failure rate")
     sp.add_argument("--rows", type=int, help="constraint count m")
@@ -501,8 +494,8 @@ def _build_parser():
                         help="solve every instance and write a labeled copy")
     sp.add_argument("--manifest", help="input manifest path")
     sp.add_argument("--out", help="output directory")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default $QPAUG_JOBS or 1)")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (default 1; see README on BLAS threads)")
     sp.add_argument("--failure-budget", type=float, default=0.1,
                     help="max tolerated solver failure rate")
     sp.set_defaults(handler=cmd_solve)

@@ -152,8 +152,9 @@ def solve_splitting_detailed(
 ) -> tuple[Solution, SolveStats]:
     """Solve and also report iteration count and whether polish produced the
     returned point."""
-    if cfg.tol <= 0 or cfg.max_iter < 1 or cfg.penalty <= 0:
-        raise InputError("tol and penalty must be positive, max_iter >= 1")
+    # NaN fails these comparisons too
+    if not (0.0 < cfg.tol < np.inf and 0.0 < cfg.penalty < np.inf) or cfg.max_iter < 1:
+        raise InputError("tol and penalty must be positive and finite, max_iter >= 1")
     if inst.kind is ProblemKind.QP:
         if psd_certificate(inst.q) is Definiteness.INDEFINITE:
             raise InputError("quadratic term must be positive semidefinite")

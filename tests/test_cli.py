@@ -173,10 +173,39 @@ def test_config_number_writes_what_the_flag_writes(tmp_path, capsys):
             == (tmp_path / "flag" / "lp_00000.json").read_bytes())
 
 
-def test_jobs_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QPAUG_JOBS", "2")
-    out = gen_corpus(tmp_path, capsys, count=4, sub="par")
-    assert len(load_manifest(out / "manifest.json")) == 4
+def test_jobs_pool_writes_the_serial_bytes(tmp_path, capsys):
+    """`generate --solve` and `solve` in a pool of two workers write the
+    files and manifests that one process writes."""
+    for jobs in ("1", "2"):
+        gen, sol = tmp_path / f"gen{jobs}", tmp_path / f"sol{jobs}"
+        code, _, _ = run(capsys, GEN_LP + [
+            "--count", "6", "--seed", "7", "--solve", "--jobs", jobs, "--out", str(gen)])
+        assert code == 0
+        code, _, _ = run(capsys, [
+            "solve", "--manifest", str(gen / "manifest.json"), "--jobs", jobs, "--out", str(sol)])
+        assert code == 0
+    for stage in ("gen", "sol"):
+        one, two = tmp_path / f"{stage}1", tmp_path / f"{stage}2"
+        names = sorted(p.name for p in one.iterdir())
+        assert len(names) == 7 and "manifest.json" in names
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_jobs_below_one_exit_2_before_writing(tmp_path, capsys, source):
+    corpus = gen_corpus(tmp_path, capsys, count=2, solve=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 0}))
+    jobs = ["--jobs", "0"] if source == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "out"
+    for command in (GEN_LP + ["--count", "2", "--solve"],
+                    ["solve", "--manifest", str(corpus / "manifest.json")]):
+        code, stdout, err = run(capsys, [*command, *jobs, "--out", str(out)])
+        assert code == 2 and stdout == ""
+        assert err == "error: --jobs must be at least 1, got 0\n"
+        assert not out.exists()
 
 
 # -------------------------------------------------------------------- augment

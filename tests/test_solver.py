@@ -169,10 +169,18 @@ def test_enumeration_guard():
 
 
 def test_bad_config_rejected(e1):
+    """NaN and infinite tol or penalty are refused up front; NaN passed the
+    old `<= 0` checks, and then ran out the budget (tol) or reached scipy's
+    singular-factor error (penalty)."""
     with pytest.raises(InputError):
         solve_splitting(e1, SolverConfig(tol=0.0))
     with pytest.raises(InputError):
         solve_splitting(e1, SolverConfig(max_iter=0))
+    inst = gen_qp(6, 4, 0.8, 0.9, seed=1)
+    for bad in (np.nan, np.inf):
+        for cfg in (SolverConfig(tol=bad), SolverConfig(penalty=bad)):
+            with pytest.raises(InputError):
+                solve_splitting(inst, cfg)
 
 
 def test_unconverged_carries_best_iterate(e1):
