@@ -442,7 +442,6 @@ def _build_parser():
                     "generate, augment, solve, verify, and export",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    registry = {}
 
     sp = sub.add_parser("generate", parents=[common],
                         help="write a dataset of random instances")
@@ -473,7 +472,6 @@ def _build_parser():
     sp.add_argument("--density", type=float)
     sp.add_argument("--assets", type=int, help="asset count n_assets")
     sp.set_defaults(handler=cmd_generate)
-    registry["generate"] = sp
 
     sp = sub.add_parser("augment", parents=[common],
                         help="write transformed copies of a dataset")
@@ -488,7 +486,6 @@ def _build_parser():
     sp.add_argument("--views", type=int, default=None,
                     help="emit N unlabeled contrastive views per instance instead")
     sp.set_defaults(handler=cmd_augment)
-    registry["augment"] = sp
 
     sp = sub.add_parser("solve", parents=[common],
                         help="solve every instance and write a labeled copy")
@@ -499,7 +496,6 @@ def _build_parser():
     sp.add_argument("--failure-budget", type=float, default=0.1,
                     help="max tolerated solver failure rate")
     sp.set_defaults(handler=cmd_solve)
-    registry["solve"] = sp
 
     sp = sub.add_parser("verify", parents=[common],
                         help="check stored solutions against first-order conditions")
@@ -508,7 +504,6 @@ def _build_parser():
     sp.add_argument("--absolute", action="store_true", default=None,
                     help="use absolute instead of relative residuals")
     sp.set_defaults(handler=cmd_verify)
-    registry["verify"] = sp
 
     sp = sub.add_parser("heuristic-eval", parents=[common],
                         help="score the inactive-constraint heuristic on labeled data")
@@ -516,7 +511,6 @@ def _build_parser():
     sp.add_argument("--active-tol", type=float, default=1e-6,
                     help="slack threshold for calling a row active")
     sp.set_defaults(handler=cmd_heuristic_eval)
-    registry["heuristic-eval"] = sp
 
     sp = sub.add_parser("split", parents=[common],
                         help="reassign the train/val/test split in place")
@@ -524,22 +518,19 @@ def _build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write here instead of in place")
     sp.set_defaults(handler=cmd_split)
-    registry["split"] = sp
 
     sp = sub.add_parser("graph", parents=[common],
                         help="export each instance as a bipartite graph file")
     sp.add_argument("--manifest", help="input manifest path")
     sp.add_argument("--out", help="output directory")
     sp.set_defaults(handler=cmd_graph)
-    registry["graph"] = sp
 
     sp = sub.add_parser("metrics", parents=[common],
                         help="mean relative objective error of predicted values")
     sp.add_argument("--pairs", help="JSON file of [predicted, reference] pairs")
     sp.set_defaults(handler=cmd_metrics)
-    registry["metrics"] = sp
 
-    return parser, registry
+    return parser, sub.choices
 
 
 # a --config value's JSON types, matched exactly as the instance reader

@@ -372,7 +372,7 @@ def partition_constraints(
     inst: LcqpInstance, sol: Solution, tol: float = 1e-6
 ) -> ActivePartition:
     """Split rows into active (slack <= tol * (1 + |b_i|)) and inactive."""
-    if tol < 0:
+    if not tol >= 0:  # NaN too: it would call every row inactive
         raise InputError("tol must be nonnegative")
     slack = sol.slack
     if slack.shape != (inst.m,):

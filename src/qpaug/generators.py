@@ -26,13 +26,20 @@ from .core import (
 )
 from .fileio import save_instance, save_manifest
 from .rng import derive_rng, derive_seed
-from .transforms import MapKind, SolutionMap, TransformRecord
+from .transforms import MapKind, SolutionMap, TransformRecord, _diagonal, _grown
 
 
-def _gen_record(op: str, params: dict, witness) -> TransformRecord:
-    p = dict(params)
-    p["witness"] = np.asarray(witness, dtype=np.float64).tolist()
-    return TransformRecord(op, p, SolutionMap(MapKind.IDENTITY))
+def _instance(family, name, params, witness, q, a, b, c, kind) -> LcqpInstance:
+    """The generated instance, named `name` or "{family}-s{seed}", with one
+    "gen_{family}" provenance record holding `params` and then the witness."""
+    record = TransformRecord(
+        f"gen_{family}", {**params, "witness": np.asarray(witness, dtype=np.float64).tolist()},
+        SolutionMap(MapKind.IDENTITY),
+    )
+    return LcqpInstance(
+        q=q, a=a, b=b, c=c, kind=kind,
+        name=f"{family}-s{params['seed']}" if name is None else name, provenance=(record,),
+    )
 
 
 def _check_density(value, label="density"):
@@ -40,22 +47,29 @@ def _check_density(value, label="density"):
         raise InputError(f"{label} must lie in (0, 1], got {value}")
 
 
+def _check_nonnegative(value, label):
+    if not value >= 0:  # NaN too
+        raise InputError(f"{label} must be nonnegative, got {value}")
+
+
 def _sparse_normal(rng, m, n, density):
-    mask = rng.random((m, n)) < density
-    vals = rng.standard_normal((m, n))
-    return np.where(mask, vals, 0.0)
+    """A dense m x n array of normal entries, each kept with chance `density`;
+    the mask is drawn first, then the values."""
+    return np.where(rng.random((m, n)) < density, rng.standard_normal((m, n)), 0.0)
 
 
 def _feasible_rows(rng, m, n, density_a, slack_noise):
-    """Check density_a and the sizes, then draw sparse normal A, witness |N|,
-    b = A witness + slack_noise |N| and normal c from `rng`, in that order."""
+    """Check density_a, the sizes and slack_noise, then draw sparse normal A,
+    witness |N|, b = A witness + slack_noise |N| and normal c from `rng`, in
+    that order."""
     _check_density(density_a, "density_a")
     if m < 1 or n < 1:
         raise InputError("m and n must be at least 1")
+    _check_nonnegative(slack_noise, "slack_noise")
     a_dense = _sparse_normal(rng, m, n, density_a)
     witness = np.abs(rng.standard_normal(n))
     b = a_dense @ witness + slack_noise * np.abs(rng.standard_normal(m))
-    return a_dense, witness, b, rng.standard_normal(n)
+    return SparseMatrix.from_dense(a_dense), witness, b, rng.standard_normal(n)
 
 
 def make_sparse_spd(n, density, eig_lo=10.0, eig_hi=11.0, seed=0) -> SparseMatrix:
@@ -90,24 +104,19 @@ def gen_lp(m, n, density_a, seed, bounded=False, slack_noise=1.0,
     huge), which is fine for structural work but useless for labeling;
     bounded=True appends 0 <= x <= witness + |N| + box_margin rows.
     """
-    if slack_noise < 0 or box_margin < 0:
-        raise InputError("slack_noise and box_margin must be nonnegative")
+    _check_nonnegative(box_margin, "box_margin")
     rng = derive_rng(seed, "gen_lp")
-    a_dense, witness, b, c = _feasible_rows(rng, m, n, density_a, slack_noise)
+    a, witness, b, c = _feasible_rows(rng, m, n, density_a, slack_noise)
     if bounded:
         ub = witness + np.abs(rng.standard_normal(n)) + box_margin
-        a_dense = np.vstack([a_dense, -np.eye(n), np.eye(n)])
+        a = _grown(a, (m + 2 * n, n),
+                   [_diagonal(m, 0, -np.ones(n)), _diagonal(m + n, 0, np.ones(n))])
         b = np.concatenate([b, np.zeros(n), ub])
-    record = _gen_record(
-        "gen_lp",
+    return _instance(
+        "lp", name,
         {"m": m, "n": n, "density_a": density_a, "seed": seed, "bounded": bounded,
          "slack_noise": slack_noise, "box_margin": box_margin},
-        witness,
-    )
-    return LcqpInstance(
-        q=SparseMatrix.zeros(n, n), a=SparseMatrix.from_dense(a_dense), b=b, c=c,
-        kind=ProblemKind.LP, name=name if name is not None else f"lp-s{seed}",
-        provenance=(record,),
+        witness, SparseMatrix.zeros(n, n), a, b, c, ProblemKind.LP,
     )
 
 
@@ -116,20 +125,13 @@ def gen_qp(m, n, density_a, density_q, seed, slack_noise=1.0, name=None) -> Lcqp
     make_sparse_spd, where `density_q` is the density of L's strict lower
     triangle, not of Q, which fills in."""
     _check_density(density_q, "density_q")
-    if slack_noise < 0:
-        raise InputError("slack_noise must be nonnegative")
-    a_dense, witness, b, c = _feasible_rows(
-        derive_rng(seed, "gen_qp"), m, n, density_a, slack_noise)
+    a, witness, b, c = _feasible_rows(derive_rng(seed, "gen_qp"), m, n, density_a, slack_noise)
     q = make_sparse_spd(n, density_q, seed=derive_seed(seed, "gen_qp", "q"))
-    record = _gen_record(
-        "gen_qp",
+    return _instance(
+        "qp", name,
         {"m": m, "n": n, "density_a": density_a, "density_q": density_q,
          "seed": seed, "slack_noise": slack_noise},
-        witness,
-    )
-    return LcqpInstance(
-        q=q, a=SparseMatrix.from_dense(a_dense), b=b, c=c, kind=ProblemKind.QP,
-        name=name if name is not None else f"qp-s{seed}", provenance=(record,),
+        witness, q, a, b, c, ProblemKind.QP,
     )
 
 
@@ -140,36 +142,27 @@ def gen_svm(n_samples, d_features, lambda_reg, density, seed, name=None) -> Lcqp
         raise InputError("n_samples must be even")
     if n_samples < 2 or d_features < 1:
         raise InputError("need n_samples >= 2 and d_features >= 1")
-    if lambda_reg < 0:
-        raise InputError("lambda_reg must be nonnegative")
+    _check_nonnegative(lambda_reg, "lambda_reg")
     _check_density(density)
     rng = derive_rng(seed, "gen_svm")
     half = n_samples // 2
     center = 1.0 / (d_features * density)
     spread = np.sqrt(center)
-    pos = rng.normal(center, spread, (half, d_features))
-    neg = rng.normal(-center, spread, (half, d_features))
-    feats = np.vstack([pos, neg])
-    mask = rng.random((n_samples, d_features)) < density
-    feats = np.where(mask, feats, 0.0)
+    feats = np.vstack([rng.normal(center, spread, (half, d_features)),
+                       rng.normal(-center, spread, (half, d_features))])
+    feats = np.where(rng.random((n_samples, d_features)) < density, feats, 0.0)
     y = np.concatenate([np.ones(half), -np.ones(half)])
-    a_dense = -np.hstack([y[:, None] * feats, np.eye(n_samples)])
-    q = SparseMatrix(
-        d_features + n_samples, d_features + n_samples,
-        np.arange(d_features), np.arange(d_features), np.ones(d_features),
-    )
-    c = np.concatenate([np.zeros(d_features), np.full(n_samples, float(lambda_reg))])
-    witness = np.concatenate([np.zeros(d_features), np.ones(n_samples)])
-    record = _gen_record(
-        "gen_svm",
+    n = d_features + n_samples
+    a = _grown(SparseMatrix.from_dense(-y[:, None] * feats), (n_samples, n),
+               [_diagonal(0, d_features, -np.ones(n_samples))])
+    return _instance(
+        "svm", name,
         {"n_samples": n_samples, "d_features": d_features, "lambda_reg": lambda_reg,
          "density": density, "seed": seed, "q_definiteness": "psd"},
-        witness,
-    )
-    return LcqpInstance(
-        q=q, a=SparseMatrix.from_dense(a_dense), b=-np.ones(n_samples), c=c,
-        kind=ProblemKind.QP, name=name if name is not None else f"svm-s{seed}",
-        provenance=(record,),
+        np.concatenate([np.zeros(d_features), np.ones(n_samples)]),
+        SparseMatrix(n, n, *_diagonal(0, 0, np.ones(d_features))), a, -np.ones(n_samples),
+        np.concatenate([np.zeros(d_features), np.full(n_samples, float(lambda_reg))]),
+        ProblemKind.QP,
     )
 
 
@@ -183,10 +176,7 @@ def gen_portfolio(n_assets, density, seed, name=None) -> LcqpInstance:
     q = make_sparse_spd(n_assets, density, 0.1, 0.9, seed=derive_seed(seed, "gen_portfolio", "q"))
     rng = derive_rng(seed, "gen_portfolio")
     ret_row = rng.normal(0.0, 0.1, n_assets)
-    a_dense = np.vstack([
-        ret_row, np.full(n_assets, 0.01), np.full(n_assets, -0.01),
-    ])
-    b = np.array([-1.0, 1.0, -1.0])
+    a_dense = np.vstack([ret_row, np.full(n_assets, 0.01), np.full(n_assets, -0.01)])
     base_point = np.full(n_assets, 100.0 / n_assets)
     centered = ret_row - ret_row.mean()
     denom = float(centered @ centered)
@@ -194,16 +184,10 @@ def gen_portfolio(n_assets, density, seed, name=None) -> LcqpInstance:
         raise InputError("degenerate return row, cannot build a witness")
     # slide along a zero-sum direction until the return row sits at -2
     t = (float(ret_row @ base_point) + 2.0) / denom
-    witness = base_point - t * centered
-    record = _gen_record(
-        "gen_portfolio",
-        {"n_assets": n_assets, "density": density, "seed": seed},
-        witness,
-    )
-    return LcqpInstance(
-        q=q, a=SparseMatrix.from_dense(a_dense), b=b, c=np.zeros(n_assets),
-        kind=ProblemKind.QP, name=name if name is not None else f"portfolio-s{seed}",
-        provenance=(record,),
+    return _instance(
+        "portfolio", name, {"n_assets": n_assets, "density": density, "seed": seed},
+        base_point - t * centered, q, SparseMatrix.from_dense(a_dense),
+        np.array([-1.0, 1.0, -1.0]), np.zeros(n_assets), ProblemKind.QP,
     )
 
 
@@ -212,39 +196,27 @@ def gen_lasso(n_samples, d_features, lambda_reg, density, seed, name=None) -> Lc
     |w_j| <= t_j written as the two row blocks [-I, -I] and [I, -I]."""
     if n_samples < 1 or d_features < 1:
         raise InputError("need n_samples >= 1 and d_features >= 1")
-    if lambda_reg < 0:
-        raise InputError("lambda_reg must be nonnegative")
+    _check_nonnegative(lambda_reg, "lambda_reg")
     _check_density(density)
     rng = derive_rng(seed, "gen_lasso")
     d = d_features
     design = _sparse_normal(rng, n_samples, d, density)
     w_true = rng.standard_normal(d)
-    noise = rng.normal(0.0, np.sqrt(0.5), n_samples)
-    target = design @ w_true + noise
+    target = design @ w_true + rng.normal(0.0, np.sqrt(0.5), n_samples)
     gram = 0.5 * (design.T @ design)
-    gram = (gram + gram.T) / 2.0
-    q_dense = np.zeros((2 * d, 2 * d))
-    q_dense[:d, :d] = gram
-    q = SparseMatrix.from_dense(q_dense)
-    c = np.concatenate([-(design.T @ target), np.full(d, float(lambda_reg))])
-    idx = np.arange(d)
-    a = SparseMatrix(
-        2 * d, 2 * d,
-        np.concatenate([idx, idx, idx + d, idx + d]),
-        np.concatenate([idx, idx + d, idx, idx + d]),
-        np.concatenate([-np.ones(d), -np.ones(d), np.ones(d), -np.ones(d)]),
-    )
-    witness = np.concatenate([np.zeros(d), np.ones(d)])
-    record = _gen_record(
-        "gen_lasso",
+    q = _grown(SparseMatrix.from_dense((gram + gram.T) / 2.0), (2 * d, 2 * d), [])
+    ones = np.ones(d)
+    a = _grown(SparseMatrix.zeros(2 * d, 2 * d), (2 * d, 2 * d), [
+        _diagonal(0, 0, -ones), _diagonal(0, d, -ones),
+        _diagonal(d, 0, ones), _diagonal(d, d, -ones),
+    ])
+    return _instance(
+        "lasso", name,
         {"n_samples": n_samples, "d_features": d_features, "lambda_reg": lambda_reg,
          "density": density, "seed": seed, "q_definiteness": "psd"},
-        witness,
-    )
-    return LcqpInstance(
-        q=q, a=a, b=np.zeros(2 * d), c=c,
-        kind=ProblemKind.QP if q.nnz else ProblemKind.LP,
-        name=name if name is not None else f"lasso-s{seed}", provenance=(record,),
+        np.concatenate([np.zeros(d), ones]), q, a, np.zeros(2 * d),
+        np.concatenate([-(design.T @ target), np.full(d, float(lambda_reg))]),
+        ProblemKind.QP if q.nnz else ProblemKind.LP,
     )
 
 
@@ -301,11 +273,12 @@ def _run_tasks(fn, tasks, jobs):
 
 def _dataset_worker(task):
     out_dir, family, size_params, inst_seed, stem, solve = task
-    maker = GENERATOR_FAMILIES[family]
     try:
-        inst = maker(seed=inst_seed, name=stem, **size_params)
+        inst = GENERATOR_FAMILIES[family](seed=inst_seed, name=stem, **size_params)
     except TypeError as exc:
         raise InputError(f"bad size_params for family {family!r}: {exc}") from exc
+    # made once the family accepted its parameters, so a refusal writes nothing
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     return _label_and_save(Path(out_dir) / f"{stem}.json", inst, solve)
 
 
@@ -336,7 +309,6 @@ def gen_dataset(out_dir, family, size_params, count, seed, solve=False, jobs=Non
     if unknown:
         raise InputError(f"unknown size_params for family {family!r}: {sorted(unknown)}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [derive_seed(seed, i) for i in range(count)]
     tasks = [
         (str(out_dir), family, dict(size_params), seeds[i], f"{family}_{i:05d}", bool(solve))
@@ -349,5 +321,6 @@ def gen_dataset(out_dir, family, size_params, count, seed, solve=False, jobs=Non
          "seed": seeds[i], "labeled": results[i][1], "solver_status": results[i][0]}
         for i in range(count)
     ]
+    out_dir.mkdir(parents=True, exist_ok=True)  # no worker made it when count is 0
     save_manifest(out_dir / "manifest.json", entries)
     return entries

@@ -231,7 +231,7 @@ def _idle(x, tol=1e-8):
 def remove_idle_variables(inst: LcqpInstance, sol: Solution, tol: float = 1e-8):
     """Drop every variable whose optimal value is (relatively) zero."""
     _check_sol(inst, sol)
-    if tol < 0:
+    if not tol >= 0:  # NaN too: it would call no variable idle
         raise InputError("tol must be nonnegative")
     idle = _idle(sol.x, tol)
     if idle.size == inst.n:
@@ -265,6 +265,12 @@ def _grown(mat, shape, blocks):
     return SparseMatrix(*shape, rows, cols, vals)
 
 
+def _diagonal(row, col, vals):
+    """The entry block putting `vals` on the diagonal that starts at (row, col)."""
+    k = np.arange(len(vals))
+    return row + k, col + k, vals
+
+
 def _append(inst, *records, a_new, q_new=(), c_new=(), b_new=(), kind=None):
     """`inst` with len(c_new) more variables and len(b_new) more rows, built
     once: rows and columns alike are (rows, cols, vals) blocks, indexed in
@@ -286,11 +292,6 @@ def _append(inst, *records, a_new, q_new=(), c_new=(), b_new=(), kind=None):
 def _column(vec, col):
     """A dense vector as the entry block of column `col`."""
     return np.arange(vec.size), np.full(vec.size, col), vec
-
-
-def _pins(n, m, k):
-    """The entry block of rows m .. m+k-1, row m + j being x_{n+j} <= 0."""
-    return np.arange(m, m + k), np.arange(n, n + k), np.ones(k)
 
 
 def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
@@ -372,9 +373,9 @@ def _pinned(inst, q_diag, cols, c_new):
         inst, *records, c_new=c_new, b_new=np.zeros(len(c_new)),
         # a nonzero diagonal makes an LP a QP; zeros keep LPs LPs
         kind=ProblemKind.QP if np.any(q_diag) else inst.kind,
-        q_new=[(new, new, q_diag)],
+        q_new=[_diagonal(inst.n, inst.n, q_diag)],
         a_new=[*((rows, np.full(rows.size, j), vals) for j, (rows, vals) in zip(new, cols)),
-               _pins(inst.n, inst.m, len(c_new))],
+               _diagonal(inst.m, inst.n, np.ones(len(c_new)))],
     )
     return out, records
 

@@ -88,6 +88,7 @@ def test_generate_usage_errors(tmp_path, capsys):
         "--out", str(tmp_path / "x")])
     assert code == 2
     assert "density" in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("family, given, missing", [
@@ -573,6 +574,11 @@ def test_heuristic_eval_all_inactive_accuracy(tmp_path, capsys):
         "heuristic-eval", "--manifest", str(ddir / "manifest.json")])
     assert code == 0
     assert json.loads(stdout)["overall"]["mean"] == 1.0
+    # a NaN tolerance would call every row inactive, on any instance
+    code, stdout, err = run(capsys, [
+        "heuristic-eval", "--manifest", str(ddir / "manifest.json"), "--active-tol", "nan"])
+    assert code == 2 and stdout == ""
+    assert "tol must be nonnegative" in err
 
 
 # ---------------------------------------------------------------------- split

@@ -1,5 +1,6 @@
 """Instance generators: structural expectations frozen per family, witness
 feasibility everywhere, and dataset plumbing checked for byte determinism."""
+import hashlib
 import json
 
 import numpy as np
@@ -15,7 +16,7 @@ from qpaug import (
     psd_certificate,
     solve_splitting,
 )
-from qpaug.fileio import load_instance, load_manifest
+from qpaug.fileio import load_instance, load_manifest, save_instance
 from qpaug.generators import (
     GENERATOR_FAMILIES,
     gen_dataset,
@@ -279,6 +280,19 @@ def test_lasso_deterministic():
     assert gen_lasso(8, 3, 0.2, 0.5, seed=6).data_equal(gen_lasso(8, 3, 0.2, 0.5, seed=6))
 
 
+@pytest.mark.parametrize("make, label", [
+    (lambda: gen_lp(4, 3, 0.5, 0, slack_noise=float("nan")), "slack_noise"),
+    (lambda: gen_qp(4, 3, 0.5, 0.5, 0, slack_noise=float("nan")), "slack_noise"),
+    (lambda: gen_lp(4, 3, 0.5, 0, bounded=True, box_margin=float("nan")), "box_margin"),
+    (lambda: gen_svm(4, 3, float("nan"), 0.5, 0), "lambda_reg"),
+    (lambda: gen_lasso(4, 3, float("nan"), 0.5, 0), "lambda_reg"),
+    (lambda: gen_lp(4, 3, 0.5, 0, slack_noise=-1.0), "slack_noise"),
+], ids=["lp-slack", "qp-slack", "lp-box", "svm-lambda", "lasso-lambda", "lp-negative-slack"])
+def test_nan_or_negative_parameter_refused_by_name(make, label):
+    with pytest.raises(InputError, match=f"{label} must be nonnegative"):
+        make()
+
+
 # ------------------------------------------------------------------- gen_dataset
 
 LP_PARAMS = {"m": 8, "n": 4, "density_a": 0.5, "bounded": True, "slack_noise": 4.0}
@@ -394,3 +408,51 @@ def test_every_family_witness_feasible(seed):
     for inst in makers:
         w = witness_of(inst)
         assert (inst.a.matvec(w) - inst.b).max() <= 1e-12
+
+
+# ------------------------------------------------------------- generated bytes
+
+FAMILY_CASES = {
+    "lp": lambda seed, name: gen_lp(9, 6, 0.4, seed, name=name),
+    "lp_bounded": lambda seed, name: gen_lp(
+        9, 6, 0.4, seed, bounded=True, slack_noise=2.0, box_margin=0.5, name=name),
+    "qp": lambda seed, name: gen_qp(9, 6, 0.4, 0.4, seed, name=name),
+    "svm": lambda seed, name: gen_svm(8, 3, 0.7, 0.6, seed, name=name),
+    "portfolio": lambda seed, name: gen_portfolio(6, 0.5, seed, name=name),
+    "portfolio_density0": lambda seed, name: gen_portfolio(6, 0.0, seed, name=name),
+    "lasso": lambda seed, name: gen_lasso(7, 4, 0.3, 0.5, seed, name=name),
+}
+
+# sha256 over the files save_instance writes for each case at seeds 0, 1
+# and 5, each with the default name and with name="pinned", in that order;
+# recorded while every family still built its own record and instance
+PINNED_FAMILY_SHA256 = {
+    "lp":
+        "9ac42f09a3eb8ff437a610c35b4541b4d58c4c7b6730bf7bc07d5c9c1d5d4a4e",
+    "lp_bounded":
+        "6414ddeeead038132d9f4cdfea26db3ac7d60ffaf754be40ffdbe1034bec3a56",
+    "qp":
+        "bc06c78cdfc74c224e03bc8dd20e3e1d3baced1c54f5def2b15ba7db65a3ea0a",
+    "svm":
+        "890f1289b0bf4504a73c6d013ca32396888d59882f8a9791edb1b5aee3769394",
+    "portfolio":
+        "5013f3c6e242b69448950c31dd41592bea3fff513f33a3da03faba013b0b5286",
+    "portfolio_density0":
+        "074581782ecca6f2d630eb430ac376cbabf7aadf08e48bd23c520f329372e7ce",
+    "lasso":
+        "afef47f7173e604238f875e60cc273d1ec10ab0fd2d98caf0f3c7b725d26b40e",
+}
+
+
+def test_family_bytes_pinned(tmp_path):
+    """A change to a family's draws, arithmetic, record or name shows here."""
+    digests = {}
+    for label, make in FAMILY_CASES.items():
+        digest = hashlib.sha256()
+        for seed in (0, 1, 5):
+            for name in (None, "pinned"):
+                path = tmp_path / f"{label}-{seed}-{name}.json"
+                save_instance(path, make(seed, name))
+                digest.update(path.read_bytes())
+        digests[label] = digest.hexdigest()
+    assert digests == PINNED_FAMILY_SHA256

@@ -248,6 +248,9 @@ def test_remove_inactive_fraction_validated(e1, e1_sol):
     # tol < 0 would count active rows as inactive and drop them
     with pytest.raises(InputError, match="tol must be nonnegative"):
         remove_inactive_constraints(e1, e1_sol, tol=-1.0)
+    # so would NaN, which no comparison calls active
+    with pytest.raises(InputError, match="tol must be nonnegative"):
+        remove_inactive_constraints(e1, e1_sol, tol=float("nan"))
 
 
 def test_remove_inactive_partial_deterministic(e1, e1_sol):
