@@ -54,41 +54,13 @@ from .transforms import (
     heuristic_inactive,
 )
 
-# command flag -> generator keyword; only flags the user actually set are
-# forwarded, so family-specific keywords stay out of the other families
-_SIZE_FLAG_TO_KW = (
-    ("rows", "m"),
-    ("cols", "n"),
-    ("density_a", "density_a"),
-    ("density_q", "density_q"),
-    ("bounded", "bounded"),
-    ("slack_noise", "slack_noise"),
-    ("box_margin", "box_margin"),
-    ("samples", "n_samples"),
-    ("features", "d_features"),
-    ("lambda_reg", "lambda_reg"),
-    ("density", "density"),
-    ("assets", "n_assets"),
-)
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise InputError(f"--{name.replace('_', '-')} is required")
-
-
-def _resolve_jobs(args) -> int:
-    if args.jobs < 1:
-        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    return args.jobs
-
-
-def _check_budget(args):
-    """Refuse a --failure-budget outside [0, 1] before anything is written;
-    NaN fails the comparison too."""
+def _check_workers(args):
+    """Refuse a --failure-budget outside [0, 1] (NaN fails the comparison
+    too) or a --jobs below 1, before anything is written."""
     if not 0.0 <= args.failure_budget <= 1.0:
         raise InputError(f"--failure-budget must lie in [0, 1], got {args.failure_budget}")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
 
 
 def _report(doc: dict):
@@ -130,21 +102,19 @@ def _output_names(entries: list, name_of) -> list[str]:
 # ------------------------------------------------------------------- generate
 
 def cmd_generate(args) -> int:
-    _require(args, "family", "count", "out")
-    _check_budget(args)
-    size_params = {}
-    for flag, kw in _SIZE_FLAG_TO_KW:
-        val = getattr(args, flag)
-        if val is not None:
-            size_params[kw] = val
+    _check_workers(args)
+    # only flags the user actually set are forwarded, so family-specific
+    # keywords stay out of the other families
+    size_params = {a.dest: getattr(args, a.dest) for a in args.size_flags
+                   if getattr(args, a.dest) is not None}
     params = inspect.signature(GENERATOR_FAMILIES[args.family]).parameters
-    missing = [f"--{flag.replace('_', '-')}" for flag, kw in _SIZE_FLAG_TO_KW
-               if kw in params and params[kw].default is params[kw].empty and kw not in size_params]
+    missing = [a.option_strings[0] for a in args.size_flags if a.dest in params
+               and params[a.dest].default is params[a.dest].empty and a.dest not in size_params]
     if missing:
         raise InputError(f"--family {args.family} needs {', '.join(missing)}")
     entries = gen_dataset(
         args.out, args.family, size_params, args.count, args.seed,
-        solve=bool(args.solve), jobs=_resolve_jobs(args),
+        solve=bool(args.solve), jobs=args.jobs,
     )
     return _label_report(Path(args.out) / "manifest.json", entries,
                          args.failure_budget if args.solve else None)
@@ -159,16 +129,14 @@ def _solve_task(task):
 
 
 def cmd_solve(args) -> int:
-    _require(args, "manifest", "out")
-    _check_budget(args)
+    _check_workers(args)
     entries = load_manifest(args.manifest)
     names = _output_names(entries, lambda p: p.name)
-    jobs = _resolve_jobs(args)
     src_dir = Path(args.manifest).parent
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(str(src_dir / e["path"]), str(out_dir / name)) for e, name in zip(entries, names)]
-    results = _run_tasks(_solve_task, tasks, jobs)
+    results = _run_tasks(_solve_task, tasks, args.jobs)
     out_entries = [
         {**e, "path": name, "labeled": labeled, "solver_status": status}
         for e, name, (status, labeled) in zip(entries, names, results)
@@ -208,7 +176,6 @@ def _strengths(explicit, views, kind: ProblemKind):
 
 
 def cmd_augment(args) -> int:
-    _require(args, "manifest", "out")
     if args.views is not None and args.views < 1:
         raise InputError("--views must be at least 1")
     if args.per_instance < 1:
@@ -284,7 +251,6 @@ def cmd_augment(args) -> int:
 # --------------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    _require(args, "manifest")
     if not 0.0 < args.tol < np.inf:  # NaN fails the comparison too
         raise InputError(f"--tol must be positive and finite, got {args.tol}")
     entries = load_manifest(args.manifest)
@@ -331,7 +297,6 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------- heuristic-eval
 
 def cmd_heuristic_eval(args) -> int:
-    _require(args, "manifest")
     entries = load_manifest(args.manifest)
     src_dir = Path(args.manifest).parent
     buckets: dict[str, list[float]] = {}
@@ -363,7 +328,6 @@ def cmd_heuristic_eval(args) -> int:
 # ----------------------------------------------------------------------- split
 
 def cmd_split(args) -> int:
-    _require(args, "manifest")
     entries = load_manifest(args.manifest)
     for e, s in zip(entries, split_labels(len(entries), args.seed)):
         e["split"] = s
@@ -377,7 +341,6 @@ def cmd_split(args) -> int:
 # ----------------------------------------------------------------------- graph
 
 def cmd_graph(args) -> int:
-    _require(args, "manifest", "out")
     entries = load_manifest(args.manifest)
     names = _output_names(entries, lambda p: f"{p.stem}.graph.json")
     src_dir = Path(args.manifest).parent
@@ -394,7 +357,6 @@ def cmd_graph(args) -> int:
 # --------------------------------------------------------------------- metrics
 
 def cmd_metrics(args) -> int:
-    _require(args, "pairs")
     doc = _parse(args.pairs)
     # true or "2.0" would convert to a number; the instance reader's rule
     # takes JSON numbers only
@@ -436,47 +398,51 @@ def _build_parser():
         "--config", metavar="PATH",
         help="JSON object of option defaults; explicit flags take precedence",
     )
+    workers = argparse.ArgumentParser(add_help=False, parents=[common])
+    workers.add_argument("--jobs", type=int, default=1,
+                         help="worker processes (default 1; see README on BLAS threads)")
+    workers.add_argument("--failure-budget", type=float, default=0.1,
+                         help="max tolerated solver failure rate")
     parser = argparse.ArgumentParser(
         prog="qpaug",
         description="datasets of linearly constrained quadratic programs: "
                     "generate, augment, solve, verify, and export",
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    sp = sub.add_parser("generate", parents=[common],
+    sp = sub.add_parser("generate", parents=[workers],
                         help="write a dataset of random instances")
-    sp.add_argument("--family", choices=sorted(GENERATOR_FAMILIES))
-    sp.add_argument("--count", type=int, help="number of instances")
+    sp.add_argument("--family", required=True, choices=sorted(GENERATOR_FAMILIES))
+    sp.add_argument("--count", required=True, type=int, help="number of instances")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", help="output directory")
+    sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--solve", action="store_true", default=None,
                     help="label each instance by solving it")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (default 1; see README on BLAS threads)")
-    sp.add_argument("--failure-budget", type=float, default=0.1,
-                    help="max tolerated solver failure rate")
-    sp.add_argument("--rows", type=int, help="constraint count m")
-    sp.add_argument("--cols", type=int, help="variable count n")
-    sp.add_argument("--density-a", type=float)
-    sp.add_argument("--density-q", type=float,
-                    help="density of the strict lower triangle of the unit factor L in "
-                         "Q = L D L'; Q itself fills in, so its density is higher, and "
-                         "only its positive definiteness is guaranteed")
-    sp.add_argument("--bounded", action="store_true", default=None,
-                    help="add box constraints so the instance stays bounded")
-    sp.add_argument("--slack-noise", type=float)
-    sp.add_argument("--box-margin", type=float)
-    sp.add_argument("--samples", type=int, help="sample count n_samples")
-    sp.add_argument("--features", type=int, help="feature count d_features")
-    sp.add_argument("--lambda-reg", type=float)
-    sp.add_argument("--density", type=float)
-    sp.add_argument("--assets", type=int, help="asset count n_assets")
-    sp.set_defaults(handler=cmd_generate)
+    # each size flag's dest is its generator keyword
+    size = sp.add_argument_group("instance size")
+    size.add_argument("--rows", dest="m", type=int, help="constraint count m")
+    size.add_argument("--cols", dest="n", type=int, help="variable count n")
+    size.add_argument("--density-a", type=float)
+    size.add_argument("--density-q", type=float,
+                      help="density of the strict lower triangle of the unit factor L in "
+                           "Q = L D L'; Q itself fills in, so its density is higher, and "
+                           "only its positive definiteness is guaranteed")
+    size.add_argument("--bounded", action="store_true", default=None,
+                      help="add box constraints so the instance stays bounded")
+    size.add_argument("--slack-noise", type=float)
+    size.add_argument("--box-margin", type=float)
+    size.add_argument("--samples", dest="n_samples", type=int, help="sample count n_samples")
+    size.add_argument("--features", dest="d_features", type=int,
+                      help="feature count d_features")
+    size.add_argument("--lambda-reg", type=float)
+    size.add_argument("--density", type=float)
+    size.add_argument("--assets", dest="n_assets", type=int, help="asset count n_assets")
+    sp.set_defaults(handler=cmd_generate, size_flags=size._group_actions)
 
     sp = sub.add_parser("augment", parents=[common],
                         help="write transformed copies of a dataset")
-    sp.add_argument("--manifest", help="input manifest path")
-    sp.add_argument("--out", help="output directory")
+    sp.add_argument("--manifest", required=True, help="input manifest path")
+    sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--ops", help='"name:strength,..." or "none" (default: combo table)')
     sp.add_argument("--per-instance", type=int, default=1,
                     help="augmented copies per input instance")
@@ -487,19 +453,15 @@ def _build_parser():
                     help="emit N unlabeled contrastive views per instance instead")
     sp.set_defaults(handler=cmd_augment)
 
-    sp = sub.add_parser("solve", parents=[common],
+    sp = sub.add_parser("solve", parents=[workers],
                         help="solve every instance and write a labeled copy")
-    sp.add_argument("--manifest", help="input manifest path")
-    sp.add_argument("--out", help="output directory")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (default 1; see README on BLAS threads)")
-    sp.add_argument("--failure-budget", type=float, default=0.1,
-                    help="max tolerated solver failure rate")
+    sp.add_argument("--manifest", required=True, help="input manifest path")
+    sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(handler=cmd_solve)
 
     sp = sub.add_parser("verify", parents=[common],
                         help="check stored solutions against first-order conditions")
-    sp.add_argument("--manifest", help="input manifest path")
+    sp.add_argument("--manifest", required=True, help="input manifest path")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--absolute", action="store_true", default=None,
                     help="use absolute instead of relative residuals")
@@ -507,27 +469,27 @@ def _build_parser():
 
     sp = sub.add_parser("heuristic-eval", parents=[common],
                         help="score the inactive-constraint heuristic on labeled data")
-    sp.add_argument("--manifest", help="input manifest path")
+    sp.add_argument("--manifest", required=True, help="input manifest path")
     sp.add_argument("--active-tol", type=float, default=1e-6,
                     help="slack threshold for calling a row active")
     sp.set_defaults(handler=cmd_heuristic_eval)
 
     sp = sub.add_parser("split", parents=[common],
                         help="reassign the train/val/test split in place")
-    sp.add_argument("--manifest", help="manifest path to rewrite")
+    sp.add_argument("--manifest", required=True, help="manifest path to rewrite")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write here instead of in place")
     sp.set_defaults(handler=cmd_split)
 
     sp = sub.add_parser("graph", parents=[common],
                         help="export each instance as a bipartite graph file")
-    sp.add_argument("--manifest", help="input manifest path")
-    sp.add_argument("--out", help="output directory")
+    sp.add_argument("--manifest", required=True, help="input manifest path")
+    sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(handler=cmd_graph)
 
     sp = sub.add_parser("metrics", parents=[common],
                         help="mean relative objective error of predicted values")
-    sp.add_argument("--pairs", help="JSON file of [predicted, reference] pairs")
+    sp.add_argument("--pairs", required=True, help="JSON file of [predicted, reference] pairs")
     sp.set_defaults(handler=cmd_metrics)
 
     return parser, sub.choices
@@ -561,9 +523,9 @@ def _config_value(path, key, val, action):
 
 
 def _config_defaults(registry, argv):
-    """First pass: pull --config, validate its keys and value types against
-    the subcommand, and install them as defaults so explicit flags still win
-    on re-parse."""
+    """First pass: pull --config, match its keys to the subcommand's flag
+    names and its values to their types, and install them as defaults, so
+    explicit flags still win on re-parse and a required flag is satisfied."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, rest = probe.parse_known_args(argv)
@@ -572,18 +534,17 @@ def _config_defaults(registry, argv):
     cmd = rest[0] if rest and not rest[0].startswith("-") else None
     if cmd not in registry:
         raise InputError("--config needs one of the known subcommands")
-    sp = registry[cmd]
     doc = _parse(known.config)
     if not isinstance(doc, dict):
         raise InputError(f"{known.config}: config must hold a JSON object")
-    actions = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
-    overrides = {}
+    flags = {opt: a for a in registry[cmd]._actions if a.dest not in ("help", "config")
+             for opt in a.option_strings}
     for key, val in doc.items():
-        dest = key.replace("-", "_")
-        if dest not in actions:
+        action = flags.get("--" + key.replace("_", "-"))
+        if action is None:
             raise InputError(f"{known.config}: unknown config key {key!r} for {cmd}")
-        overrides[dest] = _config_value(known.config, key, val, actions[dest])
-    sp.set_defaults(**overrides)
+        action.default = _config_value(known.config, key, val, action)
+        action.required = False
 
 
 def main(argv=None) -> int:
@@ -593,17 +554,9 @@ def main(argv=None) -> int:
     try:
         _config_defaults(registry, argv)
         args = parser.parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    handler = getattr(args, "handler", None)
-    if handler is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        return handler(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -481,7 +481,7 @@ def load_manifest(path) -> list:
             raise InputError(f"{path}: entry {i} must be an object")
         for key, kind in _MANIFEST_KEYS.items():
             val = entry.get(key)
-            # bool is an int subclass; a seed of true is not a seed
-            if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+            # matched exactly, as _array_field does: a seed of true is not a seed
+            if type(val) is not kind:
                 raise InputError(f"{path}: entry {i} needs a {kind.__name__} {key!r}")
     return doc

@@ -308,8 +308,8 @@ def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
     trace = float(inst.q.vals[inst.q.rows == inst.q.cols].sum())
     if ridge is None:
         ridge = 1e-2 * trace / inst.n
-    if ridge < 0:
-        raise InputError("ridge must be nonnegative")
+    if not ridge >= 0:  # NaN fails the comparison too
+        raise InputError(f"ridge must be nonnegative, got {ridge}")
     qq = inst.q.matvec(q_vec)
     record = TransformRecord(
         "add_variables",
@@ -329,8 +329,8 @@ def add_variable_biased(inst: LcqpInstance, sol: Solution, q_diag: float, a_col)
     closes at zero, which needs the optimal duals.  Its q_diag > 0 makes the
     result a QP, from an LP too."""
     _check_sol(inst, sol)
-    if q_diag <= 0:
-        raise InputError("q_diag must be positive")
+    if not q_diag > 0:
+        raise InputError(f"q_diag must be positive, got {q_diag}")
     a_col = _operand(np.asarray(a_col, dtype=np.float64), inst.m, "a_col")
     record = TransformRecord(
         "add_variable_biased",
@@ -353,12 +353,12 @@ def _pinned(inst, q_diag, cols, c_new):
     with the entries there as values."""
     records = []
     for d, (rows, vals), c in zip(q_diag, cols, c_new):
-        if d < 0:
-            raise InputError("q_diag must be nonnegative")
+        if not d >= 0:
+            raise InputError(f"q_diag must be nonnegative, got {d}")
         if vals.max(initial=0.0) > 0:
             raise InputError("a_col entries must be nonpositive")
-        if c > 0:
-            raise InputError("c_new must be nonpositive")
+        if not c <= 0:
+            raise InputError(f"c_new must be nonpositive, got {c}")
         support = vals != 0.0
         records.append(TransformRecord(
             "add_variable_constrained",
@@ -440,6 +440,8 @@ def bias_instance(inst: LcqpInstance, sol: Solution, rank: int, magnitude: float
     so the original primal-dual pair stays optimal."""
     if rank < 1:
         raise InputError("rank must be at least 1")
+    if not np.isfinite(magnitude):
+        raise InputError(f"magnitude must be finite, got {magnitude}")
     _check_sol(inst, sol)
     rng = derive_rng(seed, "bias_instance")
     r = magnitude * rng.standard_normal((inst.n, rank))
@@ -473,6 +475,8 @@ def heuristic_scores(inst: LcqpInstance, step: float | None = None) -> np.ndarra
     norms = inst.a.row_norms()
     if step is None:
         step = 1.0 if inst.kind is ProblemKind.QP else 4.0 * np.sqrt(inst.n)
+    if not np.isfinite(step):
+        raise InputError(f"step must be finite, got {step}")
     cnorm = float(np.linalg.norm(inst.c))
     if cnorm == 0.0:
         raw = inst.b.astype(np.float64)

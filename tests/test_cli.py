@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qpaug import Solution, SparseMatrix
-from qpaug.cli import main
+from qpaug.cli import _build_parser, main
 from qpaug.fileio import load_instance, load_manifest, save_instance, save_manifest
 
 from conftest import MALFORMED_NUMBERS, make_instance, malformed_instance_file, repacked
@@ -104,6 +104,52 @@ def test_generate_names_missing_size_flags(tmp_path, capsys, family, given, miss
     assert code == 2
     assert err == f"error: --family {family} needs {missing}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("solve", "--manifest, --out"),
+    ("generate", "--family, --count, --out"),
+    ("metrics", "--pairs"),
+])
+def test_missing_required_flags_named_at_once(capsys, command, missing):
+    """Before, only the first missing flag was named."""
+    code, stdout, err = run(capsys, [command])
+    assert code == 2 and stdout == ""
+    assert err.endswith(f"error: the following arguments are required: {missing}\n")
+
+
+@pytest.mark.parametrize("command", sorted(_build_parser()[1]))
+def test_every_subcommand_has_help(capsys, command):
+    code, stdout, _ = run(capsys, [command, "--help"])
+    assert code == 0
+    assert stdout.startswith(f"usage: qpaug {command} ")
+
+
+@pytest.mark.parametrize("family, doc, flags", [
+    ("svm", {"samples": 4, "features": 3, "lambda-reg": 0.1, "density": 0.5},
+     ["--samples", "4", "--features", "3", "--lambda-reg", "0.1", "--density", "0.5"]),
+    ("portfolio", {"assets": 4, "density": 0.5}, ["--assets", "4", "--density", "0.5"]),
+])
+def test_config_keys_are_flag_names(tmp_path, capsys, family, doc, flags):
+    """Config keys for size flags whose generator keyword differs from the
+    flag name write what the flags write; the keywords are not keys."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    base = ["generate", "--family", family, "--count", "2", "--seed", "3"]
+    for sub, extra in (("config", ["--config", str(cfg)]), ("flag", flags)):
+        code, _, _ = run(capsys, [*base, *extra, "--out", str(tmp_path / sub)])
+        assert code == 0
+    names = sorted(p.name for p in (tmp_path / "flag").iterdir())
+    assert len(names) == 3
+    for name in names:
+        assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+    for key in ("m", "n_samples"):
+        cfg.write_text(json.dumps({key: 4}))
+        out = tmp_path / key
+        code, stdout, err = run(capsys, [*base, "--config", str(cfg), "--out", str(out)])
+        assert code == 2 and stdout == ""
+        assert err == f"error: {cfg}: unknown config key {key!r} for generate\n"
+        assert not out.exists()
 
 
 def test_unknown_subcommand(capsys):

@@ -568,6 +568,26 @@ def test_bias_instance_preserves_kkt(seed):
     assert_kkt_clean(out, mapped, 1e-9)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, param", [
+    (lambda inst, sol: add_variables(inst, np.ones(inst.n), ridge=NAN), "ridge"),
+    (lambda inst, sol: add_variable_biased(inst, sol, NAN, np.ones(inst.m)), "q_diag"),
+    (lambda inst, sol: add_variable_constrained(inst, NAN, -np.ones(inst.m), -1.0), "q_diag"),
+    (lambda inst, sol: add_variable_constrained(inst, 1.0, -np.ones(inst.m), NAN), "c_new"),
+    (lambda inst, sol: bias_instance(inst, sol, 2, NAN, seed=0), "magnitude"),
+    (lambda inst, sol: bias_instance(inst, sol, 2, np.inf, seed=0), "magnitude"),
+], ids=["ridge-nan", "biased-q_diag-nan", "constrained-q_diag-nan", "c_new-nan",
+        "magnitude-nan", "magnitude-inf"])
+def test_non_finite_parameter_refused_by_name(call, param):
+    """Before, each was refused only by its effect, as "matrix values must
+    be finite" or "c contains non-finite entries"."""
+    inst = gen_qp(6, 4, 0.6, 0.6, seed=1)
+    with pytest.raises(InputError, match=f"^{param} must be "):
+        call(inst, solve_enumeration(inst))
+
+
 # -------------------------------------------------------------- heuristic score
 
 def test_heuristic_scores_e1(e1):
@@ -640,6 +660,16 @@ def test_heuristic_invariant_to_row_and_cost_rescaling(seed):
         inst.q.to_dense(), inst.a.to_dense(), inst.b, 7.5 * np.asarray(inst.c)
     )
     assert heuristic_inactive(boosted, 3) == base
+
+
+@pytest.mark.parametrize("step", [NAN, np.inf, -np.inf])
+def test_heuristic_non_finite_step_refused(step):
+    """Before, NaN made every score NaN and the k rows an arbitrary pick."""
+    inst = gen_qp(6, 4, 0.6, 0.6, seed=1)
+    with pytest.raises(InputError, match="^step must be finite"):
+        heuristic_scores(inst, step=step)
+    with pytest.raises(InputError, match="^step must be finite"):
+        heuristic_inactive(inst, 2, step=step)
 
 
 def test_heuristic_accuracy_values():
