@@ -395,6 +395,13 @@ def psd_certificate(q: SparseMatrix, tol: float | None = None) -> Definiteness:
     is LAPACK's pivoted Cholesky (dpstrf), which takes the largest remaining
     diagonal entry as each pivot and stops at the first one <= tol.
     """
+    return _pivoted_cholesky(q, tol)[0]
+
+
+def _pivoted_cholesky(q: SparseMatrix, tol: float | None = None):
+    """psd_certificate's verdict, with dpstrf's factor and 0-based pivots:
+    when the verdict is PD, the lower triangle of the factor is the L of
+    Q[piv][:, piv] = L L'; its upper triangle is left as dpstrf leaves it."""
     if q.n_rows != q.n_cols:
         raise InputError("matrix must be square")
     if not q.is_symmetric():
@@ -409,20 +416,19 @@ def psd_certificate(q: SparseMatrix, tol: float | None = None) -> Definiteness:
     from scipy.linalg import lapack
 
     fac, piv, rank, _ = lapack.dpstrf(h, tol=tol, lower=1)
+    piv -= 1
     if rank == n:
-        return Definiteness.PD
+        return Definiteness.PD, fac, piv
     # dpstrf leaves the trailing block partly updated, so form the Schur
     # complement H22 - L21 L21' of the stalled elimination from h itself
-    rest = piv[rank:] - 1
+    rest = piv[rank:]
     low = fac[rank:, :rank]
     sub = h[np.ix_(rest, rest)] - low @ low.T
     d = np.diag(sub)
-    if d.min() < -tol:
-        return Definiteness.INDEFINITE
     off = sub - np.diag(d)
-    if off.size and np.abs(off).max() > off_limit:
-        return Definiteness.INDEFINITE
-    return Definiteness.PSD
+    if d.min() < -tol or (off.size and np.abs(off).max() > off_limit):
+        return Definiteness.INDEFINITE, fac, piv
+    return Definiteness.PSD, fac, piv
 
 
 def permute_instance(

@@ -6,6 +6,7 @@ every candidate active set and is the ground-truth oracle at toy sizes.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -21,11 +22,15 @@ from .core import (
     LcqpInstance,
     ProblemKind,
     Solution,
+    _pivoted_cholesky,
     kkt_residuals,
     kkt_residuals_raw,
     objective,
-    psd_certificate,
 )
+# psd_certificate is not called here (solves read the factor behind its
+# verdict from _pivoted_cholesky) but stays importable from solver, where
+# perfbench/tracing.py wraps it
+from .core import psd_certificate  # noqa: F401
 
 
 class Unbounded(RuntimeError):
@@ -71,29 +76,6 @@ _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
 
 
-def _kkt_equality_solve(kkt: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray | None:
-    """Solve the (possibly singular) equality KKT system.
-
-    A quasi-definite shift (+d on the primal block, -d on the dual block)
-    makes the matrix nonsingular; two refinement steps against the unshifted
-    system remove the perturbation to working precision.
-    """
-    reg = kkt.copy()
-    diag = np.arange(kkt.shape[0])
-    reg[diag, diag] += np.where(diag < n, _POLISH_REG, -_POLISH_REG)
-    try:
-        fac = scipy.linalg.lu_factor(reg, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError):
-        return None
-    w = scipy.linalg.lu_solve(fac, rhs, check_finite=False)
-    for _ in range(2):
-        resid = rhs - kkt @ w
-        w = w + scipy.linalg.lu_solve(fac, resid, check_finite=False)
-    if not np.all(np.isfinite(w)):
-        return None
-    return w
-
-
 def _kkt_entries(inst: LcqpInstance, place: np.ndarray):
     """Rows, cols and values of [[Q, A_S'], [A_S, 0]]: row i of A goes to row
     place[i] of the system (and its transpose to that column), and rows with
@@ -105,11 +87,104 @@ def _kkt_entries(inst: LcqpInstance, place: np.ndarray):
             np.concatenate([q.vals, av, av]))
 
 
-def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray):
+def _schur_rounds(inst: LcqpInstance, fac: np.ndarray, piv: np.ndarray):
+    """Equality solves on the Schur complement of a positive definite Q.
+
+    Q[piv][:, piv] = L L' with L the lower triangle of fac, so for a set S
+    the multipliers solve (A_S Q^-1 A_S' + d I) lam = A_S Q^-1 (-c) - b_S,
+    refined twice against d = 0, and x = Q^-1 (-c - A_S' lam) (the
+    range-space method, Nocedal & Wright, Numerical Optimization, 16.2).
+    The returned solve(active) gives (x, lam), or None when that k x k
+    system will not factor or yields a non-finite point.  The columns
+    L^-1 P' a_i' and their Gram entries are made once for each row that
+    enters a set.
+    """
+    n, m = inst.n, inst.m
+    a = inst.a
+    tri = functools.partial(scipy.linalg.solve_triangular, fac, lower=True, check_finite=False)
+    inv = np.empty(n, dtype=np.int64)
+    inv[piv] = np.arange(n)
+    w = tri(-inst.c[piv])
+    slot = np.full(m, -1)  # row -> its column in basis and gram
+    basis = np.empty((n, 0))
+    gram = np.empty((0, 0))
+
+    def solve(active):
+        nonlocal basis, gram
+        new = active[slot[active] < 0]
+        if new.size:
+            place = np.full(m, -1)
+            place[new] = np.arange(new.size)
+            keep = place[a.rows] >= 0
+            block = np.zeros((n, new.size))
+            block[inv[a.cols[keep]], place[a.rows[keep]]] = a.vals[keep]
+            v = tri(block)
+            cross = basis.T @ v
+            gram = np.block([[gram, cross], [cross.T, v.T @ v]])
+            slot[new] = basis.shape[1] + np.arange(new.size)
+            basis = np.hstack([basis, v])
+        pick = slot[active]
+        v_s, g_s = basis[:, pick], gram[np.ix_(pick, pick)]
+        try:
+            chol = scipy.linalg.cho_factor(g_s + _POLISH_REG * np.eye(pick.size), lower=True,
+                                           check_finite=False)
+        except (scipy.linalg.LinAlgError, ValueError):
+            return None
+        rhs = v_s.T @ w - inst.b[active]
+        lam = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
+        for _ in range(2):  # refine against the unshifted system, as the full KKT solve does
+            lam = lam + scipy.linalg.cho_solve(chol, rhs - g_s @ lam, check_finite=False)
+        x = np.empty(n)
+        x[piv] = tri(w - v_s @ lam, trans="T")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):
+            return None
+        return x, lam
+
+    return solve
+
+
+def _kkt_equality_solve(inst: LcqpInstance, active: np.ndarray):
+    """(x, lam) of the equality KKT [[Q, A_S'], [A_S, 0]] of the set, written
+    densely, or None when it will not factor.
+
+    The system may be singular.  A quasi-definite shift (+d on the primal
+    block, -d on the dual block) makes the matrix nonsingular; two refinement
+    steps against the unshifted system remove the perturbation to working
+    precision.
+    """
+    n, k = inst.n, active.size
+    place = np.full(inst.m, -1)
+    place[active] = n + np.arange(k)
+    rows, cols, vals = _kkt_entries(inst, place)
+    kkt = np.zeros((n + k, n + k))
+    kkt[rows, cols] = vals
+    rhs = np.concatenate([-inst.c, inst.b[active]])
+    reg = kkt.copy()
+    diag = np.arange(n + k)
+    reg[diag, diag] += np.where(diag < n, _POLISH_REG, -_POLISH_REG)
+    try:
+        fac = scipy.linalg.lu_factor(reg, check_finite=False)
+    except (scipy.linalg.LinAlgError, ValueError):
+        return None
+    w = scipy.linalg.lu_solve(fac, rhs, check_finite=False)
+    for _ in range(2):
+        resid = rhs - kkt @ w
+        w = w + scipy.linalg.lu_solve(fac, resid, check_finite=False)
+    if not np.all(np.isfinite(w)):
+        return None
+    return w[:n], w[n:]
+
+
+def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None):
     """Re-solve the equality system on the estimated active set.
 
     Repair rounds add every violated row at once but retire negative duals
-    one at a time, which avoids add/drop cycling.
+    one at a time, which avoids add/drop cycling.  With chol, the (fac, piv)
+    of a positive definite Q from core._pivoted_cholesky, the rounds solve
+    the Schur complement of Q until they accept a set; the full KKT is then
+    factored once, on that set, and its point is the one returned.  If that
+    point fails the rules, or a Schur system will not factor, the rounds go
+    on from there on the full KKT.
     """
     n, m = inst.n, inst.m
     slack = inst.b - inst.a.matvec(x)
@@ -118,30 +193,37 @@ def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray):
     active = np.flatnonzero(near | pushed)
     b_scale = 1.0 + (np.abs(inst.b).max() if m else 0.0)
     lam_tol = 1e-9 * (1.0 + (np.abs(y).max() if m else 0.0))
-    for _ in range(60):
-        k = active.size
-        place = np.full(m, -1)
-        place[active] = n + np.arange(k)
-        rows, cols, vals = _kkt_entries(inst, place)
-        kkt = np.zeros((n + k, n + k))
-        kkt[rows, cols] = vals
-        rhs = np.concatenate([-inst.c, inst.b[active]])
-        sol = _kkt_equality_solve(kkt, rhs, n)
-        if sol is None:
-            return None
-        xp = sol[:n]
-        lam_act = sol[n:]
+    schur = _schur_rounds(inst, *chol) if chol is not None else None
+
+    def repaired(xp, lam_act):
+        """The next round's active set, or None when (xp, lam_act) passes."""
         viol = inst.a.matvec(xp) - inst.b
         grow = np.flatnonzero(viol > 1e-9 * b_scale)
         grow = np.setdiff1d(grow, active, assume_unique=False)
         if grow.size:
-            active = np.unique(np.concatenate([active, grow]))
+            return np.unique(np.concatenate([active, grow]))
+        if active.size and lam_act.min() < -lam_tol:
+            return np.delete(active, int(np.argmin(lam_act)))
+        return None
+
+    for _ in range(60):
+        if schur is not None:
+            sol = schur(active)
+            nxt = None if sol is None else repaired(*sol)
+            if nxt is not None:
+                active = nxt
+                continue
+            schur = None  # a set passed or would not factor: the full KKT decides
+        sol = _kkt_equality_solve(inst, active)
+        if sol is None:
+            return None
+        nxt = repaired(*sol)
+        if nxt is not None:
+            active = nxt
             continue
-        if k and lam_act.min() < -lam_tol:
-            active = np.delete(active, int(np.argmin(lam_act)))
-            continue
+        xp, lam_act = sol
         lam = np.zeros(m)
-        if k:
+        if active.size:
             lam[active] = np.maximum(lam_act, 0.0)
         return Solution.from_primal_dual(inst, xp, lam)
     return None
@@ -155,9 +237,13 @@ def solve_splitting_detailed(
     # NaN fails these comparisons too
     if not (0.0 < cfg.tol < np.inf and 0.0 < cfg.penalty < np.inf) or cfg.max_iter < 1:
         raise InputError("tol and penalty must be positive and finite, max_iter >= 1")
+    chol = None
     if inst.kind is ProblemKind.QP:
-        if psd_certificate(inst.q) is Definiteness.INDEFINITE:
+        verdict, *pivoted = _pivoted_cholesky(inst.q)
+        if verdict is Definiteness.INDEFINITE:
             raise InputError("quadratic term must be positive semidefinite")
+        if verdict is Definiteness.PD:
+            chol = pivoted
     n, m = inst.n, inst.m
     q, a, b, c = inst.q, inst.a, inst.b, inst.c
     rho = cfg.penalty
@@ -192,7 +278,7 @@ def solve_splitting_detailed(
         """Polish (xv, yv), score it, and keep it as the best point if it
         beats it; the polished point and its report, or (None, None)."""
         nonlocal best_max, best_xy, best_polished
-        pol = _polish(inst, xv, yv)
+        pol = _polish(inst, xv, yv, chol)
         if pol is None:
             return None, None
         prep = kkt_residuals(inst, pol, relative=True)

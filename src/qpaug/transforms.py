@@ -308,8 +308,8 @@ def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
     trace = float(inst.q.vals[inst.q.rows == inst.q.cols].sum())
     if ridge is None:
         ridge = 1e-2 * trace / inst.n
-    if not ridge >= 0:  # NaN fails the comparison too
-        raise InputError(f"ridge must be nonnegative, got {ridge}")
+    if not 0 <= ridge < np.inf:  # NaN fails the comparison too
+        raise InputError(f"ridge must be nonnegative and finite, got {ridge}")
     qq = inst.q.matvec(q_vec)
     record = TransformRecord(
         "add_variables",
@@ -329,8 +329,8 @@ def add_variable_biased(inst: LcqpInstance, sol: Solution, q_diag: float, a_col)
     closes at zero, which needs the optimal duals.  Its q_diag > 0 makes the
     result a QP, from an LP too."""
     _check_sol(inst, sol)
-    if not q_diag > 0:
-        raise InputError(f"q_diag must be positive, got {q_diag}")
+    if not 0 < q_diag < np.inf:
+        raise InputError(f"q_diag must be positive and finite, got {q_diag}")
     a_col = _operand(np.asarray(a_col, dtype=np.float64), inst.m, "a_col")
     record = TransformRecord(
         "add_variable_biased",
@@ -353,12 +353,12 @@ def _pinned(inst, q_diag, cols, c_new):
     with the entries there as values."""
     records = []
     for d, (rows, vals), c in zip(q_diag, cols, c_new):
-        if not d >= 0:
-            raise InputError(f"q_diag must be nonnegative, got {d}")
+        if not 0 <= d < np.inf:
+            raise InputError(f"q_diag must be nonnegative and finite, got {d}")
         if vals.max(initial=0.0) > 0:
             raise InputError("a_col entries must be nonpositive")
-        if not c <= 0:
-            raise InputError(f"c_new must be nonpositive, got {c}")
+        if not -np.inf < c <= 0:
+            raise InputError(f"c_new must be nonpositive and finite, got {c}")
         support = vals != 0.0
         records.append(TransformRecord(
             "add_variable_constrained",

@@ -35,9 +35,16 @@ QP = ["--family", "qp", "--rows", "6", "--cols", "5", "--density-a", "0.5",
       "--density-q", "0.5", "--count", "2", "--seed", "3"]
 
 
-def python(*args, cwd=None):
+def python(*args, cwd=None, env_update=None):
+    """Run python in a child; env_update sets variables, and removes those
+    it maps to None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for name, value in (env_update or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -72,6 +79,64 @@ def test_only_solving_commands_load_scipy(tmp_path):
     assert "scipy.sparse.linalg" in probe(tmp_path, "solve", "--manifest", "aug/manifest.json",
                                           "--out", "sol")
     assert probe(tmp_path, "verify", "--manifest", "sol/manifest.json") == []
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+UNSET = dict.fromkeys(BLAS_THREADS)
+
+# runs `python -m qpaug ARGS`, then prints the BLAS thread variables it left
+# as the last line of stdout
+BLAS_PROBE = """
+import json, os, runpy
+try:
+    runpy.run_module("qpaug", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps({k: os.environ.get(k)
+                  for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}))
+"""
+
+
+@pytest.mark.parametrize("env_update, expected", [
+    (UNSET, dict.fromkeys(BLAS_THREADS, "1")),
+    ({**UNSET, "OPENBLAS_NUM_THREADS": "2"}, {**UNSET, "OPENBLAS_NUM_THREADS": "2"}),
+    ({**UNSET, "MKL_NUM_THREADS": "3"}, {**UNSET, "MKL_NUM_THREADS": "3"}),
+], ids=["unset", "openblas-set", "mkl-set"])
+def test_entry_point_pins_blas_to_one_thread(tmp_path, env_update, expected):
+    """The CLI entry point runs BLAS on one thread unless the user set a
+    count for any of the three libraries, which is then left alone."""
+    proc = python("-c", BLAS_PROBE, "--help", cwd=tmp_path, env_update=env_update)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == expected
+
+
+def test_library_imports_leave_blas_threads_alone():
+    proc = python("-c", "import os, qpaug, qpaug.cli, qpaug.solver; "
+                  f"print([os.environ.get(k) for k in {BLAS_THREADS!r}])", env_update=UNSET)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[None, None, None]"
+
+
+def test_console_script_takes_the_pinned_entry_point():
+    import tomllib
+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"qpaug": "qpaug.__main__:main"}
+
+
+def test_cli_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A 300 x 300 labeled QP is written with the same bytes whether or not
+    the user pins BLAS: the CLI runs one thread either way.  With the
+    library's default of one thread per core its Q and label bytes differed
+    on a 2-core machine."""
+    args = ["generate", "--family", "qp", "--rows", "300", "--cols", "300", "--density-a",
+            "0.05", "--density-q", "0.05", "--count", "1", "--seed", "0", "--solve"]
+    trees = []
+    for name, env_update in (("unset", UNSET), ("one", {**UNSET, "OPENBLAS_NUM_THREADS": "1"})):
+        proc = python("-m", "qpaug", *args, "--out", name, cwd=tmp_path, env_update=env_update)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+    assert len(trees[0]) == 2 and trees[0] == trees[1]
 
 
 # loads the instance file argv[1], encodes it, and prints the scipy modules

@@ -1,21 +1,28 @@
 """Splitting solver vs the exhaustive enumeration oracle."""
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qpaug import (
+    Definiteness,
     InfeasibleOrUnbounded,
     InputError,
     ProblemKind,
     SolverConfig,
     Unbounded,
+    add_constraints,
+    add_variable_constrained,
     kkt_residuals,
+    objective,
     solve_enumeration,
     solve_splitting,
     solve_splitting_detailed,
 )
-from qpaug.generators import gen_qp
+from qpaug import solver
+from qpaug.core import _pivoted_cholesky
+from qpaug.generators import gen_lp, gen_qp
 from qpaug.solver import Unconverged, enumerate_candidates
 
 from conftest import make_instance
@@ -291,3 +298,106 @@ def test_equality_encoded_as_pair():
     sol = solve_splitting(inst)
     assert sol.x.sum() == pytest.approx(1.0, abs=1e-6)
     assert np.allclose(sol.x, [0.5, 0.5], atol=1e-5)
+
+
+# ------------------------------------------------- polish on the Schur complement
+
+
+def redundant_qp(seed, m, n, density):
+    """gen_qp plus three add_constraints rows, each a positive combination of
+    up to two rows active at the optimum, so the polish's active sets hold
+    linearly dependent rows; the optimum found on the base QP comes along."""
+    base = gen_qp(m, n, density, density, seed=seed)
+    sol = solve_enumeration(base) if n <= 10 else solve_splitting(base)
+    active = np.flatnonzero(sol.lam > 1e-9)
+    assert active.size
+    rng = np.random.default_rng(seed)
+    weights = np.zeros((3, m))
+    for row in weights:
+        pick = rng.choice(active, size=min(2, active.size), replace=False)
+        row[pick] = rng.random(pick.size) + 0.1
+    inst, _ = add_constraints(base, weights)
+    return inst, sol.x, np.concatenate([sol.lam, np.zeros(3)])
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """The number of dense LU factorizations made since the test began."""
+    calls = [0]
+    real = scipy.linalg.lu_factor
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    return calls
+
+
+def polish_both_ways(inst, x, y, lu_calls):
+    """_polish without and with the positive definite Q's factor, and the
+    dense LU count of each."""
+    verdict, *chol = _pivoted_cholesky(inst.q)
+    assert verdict is Definiteness.PD
+    lu_calls[0] = 0
+    full = solver._polish(inst, x, y)
+    full_lus, lu_calls[0] = lu_calls[0], 0
+    schur = solver._polish(inst, x, y, chol)
+    return full, full_lus, schur, lu_calls[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("m, n", [(6, 4), (9, 6)])
+def test_schur_polish_matches_full_kkt_at_toy_size(seed, m, n, lu_calls):
+    """From a cold start (many rounds) and from the base optimum, the Schur
+    rounds accept the set the full-KKT rounds accept, so the one full solve
+    returns the same bits; both agree with the enumeration oracle."""
+    inst, x_opt, y_opt = redundant_qp(seed, m, n, 0.6)
+    oracle = solve_enumeration(inst)
+    for x, y in ((np.zeros(inst.n), np.zeros(inst.m)), (x_opt, y_opt)):
+        full, _, schur, schur_lus = polish_both_ways(inst, x, y, lu_calls)
+        assert np.array_equal(schur.x, full.x) and np.array_equal(schur.lam, full.lam)
+        assert schur_lus == 1
+        np.testing.assert_allclose(schur.x, oracle.x, rtol=0, atol=1e-9)
+        assert objective(inst, schur.x) == pytest.approx(objective(inst, oracle.x), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_schur_polish_one_dense_lu_at_size(seed, lu_calls):
+    """At 63 x 40 a cold start takes the full-KKT loop many rounds, each a
+    dense LU.  The Schur rounds land on the same bits with one, and where
+    the full loop gives up after its 60 rounds they give up with none."""
+    inst, _, _ = redundant_qp(seed, 60, 40, 0.15)
+    full, full_lus, schur, schur_lus = polish_both_ways(
+        inst, np.zeros(inst.n), np.zeros(inst.m), lu_calls)
+    assert full_lus > 1
+    if full is None:
+        assert schur is None and full_lus == 60 and schur_lus == 0
+        return
+    assert np.array_equal(schur.x, full.x) and np.array_equal(schur.lam, full.lam)
+    assert schur_lus == 1
+    assert kkt_residuals(inst, schur, relative=True).max_residual <= 1e-8
+
+
+def psd_qp():
+    """A bounded LP with one appended variable of Q diagonal 1: Q is PSD."""
+    lp = gen_lp(30, 20, 0.2, seed=0, bounded=True)
+    return add_variable_constrained(lp, 1.0, -np.ones(lp.m), -1.0)[0]
+
+
+@pytest.mark.parametrize("make, lus", [
+    (lambda: gen_lp(30, 20, 0.2, seed=0, bounded=True), 121),
+    (psd_qp, 181),
+], ids=["lp", "psd-qp"])
+def test_lp_and_psd_polish_keep_the_full_kkt_rounds(make, lus, lu_calls, monkeypatch):
+    """LPs and PSD Q never reach the Schur rounds, and factor as many dense
+    KKT systems as before those rounds were added (counts recorded then)."""
+    inst = make()
+
+    def refused(*args):
+        raise AssertionError("Schur rounds on a Q that is not positive definite")
+
+    monkeypatch.setattr(solver, "_schur_rounds", refused)
+    sol, stats = solve_splitting_detailed(inst)
+    assert stats.polished and lu_calls[0] == lus
+    assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-8

@@ -578,11 +578,17 @@ NAN = float("nan")
     (lambda inst, sol: add_variable_constrained(inst, 1.0, -np.ones(inst.m), NAN), "c_new"),
     (lambda inst, sol: bias_instance(inst, sol, 2, NAN, seed=0), "magnitude"),
     (lambda inst, sol: bias_instance(inst, sol, 2, np.inf, seed=0), "magnitude"),
+    (lambda inst, sol: add_variables(inst, np.ones(inst.n), ridge=np.inf), "ridge"),
+    (lambda inst, sol: add_variable_biased(inst, sol, np.inf, np.ones(inst.m)), "q_diag"),
+    (lambda inst, sol: add_variable_constrained(inst, np.inf, -np.ones(inst.m), -1.0), "q_diag"),
+    (lambda inst, sol: add_variable_constrained(inst, 1.0, -np.ones(inst.m), -np.inf), "c_new"),
 ], ids=["ridge-nan", "biased-q_diag-nan", "constrained-q_diag-nan", "c_new-nan",
-        "magnitude-nan", "magnitude-inf"])
+        "magnitude-nan", "magnitude-inf", "ridge-inf", "biased-q_diag-inf",
+        "constrained-q_diag-inf", "c_new-minus-inf"])
 def test_non_finite_parameter_refused_by_name(call, param):
     """Before, each was refused only by its effect, as "matrix values must
-    be finite" or "c contains non-finite entries"."""
+    be finite" or "c contains non-finite entries"; the infinite cases were
+    still refused that way after the NaN ones were named."""
     inst = gen_qp(6, 4, 0.6, 0.6, seed=1)
     with pytest.raises(InputError, match=f"^{param} must be "):
         call(inst, solve_enumeration(inst))
