@@ -1,8 +1,10 @@
 """Reference solvers used to label and verify instances.
 
-solve_splitting is an operator-splitting (ADMM) method with a one-time sparse
-factorization and an equality-system polish step; solve_enumeration checks
-every candidate active set and is the ground-truth oracle at toy sizes.
+solve_splitting is an operator-splitting (ADMM) method whose linear step is
+the reduced n x n system, factored by a dense Cholesky that is refactored
+only when the penalty moves, with an equality-system polish step;
+solve_enumeration checks every candidate active set and is the ground-truth
+oracle at toy sizes.
 """
 from __future__ import annotations
 
@@ -12,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import (
     Definiteness,
@@ -22,6 +22,7 @@ from .core import (
     LcqpInstance,
     ProblemKind,
     Solution,
+    SparseMatrix,
     _pivoted_cholesky,
     kkt_residuals,
     kkt_residuals_raw,
@@ -74,17 +75,35 @@ _CERT_TOL = 1e-5
 _POLISH_REG = 1e-9
 _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
+_GRAM_BLOCK = 64  # rows of A made dense at a time while forming A'A
 
 
-def _kkt_entries(inst: LcqpInstance, place: np.ndarray):
-    """Rows, cols and values of [[Q, A_S'], [A_S, 0]]: row i of A goes to row
-    place[i] of the system (and its transpose to that column), and rows with
-    place[i] < 0 are left out."""
-    q, a = inst.q, inst.a
-    keep = place[a.rows] >= 0
-    ar, ac, av = place[a.rows][keep], a.cols[keep], a.vals[keep]
-    return (np.concatenate([q.rows, ac, ar]), np.concatenate([q.cols, ar, ac]),
-            np.concatenate([q.vals, av, av]))
+def _admm_factor(q: SparseMatrix, a: SparseMatrix, rho: float):
+    """cho_factor of P = Q + sigma I + rho A'A, which is positive definite for
+    every kind because Q is PSD and sigma > 0.  rho A'A is summed into P's
+    lower triangle by rank-k updates over blocks of _GRAM_BLOCK rows of A, so
+    the work space is one such block and no m x n array is formed."""
+    p = np.zeros((a.n_cols, a.n_cols), order="F")
+    block = np.zeros((_GRAM_BLOCK, a.n_cols))
+    bounds = np.searchsorted(a.rows, np.arange(0, a.n_rows + _GRAM_BLOCK, _GRAM_BLOCK))
+    for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+        block[a.rows[s:e] - k * _GRAM_BLOCK, a.cols[s:e]] = a.vals[s:e]
+        scipy.linalg.blas.dsyrk(rho, block.T, beta=1.0, c=p, lower=1, overwrite_c=1)
+        block.fill(0.0)
+    p[q.rows, q.cols] += q.vals
+    p[np.diag_indices_from(p)] += _SIGMA
+    return scipy.linalg.cho_factor(p, lower=True, overwrite_a=True, check_finite=False)
+
+
+def _admm_step(fac, a: SparseMatrix, rho: float, r1: np.ndarray, r2: np.ndarray):
+    """(x, nu) solving the quasi-definite [[Q + sigma I, A'], [A, -I/rho]]
+    [x; nu] = [r1; r2] through its reduced system: P x = r1 + rho A' r2 with
+    fac from _admm_factor, then nu = rho (A x - r2) (Stellato et al., OSQP,
+    Math. Prog. Comp. 2020, section 3.1)."""
+    # LAPACK's potrs, as cho_solve calls it, without cho_solve's checks,
+    # which cost as much again at the paper's 100 x 100 size
+    x, _ = scipy.linalg.lapack.dpotrs(fac[0], r1 + rho * a.rmatvec(r2), lower=fac[1])
+    return x, rho * (a.matvec(x) - r2)
 
 
 def _schur_rounds(inst: LcqpInstance, fac: np.ndarray, piv: np.ndarray):
@@ -152,12 +171,14 @@ def _kkt_equality_solve(inst: LcqpInstance, active: np.ndarray):
     steps against the unshifted system remove the perturbation to working
     precision.
     """
-    n, k = inst.n, active.size
+    n, k, q, a = inst.n, active.size, inst.q, inst.a
     place = np.full(inst.m, -1)
     place[active] = n + np.arange(k)
-    rows, cols, vals = _kkt_entries(inst, place)
+    keep = place[a.rows] >= 0
+    ar, ac = place[a.rows][keep], a.cols[keep]
     kkt = np.zeros((n + k, n + k))
-    kkt[rows, cols] = vals
+    kkt[q.rows, q.cols] = q.vals
+    kkt[ar, ac] = kkt[ac, ar] = a.vals[keep]
     rhs = np.concatenate([-inst.c, inst.b[active]])
     reg = kkt.copy()
     diag = np.arange(n + k)
@@ -247,19 +268,7 @@ def solve_splitting_detailed(
     n, m = inst.n, inst.m
     q, a, b, c = inst.q, inst.a, inst.b, inst.c
     rho = cfg.penalty
-
-    def factor(r):
-        rows, cols, vals = _kkt_entries(inst, n + np.arange(m))
-        diag = np.arange(n + m)
-        vals = np.concatenate([vals, np.full(n, _SIGMA), np.full(m, -1.0 / r)])
-        kkt = sp.csc_matrix((vals, (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
-                            shape=(n + m, n + m))
-        # quasi-definite (+sigma primal block, -1/r dual block), so it factors
-        # under any symmetric ordering without pivoting (Vanderbei 1995)
-        return spla.splu(kkt, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
-
-    lu = factor(rho)
+    fac = _admm_factor(q, a, rho)
     x = x_prev = np.zeros(n)
     y = y_prev = np.zeros(m)
     z = np.zeros(m)
@@ -290,10 +299,7 @@ def solve_splitting_detailed(
     it = 0
     while it < cfg.max_iter:
         it += 1
-        rhs = np.concatenate([_SIGMA * x - c, z - y / rho])
-        w = lu.solve(rhs)
-        xt = w[:n]
-        nu = w[n:]
+        xt, nu = _admm_step(fac, a, rho, _SIGMA * x - c, z - y / rho)
         zt = z + (nu - y) / rho
         x = _RELAX * xt + (1.0 - _RELAX) * x
         u = _RELAX * zt + (1.0 - _RELAX) * z + y / rho
@@ -339,7 +345,7 @@ def solve_splitting_detailed(
                     new_rho = float(np.clip(rho * np.sqrt(prim / dual), _RHO_MIN, _RHO_MAX))
                     if new_rho > 5.0 * rho or new_rho < rho / 5.0:
                         rho = new_rho
-                        lu = factor(rho)
+                        fac = _admm_factor(q, a, rho)
 
     if cfg.polish:
         polish(x, y)

@@ -3,9 +3,10 @@
 `import qpaug` and the commands that never solve (help, generate without
 --solve, augment, verify, graph) run on numpy alone; each is run here as its
 own process, the way `python -m qpaug` runs it, and must leave no scipy
-module behind.  `generate --solve` and `solve` must load it, so the check can
-tell the two apart.  Loading a view and encoding it with the message passer
-runs on numpy alone too."""
+module behind.  `generate --solve` and `solve` must load `scipy.linalg`, so
+the check can tell the two apart, and no scipy sparse module: the solver
+factors dense matrices only.  Loading a view and encoding it with the message
+passer runs on numpy alone too."""
 import json
 import os
 import subprocess
@@ -57,6 +58,12 @@ def probe(cwd, *args):
     return result["scipy"]
 
 
+def assert_dense_scipy_only(loaded):
+    """A solving process loads scipy.linalg and no scipy.sparse module."""
+    assert "scipy.linalg" in loaded
+    assert [m for m in loaded if m == "scipy.sparse" or m.startswith("scipy.sparse.")] == []
+
+
 def test_only_solving_commands_load_scipy(tmp_path):
     no_scipy = [
         ["--help"],
@@ -67,7 +74,7 @@ def test_only_solving_commands_load_scipy(tmp_path):
     ]
     for args in no_scipy:
         assert probe(tmp_path, *args) == [], args
-    assert "scipy.sparse.linalg" in probe(tmp_path, "generate", *QP, "--solve", "--out", "lab")
+    assert_dense_scipy_only(probe(tmp_path, "generate", *QP, "--solve", "--out", "lab"))
     no_scipy = [
         ["augment", "--manifest", "lab/manifest.json", "--per-instance", "1", "--seed", "1",
          "--out", "aug"],
@@ -76,8 +83,8 @@ def test_only_solving_commands_load_scipy(tmp_path):
     ]
     for args in no_scipy:
         assert probe(tmp_path, *args) == [], args
-    assert "scipy.sparse.linalg" in probe(tmp_path, "solve", "--manifest", "aug/manifest.json",
-                                          "--out", "sol")
+    assert_dense_scipy_only(probe(tmp_path, "solve", "--manifest", "aug/manifest.json",
+                                  "--out", "sol"))
     assert probe(tmp_path, "verify", "--manifest", "sol/manifest.json") == []
 
 

@@ -1,4 +1,7 @@
 """Splitting solver vs the exhaustive enumeration oracle."""
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +14,7 @@ from qpaug import (
     InputError,
     ProblemKind,
     SolverConfig,
+    SparseMatrix,
     Unbounded,
     add_constraints,
     add_variable_constrained,
@@ -401,3 +405,93 @@ def test_lp_and_psd_polish_keep_the_full_kkt_rounds(make, lus, lu_calls, monkeyp
     sol, stats = solve_splitting_detailed(inst)
     assert stats.polished and lu_calls[0] == lus
     assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-8
+
+
+# ------------------------------------------------- the ADMM step's reduced system
+
+
+def pd_qp():
+    return gen_qp(30, 20, 0.2, 0.2, seed=0)
+
+
+def bounded_lp():
+    return gen_lp(30, 20, 0.2, seed=0, bounded=True)
+
+
+def step_case(name):
+    """Small instances for the reduced step: a PD QP, an LP, a bounded LP
+    (m = 3n), a PD QP with an empty row of A, and a PD QP with no rows."""
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((6, 6))
+    a = rng.standard_normal((7, 6))
+    a[3] = 0.0
+    return {
+        "pd-qp": lambda: gen_qp(9, 6, 0.5, 0.5, seed=1),
+        "lp": lambda: gen_lp(9, 6, 0.5, seed=1),
+        "bounded-lp": lambda: gen_lp(8, 8, 0.5, seed=2, bounded=True),
+        "empty-row": lambda: make_instance(g @ g.T + np.eye(6), a, np.ones(7), np.ones(6)),
+        "no-rows": lambda: make_instance(g @ g.T + np.eye(6), np.zeros((0, 6)), [], np.ones(6)),
+    }[name]()
+
+
+@pytest.mark.parametrize("rho", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("name", ["pd-qp", "lp", "bounded-lp", "empty-row", "no-rows"])
+def test_reduced_step_solves_the_quasi_definite_kkt(name, rho):
+    """(x, nu) from the Cholesky factor of Q + sigma I + rho A'A solve the
+    (n+m) x (n+m) system [[Q + sigma I, A'], [A, -I/rho]] the step stands
+    for, at a random right-hand side and at both ends of rho's range."""
+    inst = step_case(name)
+    n, m = inst.n, inst.m
+    assert name != "bounded-lp" or m == 3 * n
+    assert name != "empty-row" or not np.any(inst.a.rows == 3)
+    a = inst.a.to_dense()
+    kkt = np.block([[inst.q.to_dense() + solver._SIGMA * np.eye(n), a.T],
+                    [a, -np.eye(m) / rho]])
+    rhs = np.random.default_rng(0).standard_normal(n + m)
+    want = np.linalg.solve(kkt, rhs)
+    fac = solver._admm_factor(inst.q, inst.a, rho)
+    x, nu = solver._admm_step(fac, inst.a, rho, rhs[:n], rhs[n:])
+    got = np.concatenate([x, nu])
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 200])
+def test_admm_factor_sums_ata_over_row_blocks(m):
+    """With Q = 0 and rho = 1 the factor's L L' is sigma I + A'A, for row
+    counts below, at and across the block size, and not a multiple of it."""
+    rng = np.random.default_rng(m)
+    dense = rng.standard_normal((m, 40)) * (rng.random((m, 40)) < 0.2)
+    fac, lower = solver._admm_factor(SparseMatrix.zeros(40, 40), SparseMatrix.from_dense(dense), 1.0)
+    low = np.tril(fac)
+    want = dense.T @ dense
+    got = low @ low.T - solver._SIGMA * np.eye(40)
+    assert lower and np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+def test_admm_factor_memory_is_order_n_squared():
+    """P's factor for a bounded 300-column LP (900 rows) peaks below two
+    n x n arrays: no m x n array, no product temporary and no expansion of
+    the pairs of entries that share a row."""
+    inst = gen_lp(300, 300, 0.05, seed=0, bounded=True)
+    assert inst.m == 900
+    tracemalloc.start()
+    try:
+        solver._admm_factor(inst.q, inst.a, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * inst.n ** 2
+
+
+@pytest.mark.parametrize("make", [pd_qp, psd_qp, bounded_lp], ids=["pd-qp", "psd-qp", "lp"])
+def test_solve_leaves_no_cyclic_garbage(make):
+    """A solve's arrays are freed when it returns, not left for the cyclic
+    collector, which would raise a process's peak memory."""
+    inst = make()
+    gc.collect()
+    gc.disable()
+    try:
+        solve_splitting_detailed(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
