@@ -44,7 +44,8 @@ class InfeasibleOrUnbounded(RuntimeError):
 
 
 class Unconverged(RuntimeError):
-    """Iteration budget exhausted; carries the best iterate seen."""
+    """Iteration budget exhausted, or the step system would not factor;
+    carries the best iterate seen."""
 
     def __init__(self, message: str, best: Solution | None, report: KktReport | None):
         super().__init__(message)
@@ -78,32 +79,57 @@ _RHO_MAX = 1e6
 _GRAM_BLOCK = 64  # rows of A made dense at a time while forming A'A
 
 
-def _admm_factor(q: SparseMatrix, a: SparseMatrix, rho: float):
-    """cho_factor of P = Q + sigma I + rho A'A, which is positive definite for
-    every kind because Q is PSD and sigma > 0.  rho A'A is summed into P's
-    lower triangle by rank-k updates over blocks of _GRAM_BLOCK rows of A, so
-    the work space is one such block and no m x n array is formed."""
-    p = np.zeros((a.n_cols, a.n_cols), order="F")
+def _gram(a: SparseMatrix) -> np.ndarray:
+    """A'A in the lower triangle of an n x n array, summed by rank-k updates
+    over blocks of _GRAM_BLOCK rows of A, so the work space is one such block
+    and no m x n array is formed."""
+    gram = np.zeros((a.n_cols, a.n_cols), order="F")
     block = np.zeros((_GRAM_BLOCK, a.n_cols))
     bounds = np.searchsorted(a.rows, np.arange(0, a.n_rows + _GRAM_BLOCK, _GRAM_BLOCK))
     for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
         block[a.rows[s:e] - k * _GRAM_BLOCK, a.cols[s:e]] = a.vals[s:e]
-        scipy.linalg.blas.dsyrk(rho, block.T, beta=1.0, c=p, lower=1, overwrite_c=1)
+        scipy.linalg.blas.dsyrk(1.0, block.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
         block.fill(0.0)
-    p[q.rows, q.cols] += q.vals
-    p[np.diag_indices_from(p)] += _SIGMA
-    return scipy.linalg.cho_factor(p, lower=True, overwrite_a=True, check_finite=False)
+    return gram
 
 
-def _admm_step(fac, a: SparseMatrix, rho: float, r1: np.ndarray, r2: np.ndarray):
-    """(x, nu) solving the quasi-definite [[Q + sigma I, A'], [A, -I/rho]]
-    [x; nu] = [r1; r2] through its reduced system: P x = r1 + rho A' r2 with
-    fac from _admm_factor, then nu = rho (A x - r2) (Stellato et al., OSQP,
-    Math. Prog. Comp. 2020, section 3.1)."""
+def _admm_factor(q: SparseMatrix, gram: np.ndarray, rho: float):
+    """(cho_factor of P = Q + sigma I + rho A'A, sigma), with gram from _gram.
+
+    P is positive definite for every kind because Q is PSD and sigma > 0,
+    but once Q + rho A'A is about sigma / eps in size, sigma is lost to
+    rounding and a singular Q + rho A'A will not factor.  Then sigma grows a
+    hundredfold until P factors: any sigma > 0 gives an ADMM step, and once
+    sigma reaches P's largest diagonal entry the factorization cannot fail.
+    _admm_step takes its sigma from the pair, so the step always matches P.
+    Unconverged if P fails even so, which only non-finite entries cause.
+    """
+    diag = np.diag_indices_from(gram)
+    sigma = _SIGMA
+    while True:
+        p = rho * gram
+        p[q.rows, q.cols] += q.vals
+        top = p[diag].max(initial=0.0)
+        p[diag] += sigma
+        try:
+            return scipy.linalg.cho_factor(p, lower=True, overwrite_a=True, check_finite=False), sigma
+        except scipy.linalg.LinAlgError:
+            if not sigma < top < np.inf:
+                raise Unconverged(f"the step system will not factor at penalty {rho:g}", None, None)
+            sigma *= 100.0
+
+
+def _admm_step(fac, a: SparseMatrix, rho: float, x: np.ndarray, c: np.ndarray, r2: np.ndarray):
+    """The next x: the x-part of the quasi-definite [[Q + sigma I, A'],
+    [A, -I/rho]] [x'; nu] = [sigma x - c; r2], through its reduced system
+    P x' = sigma x - c + rho A' r2, with fac = (factor, sigma) from
+    _admm_factor (Stellato et al., OSQP, Math. Prog. Comp. 2020, section
+    3.1).  nu = rho (A x' - r2) is not formed: the iteration needs only A x'."""
+    (low, lower), sigma = fac
     # LAPACK's potrs, as cho_solve calls it, without cho_solve's checks,
     # which cost as much again at the paper's 100 x 100 size
-    x, _ = scipy.linalg.lapack.dpotrs(fac[0], r1 + rho * a.rmatvec(r2), lower=fac[1])
-    return x, rho * (a.matvec(x) - r2)
+    xt, _ = scipy.linalg.lapack.dpotrs(low, sigma * x - c + rho * a.rmatvec(r2), lower=lower)
+    return xt
 
 
 def _schur_rounds(inst: LcqpInstance, fac: np.ndarray, piv: np.ndarray):
@@ -268,7 +294,8 @@ def solve_splitting_detailed(
     n, m = inst.n, inst.m
     q, a, b, c = inst.q, inst.a, inst.b, inst.c
     rho = cfg.penalty
-    fac = _admm_factor(q, a, rho)
+    gram = _gram(a)
+    fac = _admm_factor(q, gram, rho)
     x = x_prev = np.zeros(n)
     y = y_prev = np.zeros(m)
     z = np.zeros(m)
@@ -299,8 +326,8 @@ def solve_splitting_detailed(
     it = 0
     while it < cfg.max_iter:
         it += 1
-        xt, nu = _admm_step(fac, a, rho, _SIGMA * x - c, z - y / rho)
-        zt = z + (nu - y) / rho
+        xt = _admm_step(fac, a, rho, x, c, z - y / rho)
+        zt = a.matvec(xt)
         x = _RELAX * xt + (1.0 - _RELAX) * x
         u = _RELAX * zt + (1.0 - _RELAX) * z + y / rho
         z = np.minimum(u, b)
@@ -345,7 +372,7 @@ def solve_splitting_detailed(
                     new_rho = float(np.clip(rho * np.sqrt(prim / dual), _RHO_MIN, _RHO_MAX))
                     if new_rho > 5.0 * rho or new_rho < rho / 5.0:
                         rho = new_rho
-                        fac = _admm_factor(q, a, rho)
+                        fac = _admm_factor(q, gram, rho)
 
     if cfg.polish:
         polish(x, y)

@@ -437,50 +437,101 @@ def step_case(name):
 @pytest.mark.parametrize("rho", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("name", ["pd-qp", "lp", "bounded-lp", "empty-row", "no-rows"])
 def test_reduced_step_solves_the_quasi_definite_kkt(name, rho):
-    """(x, nu) from the Cholesky factor of Q + sigma I + rho A'A solve the
-    (n+m) x (n+m) system [[Q + sigma I, A'], [A, -I/rho]] the step stands
-    for, at a random right-hand side and at both ends of rho's range."""
+    """The step from the Cholesky factor of Q + sigma I + rho A'A solves the
+    (n+m) x (n+m) system [[Q + sigma I, A'], [A, -I/rho]] [x'; nu] =
+    [sigma x - c; r2] it stands for, at random x, c and r2 and at both ends
+    of rho's range, and A x' is the z-step r2 + nu / rho."""
     inst = step_case(name)
     n, m = inst.n, inst.m
     assert name != "bounded-lp" or m == 3 * n
     assert name != "empty-row" or not np.any(inst.a.rows == 3)
+    fac = solver._admm_factor(inst.q, solver._gram(inst.a), rho)
+    sigma = fac[1]
+    assert sigma == solver._SIGMA
     a = inst.a.to_dense()
-    kkt = np.block([[inst.q.to_dense() + solver._SIGMA * np.eye(n), a.T],
-                    [a, -np.eye(m) / rho]])
-    rhs = np.random.default_rng(0).standard_normal(n + m)
-    want = np.linalg.solve(kkt, rhs)
-    fac = solver._admm_factor(inst.q, inst.a, rho)
-    x, nu = solver._admm_step(fac, inst.a, rho, rhs[:n], rhs[n:])
-    got = np.concatenate([x, nu])
+    kkt = np.block([[inst.q.to_dense() + sigma * np.eye(n), a.T], [a, -np.eye(m) / rho]])
+    rng = np.random.default_rng(0)
+    x, c, r2 = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(m)
+    want = np.linalg.solve(kkt, np.concatenate([sigma * x - c, r2]))
+    got = solver._admm_step(fac, inst.a, rho, x, c, r2)
+    assert np.abs(got - want[:n]).max() <= 1e-9 * np.abs(want).max()
+    z = r2 + want[n:] / rho
+    assert np.abs(inst.a.matvec(got) - z).max(initial=0.0) <= 1e-9 * max(np.abs(z).max(initial=0.0), 1.0)
+
+
+def test_step_takes_sigma_from_the_factor():
+    """The step's sigma x term uses the sigma P was made with, which
+    _admm_factor grows past _SIGMA where P will not factor otherwise."""
+    inst, rho, sigma = step_case("lp"), 1.0, 1e-2
+    n, m = inst.n, inst.m
+    a = inst.a.to_dense()
+    fac = scipy.linalg.cho_factor(sigma * np.eye(n) + rho * a.T @ a, lower=True), sigma
+    rng = np.random.default_rng(1)
+    x, c, r2 = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(m)
+    kkt = np.block([[sigma * np.eye(n), a.T], [a, -np.eye(m) / rho]])
+    want = np.linalg.solve(kkt, np.concatenate([sigma * x - c, r2]))[:n]
+    got = solver._admm_step(fac, inst.a, rho, x, c, r2)
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 200])
-def test_admm_factor_sums_ata_over_row_blocks(m):
-    """With Q = 0 and rho = 1 the factor's L L' is sigma I + A'A, for row
-    counts below, at and across the block size, and not a multiple of it."""
+def test_gram_sums_ata_over_row_blocks(m):
+    """_gram's lower triangle is that of A'A, for row counts below, at and
+    across the block size, and not a multiple of it."""
     rng = np.random.default_rng(m)
     dense = rng.standard_normal((m, 40)) * (rng.random((m, 40)) < 0.2)
-    fac, lower = solver._admm_factor(SparseMatrix.zeros(40, 40), SparseMatrix.from_dense(dense), 1.0)
-    low = np.tril(fac)
-    want = dense.T @ dense
-    got = low @ low.T - solver._SIGMA * np.eye(40)
-    assert lower and np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+    got = np.tril(solver._gram(SparseMatrix.from_dense(dense)))
+    want = np.tril(dense.T @ dense)
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
 
-def test_admm_factor_memory_is_order_n_squared():
-    """P's factor for a bounded 300-column LP (900 rows) peaks below two
-    n x n arrays: no m x n array, no product temporary and no expansion of
-    the pairs of entries that share a row."""
-    inst = gen_lp(300, 300, 0.05, seed=0, bounded=True)
-    assert inst.m == 900
+def traced_peak(build):
+    """(build(), the peak bytes tracemalloc saw while it ran)."""
     tracemalloc.start()
     try:
-        solver._admm_factor(inst.q, inst.a, 1.0)
-        _, peak = tracemalloc.get_traced_memory()
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * inst.n ** 2
+
+
+def test_admm_setup_memory_is_order_n_squared():
+    """A'A for a bounded 300-column LP (900 rows), and P's factor from it,
+    each peak below two n x n arrays: no m x n array, no product temporary
+    and no expansion of the pairs of entries that share a row."""
+    inst = gen_lp(300, 300, 0.05, seed=0, bounded=True)
+    assert inst.m == 900
+    gram, gram_peak = traced_peak(lambda: solver._gram(inst.a))
+    _, factor_peak = traced_peak(lambda: solver._admm_factor(inst.q, gram, 1.0))
+    assert max(gram_peak, factor_peak) < 2 * 8 * inst.n ** 2
+
+
+def rank_deficient_lp(scale):
+    """min -x1 - x2 over x1 + x2 <= 1, the row scaled by `scale`: A'A is
+    singular, so sigma alone keeps P positive definite."""
+    return make_instance(np.zeros((2, 2)), [[scale, scale]], [scale], [-1.0, -1.0],
+                         kind=ProblemKind.LP)
+
+
+@pytest.mark.parametrize("scale, penalty", [(1.0, 1e12), (1e3, 1e6)], ids=["penalty-1e12", "rows-1e3"])
+def test_step_factors_where_sigma_is_lost_to_rounding(scale, penalty):
+    """Where rho A'A is so large that sigma vanishes beside it in P's
+    diagonal, P is singular as stored; sigma grows until P factors, and the
+    solve returns the optimum instead of raising LinAlgError."""
+    inst = rank_deficient_lp(scale)
+    _, sigma = solver._admm_factor(inst.q, solver._gram(inst.a), penalty)
+    assert sigma > solver._SIGMA
+    sol, _ = solve_splitting_detailed(inst, SolverConfig(penalty=penalty))
+    assert sol.objective == pytest.approx(-1.0, abs=1e-8)
+    assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-8
+
+
+def test_huge_semidefinite_q_gives_a_status():
+    """A singular Q of size 1e12 hides sigma once rho falls: the solve ends in
+    one of the solver's statuses, which labeling reads, not in LinAlgError."""
+    inst = make_instance(1e12 * np.ones((2, 2)), np.eye(2), [1.0, 1.0], [1.0, -1.0])
+    with pytest.raises(Unconverged):
+        solve_splitting_detailed(inst, SolverConfig(max_iter=1000))
 
 
 @pytest.mark.parametrize("make", [pd_qp, psd_qp, bounded_lp], ids=["pd-qp", "psd-qp", "lp"])
