@@ -2,13 +2,14 @@
 
 solve_splitting is an operator-splitting (ADMM) method whose linear step is
 the reduced n x n system, factored by a dense Cholesky that is refactored
-only when the penalty moves, with an equality-system polish step;
-solve_enumeration checks every candidate active set and is the ground-truth
-oracle at toy sizes.
+only when the penalty moves.  Its polish step re-solves the equality system
+of the estimated active set: on the Schur complement of a positive definite
+Q, refined against the full KKT residual, and for LPs and semidefinite Q on
+the full KKT, factored densely.  solve_enumeration checks every candidate
+active set and is the ground-truth oracle at toy sizes.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -135,52 +136,75 @@ def _admm_step(fac, a: SparseMatrix, rho: float, x: np.ndarray, c: np.ndarray, r
 def _schur_rounds(inst: LcqpInstance, fac: np.ndarray, piv: np.ndarray):
     """Equality solves on the Schur complement of a positive definite Q.
 
-    Q[piv][:, piv] = L L' with L the lower triangle of fac, so for a set S
-    the multipliers solve (A_S Q^-1 A_S' + d I) lam = A_S Q^-1 (-c) - b_S,
-    refined twice against d = 0, and x = Q^-1 (-c - A_S' lam) (the
+    Q[piv][:, piv] = L L' with L the lower triangle of fac, and the columns
+    of V_S = L^-1 (A_S')[piv] have the Gram matrix G_S = A_S Q^-1 A_S' (the
     range-space method, Nocedal & Wright, Numerical Optimization, 16.2).
-    The returned solve(active) gives (x, lam), or None when that k x k
-    system will not factor or yields a non-finite point.  The columns
-    L^-1 P' a_i' and their Gram entries are made once for each row that
-    enters a set.
+    The equality KKT [[Q, A_S'], [A_S, 0]] [dx; dlam] = [r1; r2] is solved by
+    y = L^-1 r1[piv], dlam = (G_S + d I)^-1 (V_S' y - r2) refined twice
+    against G_S, with d = _POLISH_REG, and dx[piv] = L^-T (y - V_S dlam).
+    The returned solve(active) gives (x, lam) from r1 = -c, r2 = b_S, or
+    None when G_S + d I will not factor or the point is not finite.  With
+    refine, two more steps on the residuals r1 = -c - Q x - A_S' lam and
+    r2 = b_S - A_S x refine the point against the full KKT, as OSQP's polish
+    does (Stellato et al., OSQP, Math. Prog. Comp. 2020), so no (n+k)^2
+    system is formed.  The columns of V and their Gram entries are made once
+    for each row that enters a set: the work space is O(n k + k^2) in the k
+    rows that have entered.
     """
     n, m = inst.n, inst.m
-    a = inst.a
-    tri = functools.partial(scipy.linalg.solve_triangular, fac, lower=True, check_finite=False)
+    q, a, b, c = inst.q, inst.a, inst.b, inst.c
+    lapack = scipy.linalg.lapack
     inv = np.empty(n, dtype=np.int64)
     inv[piv] = np.arange(n)
-    w = tri(-inst.c[piv])
     slot = np.full(m, -1)  # row -> its column in basis and gram
-    basis = np.empty((n, 0))
+    basis = np.empty((n, 0), order="F")
     gram = np.empty((0, 0))
 
-    def solve(active):
+    def tri(rhs, trans=0):
+        """L^-1 rhs, or L^-T rhs with trans=1, in rhs's storage."""
+        return lapack.dtrtrs(fac, rhs, lower=1, trans=trans, overwrite_b=1)[0]
+
+    def solve(active, refine=False):
         nonlocal basis, gram
         new = active[slot[active] < 0]
         if new.size:
             place = np.full(m, -1)
             place[new] = np.arange(new.size)
             keep = place[a.rows] >= 0
-            block = np.zeros((n, new.size))
-            block[inv[a.cols[keep]], place[a.rows[keep]]] = a.vals[keep]
-            v = tri(block)
+            v = np.zeros((n, new.size), order="F")
+            v[inv[a.cols[keep]], place[a.rows[keep]]] = a.vals[keep]
+            v = tri(v)
             cross = basis.T @ v
             gram = np.block([[gram, cross], [cross.T, v.T @ v]])
             slot[new] = basis.shape[1] + np.arange(new.size)
-            basis = np.hstack([basis, v])
+            basis = np.hstack([basis, v]) if basis.size else v
         pick = slot[active]
-        v_s, g_s = basis[:, pick], gram[np.ix_(pick, pick)]
-        try:
-            chol = scipy.linalg.cho_factor(g_s + _POLISH_REG * np.eye(pick.size), lower=True,
-                                           check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError):
-            return None
-        rhs = v_s.T @ w - inst.b[active]
-        lam = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
-        for _ in range(2):  # refine against the unshifted system, as the full KKT solve does
-            lam = lam + scipy.linalg.cho_solve(chol, rhs - g_s @ lam, check_finite=False)
-        x = np.empty(n)
-        x[piv] = tri(w - v_s @ lam, trans="T")
+        g_s = gram[np.ix_(pick, pick)]
+        if pick.size:
+            chol, info = lapack.dpotrf(g_s + _POLISH_REG * np.eye(pick.size), lower=1)
+            if info:
+                return None
+        along = np.zeros(basis.shape[1])
+
+        def step(r1, r2):
+            y = tri(r1[piv])
+            dlam = r2  # empty for an empty set, whose 0 x 0 system LAPACK refuses
+            if pick.size:
+                rhs = (basis.T @ y)[pick] - r2
+                dlam = lapack.dpotrs(chol, rhs, lower=1)[0]
+                for _ in range(2):
+                    dlam = dlam + lapack.dpotrs(chol, rhs - g_s @ dlam, lower=1)[0]
+            along[pick] = dlam
+            dx = np.empty(n)
+            dx[piv] = tri(y - basis @ along, trans=1)
+            return dx, dlam
+
+        x, lam = step(-c, b[active])
+        lam_rows = np.zeros(m)
+        for _ in range(2 if refine else 0):
+            lam_rows[active] = lam
+            dx, dlam = step(-c - q.matvec(x) - a.rmatvec(lam_rows), (b - a.matvec(x))[active])
+            x, lam = x + dx, lam + dlam
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):
             return None
         return x, lam
@@ -228,10 +252,11 @@ def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None):
     Repair rounds add every violated row at once but retire negative duals
     one at a time, which avoids add/drop cycling.  With chol, the (fac, piv)
     of a positive definite Q from core._pivoted_cholesky, the rounds solve
-    the Schur complement of Q until they accept a set; the full KKT is then
-    factored once, on that set, and its point is the one returned.  If that
-    point fails the rules, or a Schur system will not factor, the rounds go
-    on from there on the full KKT.
+    the Schur complement of Q until they accept a set, whose point is then
+    refined against the full KKT and checked again.  Without chol, or from
+    a set whose Schur system will not factor, gives a non-finite point, or
+    whose refined point fails the rules, each round factors the full KKT
+    densely.
     """
     n, m = inst.n, inst.m
     slack = inst.b - inst.a.matvec(x)
@@ -254,20 +279,21 @@ def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None):
         return None
 
     for _ in range(60):
-        if schur is not None:
-            sol = schur(active)
-            nxt = None if sol is None else repaired(*sol)
-            if nxt is not None:
-                active = nxt
-                continue
-            schur = None  # a set passed or would not factor: the full KKT decides
-        sol = _kkt_equality_solve(inst, active)
+        sol = schur(active) if schur is not None else None
         if sol is None:
-            return None
+            schur = None  # the full KKT takes over for the remaining rounds
+            sol = _kkt_equality_solve(inst, active)
+            if sol is None:
+                return None
         nxt = repaired(*sol)
         if nxt is not None:
             active = nxt
             continue
+        if schur is not None:
+            sol = schur(active, refine=True)
+            if sol is None or repaired(*sol) is not None:
+                schur = None  # the full KKT decides, from this set
+                continue
         xp, lam_act = sol
         lam = np.zeros(m)
         if active.size:

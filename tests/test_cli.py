@@ -358,7 +358,10 @@ PINNED_GENERATE = {
 # coordinates became packed keys, and once when they became packed gaps and
 # the generator witness a packed float string: each time the files written
 # before load to the same arrays, bit for bit, and the manifests did not
-# change.
+# change.  The labeled qp_addvars and qp_combo files were re-pinned once
+# more when the positive definite polish stopped factoring the full KKT:
+# their labels moved in the last bits, and every LP, unlabeled and manifest
+# entry stayed as it was.
 PINNED_AUGMENT_SHA256 = {
     "qp_views/manifest.json":
         "e1250be290533f640039da22d8df0ee981f63dd4bba8aa3f6236cd5a7ceedb08",
@@ -381,13 +384,13 @@ PINNED_AUGMENT_SHA256 = {
     "qp_addvars/manifest.json":
         "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
     "qp_addvars/qp_00000_aug00.json":
-        "f3d66902841be4735383e2bf09d7bb9c3f11638af577e5403ca0ab7ac86f8048",
+        "78d7dcab96698c4c3f416d4cf3bd18c3af93ca6f5086c627eb98239ff5ba6bfd",
     "qp_addvars/qp_00000_aug01.json":
-        "967bf964a29aa9077cc48f349105d8333a71319550f386b22c1d7d06730e3d75",
+        "89efff38ee7ebbf5f8477a0ea7a72347aa7806e8359db0556c9a8293c6b9af4a",
     "qp_addvars/qp_00001_aug00.json":
-        "4d4edd07821acd991847f826e5b761c6307ff2ade2fffffe15dbe0a5f62b1dc7",
+        "2287b430b680d9c7ccc1f5401b6eca1798c0933163d2a2043543f3f723e61228",
     "qp_addvars/qp_00001_aug01.json":
-        "9354774c19d8078ebd8530676dc28cbd5a32e1334fd64a44a98e1dad07473e7e",
+        "7d58e9b5460a8def058f7c965feef9151cc09264ee6a5427a5c9001188c316b1",
     "lp_views/lp_00000_view00.json":
         "f12787274ac4ea24be786ea3d9c5d828599edfd0736c9e742a983407138a0e9e",
     "lp_views/lp_00000_view01.json":
@@ -429,13 +432,13 @@ PINNED_AUGMENT_SHA256 = {
     "qp_combo/manifest.json":
         "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
     "qp_combo/qp_00000_aug00.json":
-        "5df2e052cc8b594a17358860ed4a9c23b37e37e60b1628bd7c6f7185ea15f4fc",
+        "f4cac285704d6d60eef31f3e11afa0bfbbf1b4aefdd64e97d054acd7b7b1e27b",
     "qp_combo/qp_00000_aug01.json":
-        "a891465a79e4382c93c63ef20e0aa39a79691173df5636b5d92cc99143063c3f",
+        "4d2852acaf0f16887301885b07e3eaab1cce4d1d7bb0ad5b5911b4018b74eaf1",
     "qp_combo/qp_00001_aug00.json":
-        "2e70673fad52ee6d51449e7f7887b2b84832be51376f94b0c7af231899919b0a",
+        "4142826cba892a8ba5badbf48b1400f6fefdda0cbabcbf9f7118c85a30be31a7",
     "qp_combo/qp_00001_aug01.json":
-        "c46b270a765cf5efadea3ce612b92210eab7db4ec487b9b433eb1156c152283e",
+        "6c54659034333ef96cf7caeaeadf759da35cbbf6738c48ad9cfc7995938c32b0",
 }
 
 

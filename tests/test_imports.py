@@ -4,8 +4,8 @@
 --solve, augment, verify, graph) run on numpy alone; each is run here as its
 own process, the way `python -m qpaug` runs it, and must leave no scipy
 module behind.  `generate --solve` and `solve` must load `scipy.linalg`, so
-the check can tell the two apart, and no scipy sparse module: the solver
-factors dense matrices only.  Loading a view and encoding it with the message
+the check can tell the two apart, no scipy sparse module, because the solver
+factors dense matrices only, and no scipy.optimize module.  Loading a view and encoding it with the message
 passer runs on numpy alone too."""
 import json
 import os
@@ -59,9 +59,12 @@ def probe(cwd, *args):
 
 
 def assert_dense_scipy_only(loaded):
-    """A solving process loads scipy.linalg and no scipy.sparse module."""
+    """A solving process loads scipy.linalg, no scipy.sparse module and no
+    scipy.optimize module: HiGHS is the tests' LP oracle only, and importing
+    it would cost each solving process about half a second."""
     assert "scipy.linalg" in loaded
-    assert [m for m in loaded if m == "scipy.sparse" or m.startswith("scipy.sparse.")] == []
+    for package in ("scipy.sparse", "scipy.optimize"):
+        assert [m for m in loaded if m == package or m.startswith(package + ".")] == []
 
 
 def test_only_solving_commands_load_scipy(tmp_path):

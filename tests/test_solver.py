@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qpaug import (
+    AugmentPolicy,
     Definiteness,
     InfeasibleOrUnbounded,
     InputError,
@@ -18,6 +20,7 @@ from qpaug import (
     Unbounded,
     add_constraints,
     add_variable_constrained,
+    apply_policy,
     kkt_residuals,
     objective,
     solve_enumeration,
@@ -26,8 +29,9 @@ from qpaug import (
 )
 from qpaug import solver
 from qpaug.core import _pivoted_cholesky
-from qpaug.generators import gen_lp, gen_qp
+from qpaug.generators import _label, gen_lp, gen_qp
 from qpaug.solver import Unconverged, enumerate_candidates
+from qpaug.transforms import COMBO_STRENGTHS
 
 from conftest import make_instance
 
@@ -350,18 +354,29 @@ def polish_both_ways(inst, x, y, lu_calls):
     return full, full_lus, schur, lu_calls[0]
 
 
+def assert_schur_matches_full(inst, schur, full, schur_lus):
+    """The Schur point against the full-KKT point on the same start: x is
+    unique for a positive definite Q, so it matches to 1e-13 relative, and so
+    does the objective.  lam is not compared: on the rank-deficient sets the
+    added rows make, the optimal dual is not unique, and the KKT residual
+    covers it.  No dense LU is made."""
+    assert np.abs(schur.x - full.x).max() <= 1e-13 * np.abs(full.x).max()
+    assert kkt_residuals(inst, schur, relative=True).max_residual <= 1e-12
+    assert schur.objective == pytest.approx(full.objective, rel=1e-13, abs=1e-13)
+    assert schur_lus == 0
+
+
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("m, n", [(6, 4), (9, 6)])
 def test_schur_polish_matches_full_kkt_at_toy_size(seed, m, n, lu_calls):
     """From a cold start (many rounds) and from the base optimum, the Schur
-    rounds accept the set the full-KKT rounds accept, so the one full solve
-    returns the same bits; both agree with the enumeration oracle."""
+    rounds, refined against the full KKT, land on the full-KKT rounds' x and
+    objective with no dense LU; both agree with the enumeration oracle."""
     inst, x_opt, y_opt = redundant_qp(seed, m, n, 0.6)
     oracle = solve_enumeration(inst)
     for x, y in ((np.zeros(inst.n), np.zeros(inst.m)), (x_opt, y_opt)):
         full, _, schur, schur_lus = polish_both_ways(inst, x, y, lu_calls)
-        assert np.array_equal(schur.x, full.x) and np.array_equal(schur.lam, full.lam)
-        assert schur_lus == 1
+        assert_schur_matches_full(inst, schur, full, schur_lus)
         np.testing.assert_allclose(schur.x, oracle.x, rtol=0, atol=1e-9)
         assert objective(inst, schur.x) == pytest.approx(objective(inst, oracle.x), abs=1e-9)
 
@@ -369,8 +384,9 @@ def test_schur_polish_matches_full_kkt_at_toy_size(seed, m, n, lu_calls):
 @pytest.mark.parametrize("seed", range(4))
 def test_schur_polish_one_dense_lu_at_size(seed, lu_calls):
     """At 63 x 40 a cold start takes the full-KKT loop many rounds, each a
-    dense LU.  The Schur rounds land on the same bits with one, and where
-    the full loop gives up after its 60 rounds they give up with none."""
+    dense LU.  The Schur rounds land on the same x and objective with none,
+    and where the full loop gives up after its 60 rounds they give up with
+    none too."""
     inst, _, _ = redundant_qp(seed, 60, 40, 0.15)
     full, full_lus, schur, schur_lus = polish_both_ways(
         inst, np.zeros(inst.n), np.zeros(inst.m), lu_calls)
@@ -378,9 +394,69 @@ def test_schur_polish_one_dense_lu_at_size(seed, lu_calls):
     if full is None:
         assert schur is None and full_lus == 60 and schur_lus == 0
         return
+    assert_schur_matches_full(inst, schur, full, schur_lus)
+
+
+def test_schur_polish_memory_is_order_n_k():
+    """From the optimum of a 300 x 300 PD QP, 126 rows active, the polish
+    holds the Schur columns and their Gram, O(n k + k^2), below three n x n
+    arrays; the dense (n+k)^2 KKT with its shifted copy and LU took 6.2."""
+    inst = gen_qp(300, 300, 0.05, 0.05, seed=0)
+    sol = solve_splitting(inst)
+    assert np.count_nonzero(sol.lam > 1e-9) == 126
+    _, *chol = _pivoted_cholesky(inst.q)
+    pol, peak = traced_peak(lambda: solver._polish(inst, sol.x, sol.lam, chol))
+    assert kkt_residuals(inst, pol, relative=True).max_residual <= 1e-12
+    assert peak < 3 * 8 * inst.n ** 2
+
+
+def test_schur_polish_empty_active_set(lu_calls):
+    """Where the unconstrained minimizer is strictly feasible, no row is
+    active and the polish returns x = -Q^-1 c from Q's factor, lam = 0."""
+    base = gen_qp(20, 12, 0.3, 0.3, seed=1)
+    q = base.q.to_dense()
+    x_free = np.linalg.solve(q, -base.c)
+    inst = make_instance(q, base.a.to_dense(), base.a.matvec(x_free) + 1.0, base.c)
+    _, *chol = _pivoted_cholesky(inst.q)
+    lu_calls[0] = 0
+    pol = solver._polish(inst, x_free, np.zeros(inst.m), chol)
+    assert np.abs(pol.x - x_free).max() <= 1e-12 * np.abs(x_free).max()
+    assert np.array_equal(pol.lam, np.zeros(inst.m))
+    assert lu_calls[0] == 0
+
+
+@pytest.mark.parametrize("refuse", ["factor", "refined"])
+def test_schur_polish_falls_back_to_the_full_kkt(refuse, monkeypatch):
+    """When the k x k Schur system will not factor, or the refined point of
+    an accepted set is refused, the rounds go on from that set on the full
+    KKT, so the polish returns the full loop's bits."""
+    inst, x, y = redundant_qp(0, 9, 6, 0.6)
+    _, *chol = _pivoted_cholesky(inst.q)
+    full = solver._polish(inst, x, y)
+    refused = []
+    if refuse == "factor":
+        def not_positive_definite(g, **kwargs):
+            refused.append(g.shape[0])
+            return g, 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", not_positive_definite)
+    else:
+        rounds = solver._schur_rounds
+
+        def no_refined_point(*args):
+            solve = rounds(*args)
+
+            def refusing(active, refine=False):
+                if refine:
+                    refused.append(active.size)
+                    return None
+                return solve(active)
+            return refusing
+
+        monkeypatch.setattr(solver, "_schur_rounds", no_refined_point)
+    schur = solver._polish(inst, x, y, chol)
+    assert refused and refused[0] > 0
     assert np.array_equal(schur.x, full.x) and np.array_equal(schur.lam, full.lam)
-    assert schur_lus == 1
-    assert kkt_residuals(inst, schur, relative=True).max_residual <= 1e-8
 
 
 def psd_qp():
@@ -405,6 +481,44 @@ def test_lp_and_psd_polish_keep_the_full_kkt_rounds(make, lus, lu_calls, monkeyp
     sol, stats = solve_splitting_detailed(inst)
     assert stats.polished and lu_calls[0] == lus
     assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-8
+
+
+# ------------------------------------------------- HiGHS as an LP oracle
+
+
+def highs(inst):
+    """HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018) on
+    min c'x over A x <= b with x free: the one oracle call, options fixed."""
+    res = scipy.optimize.linprog(
+        inst.c, A_ub=inst.a.to_dense(), b_ub=inst.b, bounds=(None, None), method="highs-ds",
+        options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lp_labels_match_highs(seed):
+    """A bounded 100 x 100 LP and two combo-augmented copies: the label the
+    solver gives the LP, the labels the augmenter maps onto the copies and
+    the labels re-solving the copies gives, where ok, each have HiGHS's
+    objective to 1e-6 relative and a feasible x."""
+    base = gen_lp(100, 100, 0.05, seed=seed, bounded=True)
+    status, sol = _label(base)
+    assert status == "ok"
+    labeled = [(base, sol)]
+    for copy in range(2):
+        policy = AugmentPolicy(COMBO_STRENGTHS, seed=10 * seed + copy)
+        inst, mapped, _ = apply_policy(base, policy, sol)
+        labeled.append((inst, mapped))
+        status, resolved = _label(inst)
+        if status == "ok":
+            labeled.append((inst, resolved))
+    assert len(labeled) >= 4
+    for inst, label in labeled:
+        want = highs(inst).fun
+        assert label.objective == pytest.approx(want, rel=1e-6)
+        assert (inst.a.matvec(label.x) - inst.b).max() <= 1e-6 * (1.0 + np.abs(inst.b).max())
 
 
 # ------------------------------------------------- the ADMM step's reduced system

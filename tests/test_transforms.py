@@ -1159,7 +1159,10 @@ def test_apply_policy_carries_labels_through_map_solution(monkeypatch, strengths
 # recorded while add_constraints still built its rows through scipy, and
 # re-pinned once when coordinates became packed keys and once when they
 # became packed gaps and the generator witness a packed float string (each
-# time the files written before load to the same arrays, bit for bit)
+# time the files written before load to the same arrays, bit for bit); the
+# qp entries were re-pinned once more when the positive definite polish
+# stopped factoring the full KKT, which moved the QP label in its last bits,
+# and the lp entries stayed as they were
 PINNED_PUBLIC_OPS_SHA256 = {
     "lp_add_constraints.json":
         "0fa859b40f07959f008896a4e7209dd3db030ab0411c0bb556aacb08192c3bb9",
@@ -1168,15 +1171,15 @@ PINNED_PUBLIC_OPS_SHA256 = {
     "lp_bias_instance.json":
         "f57be3fde73aab1d6ab26700c37fda6663826ed158fcbe6f658680885120899a",
     "qp_add_constraints.json":
-        "00f13aa41b8f08dbd5ac1c06dd72c9cf8c7005aa35fc8eb1ad80289bcee4bbd6",
+        "698d0159edcbe08a04cfb17c3d4ece0a4e09014b4237d153a770d91313487a3a",
     "qp_add_variable_biased.json":
-        "8ef7eaed11348f5b6ce5e5d7402f2e794776959eb64b38a3b5b1b166ea77d2c7",
+        "3be72f8d18f04d6d711ff77e6e93d8b173857dfa001ef004208ad606eac7b426",
     "qp_add_variable_constrained.json":
-        "cce3e942b5830c1f392e51b79ee9982acac8a9bd9f8fd239ee6b9252e7e0e6e8",
+        "73c03b5f58dcaf187cc0a34bb5214d245e82fd3d78da13e49a99cd66741be444",
     "qp_add_variables.json":
-        "fb07490ff2416898ca9b0883d053c6efe1595eb11aeade2451f95150c2eb7af1",
+        "712036a3d2c30c8eece83aca0916b42dc97adf27076889d54dc6de4bbbf9b974",
     "qp_bias_instance.json":
-        "7404d20223cb4c932e2bca2ce31aacd5e142a1119537b7148d5c4639128f0fa2",
+        "f3ac5ebc2421940c5543f1e037fefcfc9aa20f4cd6a538ba4854a2e4218fe132",
 }
 
 
