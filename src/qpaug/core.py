@@ -38,6 +38,10 @@ class Definiteness(enum.Enum):
     INDEFINITE = "indefinite"
 
 
+# psd_certificate's default pivot tol, relative to max(1, max |q_jj|)
+_PSD_TOL = 1e-10
+
+
 def _as_float_vector(v, length: int, label: str) -> np.ndarray:
     """A read-only float64 copy of `v`; the caller's array stays writeable."""
     arr = _operand(np.array(v, dtype=np.float64), length, label)
@@ -393,15 +397,9 @@ def psd_certificate(q: SparseMatrix, tol: float | None = None) -> Definiteness:
     PD when all pivots clear tol, PSD when elimination stalls on a residual
     block that is itself negligible, indefinite otherwise.  The elimination
     is LAPACK's pivoted Cholesky (dpstrf), which takes the largest remaining
-    diagonal entry as each pivot and stops at the first one <= tol.
+    diagonal entry as each pivot and stops at the first one <= tol.  The
+    default tol is _PSD_TOL times max(1, max |q_jj|).
     """
-    return _pivoted_cholesky(q, tol)[0]
-
-
-def _pivoted_cholesky(q: SparseMatrix, tol: float | None = None):
-    """psd_certificate's verdict, with dpstrf's factor and 0-based pivots:
-    when the verdict is PD, the lower triangle of the factor is the L of
-    Q[piv][:, piv] = L L'; its upper triangle is left as dpstrf leaves it."""
     if q.n_rows != q.n_cols:
         raise InputError("matrix must be square")
     if not q.is_symmetric():
@@ -410,25 +408,24 @@ def _pivoted_cholesky(q: SparseMatrix, tol: float | None = None):
     h = q.to_dense()
     scale = max(1.0, float(np.abs(np.diag(h)).max()) if n else 1.0)
     if tol is None:
-        tol = 1e-10 * scale
+        tol = _PSD_TOL * scale
     # limit for off-diagonal mass of a PSD matrix whose diagonal is below tol
     off_limit = max(tol, np.sqrt(tol * scale))
     from scipy.linalg import lapack
 
     fac, piv, rank, _ = lapack.dpstrf(h, tol=tol, lower=1)
-    piv -= 1
     if rank == n:
-        return Definiteness.PD, fac, piv
+        return Definiteness.PD
     # dpstrf leaves the trailing block partly updated, so form the Schur
     # complement H22 - L21 L21' of the stalled elimination from h itself
-    rest = piv[rank:]
+    rest = piv[rank:] - 1
     low = fac[rank:, :rank]
     sub = h[np.ix_(rest, rest)] - low @ low.T
     d = np.diag(sub)
     off = sub - np.diag(d)
     if d.min() < -tol or (off.size and np.abs(off).max() > off_limit):
-        return Definiteness.INDEFINITE, fac, piv
-    return Definiteness.PSD, fac, piv
+        return Definiteness.INDEFINITE
+    return Definiteness.PSD
 
 
 def permute_instance(

@@ -7,6 +7,11 @@ of the estimated active set: on the Schur complement of a positive definite
 Q, refined against the full KKT residual, and for LPs and semidefinite Q on
 the full KKT, factored densely.  solve_enumeration checks every candidate
 active set and is the ground-truth oracle at toy sizes.
+
+The Cholesky factors and their triangular solves (_chol, _tri) are numpy's
+own: a positive definite QP is solved without loading scipy.linalg, which
+only psd_certificate (for a Q that is not clearly positive definite) and
+the dense LU of the full KKT reach.
 """
 from __future__ import annotations
 
@@ -14,9 +19,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads on first use, by the dense LU alone
 
 from .core import (
+    _PSD_TOL,
     Definiteness,
     InputError,
     KktReport,
@@ -24,15 +30,11 @@ from .core import (
     ProblemKind,
     Solution,
     SparseMatrix,
-    _pivoted_cholesky,
     kkt_residuals,
     kkt_residuals_raw,
     objective,
+    psd_certificate,
 )
-# psd_certificate is not called here (solves read the factor behind its
-# verdict from _pivoted_cholesky) but stays importable from solver, where
-# perfbench/tracing.py wraps it
-from .core import psd_certificate  # noqa: F401
 
 
 class Unbounded(RuntimeError):
@@ -77,25 +79,94 @@ _CERT_TOL = 1e-5
 _POLISH_REG = 1e-9
 _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
-_GRAM_BLOCK = 64  # rows of A made dense at a time while forming A'A
+_GRAM_BLOCK = 64  # rows of A made dense at a time, and columns of a Cholesky strip
 
 
 def _gram(a: SparseMatrix) -> np.ndarray:
-    """A'A in the lower triangle of an n x n array, summed by rank-k updates
-    over blocks of _GRAM_BLOCK rows of A, so the work space is one such block
-    and no m x n array is formed."""
-    gram = np.zeros((a.n_cols, a.n_cols), order="F")
-    block = np.zeros((_GRAM_BLOCK, a.n_cols))
+    """A'A in the lower triangle of an n x n array, summed over blocks of
+    _GRAM_BLOCK rows of A, each added one strip of _GRAM_BLOCK columns at a
+    time, so the work space is one such block and one strip: no m x n array
+    and no n x n temporary is formed."""
+    n = a.n_cols
+    gram = np.zeros((n, n))
+    block = np.zeros((_GRAM_BLOCK, n))
     bounds = np.searchsorted(a.rows, np.arange(0, a.n_rows + _GRAM_BLOCK, _GRAM_BLOCK))
     for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
         block[a.rows[s:e] - k * _GRAM_BLOCK, a.cols[s:e]] = a.vals[s:e]
-        scipy.linalg.blas.dsyrk(1.0, block.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
+        for j in range(0, n, _GRAM_BLOCK):
+            gram[j:, j:j + _GRAM_BLOCK] += block[:, j:].T @ block[:, j:j + _GRAM_BLOCK]
         block.fill(0.0)
     return gram
 
 
+def _chol(p: np.ndarray):
+    """(p, inverses): P = L L' with L written over p's lower triangle, and
+    the inverse of each diagonal block of L; None when P is not numerically
+    positive definite, which a non-finite entry makes it too.
+
+    Left-looking over strips of _GRAM_BLOCK columns: each strip takes the
+    update from the columns left of it, its diagonal block is factored by
+    np.linalg.cholesky and inverted, and the panel below is scaled by that
+    inverse.  Only the lower triangle is read or written, and the work space
+    is one strip.
+    """
+    n = p.shape[0]
+    inverses = []
+    for j in range(0, n, _GRAM_BLOCK):
+        e = min(j + _GRAM_BLOCK, n)
+        block, panel = p[j:e, j:e], p[e:, j:e]
+        lower = np.tri(e - j, dtype=bool)
+        if j:
+            np.subtract(block, p[j:e, :j] @ p[j:e, :j].T, out=block, where=lower)
+            panel -= p[e:, :j] @ p[j:e, :j].T
+        try:
+            low = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(low.diagonal()).all():
+            return None  # potrf passes a NaN pivot, which any NaN entry leads to
+        inv = _tri_inv(low)
+        np.copyto(block, low, where=lower)
+        panel[...] = panel @ inv.T
+        inverses.append(inv)
+    return p, inverses
+
+
+def _tri_inv(low: np.ndarray) -> np.ndarray:
+    """The inverse of a lower triangular block, from the inverses of its two
+    halves: [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]]."""
+    k = low.shape[0]
+    if k <= _GRAM_BLOCK // 2:
+        return np.linalg.inv(low)
+    h = k // 2
+    head, tail = _tri_inv(low[:h, :h]), _tri_inv(low[h:, h:])
+    inv = np.zeros((k, k))
+    inv[:h, :h] = head
+    inv[h:, h:] = tail
+    inv[h:, :h] = -(tail @ low[h:, :h]) @ head
+    return inv
+
+
+def _tri(fac, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
+    """L^-1 rhs, or L^-T rhs with trans, for fac = (p, inverses) from _chol
+    and a 1-D or 2-D rhs, by block substitution with the inverted diagonal
+    blocks (Higham, Accuracy and Stability of Numerical Algorithms, 2002)."""
+    low, inverses = fac
+    out = np.empty(rhs.shape)
+    starts = range(0, len(low), _GRAM_BLOCK)
+    if not trans:
+        for j, inv in zip(starts, inverses):
+            e = j + len(inv)
+            out[j:e] = inv @ (rhs[j:e] - low[j:e, :j] @ out[:j] if j else rhs[:e])
+    else:
+        for j, inv in zip(reversed(starts), reversed(inverses)):
+            e = j + len(inv)
+            out[j:e] = inv.T @ (rhs[j:e] - low[e:, j:e].T @ out[e:] if e < len(low) else rhs[j:])
+    return out
+
+
 def _admm_factor(q: SparseMatrix, gram: np.ndarray, rho: float):
-    """(cho_factor of P = Q + sigma I + rho A'A, sigma), with gram from _gram.
+    """(_chol of P = Q + sigma I + rho A'A, sigma), with gram from _gram.
 
     P is positive definite for every kind because Q is PSD and sigma > 0,
     but once Q + rho A'A is about sigma / eps in size, sigma is lost to
@@ -112,12 +183,12 @@ def _admm_factor(q: SparseMatrix, gram: np.ndarray, rho: float):
         p[q.rows, q.cols] += q.vals
         top = p[diag].max(initial=0.0)
         p[diag] += sigma
-        try:
-            return scipy.linalg.cho_factor(p, lower=True, overwrite_a=True, check_finite=False), sigma
-        except scipy.linalg.LinAlgError:
-            if not sigma < top < np.inf:
-                raise Unconverged(f"the step system will not factor at penalty {rho:g}", None, None)
-            sigma *= 100.0
+        fac = _chol(p)
+        if fac is not None:
+            return fac, sigma
+        if not sigma < top < np.inf:
+            raise Unconverged(f"the step system will not factor at penalty {rho:g}", None, None)
+        sigma *= 100.0
 
 
 def _admm_step(fac, a: SparseMatrix, rho: float, x: np.ndarray, c: np.ndarray, r2: np.ndarray):
@@ -126,43 +197,49 @@ def _admm_step(fac, a: SparseMatrix, rho: float, x: np.ndarray, c: np.ndarray, r
     P x' = sigma x - c + rho A' r2, with fac = (factor, sigma) from
     _admm_factor (Stellato et al., OSQP, Math. Prog. Comp. 2020, section
     3.1).  nu = rho (A x' - r2) is not formed: the iteration needs only A x'."""
-    (low, lower), sigma = fac
-    # LAPACK's potrs, as cho_solve calls it, without cho_solve's checks,
-    # which cost as much again at the paper's 100 x 100 size
-    xt, _ = scipy.linalg.lapack.dpotrs(low, sigma * x - c + rho * a.rmatvec(r2), lower=lower)
-    return xt
+    low, sigma = fac
+    return _tri(low, _tri(low, sigma * x - c + rho * a.rmatvec(r2)), trans=True)
 
 
-def _schur_rounds(inst: LcqpInstance, fac: np.ndarray, piv: np.ndarray):
+def _pd_factor(q: SparseMatrix):
+    """_chol of a positive definite Q, or None when Q is not clearly so.
+
+    Q counts as positive definite when its unpivoted factor's smallest
+    pivot L_jj^2 clears psd_certificate's default tol; otherwise
+    psd_certificate decides, and InputError when Q is indefinite."""
+    h = q.to_dense()
+    tol = _PSD_TOL * max(1.0, np.abs(np.diag(h)).max())
+    fac = _chol(h)
+    if fac is not None and np.diag(h).min() ** 2 > tol:
+        return fac
+    if psd_certificate(q) is Definiteness.INDEFINITE:
+        raise InputError("quadratic term must be positive semidefinite")
+    return None
+
+
+def _schur_rounds(inst: LcqpInstance, fac):
     """Equality solves on the Schur complement of a positive definite Q.
 
-    Q[piv][:, piv] = L L' with L the lower triangle of fac, and the columns
-    of V_S = L^-1 (A_S')[piv] have the Gram matrix G_S = A_S Q^-1 A_S' (the
+    Q = L L' with fac = (L, inverses) from _chol, and the columns of
+    V_S = L^-1 A_S' have the Gram matrix G_S = A_S Q^-1 A_S' (the
     range-space method, Nocedal & Wright, Numerical Optimization, 16.2).
     The equality KKT [[Q, A_S'], [A_S, 0]] [dx; dlam] = [r1; r2] is solved by
-    y = L^-1 r1[piv], dlam = (G_S + d I)^-1 (V_S' y - r2) refined twice
-    against G_S, with d = _POLISH_REG, and dx[piv] = L^-T (y - V_S dlam).
-    The returned solve(active) gives (x, lam) from r1 = -c, r2 = b_S, or
-    None when G_S + d I will not factor or the point is not finite.  With
-    refine, two more steps on the residuals r1 = -c - Q x - A_S' lam and
-    r2 = b_S - A_S x refine the point against the full KKT, as OSQP's polish
-    does (Stellato et al., OSQP, Math. Prog. Comp. 2020), so no (n+k)^2
-    system is formed.  The columns of V and their Gram entries are made once
-    for each row that enters a set: the work space is O(n k + k^2) in the k
-    rows that have entered.
+    y = L^-1 r1, dlam = (G_S + d I)^-1 (V_S' y - r2) refined twice against
+    G_S, with d = _POLISH_REG, and dx = L^-T (y - V_S dlam).  The returned
+    solve(active) gives (x, lam) from r1 = -c, r2 = b_S, or None when
+    G_S + d I will not factor or the point is not finite.  With refine, two
+    more steps on the residuals r1 = -c - Q x - A_S' lam and r2 = b_S - A_S x
+    refine the point against the full KKT, as OSQP's polish does (Stellato
+    et al., OSQP, Math. Prog. Comp. 2020), so no (n+k)^2 system is formed.
+    The columns of V and their Gram entries are made once for each row that
+    enters a set: the work space is O(n k + k^2) in the k rows that have
+    entered.
     """
     n, m = inst.n, inst.m
     q, a, b, c = inst.q, inst.a, inst.b, inst.c
-    lapack = scipy.linalg.lapack
-    inv = np.empty(n, dtype=np.int64)
-    inv[piv] = np.arange(n)
     slot = np.full(m, -1)  # row -> its column in basis and gram
-    basis = np.empty((n, 0), order="F")
+    basis = np.empty((n, 0))
     gram = np.empty((0, 0))
-
-    def tri(rhs, trans=0):
-        """L^-1 rhs, or L^-T rhs with trans=1, in rhs's storage."""
-        return lapack.dtrtrs(fac, rhs, lower=1, trans=trans, overwrite_b=1)[0]
 
     def solve(active, refine=False):
         nonlocal basis, gram
@@ -171,33 +248,31 @@ def _schur_rounds(inst: LcqpInstance, fac: np.ndarray, piv: np.ndarray):
             place = np.full(m, -1)
             place[new] = np.arange(new.size)
             keep = place[a.rows] >= 0
-            v = np.zeros((n, new.size), order="F")
-            v[inv[a.cols[keep]], place[a.rows[keep]]] = a.vals[keep]
-            v = tri(v)
+            v = np.zeros((n, new.size))
+            v[a.cols[keep], place[a.rows[keep]]] = a.vals[keep]
+            v = _tri(fac, v)
             cross = basis.T @ v
             gram = np.block([[gram, cross], [cross.T, v.T @ v]])
             slot[new] = basis.shape[1] + np.arange(new.size)
-            basis = np.hstack([basis, v]) if basis.size else v
+            basis = np.hstack([basis, v])
         pick = slot[active]
         g_s = gram[np.ix_(pick, pick)]
-        if pick.size:
-            chol, info = lapack.dpotrf(g_s + _POLISH_REG * np.eye(pick.size), lower=1)
-            if info:
-                return None
+        g_fac = _chol(g_s + _POLISH_REG * np.eye(pick.size))
+        if g_fac is None:
+            return None
         along = np.zeros(basis.shape[1])
 
+        def g_solve(rhs):
+            return _tri(g_fac, _tri(g_fac, rhs), trans=True)
+
         def step(r1, r2):
-            y = tri(r1[piv])
-            dlam = r2  # empty for an empty set, whose 0 x 0 system LAPACK refuses
-            if pick.size:
-                rhs = (basis.T @ y)[pick] - r2
-                dlam = lapack.dpotrs(chol, rhs, lower=1)[0]
-                for _ in range(2):
-                    dlam = dlam + lapack.dpotrs(chol, rhs - g_s @ dlam, lower=1)[0]
+            y = _tri(fac, r1)
+            rhs = (basis.T @ y)[pick] - r2
+            dlam = g_solve(rhs)
+            for _ in range(2):
+                dlam = dlam + g_solve(rhs - g_s @ dlam)
             along[pick] = dlam
-            dx = np.empty(n)
-            dx[piv] = tri(y - basis @ along, trans=1)
-            return dx, dlam
+            return _tri(fac, y - basis @ along, trans=True), dlam
 
         x, lam = step(-c, b[active])
         lam_rows = np.zeros(m)
@@ -250,8 +325,8 @@ def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None):
     """Re-solve the equality system on the estimated active set.
 
     Repair rounds add every violated row at once but retire negative duals
-    one at a time, which avoids add/drop cycling.  With chol, the (fac, piv)
-    of a positive definite Q from core._pivoted_cholesky, the rounds solve
+    one at a time, which avoids add/drop cycling.  With chol, the _chol
+    factor of a positive definite Q from _pd_factor, the rounds solve
     the Schur complement of Q until they accept a set, whose point is then
     refined against the full KKT and checked again.  Without chol, or from
     a set whose Schur system will not factor, gives a non-finite point, or
@@ -265,7 +340,7 @@ def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None):
     active = np.flatnonzero(near | pushed)
     b_scale = 1.0 + (np.abs(inst.b).max() if m else 0.0)
     lam_tol = 1e-9 * (1.0 + (np.abs(y).max() if m else 0.0))
-    schur = _schur_rounds(inst, *chol) if chol is not None else None
+    schur = _schur_rounds(inst, chol) if chol is not None else None
 
     def repaired(xp, lam_act):
         """The next round's active set, or None when (xp, lam_act) passes."""
@@ -310,13 +385,7 @@ def solve_splitting_detailed(
     # NaN fails these comparisons too
     if not (0.0 < cfg.tol < np.inf and 0.0 < cfg.penalty < np.inf) or cfg.max_iter < 1:
         raise InputError("tol and penalty must be positive and finite, max_iter >= 1")
-    chol = None
-    if inst.kind is ProblemKind.QP:
-        verdict, *pivoted = _pivoted_cholesky(inst.q)
-        if verdict is Definiteness.INDEFINITE:
-            raise InputError("quadratic term must be positive semidefinite")
-        if verdict is Definiteness.PD:
-            chol = pivoted
+    chol = _pd_factor(inst.q) if inst.kind is ProblemKind.QP else None
     n, m = inst.n, inst.m
     q, a, b, c = inst.q, inst.a, inst.b, inst.c
     rho = cfg.penalty

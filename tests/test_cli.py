@@ -359,9 +359,10 @@ PINNED_GENERATE = {
 # the generator witness a packed float string: each time the files written
 # before load to the same arrays, bit for bit, and the manifests did not
 # change.  The labeled qp_addvars and qp_combo files were re-pinned once
-# more when the positive definite polish stopped factoring the full KKT:
-# their labels moved in the last bits, and every LP, unlabeled and manifest
-# entry stayed as it was.
+# more when the positive definite polish stopped factoring the full KKT,
+# and once more when the solver's Cholesky factors and triangular solves
+# became numpy's own: each time their labels moved in the last bits, and
+# every LP, unlabeled and manifest entry stayed as it was.
 PINNED_AUGMENT_SHA256 = {
     "qp_views/manifest.json":
         "e1250be290533f640039da22d8df0ee981f63dd4bba8aa3f6236cd5a7ceedb08",
@@ -384,13 +385,13 @@ PINNED_AUGMENT_SHA256 = {
     "qp_addvars/manifest.json":
         "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
     "qp_addvars/qp_00000_aug00.json":
-        "78d7dcab96698c4c3f416d4cf3bd18c3af93ca6f5086c627eb98239ff5ba6bfd",
+        "22028893c330a157269df3a893e86e63dd5034468393a4c94b9914594e4aaf1c",
     "qp_addvars/qp_00000_aug01.json":
-        "89efff38ee7ebbf5f8477a0ea7a72347aa7806e8359db0556c9a8293c6b9af4a",
+        "4927b4473d0db5aa7c57319002a02ffc4b8fb0354f91c31ee4b0f6158cc1ac6b",
     "qp_addvars/qp_00001_aug00.json":
-        "2287b430b680d9c7ccc1f5401b6eca1798c0933163d2a2043543f3f723e61228",
+        "c990ae0f122105ff276f5f12bd3abdf67d347a1ec66a71134935217cd5ecc9a8",
     "qp_addvars/qp_00001_aug01.json":
-        "7d58e9b5460a8def058f7c965feef9151cc09264ee6a5427a5c9001188c316b1",
+        "3f0fe51f24665233583446146daf66499c08107d01dccd6c7a3e29bafb3e0fc4",
     "lp_views/lp_00000_view00.json":
         "f12787274ac4ea24be786ea3d9c5d828599edfd0736c9e742a983407138a0e9e",
     "lp_views/lp_00000_view01.json":
@@ -432,13 +433,13 @@ PINNED_AUGMENT_SHA256 = {
     "qp_combo/manifest.json":
         "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
     "qp_combo/qp_00000_aug00.json":
-        "f4cac285704d6d60eef31f3e11afa0bfbbf1b4aefdd64e97d054acd7b7b1e27b",
+        "fa9068c3a5d164916484dd1a2a8baffe320dca18802250690231432cd293c337",
     "qp_combo/qp_00000_aug01.json":
-        "4d2852acaf0f16887301885b07e3eaab1cce4d1d7bb0ad5b5911b4018b74eaf1",
+        "9ec3ff9c8e25ef5e9fc8fd2e57810d5bb8ca8da50d98a027a001fdfec5a7ca46",
     "qp_combo/qp_00001_aug00.json":
-        "4142826cba892a8ba5badbf48b1400f6fefdda0cbabcbf9f7118c85a30be31a7",
+        "64ff00ad5009a1aadc39fa553570b7e27d49dfcf794b431b19d4cbb7ace70647",
     "qp_combo/qp_00001_aug01.json":
-        "6c54659034333ef96cf7caeaeadf759da35cbbf6738c48ad9cfc7995938c32b0",
+        "e43038f371c374011ecdc9955fabaf41b469b1803e2178283a19015eb94435fd",
 }
 
 

@@ -3,9 +3,12 @@
 `import qpaug` and the commands that never solve (help, generate without
 --solve, augment, verify, graph) run on numpy alone; each is run here as its
 own process, the way `python -m qpaug` runs it, and must leave no scipy
-module behind.  `generate --solve` and `solve` must load `scipy.linalg`, so
-the check can tell the two apart, no scipy sparse module, because the solver
-factors dense matrices only, and no scipy.optimize module.  Loading a view and encoding it with the message
+module behind.  `generate --solve` and `solve` on positive definite QPs
+factor and solve on numpy too: they import the scipy package, which the
+solver reaches its dense LU through, and must load nothing under it beyond
+what a bare `import scipy` loads, so no scipy.linalg module.  An LP's
+`generate --solve` loads scipy.linalg for that LU, and no scipy sparse or
+scipy.optimize module.  Loading a view and encoding it with the message
 passer runs on numpy alone too."""
 import json
 import os
@@ -58,16 +61,24 @@ def probe(cwd, *args):
     return result["scipy"]
 
 
-def assert_dense_scipy_only(loaded):
-    """A solving process loads scipy.linalg, no scipy.sparse module and no
-    scipy.optimize module: HiGHS is the tests' LP oracle only, and importing
-    it would cost each solving process about half a second."""
-    assert "scipy.linalg" in loaded
-    for package in ("scipy.sparse", "scipy.optimize"):
-        assert [m for m in loaded if m == package or m.startswith(package + ".")] == []
+def scipy_start_up():
+    """The scipy modules a bare `import scipy` loads."""
+    proc = python("-c", "import json, sys, scipy; print(json.dumps(sorted("
+                  "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def assert_scipy_start_up_only(loaded, start_up):
+    """A process that solved positive definite QPs loaded the scipy package
+    and nothing under it beyond its start-up: no scipy.linalg module."""
+    assert "scipy" in loaded
+    assert set(loaded) <= set(start_up), sorted(set(loaded) - set(start_up))
+    assert [m for m in loaded if m == "scipy.linalg" or m.startswith("scipy.linalg.")] == []
 
 
 def test_only_solving_commands_load_scipy(tmp_path):
+    start_up = scipy_start_up()
     no_scipy = [
         ["--help"],
         ["generate", *QP, "--out", "raw"],
@@ -77,7 +88,8 @@ def test_only_solving_commands_load_scipy(tmp_path):
     ]
     for args in no_scipy:
         assert probe(tmp_path, *args) == [], args
-    assert_dense_scipy_only(probe(tmp_path, "generate", *QP, "--solve", "--out", "lab"))
+    assert_scipy_start_up_only(probe(tmp_path, "generate", *QP, "--solve", "--out", "lab"),
+                               start_up)
     no_scipy = [
         ["augment", "--manifest", "lab/manifest.json", "--per-instance", "1", "--seed", "1",
          "--out", "aug"],
@@ -86,9 +98,22 @@ def test_only_solving_commands_load_scipy(tmp_path):
     ]
     for args in no_scipy:
         assert probe(tmp_path, *args) == [], args
-    assert_dense_scipy_only(probe(tmp_path, "solve", "--manifest", "aug/manifest.json",
-                                  "--out", "sol"))
+    assert_scipy_start_up_only(probe(tmp_path, "solve", "--manifest", "aug/manifest.json",
+                                     "--out", "sol"), start_up)
     assert probe(tmp_path, "verify", "--manifest", "sol/manifest.json") == []
+
+
+def test_lp_solve_loads_dense_scipy_only(tmp_path):
+    """Labeling LPs loads scipy.linalg for the polish's dense LU, no scipy
+    sparse module, because the solver factors dense matrices only, and no
+    scipy.optimize module: HiGHS is the tests' LP oracle only, and importing
+    it would cost each solving process about half a second."""
+    loaded = probe(tmp_path, "generate", "--family", "lp", "--rows", "12", "--cols", "10",
+                   "--density-a", "0.3", "--bounded", "--count", "2", "--seed", "3",
+                   "--solve", "--out", "lab")
+    assert "scipy.linalg" in loaded
+    for package in ("scipy.sparse", "scipy.optimize"):
+        assert [m for m in loaded if m == package or m.startswith(package + ".")] == []
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

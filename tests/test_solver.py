@@ -23,12 +23,12 @@ from qpaug import (
     apply_policy,
     kkt_residuals,
     objective,
+    psd_certificate,
     solve_enumeration,
     solve_splitting,
     solve_splitting_detailed,
 )
 from qpaug import solver
-from qpaug.core import _pivoted_cholesky
 from qpaug.generators import _label, gen_lp, gen_qp
 from qpaug.solver import Unconverged, enumerate_candidates
 from qpaug.transforms import COMBO_STRENGTHS
@@ -345,8 +345,9 @@ def lu_calls(monkeypatch):
 def polish_both_ways(inst, x, y, lu_calls):
     """_polish without and with the positive definite Q's factor, and the
     dense LU count of each."""
-    verdict, *chol = _pivoted_cholesky(inst.q)
-    assert verdict is Definiteness.PD
+    assert psd_certificate(inst.q) is Definiteness.PD
+    chol = solver._pd_factor(inst.q)
+    assert chol is not None
     lu_calls[0] = 0
     full = solver._polish(inst, x, y)
     full_lus, lu_calls[0] = lu_calls[0], 0
@@ -404,7 +405,7 @@ def test_schur_polish_memory_is_order_n_k():
     inst = gen_qp(300, 300, 0.05, 0.05, seed=0)
     sol = solve_splitting(inst)
     assert np.count_nonzero(sol.lam > 1e-9) == 126
-    _, *chol = _pivoted_cholesky(inst.q)
+    chol = solver._pd_factor(inst.q)
     pol, peak = traced_peak(lambda: solver._polish(inst, sol.x, sol.lam, chol))
     assert kkt_residuals(inst, pol, relative=True).max_residual <= 1e-12
     assert peak < 3 * 8 * inst.n ** 2
@@ -417,7 +418,7 @@ def test_schur_polish_empty_active_set(lu_calls):
     q = base.q.to_dense()
     x_free = np.linalg.solve(q, -base.c)
     inst = make_instance(q, base.a.to_dense(), base.a.matvec(x_free) + 1.0, base.c)
-    _, *chol = _pivoted_cholesky(inst.q)
+    chol = solver._pd_factor(inst.q)
     lu_calls[0] = 0
     pol = solver._polish(inst, x_free, np.zeros(inst.m), chol)
     assert np.abs(pol.x - x_free).max() <= 1e-12 * np.abs(x_free).max()
@@ -431,15 +432,16 @@ def test_schur_polish_falls_back_to_the_full_kkt(refuse, monkeypatch):
     an accepted set is refused, the rounds go on from that set on the full
     KKT, so the polish returns the full loop's bits."""
     inst, x, y = redundant_qp(0, 9, 6, 0.6)
-    _, *chol = _pivoted_cholesky(inst.q)
+    chol = solver._pd_factor(inst.q)
     full = solver._polish(inst, x, y)
     refused = []
     if refuse == "factor":
-        def not_positive_definite(g, **kwargs):
+        # Q's factor is made above, so every factorization _polish asks for
+        # is that of a k x k Schur system
+        def not_positive_definite(g):
             refused.append(g.shape[0])
-            return g, 1
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", not_positive_definite)
+        monkeypatch.setattr(solver, "_chol", not_positive_definite)
     else:
         rounds = solver._schur_rounds
 
@@ -579,7 +581,7 @@ def test_step_takes_sigma_from_the_factor():
     inst, rho, sigma = step_case("lp"), 1.0, 1e-2
     n, m = inst.n, inst.m
     a = inst.a.to_dense()
-    fac = scipy.linalg.cho_factor(sigma * np.eye(n) + rho * a.T @ a, lower=True), sigma
+    fac = solver._chol(sigma * np.eye(n) + rho * a.T @ a), sigma
     rng = np.random.default_rng(1)
     x, c, r2 = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(m)
     kkt = np.block([[sigma * np.eye(n), a.T], [a, -np.eye(m) / rho]])
@@ -660,3 +662,95 @@ def test_solve_leaves_no_cyclic_garbage(make):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ------------------------------------------------- the blocked Cholesky factor
+
+
+def spd(n, seed):
+    """A well conditioned n x n symmetric positive definite matrix."""
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return g @ g.T / n + np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_chol_and_tri_solve_like_numpy(n):
+    """L L' = P, and _tri's block substitution gives L^-1 rhs and L^-T rhs,
+    and with both P^-1 rhs, as np.linalg.solve does, for 1-D and 2-D rhs,
+    at sizes below, at and across the strip width."""
+    p = spd(n, n)
+    fac = solver._chol(p.copy())
+    low = np.tril(fac[0])
+    assert np.abs(low @ low.T - p).max() <= 1e-12 * np.abs(p).max()
+    rng = np.random.default_rng(0)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        for trans in (False, True):
+            want = np.linalg.solve(low.T if trans else low, rhs)
+            got = solver._tri(fac, rhs, trans)
+            assert got.shape == rhs.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        want = np.linalg.solve(p, rhs)
+        got = solver._tri(fac, solver._tri(fac, rhs), trans=True)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, where", [(3, (2, 0)), (70, (69, 3)), (70, (66, 65))])
+def test_chol_refuses_indefinite_and_nan(n, where):
+    """An indefinite matrix and a NaN in the lower triangle, in the first
+    strip or a later one, give None, although the potrf numpy calls passes
+    a NaN pivot without an error."""
+    indefinite = spd(n, 1)
+    indefinite[where[0], where[0]] = -1.0
+    assert solver._chol(indefinite) is None
+    nan = spd(n, 1)
+    nan[where] = np.nan
+    assert solver._chol(nan) is None
+
+
+@pytest.mark.parametrize("n", [5, 130])
+def test_chol_reads_only_the_lower_triangle(n):
+    """Garbage above the diagonal, NaN and infinities included, leaves the
+    factor's lower triangle and the block inverses bit for bit the same,
+    and is itself left as it was."""
+    p = spd(n, 2)
+    clean = solver._chol(np.tril(p))
+    garbage = np.tril(p)
+    upper = np.triu_indices(n, 1)
+    garbage[upper] = np.random.default_rng(3).choice([np.nan, np.inf, -np.inf, 1e300, 7.0], upper[0].size)
+    before = garbage[upper].copy()
+    dirty = solver._chol(garbage)
+    assert np.array_equal(np.tril(dirty[0]), np.tril(clean[0]))
+    assert all(np.array_equal(a, b) for a, b in zip(dirty[1], clean[1]))
+    assert np.array_equal(garbage[upper], before, equal_nan=True)
+
+
+def test_chol_memory_is_one_strip():
+    """_chol works in place: at n = 300 it holds one strip, its update and
+    the block inverses beside P, 0.40 n x n arrays; np.linalg.cholesky(P)
+    alone allocates a whole L beside P, 1.0."""
+    n = 300
+    p = spd(n, 4)
+    fac, peak = traced_peak(lambda: solver._chol(p))
+    assert fac[0] is p
+    assert peak < 0.75 * 8 * n ** 2
+
+
+def test_nearly_singular_q_the_unpivoted_factor_accepts(lu_calls):
+    """Q = [[1, b], [b, 100]] with det 5e-7: its unpivoted pivots 1 and 5e-7
+    clear psd_certificate's tol of 1e-8, while the pivoted elimination
+    stalls at 5e-9 after the pivot 100 and calls Q semidefinite.  The solve
+    takes the Schur polish on Q's factor, with no dense LU, is ok within
+    the 1e-8 gate and agrees with the enumeration oracle."""
+    b = np.sqrt(100.0 - 5e-7)
+    q = [[1.0, b], [b, 100.0]]
+    inst = make_instance(q, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                         [1.0, 1.0, 1.0, 1.0], [1.0, -1.0])
+    assert psd_certificate(inst.q) is Definiteness.PSD
+    assert solver._pd_factor(inst.q) is not None
+    lu_calls[0] = 0
+    status, sol = _label(inst)
+    assert status == "ok" and lu_calls[0] == 0
+    assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-8
+    oracle = solve_enumeration(inst)
+    assert sol.objective == pytest.approx(oracle.objective, rel=1e-9)
+    assert np.abs(sol.x - oracle.x).max() <= 1e-6

@@ -1161,8 +1161,9 @@ def test_apply_policy_carries_labels_through_map_solution(monkeypatch, strengths
 # became packed gaps and the generator witness a packed float string (each
 # time the files written before load to the same arrays, bit for bit); the
 # qp entries were re-pinned once more when the positive definite polish
-# stopped factoring the full KKT, which moved the QP label in its last bits,
-# and the lp entries stayed as they were
+# stopped factoring the full KKT, and again when the solver's Cholesky
+# factors and triangular solves became numpy's own, each of which moved the
+# QP label in its last bits, and the lp entries stayed as they were
 PINNED_PUBLIC_OPS_SHA256 = {
     "lp_add_constraints.json":
         "0fa859b40f07959f008896a4e7209dd3db030ab0411c0bb556aacb08192c3bb9",
@@ -1171,15 +1172,15 @@ PINNED_PUBLIC_OPS_SHA256 = {
     "lp_bias_instance.json":
         "f57be3fde73aab1d6ab26700c37fda6663826ed158fcbe6f658680885120899a",
     "qp_add_constraints.json":
-        "698d0159edcbe08a04cfb17c3d4ece0a4e09014b4237d153a770d91313487a3a",
+        "7200356cd7df0a59821665f9c49f3ca20ed7eb9e47c2eb58269471df085cce3e",
     "qp_add_variable_biased.json":
-        "3be72f8d18f04d6d711ff77e6e93d8b173857dfa001ef004208ad606eac7b426",
+        "39a5e0a5131721e6335909ad4cedb322fe69f16bce30b889b3c480bed8776e85",
     "qp_add_variable_constrained.json":
-        "73c03b5f58dcaf187cc0a34bb5214d245e82fd3d78da13e49a99cd66741be444",
+        "2d9a6045e7370f01027cceeaa4f9b170e2664296f091b38f5e58a55b56f1371a",
     "qp_add_variables.json":
-        "712036a3d2c30c8eece83aca0916b42dc97adf27076889d54dc6de4bbbf9b974",
+        "146dc1adf2c53c8a41eb7ceb2f71a80867b39ba9909921b880a5b7bdbea06d1f",
     "qp_bias_instance.json":
-        "f3ac5ebc2421940c5543f1e037fefcfc9aa20f4cd6a538ba4854a2e4218fe132",
+        "3b526763812388ec1245bc9b2e9c9bf1b027663021a7f14b62ec0803f5c0dd4e",
 }
 
 
