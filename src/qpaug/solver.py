@@ -3,10 +3,12 @@
 solve_splitting is an operator-splitting (ADMM) method whose linear step is
 the reduced n x n system, factored by a dense Cholesky that is refactored
 only when the penalty moves.  Its polish step re-solves the equality system
-of the estimated active set: on the Schur complement of a positive definite
-Q, refined against the full KKT residual, and for LPs and semidefinite Q on
-the full KKT, factored densely.  solve_enumeration checks every candidate
-active set and is the ground-truth oracle at toy sizes.
+of the estimated active set on one path per problem kind, chosen once: on
+the Schur complement of a positive definite Q, whose shift grows until it
+factors, refined against the full KKT residual with that factor; and for
+LPs and semidefinite Q on the full KKT, factored densely.  A positive
+definite Q never reaches the full KKT.  solve_enumeration checks every
+candidate active set and is the ground-truth oracle at toy sizes.
 
 The Cholesky factors and their triangular solves (_chol, _tri) are numpy's
 own: a positive definite QP is solved without loading scipy.linalg, which
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy  # scipy.linalg loads on first use, by the dense LU alone
@@ -225,15 +228,18 @@ def _schur_rounds(inst: LcqpInstance, fac):
     range-space method, Nocedal & Wright, Numerical Optimization, 16.2).
     The equality KKT [[Q, A_S'], [A_S, 0]] [dx; dlam] = [r1; r2] is solved by
     y = L^-1 r1, dlam = (G_S + d I)^-1 (V_S' y - r2) refined twice against
-    G_S, with d = _POLISH_REG, and dx = L^-T (y - V_S dlam).  The returned
-    solve(active) gives (x, lam) from r1 = -c, r2 = b_S, or None when
-    G_S + d I will not factor or the point is not finite.  With refine, two
-    more steps on the residuals r1 = -c - Q x - A_S' lam and r2 = b_S - A_S x
-    refine the point against the full KKT, as OSQP's polish does (Stellato
-    et al., OSQP, Math. Prog. Comp. 2020), so no (n+k)^2 system is formed.
-    The columns of V and their Gram entries are made once for each row that
-    enters a set: the work space is O(n k + k^2) in the k rows that have
-    entered.
+    G_S, and dx = L^-T (y - V_S dlam).  The shift d starts at _POLISH_REG
+    and grows a hundredfold while G_S + d I will not factor, the rule
+    _admm_factor keeps for sigma; once d passes G_S's largest diagonal
+    entry, which only non-finite entries bring about, solve gives None.
+    Otherwise solve(active) gives (x, lam, refined): the point from
+    r1 = -c, r2 = b_S, and refined(x, lam), which takes two more steps with
+    the same factor on the residuals r1 = -c - Q x - A_S' lam and
+    r2 = b_S - A_S x, refining the point against the full KKT as OSQP's
+    polish does (Stellato et al., OSQP, Math. Prog. Comp. 2020), so no
+    (n+k)^2 system is formed.  The columns of V and their Gram entries are
+    made once for each row that enters a set: the work space is
+    O(n k + k^2) in the k rows that have entered.
     """
     n, m = inst.n, inst.m
     q, a, b, c = inst.q, inst.a, inst.b, inst.c
@@ -241,7 +247,7 @@ def _schur_rounds(inst: LcqpInstance, fac):
     basis = np.empty((n, 0))
     gram = np.empty((0, 0))
 
-    def solve(active, refine=False):
+    def solve(active):
         nonlocal basis, gram
         new = active[slot[active] < 0]
         if new.size:
@@ -257,9 +263,12 @@ def _schur_rounds(inst: LcqpInstance, fac):
             basis = np.hstack([basis, v])
         pick = slot[active]
         g_s = gram[np.ix_(pick, pick)]
-        g_fac = _chol(g_s + _POLISH_REG * np.eye(pick.size))
-        if g_fac is None:
-            return None
+        top = g_s.diagonal().max(initial=0.0)
+        reg = _POLISH_REG
+        while (g_fac := _chol(g_s + reg * np.eye(pick.size))) is None:
+            if not reg < top < np.inf:
+                return None
+            reg *= 100.0
         along = np.zeros(basis.shape[1])
 
         def g_solve(rhs):
@@ -274,27 +283,30 @@ def _schur_rounds(inst: LcqpInstance, fac):
             along[pick] = dlam
             return _tri(fac, y - basis @ along, trans=True), dlam
 
-        x, lam = step(-c, b[active])
-        lam_rows = np.zeros(m)
-        for _ in range(2 if refine else 0):
-            lam_rows[active] = lam
-            dx, dlam = step(-c - q.matvec(x) - a.rmatvec(lam_rows), (b - a.matvec(x))[active])
-            x, lam = x + dx, lam + dlam
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):
-            return None
-        return x, lam
+        def refined(x, lam):
+            lam_rows = np.zeros(m)
+            for _ in range(2):
+                lam_rows[active] = lam
+                dx, dlam = step(-c - q.matvec(x) - a.rmatvec(lam_rows), (b - a.matvec(x))[active])
+                x, lam = x + dx, lam + dlam
+            return x, lam
+
+        return *step(-c, b[active]), refined
 
     return solve
 
 
 def _kkt_equality_solve(inst: LcqpInstance, active: np.ndarray):
-    """(x, lam) of the equality KKT [[Q, A_S'], [A_S, 0]] of the set, written
-    densely, or None when it will not factor.
+    """(x, lam, None) from the equality KKT [[Q, A_S'], [A_S, 0]] of the set,
+    written densely, or None when it will not factor.  The point is refined
+    already, so it comes with no refinement step, where _schur_rounds's
+    points come with one.
 
     The system may be singular.  A quasi-definite shift (+d on the primal
     block, -d on the dual block) makes the matrix nonsingular; two refinement
     steps against the unshifted system remove the perturbation to working
-    precision.
+    precision.  The shift is added in place and taken out again once the LU,
+    a copy, is made, so one dense KKT is held beside it.
     """
     n, k, q, a = inst.n, active.size, inst.q, inst.a
     place = np.full(inst.m, -1)
@@ -305,20 +317,19 @@ def _kkt_equality_solve(inst: LcqpInstance, active: np.ndarray):
     kkt[q.rows, q.cols] = q.vals
     kkt[ar, ac] = kkt[ac, ar] = a.vals[keep]
     rhs = np.concatenate([-inst.c, inst.b[active]])
-    reg = kkt.copy()
     diag = np.arange(n + k)
-    reg[diag, diag] += np.where(diag < n, _POLISH_REG, -_POLISH_REG)
+    unshifted = kkt[diag, diag]
+    kkt[diag, diag] += np.where(diag < n, _POLISH_REG, -_POLISH_REG)
     try:
-        fac = scipy.linalg.lu_factor(reg, check_finite=False)
+        fac = scipy.linalg.lu_factor(kkt, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError):
         return None
+    kkt[diag, diag] = unshifted
     w = scipy.linalg.lu_solve(fac, rhs, check_finite=False)
     for _ in range(2):
         resid = rhs - kkt @ w
         w = w + scipy.linalg.lu_solve(fac, resid, check_finite=False)
-    if not np.all(np.isfinite(w)):
-        return None
-    return w[:n], w[n:]
+    return w[:n], w[n:], None
 
 
 def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None):
@@ -326,12 +337,13 @@ def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None):
 
     Repair rounds add every violated row at once but retire negative duals
     one at a time, which avoids add/drop cycling.  With chol, the _chol
-    factor of a positive definite Q from _pd_factor, the rounds solve
-    the Schur complement of Q until they accept a set, whose point is then
-    refined against the full KKT and checked again.  Without chol, or from
-    a set whose Schur system will not factor, gives a non-finite point, or
-    whose refined point fails the rules, each round factors the full KKT
-    densely.
+    factor of a positive definite Q from _pd_factor, every round solves the
+    Schur complement of Q, and the point of a set the rules accept is then
+    refined against the full KKT with the same factor and checked again: if
+    it fails, the rounds go on from its repaired set.  Without chol (an LP,
+    or a semidefinite Q) every round factors the full KKT densely.  None
+    when a system will not factor, a point is not finite, or 60 rounds
+    accept no set.
     """
     n, m = inst.n, inst.m
     slack = inst.b - inst.a.matvec(x)
@@ -340,40 +352,34 @@ def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None):
     active = np.flatnonzero(near | pushed)
     b_scale = 1.0 + (np.abs(inst.b).max() if m else 0.0)
     lam_tol = 1e-9 * (1.0 + (np.abs(y).max() if m else 0.0))
-    schur = _schur_rounds(inst, chol) if chol is not None else None
+    solve = _schur_rounds(inst, chol) if chol is not None else partial(_kkt_equality_solve, inst)
 
     def repaired(xp, lam_act):
         """The next round's active set, or None when (xp, lam_act) passes."""
-        viol = inst.a.matvec(xp) - inst.b
-        grow = np.flatnonzero(viol > 1e-9 * b_scale)
-        grow = np.setdiff1d(grow, active, assume_unique=False)
-        if grow.size:
-            return np.unique(np.concatenate([active, grow]))
+        grown = np.union1d(active, np.flatnonzero(inst.a.matvec(xp) - inst.b > 1e-9 * b_scale))
+        if grown.size > active.size:
+            return grown
         if active.size and lam_act.min() < -lam_tol:
             return np.delete(active, int(np.argmin(lam_act)))
         return None
 
     for _ in range(60):
-        sol = schur(active) if schur is not None else None
+        sol = solve(active)
         if sol is None:
-            schur = None  # the full KKT takes over for the remaining rounds
-            sol = _kkt_equality_solve(inst, active)
-            if sol is None:
-                return None
-        nxt = repaired(*sol)
-        if nxt is not None:
-            active = nxt
-            continue
-        if schur is not None:
-            sol = schur(active, refine=True)
-            if sol is None or repaired(*sol) is not None:
-                schur = None  # the full KKT decides, from this set
-                continue
-        xp, lam_act = sol
-        lam = np.zeros(m)
-        if active.size:
-            lam[active] = np.maximum(lam_act, 0.0)
-        return Solution.from_primal_dual(inst, xp, lam)
+            return None
+        xp, lam_act, refined = sol
+        nxt = repaired(xp, lam_act)
+        if nxt is None and refined is not None:
+            xp, lam_act = refined(xp, lam_act)
+            nxt = repaired(xp, lam_act)
+        if not (np.all(np.isfinite(xp)) and np.all(np.isfinite(lam_act))):
+            return None
+        if nxt is None:
+            lam = np.zeros(m)
+            if active.size:
+                lam[active] = np.maximum(lam_act, 0.0)
+            return Solution.from_primal_dual(inst, xp, lam)
+        active = nxt
     return None
 
 
@@ -383,8 +389,12 @@ def solve_splitting_detailed(
     """Solve and also report iteration count and whether polish produced the
     returned point."""
     # NaN fails these comparisons too
-    if not (0.0 < cfg.tol < np.inf and 0.0 < cfg.penalty < np.inf) or cfg.max_iter < 1:
-        raise InputError("tol and penalty must be positive and finite, max_iter >= 1")
+    if not (0.0 < cfg.tol < np.inf and 0.0 < cfg.penalty < np.inf):
+        raise InputError("tol and penalty must be positive and finite")
+    # a bool is an int, and NaN or 2.5 would run a fractional budget
+    max_iter = cfg.max_iter
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise InputError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     chol = _pd_factor(inst.q) if inst.kind is ProblemKind.QP else None
     n, m = inst.n, inst.m
     q, a, b, c = inst.q, inst.a, inst.b, inst.c

@@ -12,7 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from qpaug import LcqpInstance, ProblemKind, Solution, SparseMatrix, to_bipartite_graph
+from qpaug import (
+    LcqpInstance,
+    ProblemKind,
+    Solution,
+    SparseMatrix,
+    add_constraints,
+    gen_qp,
+    scale_constraints,
+    scale_variables,
+    solve_splitting,
+    to_bipartite_graph,
+)
 from qpaug.fileio import load_instance, save_graph, save_instance
 
 DATA = Path(__file__).parent / "data"
@@ -214,6 +225,28 @@ def make_instance(q, a, b, c, kind=ProblemKind.QP, name=""):
         kind=kind,
         name=name,
     )
+
+
+def stress_copy(seed, d, scale_vars):
+    """(base, its label, copy): gen_qp(100, 100) at seed, plus five
+    add_constraints rows, each a positive combination of three rows active
+    at the label with weights U(0, 1) + 0.1, then every row scaled by d and,
+    with scale_vars, every variable by 1/d.  The added rows make the active
+    sets linearly dependent and the scaling makes them large; both keep the
+    optimum, so the copy's objective is the label's."""
+    base = gen_qp(100, 100, 0.05, 0.05, seed)
+    label = solve_splitting(base)
+    active = np.flatnonzero(label.lam > 1e-9)
+    rng = np.random.default_rng(seed)
+    weights = np.zeros((5, base.m))
+    for row in weights:
+        pick = rng.choice(active, size=3, replace=False)
+        row[pick] = rng.random(3) + 0.1
+    inst, _ = add_constraints(base, weights)
+    inst, _ = scale_constraints(inst, np.full(inst.m, d))
+    if scale_vars:
+        inst, _ = scale_variables(inst, np.full(inst.n, 1.0 / d))
+    return base, label, inst
 
 
 @pytest.fixture

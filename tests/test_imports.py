@@ -6,7 +6,8 @@ own process, the way `python -m qpaug` runs it, and must leave no scipy
 module behind.  `generate --solve` and `solve` on positive definite QPs
 factor and solve on numpy too: they import the scipy package, which the
 solver reaches its dense LU through, and must load nothing under it beyond
-what a bare `import scipy` loads, so no scipy.linalg module.  An LP's
+what a bare `import scipy` loads, so no scipy.linalg module, even where
+the active rows are dependent and scaled by 1e5.  An LP's
 `generate --solve` loads scipy.linalg for that LU, and no scipy sparse or
 scipy.optimize module.  Loading a view and encoding it with the message
 passer runs on numpy alone too."""
@@ -101,6 +102,35 @@ def test_only_solving_commands_load_scipy(tmp_path):
     assert_scipy_start_up_only(probe(tmp_path, "solve", "--manifest", "aug/manifest.json",
                                      "--out", "sol"), start_up)
     assert probe(tmp_path, "verify", "--manifest", "sol/manifest.json") == []
+
+
+# solves a stress copy (tests/conftest.py) and prints its status and the
+# scipy modules loaded as the last line of stdout
+STRESS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import stress_copy
+from qpaug import solver
+_, _, inst = stress_copy(0, 1e5, scale_vars=True)
+try:
+    solver.solve_splitting(inst)
+    status = "ok"
+except solver.Unconverged:
+    status = "unconverged"
+print(json.dumps({"status": status, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_scaled_dependent_rows_load_no_scipy_linalg():
+    """A positive definite QP whose active rows are dependent and scaled by
+    1e5 is polished on the Schur complement alone, with no dense LU: its
+    solve loads no scipy.linalg module, as any positive definite solve."""
+    proc = python("-c", STRESS, str(ROOT / "tests"))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert_scipy_start_up_only(result["scipy"], scipy_start_up())
+    assert result["status"] == "ok"
 
 
 def test_lp_solve_loads_dense_scipy_only(tmp_path):

@@ -21,6 +21,7 @@ from qpaug import (
     add_constraints,
     add_variable_constrained,
     apply_policy,
+    gen_portfolio,
     kkt_residuals,
     objective,
     psd_certificate,
@@ -33,7 +34,7 @@ from qpaug.generators import _label, gen_lp, gen_qp
 from qpaug.solver import Unconverged, enumerate_candidates
 from qpaug.transforms import COMBO_STRENGTHS
 
-from conftest import make_instance
+from conftest import make_instance, stress_copy
 
 
 def random_feasible_qp(seed, n_max=4, m_max=6):
@@ -196,6 +197,18 @@ def test_bad_config_rejected(e1):
         for cfg in (SolverConfig(tol=bad), SolverConfig(penalty=bad)):
             with pytest.raises(InputError):
                 solve_splitting(inst, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 2.5, True, 0, -3, np.int64(0), "5"],
+                         ids=["nan", "fraction", "bool", "zero", "negative", "np-zero", "str"])
+def test_max_iter_must_be_an_integer_of_at_least_one(e1, bad):
+    """max_iter is refused by name unless it is an integer >= 1: NaN ran no
+    iteration and returned ok with NaN iterations, 2.5 reported 2.5
+    iterations, and True counted as 1.  A numpy integer is accepted."""
+    with pytest.raises(InputError, match="max_iter"):
+        solve_splitting(e1, SolverConfig(max_iter=bad))
+    _, stats = solve_splitting_detailed(e1, SolverConfig(max_iter=np.int64(1000)))
+    assert stats.report.max_residual <= 1e-8
 
 
 def test_unconverged_carries_best_iterate(e1):
@@ -426,39 +439,137 @@ def test_schur_polish_empty_active_set(lu_calls):
     assert lu_calls[0] == 0
 
 
+def no_full_kkt(*args):
+    raise AssertionError("the full KKT on a positive definite Q")
+
+
 @pytest.mark.parametrize("refuse", ["factor", "refined"])
-def test_schur_polish_falls_back_to_the_full_kkt(refuse, monkeypatch):
-    """When the k x k Schur system will not factor, or the refined point of
-    an accepted set is refused, the rounds go on from that set on the full
-    KKT, so the polish returns the full loop's bits."""
+def test_schur_polish_recovers_on_the_schur_path(refuse, lu_calls, monkeypatch):
+    """When the k x k Schur system will not factor at the first shift, the
+    shift grows a hundredfold and the system factors; when the refined point
+    of an accepted set fails the repair rules, the rounds go on from its
+    repaired set.  Either way the polish stays on the Schur complement and
+    lands on the full-KKT rounds' x with no dense LU."""
     inst, x, y = redundant_qp(0, 9, 6, 0.6)
     chol = solver._pd_factor(inst.q)
     full = solver._polish(inst, x, y)
-    refused = []
+    lu_calls[0] = 0
+    monkeypatch.setattr(solver, "_kkt_equality_solve", no_full_kkt)
+    refused, asked = [], []
     if refuse == "factor":
         # Q's factor is made above, so every factorization _polish asks for
-        # is that of a k x k Schur system
-        def not_positive_definite(g):
-            refused.append(g.shape[0])
+        # is that of a shifted k x k Schur system; the first of each set is
+        # refused, the second accepted
+        real_chol = solver._chol
 
-        monkeypatch.setattr(solver, "_chol", not_positive_definite)
+        def first_shift_refused(g):
+            asked.append(g.copy())
+            if len(asked) % 2:
+                refused.append(g.shape[0])
+                return None
+            return real_chol(g)
+
+        monkeypatch.setattr(solver, "_chol", first_shift_refused)
     else:
         rounds = solver._schur_rounds
 
-        def no_refined_point(*args):
+        def first_refined_point_refused(*args):
             solve = rounds(*args)
 
-            def refusing(active, refine=False):
-                if refine:
+            def refusing(active):
+                sol = solve(active)
+                if sol is None or refused:
+                    return sol
+
+                def refined(xp, lam):
+                    xp, lam = sol[2](xp, lam)
                     refused.append(active.size)
-                    return None
-                return solve(active)
+                    return xp, np.where(lam == lam.max(), -1.0, lam)
+                return sol[0], sol[1], refined
             return refusing
 
-        monkeypatch.setattr(solver, "_schur_rounds", no_refined_point)
+        monkeypatch.setattr(solver, "_schur_rounds", first_refined_point_refused)
     schur = solver._polish(inst, x, y, chol)
     assert refused and refused[0] > 0
-    assert np.array_equal(schur.x, full.x) and np.array_equal(schur.lam, full.lam)
+    for first, second in zip(asked[::2], asked[1::2]):
+        grown = second - first - 99 * solver._POLISH_REG * np.eye(len(first))
+        assert np.abs(grown).max() <= 4 * np.finfo(float).eps * np.abs(first).max()
+    assert_schur_matches_full(inst, schur, full, lu_calls[0])
+
+
+def test_schur_polish_gives_up_on_a_non_finite_refined_point(monkeypatch):
+    """A refined point that is not finite ends the polish with None, and the
+    iteration goes on; the full KKT is not tried."""
+    inst, x, y = redundant_qp(0, 9, 6, 0.6)
+    chol = solver._pd_factor(inst.q)
+    rounds = solver._schur_rounds
+    refined_points = []
+
+    def non_finite(*args):
+        solve = rounds(*args)
+
+        def solve_nan(active):
+            sol = solve(active)
+            refined_points.append(active.size)
+            return sol[0], sol[1], lambda xp, lam: (xp * np.nan, lam)
+        return solve_nan
+
+    monkeypatch.setattr(solver, "_schur_rounds", non_finite)
+    monkeypatch.setattr(solver, "_kkt_equality_solve", no_full_kkt)
+    assert solver._polish(inst, x, y, chol) is None
+    assert refined_points
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_scaled_dependent_rows_solve_without_a_dense_lu(seed, lu_calls):
+    """A stress copy: five dependent combination rows, every row scaled by
+    1e5 and every variable by 1e-5.  The Schur rounds grow their shift and
+    stay on the Schur complement, and the copy solves to the base label's
+    objective with no dense LU.  The polish once fell back to the dense full
+    KKT here, made hundreds of LUs per solve and ended Unconverged."""
+    _, label, inst = stress_copy(seed, 1e5, scale_vars=True)
+    lu_calls[0] = 0
+    sol, stats = solve_splitting_detailed(inst)
+    assert stats.polished and lu_calls[0] == 0
+    assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-12
+    assert sol.objective == pytest.approx(label.objective, rel=1e-9)
+
+
+def test_positive_definite_solves_never_reach_the_full_kkt(monkeypatch):
+    """No positive definite QP in a small mixed corpus, from generated QPs
+    and their combo copies to portfolios and stress copies with scaled
+    dependent rows, reaches the dense full-KKT equality solve."""
+    corpus = []
+    for seed in range(3):
+        base = gen_qp(40, 30, 0.2, 0.2, seed=seed)
+        corpus += [base, gen_portfolio(20, 0.3, seed)]
+        corpus += [apply_policy(base, AugmentPolicy(COMBO_STRENGTHS, seed=copy))[0]
+                   for copy in range(2)]
+        corpus += [stress_copy(seed, d, scale_vars)[2]
+                   for d, scale_vars in ((1e4, False), (1e5, False), (1e5, True))]
+    monkeypatch.setattr(solver, "_kkt_equality_solve", no_full_kkt)
+    for inst in corpus:
+        assert solver._pd_factor(inst.q) is not None
+        sol, stats = solve_splitting_detailed(inst)
+        assert stats.polished
+        assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-8
+
+
+def test_full_kkt_holds_one_dense_copy_beside_its_lu(lu_calls):
+    """The full-KKT equality solve shifts the diagonal in place and takes the
+    shift out once the LU, a copy, is made: it peaks below 2.5 dense
+    N x N arrays, N = n + k (3.0 with a shifted copy), and refines against
+    the unshifted system.  The set is a bounded LP's 300 upper bounds, so
+    the point is exact: x = the bounds, lam = -c."""
+    inst = gen_lp(300, 300, 0.05, seed=0, bounded=True)
+    active = np.arange(600, 900)
+    big = inst.n + active.size
+    sol, peak = traced_peak(lambda: solver._kkt_equality_solve(inst, active))
+    assert peak < 2.5 * 8 * big ** 2
+    x, lam, refined = sol
+    assert refined is None and lu_calls[0] == 1
+    np.testing.assert_allclose(x, inst.b[active], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(lam, -inst.c, rtol=1e-12, atol=0)
 
 
 def psd_qp():
