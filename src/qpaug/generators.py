@@ -11,7 +11,6 @@ same instance, independent of call order or process scheduling.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import inspect
 from pathlib import Path
 
@@ -264,8 +263,11 @@ def _label_and_save(path, inst, solve):
 
 
 def _run_tasks(fn, tasks, jobs):
-    """[fn(t) for t in tasks], in a pool of `jobs` processes when jobs > 1."""
+    """[fn(t) for t in tasks], in a pool of `jobs` processes when jobs > 1.
+    concurrent.futures, and logging with it, is imported for the pool only."""
     if jobs is not None and jobs > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

@@ -3,12 +3,17 @@
 solve_splitting is an operator-splitting (ADMM) method whose linear step is
 the reduced n x n system, factored by a dense Cholesky that is refactored
 only when the penalty moves.  Its polish step re-solves the equality system
-of the estimated active set on one path per problem kind, chosen once: on
-the Schur complement of a positive definite Q, whose shift grows until it
-factors, refined against the full KKT residual with that factor; and for
-LPs and semidefinite Q on the full KKT, factored densely.  A positive
-definite Q never reaches the full KKT.  solve_enumeration checks every
-candidate active set and is the ground-truth oracle at toy sizes.
+of the estimated active set, a boolean mask over the rows, and repairs the
+set by the primal-dual active-set rule: every violated row enters and every
+negative dual leaves in one round, with a conservative step of one dual at
+a time where that rule would return to a set it has solved.  The equality
+system is solved on one path per problem kind, chosen once: on the Schur
+complement of a positive definite Q, whose shift grows until it factors,
+refined against the full KKT residual with that factor; and for LPs and
+semidefinite Q on the full KKT, factored densely.  A positive definite Q
+never reaches the full KKT.  SolveStats counts the polish calls and their
+rounds.  solve_enumeration checks every candidate active set and is the
+ground-truth oracle at toy sizes.
 
 The Cholesky factors and their triangular solves (_chol, _tri) are numpy's
 own: a positive definite QP is solved without loading scipy.linalg, which
@@ -69,9 +74,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """A solve's effort: ADMM iterations, whether polish gave the point, its
+    KKT report, the polish calls made and their equality solves (rounds)."""
     iterations: int
     polished: bool
     report: KktReport
+    polish_attempts: int = 0
+    polish_rounds: int = 0
 
 
 _SIGMA = 1e-6
@@ -332,55 +341,73 @@ def _kkt_equality_solve(inst: LcqpInstance, active: np.ndarray):
     return w[:n], w[n:], None
 
 
-def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None):
+def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None, effort=None):
     """Re-solve the equality system on the estimated active set.
 
-    Repair rounds add every violated row at once but retire negative duals
-    one at a time, which avoids add/drop cycling.  With chol, the _chol
-    factor of a positive definite Q from _pd_factor, every round solves the
-    Schur complement of Q, and the point of a set the rules accept is then
-    refined against the full KKT with the same factor and checked again: if
-    it fails, the rounds go on from its repaired set.  Without chol (an LP,
-    or a semidefinite Q) every round factors the full KKT densely.  None
-    when a system will not factor, a point is not finite, or 60 rounds
-    accept no set.
+    The set is a boolean mask over the m rows, repaired by the primal-dual
+    active-set rule (Hintermüller, Ito & Kunisch, SIAM J. Optim. 2002): the
+    next set drops every row whose dual is below -lam_tol and takes in every
+    row violated beyond 1e-9 b_scale, all in one round.  Where that set, or
+    the current one, was solved before in this polish, the round takes the
+    conservative step instead, which cannot cycle: add the violated rows if
+    there are any, or else retire the one most negative dual.  With chol,
+    the _chol factor of a positive definite Q from _pd_factor, every round
+    solves the Schur complement of Q, and the point of a set the rule
+    accepts is then refined against the full KKT with the same factor and
+    checked again: if it fails, the rounds go on from its repaired set.
+    Without chol (an LP, or a semidefinite Q) every round factors the full
+    KKT densely.  None when a system will not factor, a point is not
+    finite, or 60 rounds accept no set.  effort, a list, is given the
+    number of rounds made.
     """
-    n, m = inst.n, inst.m
+    m = inst.m
     slack = inst.b - inst.a.matvec(x)
     near = slack <= _ACTIVE_SLACK_TOL * (1.0 + np.abs(inst.b))
     pushed = y > 1e-10 * (1.0 + np.abs(y).max() if m else 1.0)
-    active = np.flatnonzero(near | pushed)
+    mask = near | pushed
     b_scale = 1.0 + (np.abs(inst.b).max() if m else 0.0)
     lam_tol = 1e-9 * (1.0 + (np.abs(y).max() if m else 0.0))
     solve = _schur_rounds(inst, chol) if chol is not None else partial(_kkt_equality_solve, inst)
+    seen = set()  # the masks solved so far, as bytes
 
-    def repaired(xp, lam_act):
-        """The next round's active set, or None when (xp, lam_act) passes."""
-        grown = np.union1d(active, np.flatnonzero(inst.a.matvec(xp) - inst.b > 1e-9 * b_scale))
-        if grown.size > active.size:
-            return grown
-        if active.size and lam_act.min() < -lam_tol:
-            return np.delete(active, int(np.argmin(lam_act)))
-        return None
+    def repaired(xp, lam_act, revisit):
+        """The next round's mask, or None when (xp, lam_act) passes."""
+        violated = ~mask & (inst.a.matvec(xp) - inst.b > 1e-9 * b_scale)
+        negative = lam_act < -lam_tol
+        if not (violated.any() or negative.any()):
+            return None
+        nxt = mask | violated
+        nxt[active[negative]] = False
+        if revisit or nxt.tobytes() in seen:
+            nxt = mask | violated
+            if not violated.any():
+                nxt[active[np.argmin(lam_act)]] = False
+        return nxt
 
-    for _ in range(60):
+    pol = None
+    for rounds in range(1, 61):
+        active = np.flatnonzero(mask)
+        revisit = mask.tobytes() in seen
+        seen.add(mask.tobytes())
         sol = solve(active)
         if sol is None:
-            return None
+            break
         xp, lam_act, refined = sol
-        nxt = repaired(xp, lam_act)
+        nxt = repaired(xp, lam_act, revisit)
         if nxt is None and refined is not None:
             xp, lam_act = refined(xp, lam_act)
-            nxt = repaired(xp, lam_act)
+            nxt = repaired(xp, lam_act, revisit)
         if not (np.all(np.isfinite(xp)) and np.all(np.isfinite(lam_act))):
-            return None
+            break
         if nxt is None:
             lam = np.zeros(m)
-            if active.size:
-                lam[active] = np.maximum(lam_act, 0.0)
-            return Solution.from_primal_dual(inst, xp, lam)
-        active = nxt
-    return None
+            lam[active] = np.maximum(lam_act, 0.0)
+            pol = Solution.from_primal_dual(inst, xp, lam)
+            break
+        mask = nxt
+    if effort is not None:
+        effort.append(rounds)
+    return pol
 
 
 def solve_splitting_detailed(
@@ -409,17 +436,21 @@ def solve_splitting_detailed(
     best_polished = False  # whether polish, not an iterate, gave best_xy
     best_max = np.inf
     last_polish_at = np.inf
+    effort: list[int] = []  # each polish's rounds
     c_scale = 1.0 + (np.abs(c).max() if n else 0.0)
     b_scale = 1.0 + (np.abs(b).max() if m else 0.0)
 
     def as_solution(xv, yv) -> Solution:
         return Solution.from_primal_dual(inst, xv, np.maximum(yv, 0.0))
 
+    def stats(iterations, polished, report) -> SolveStats:
+        return SolveStats(iterations, polished, report, len(effort), sum(effort))
+
     def polish(xv, yv):
         """Polish (xv, yv), score it, and keep it as the best point if it
         beats it; the polished point and its report, or (None, None)."""
         nonlocal best_max, best_xy, best_polished
-        pol = _polish(inst, xv, yv, chol)
+        pol = _polish(inst, xv, yv, chol, effort)
         if pol is None:
             return None, None
         prep = kkt_residuals(inst, pol, relative=True)
@@ -446,13 +477,13 @@ def solve_splitting_detailed(
                 best_xy, best_polished = (x.copy(), y.copy()), False
             if cur_max <= cfg.tol:
                 sol = as_solution(x, y)
-                return sol, SolveStats(it, False, kkt_residuals(inst, sol, relative=True))
+                return sol, stats(it, False, kkt_residuals(inst, sol, relative=True))
             want_polish = cur_max < 0.31 * last_polish_at or it % 2500 == 0
             if cfg.polish and want_polish:
                 last_polish_at = min(last_polish_at, cur_max)
                 pol, prep = polish(x, y)
                 if pol is not None and prep.max_residual <= cfg.tol:
-                    return pol, SolveStats(it, True, prep)
+                    return pol, stats(it, True, prep)
             # OSQP's certificates (Stellato et al. 2020, section 3.4) on the
             # steps since the last check: a descent ray d (Q d ~ 0, c'd < 0,
             # A d <= 0) means unbounded below, and a dual step dy >= 0 with
@@ -483,7 +514,7 @@ def solve_splitting_detailed(
         polish(x, y)
     if best_xy is not None and best_max <= 10.0 * cfg.tol:
         sol = as_solution(*best_xy)
-        return sol, SolveStats(cfg.max_iter, best_polished, kkt_residuals(inst, sol, relative=True))
+        return sol, stats(cfg.max_iter, best_polished, kkt_residuals(inst, sol, relative=True))
     best_sol = as_solution(*best_xy) if best_xy is not None else None
     raise Unconverged(
         f"no solution within {10.0 * cfg.tol:g} after {cfg.max_iter} iterations",

@@ -9,7 +9,9 @@ solver reaches its dense LU through, and must load nothing under it beyond
 what a bare `import scipy` loads, so no scipy.linalg module, even where
 the active rows are dependent and scaled by 1e5.  An LP's
 `generate --solve` loads scipy.linalg for that LU, and no scipy sparse or
-scipy.optimize module.  Loading a view and encoding it with the message
+scipy.optimize module.  Solving positive definite QPs loads no numpy.ma,
+and the serial stages load no concurrent.futures, which only the pool of
+--jobs above 1 needs.  Loading a view and encoding it with the message
 passer runs on numpy alone too."""
 import json
 import os
@@ -23,8 +25,10 @@ import qpaug
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# runs `python -m qpaug ARGS`, then prints the exit code and the scipy modules
-# loaded as the last line of stdout
+# runs `python -m qpaug ARGS`, then prints the exit code, the scipy modules
+# loaded and the watched ones loaded as the last line of stdout: numpy.ma
+# (1.3 MB resident) and concurrent.futures, which brings logging; a serial
+# process has no use for either
 PROBE = """
 import json, runpy, sys
 try:
@@ -33,7 +37,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"code": code, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "watched": [m for m in ("numpy.ma", "concurrent.futures", "logging") if m in sys.modules]}))
 """
 
 QP = ["--family", "qp", "--rows", "6", "--cols", "5", "--density-a", "0.5",
@@ -54,12 +59,14 @@ def python(*args, cwd=None, env_update=None):
                           capture_output=True, text=True, timeout=120)
 
 
-def probe(cwd, *args):
+def probe(cwd, *args, key="scipy"):
+    """The scipy modules `python -m qpaug ARGS` loaded, or with key="watched"
+    the watched ones."""
     proc = python("-c", PROBE, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0, proc.stderr
-    return result["scipy"]
+    return result[key]
 
 
 def scipy_start_up():
@@ -102,6 +109,41 @@ def test_only_solving_commands_load_scipy(tmp_path):
     assert_scipy_start_up_only(probe(tmp_path, "solve", "--manifest", "aug/manifest.json",
                                      "--out", "sol"), start_up)
     assert probe(tmp_path, "verify", "--manifest", "sol/manifest.json") == []
+
+
+# a positive definite QP whose solves polish over several repair rounds
+PD_QP = ["--family", "qp", "--rows", "60", "--cols", "40", "--density-a", "0.2",
+         "--density-q", "0.2", "--count", "2", "--seed", "0"]
+
+
+def test_solving_positive_definite_qps_loads_no_numpy_ma(tmp_path):
+    """The polish keeps its active set as a row mask, so `generate --solve`
+    and `solve` on positive definite QPs never reach np.unique, which loads
+    numpy.ma; np.union1d in the repair rule did."""
+    assert "numpy.ma" not in probe(tmp_path, "generate", *PD_QP, "--solve", "--out", "lab",
+                                   key="watched")
+    probe(tmp_path, "augment", "--manifest", "lab/manifest.json", "--per-instance", "2",
+          "--seed", "1", "--out", "aug")
+    assert "numpy.ma" not in probe(tmp_path, "solve", "--manifest", "aug/manifest.json",
+                                   "--jobs", "1", "--out", "sol", key="watched")
+
+
+def test_serial_commands_load_no_concurrent_futures(tmp_path):
+    """concurrent.futures, and logging with it, loads only where a command
+    runs a pool (--jobs above 1); the serial stages go without both."""
+    serial = [
+        ["generate", *QP, "--solve", "--jobs", "1", "--out", "lab"],
+        ["augment", "--manifest", "lab/manifest.json", "--per-instance", "1", "--seed", "1",
+         "--out", "aug"],
+        ["solve", "--manifest", "aug/manifest.json", "--jobs", "1", "--out", "sol"],
+        ["verify", "--manifest", "sol/manifest.json"],
+        ["graph", "--manifest", "sol/manifest.json", "--out", "graphs"],
+    ]
+    for args in serial:
+        loaded = probe(tmp_path, *args, key="watched")
+        assert "concurrent.futures" not in loaded and "logging" not in loaded, args
+    pooled = probe(tmp_path, "generate", *QP, "--jobs", "2", "--out", "pool", key="watched")
+    assert "concurrent.futures" in pooled
 
 
 # solves a stress copy (tests/conftest.py) and prints its status and the

@@ -535,6 +535,70 @@ def test_scaled_dependent_rows_solve_without_a_dense_lu(seed, lu_calls):
     assert sol.objective == pytest.approx(label.objective, rel=1e-9)
 
 
+def test_stress_copy_is_polished_at_its_first_polish(lu_calls):
+    """The stress copy at seed 1, rows scaled by 1e5 and variables not: the
+    primal-dual active-set rule swaps every wrong row of the ADMM's guess in
+    one round, so the first polish, at iteration 25, lands within 20 rounds.
+    Retiring one negative dual per round ran all 60 rounds there, gave
+    None, and the solve took 300 iterations."""
+    _, label, inst = stress_copy(1, 1e5, scale_vars=False)
+    lu_calls[0] = 0
+    sol, stats = solve_splitting_detailed(inst)
+    assert stats.polished and stats.iterations == 25
+    assert stats.polish_attempts == 1 and 1 <= stats.polish_rounds <= 20
+    assert lu_calls[0] == 0
+    assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-12
+    assert sol.objective == pytest.approx(label.objective, rel=1e-9)
+
+
+def test_solve_stats_count_the_polish_effort():
+    """polish_attempts counts the polish calls of one solve and
+    polish_rounds their equality solves, at least one per call; both are 0
+    when polish is off."""
+    inst = pd_qp()
+    _, stats = solve_splitting_detailed(inst)
+    assert stats.polished and 1 <= stats.polish_attempts <= stats.polish_rounds
+    _, stats = solve_splitting_detailed(inst, SolverConfig(polish=False))
+    assert (stats.polished, stats.polish_attempts, stats.polish_rounds) == (False, 0, 0)
+
+
+def test_polish_takes_the_conservative_step_at_a_revisited_set(lu_calls, monkeypatch):
+    """min 0.5|x|^2 - t'x over x <= 1, t = (3, 2.5, 2): every row is active
+    at the optimum, with duals t - 1, and a row left out of the set is
+    violated with no other row moved.  The Schur solve is made to report
+    the two largest duals of the full set {0, 1, 2} as negative until the
+    set {1, 2} has been solved.  The primal-dual step from {0, 1, 2} is
+    then {2}, whose violated rows lead back to {0, 1, 2}: alone, that rule
+    would swing between the two sets for all 60 rounds.  At the revisit the
+    polish retires the one most negative dual instead, solves {1, 2}, and
+    accepts {0, 1, 2} with the full-KKT point."""
+    t = np.array([3.0, 2.5, 2.0])
+    inst = make_instance(np.eye(3), np.eye(3), np.ones(3), -t)
+    x, y = np.ones(3), t - 1.0
+    chol = solver._pd_factor(inst.q)
+    full = solver._polish(inst, x, y)
+    lu_calls[0] = 0
+    monkeypatch.setattr(solver, "_kkt_equality_solve", no_full_kkt)
+    rounds, path = solver._schur_rounds, []
+
+    def swinging(*args):
+        solve = rounds(*args)
+
+        def reported(active):
+            path.append(active.tolist())
+            xp, lam, refined = solve(active)
+            if path[-1] == [0, 1, 2] and [1, 2] not in path:
+                lam = np.array([-2.0, -1.0, lam[2]])
+            return xp, lam, refined
+        return reported
+
+    monkeypatch.setattr(solver, "_schur_rounds", swinging)
+    schur = solver._polish(inst, x, y, chol)
+    assert path == [[0, 1, 2], [2], [0, 1, 2], [1, 2], [0, 1, 2]]
+    assert_schur_matches_full(inst, schur, full, lu_calls[0])
+    np.testing.assert_allclose(schur.lam, t - 1.0, rtol=1e-14)
+
+
 def test_positive_definite_solves_never_reach_the_full_kkt(monkeypatch):
     """No positive definite QP in a small mixed corpus, from generated QPs
     and their combo copies to portfolios and stress copies with scaled
