@@ -5,7 +5,7 @@ import importlib
 
 # module -> the public names it defines.  Each name is imported from its
 # module on first access (PEP 562), so `import qpaug` loads no submodule and
-# scipy arrives only with what needs it (`solver` above all)
+# scipy arrives only with what needs it (`psd_certificate`, `from_scipy`)
 _EXPORTS = {
     "core": (
         "ActivePartition",

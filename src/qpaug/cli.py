@@ -39,7 +39,7 @@ from .fileio import (
 from .generators import GENERATOR_FAMILIES, _label_and_save, _run_tasks, gen_dataset, split_labels
 # solve_splitting and kkt_residuals are not called here but stay importable from
 # cli, where perfbench/tracing.py wraps them; this solve_splitting is the
-# generators one, which imports the solver (and scipy) only on the first solve
+# generators one, which imports the solver only on the first solve
 from .generators import solve_splitting  # noqa: F401
 from .graphenc import to_bipartite_graph
 from .rng import derive_seed

@@ -229,8 +229,8 @@ GENERATOR_FAMILIES = {
 
 
 def solve_splitting(inst, *args, **kwargs):
-    """`solver.solve_splitting`.  The solver, and with it scipy, is imported
-    on the first solve: generating without --solve never loads them."""
+    """`solver.solve_splitting`.  The solver is imported on the first
+    solve: generating without --solve never loads it."""
     from .solver import solve_splitting
 
     return solve_splitting(inst, *args, **kwargs)

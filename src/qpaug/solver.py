@@ -6,28 +6,25 @@ only when the penalty moves.  Its polish step re-solves the equality system
 of the estimated active set, a boolean mask over the rows, and repairs the
 set by the primal-dual active-set rule: every violated row enters and every
 negative dual leaves in one round, with a conservative step of one dual at
-a time where that rule would return to a set it has solved.  The equality
-system is solved on one path per problem kind, chosen once: on the Schur
-complement of a positive definite Q, whose shift grows until it factors,
-refined against the full KKT residual with that factor; and for LPs and
-semidefinite Q on the full KKT, factored densely.  A positive definite Q
-never reaches the full KKT.  SolveStats counts the polish calls and their
-rounds.  solve_enumeration checks every candidate active set and is the
-ground-truth oracle at toy sizes.
+a time where that rule would return to a set it has solved.  Every problem
+kind solves that system on one path, the Schur complement of Q's factor
+from _pd_factor: of Q itself when Q is clearly positive definite, else of
+Q + d I, which for an LP is d I.  A row the factor of the Schur system
+finds spanned by the rows before it leaves the round's set, and the point
+of an accepted set is refined against the unshifted KKT.  SolveStats counts
+the polish calls and their rounds.  solve_enumeration checks every
+candidate active set and is the ground-truth oracle at toy sizes.
 
 The Cholesky factors and their triangular solves (_chol, _tri) are numpy's
-own: a positive definite QP is solved without loading scipy.linalg, which
-only psd_certificate (for a Q that is not clearly positive definite) and
-the dense LU of the full KKT reach.
+own, so the solver imports no scipy: only psd_certificate, for a Q that is
+not clearly positive definite, loads scipy.linalg.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-import scipy  # scipy.linalg loads on first use, by the dense LU alone
 
 from .core import (
     _PSD_TOL,
@@ -35,7 +32,6 @@ from .core import (
     InputError,
     KktReport,
     LcqpInstance,
-    ProblemKind,
     Solution,
     SparseMatrix,
     kkt_residuals,
@@ -89,6 +85,7 @@ _CHECK_EVERY = 25
 _ACTIVE_SLACK_TOL = 1e-5
 _CERT_TOL = 1e-5
 _POLISH_REG = 1e-9
+_POLISH_ROUNDS = 20
 _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
 _GRAM_BLOCK = 64  # rows of A made dense at a time, and columns of a Cholesky strip
@@ -214,41 +211,56 @@ def _admm_step(fac, a: SparseMatrix, rho: float, x: np.ndarray, c: np.ndarray, r
 
 
 def _pd_factor(q: SparseMatrix):
-    """_chol of a positive definite Q, or None when Q is not clearly so.
+    """_chol of Q when Q is clearly positive definite, else of Q + d I.
 
-    Q counts as positive definite when its unpivoted factor's smallest
-    pivot L_jj^2 clears psd_certificate's default tol; otherwise
-    psd_certificate decides, and InputError when Q is indefinite."""
+    Q counts as positive definite when every pivot of its unpivoted factor
+    clears its own diagonal, L_jj^2 > _PSD_TOL Q_jj, a test that scaling the
+    variables leaves alone.  Otherwise psd_certificate decides, InputError
+    when Q is indefinite, and the factor is that of Q + d I with
+    d = _SIGMA max(1, max |Q_jj|); an LP's Q, which is empty, needs no
+    certificate and gives _chol(1e-6 I).  The polish solves on this factor
+    and refines against Q itself, so a label meets the unshifted KKT.
+    """
     h = q.to_dense()
-    tol = _PSD_TOL * max(1.0, np.abs(np.diag(h)).max())
+    diag = np.diag(h).copy()
+    if q.vals.size:
+        fac = _chol(h)
+        if fac is not None and np.all(np.diag(h) ** 2 > _PSD_TOL * diag):
+            return fac
+        if psd_certificate(q) is Definiteness.INDEFINITE:
+            raise InputError("quadratic term must be positive semidefinite")
+        h = q.to_dense()
+    h[np.diag_indices_from(h)] += _SIGMA * diag.max(initial=1.0)
     fac = _chol(h)
-    if fac is not None and np.diag(h).min() ** 2 > tol:
-        return fac
-    if psd_certificate(q) is Definiteness.INDEFINITE:
+    if fac is None:
         raise InputError("quadratic term must be positive semidefinite")
-    return None
+    return fac
 
 
 def _schur_rounds(inst: LcqpInstance, fac):
-    """Equality solves on the Schur complement of a positive definite Q.
+    """Equality solves on the Schur complement of Q, or of Q + d I.
 
-    Q = L L' with fac = (L, inverses) from _chol, and the columns of
-    V_S = L^-1 A_S' have the Gram matrix G_S = A_S Q^-1 A_S' (the
-    range-space method, Nocedal & Wright, Numerical Optimization, 16.2).
-    The equality KKT [[Q, A_S'], [A_S, 0]] [dx; dlam] = [r1; r2] is solved by
+    fac = (L, inverses) from _pd_factor, with L L' = Q, or Q + d I where Q
+    is not clearly positive definite, and the columns of V_S = L^-1 A_S'
+    have the Gram matrix G_S = A_S (L L')^-1 A_S' (the range-space method,
+    Nocedal & Wright, Numerical Optimization, 16.2).  The equality KKT
+    [[L L', A_S'], [A_S, 0]] [dx; dlam] = [r1; r2] is solved by
     y = L^-1 r1, dlam = (G_S + d I)^-1 (V_S' y - r2) refined twice against
     G_S, and dx = L^-T (y - V_S dlam).  The shift d starts at _POLISH_REG
     and grows a hundredfold while G_S + d I will not factor, the rule
     _admm_factor keeps for sigma; once d passes G_S's largest diagonal
     entry, which only non-finite entries bring about, solve gives None.
-    Otherwise solve(active) gives (x, lam, refined): the point from
-    r1 = -c, r2 = b_S, and refined(x, lam), which takes two more steps with
-    the same factor on the residuals r1 = -c - Q x - A_S' lam and
-    r2 = b_S - A_S x, refining the point against the full KKT as OSQP's
-    polish does (Stellato et al., OSQP, Math. Prog. Comp. 2020), so no
-    (n+k)^2 system is formed.  The columns of V and their Gram entries are
-    made once for each row that enters a set: the work space is
-    O(n k + k^2) in the k rows that have entered.
+    A row whose pivot L_jj^2 in that factor is at most _PSD_TOL times its
+    own diagonal is spanned by the rows before it: it leaves the set with
+    lam = 0, and the rest are factored again.  Otherwise solve(active)
+    gives (x, lam, refined): the point from r1 = -c, r2 = b_S, and
+    refined(x, lam), which takes two more steps with the same factors on
+    the residuals r1 = -c - Q x - A_S' lam and r2 = b_S - A_S x of the
+    unshifted Q, refining the point against the full KKT as OSQP's polish
+    does (Stellato et al., OSQP, Math. Prog. Comp. 2020), so no (n+k)^2
+    system is formed.  The columns of V and their Gram entries are made
+    once for each row that enters a set: the work space is O(n k + k^2) in
+    the k rows that have entered.
     """
     n, m = inst.n, inst.m
     q, a, b, c = inst.q, inst.a, inst.b, inst.c
@@ -270,14 +282,20 @@ def _schur_rounds(inst: LcqpInstance, fac):
             gram = np.block([[gram, cross], [cross.T, v.T @ v]])
             slot[new] = basis.shape[1] + np.arange(new.size)
             basis = np.hstack([basis, v])
-        pick = slot[active]
-        g_s = gram[np.ix_(pick, pick)]
-        top = g_s.diagonal().max(initial=0.0)
-        reg = _POLISH_REG
-        while (g_fac := _chol(g_s + reg * np.eye(pick.size))) is None:
-            if not reg < top < np.inf:
-                return None
-            reg *= 100.0
+        keep = np.ones(active.size, dtype=bool)  # the rows no earlier row spans
+        while True:
+            pick = slot[active[keep]]
+            g_s = gram[np.ix_(pick, pick)]
+            top = g_s.diagonal().max(initial=0.0)
+            reg = _POLISH_REG
+            while (g_fac := _chol(g_s + reg * np.eye(pick.size))) is None:
+                if not reg < top < np.inf:
+                    return None
+                reg *= 100.0
+            dependent = g_fac[0].diagonal() ** 2 <= _PSD_TOL * (g_s.diagonal() + reg)
+            if not dependent.any():
+                break
+            keep[np.flatnonzero(keep)[dependent]] = False
         along = np.zeros(basis.shape[1])
 
         def g_solve(rhs):
@@ -285,12 +303,12 @@ def _schur_rounds(inst: LcqpInstance, fac):
 
         def step(r1, r2):
             y = _tri(fac, r1)
-            rhs = (basis.T @ y)[pick] - r2
+            rhs = (basis.T @ y)[pick] - r2[keep]
             dlam = g_solve(rhs)
             for _ in range(2):
                 dlam = dlam + g_solve(rhs - g_s @ dlam)
             along[pick] = dlam
-            return _tri(fac, y - basis @ along, trans=True), dlam
+            return _tri(fac, y - basis @ along, trans=True), along[slot[active]]
 
         def refined(x, lam):
             lam_rows = np.zeros(m)
@@ -305,43 +323,7 @@ def _schur_rounds(inst: LcqpInstance, fac):
     return solve
 
 
-def _kkt_equality_solve(inst: LcqpInstance, active: np.ndarray):
-    """(x, lam, None) from the equality KKT [[Q, A_S'], [A_S, 0]] of the set,
-    written densely, or None when it will not factor.  The point is refined
-    already, so it comes with no refinement step, where _schur_rounds's
-    points come with one.
-
-    The system may be singular.  A quasi-definite shift (+d on the primal
-    block, -d on the dual block) makes the matrix nonsingular; two refinement
-    steps against the unshifted system remove the perturbation to working
-    precision.  The shift is added in place and taken out again once the LU,
-    a copy, is made, so one dense KKT is held beside it.
-    """
-    n, k, q, a = inst.n, active.size, inst.q, inst.a
-    place = np.full(inst.m, -1)
-    place[active] = n + np.arange(k)
-    keep = place[a.rows] >= 0
-    ar, ac = place[a.rows][keep], a.cols[keep]
-    kkt = np.zeros((n + k, n + k))
-    kkt[q.rows, q.cols] = q.vals
-    kkt[ar, ac] = kkt[ac, ar] = a.vals[keep]
-    rhs = np.concatenate([-inst.c, inst.b[active]])
-    diag = np.arange(n + k)
-    unshifted = kkt[diag, diag]
-    kkt[diag, diag] += np.where(diag < n, _POLISH_REG, -_POLISH_REG)
-    try:
-        fac = scipy.linalg.lu_factor(kkt, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError):
-        return None
-    kkt[diag, diag] = unshifted
-    w = scipy.linalg.lu_solve(fac, rhs, check_finite=False)
-    for _ in range(2):
-        resid = rhs - kkt @ w
-        w = w + scipy.linalg.lu_solve(fac, resid, check_finite=False)
-    return w[:n], w[n:], None
-
-
-def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None, effort=None):
+def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol, effort=None):
     """Re-solve the equality system on the estimated active set.
 
     The set is a boolean mask over the m rows, repaired by the primal-dual
@@ -349,16 +331,14 @@ def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None, effort=
     next set drops every row whose dual is below -lam_tol and takes in every
     row violated beyond 1e-9 b_scale, all in one round.  Where that set, or
     the current one, was solved before in this polish, the round takes the
-    conservative step instead, which cannot cycle: add the violated rows if
-    there are any, or else retire the one most negative dual.  With chol,
-    the _chol factor of a positive definite Q from _pd_factor, every round
-    solves the Schur complement of Q, and the point of a set the rule
-    accepts is then refined against the full KKT with the same factor and
-    checked again: if it fails, the rounds go on from its repaired set.
-    Without chol (an LP, or a semidefinite Q) every round factors the full
-    KKT densely.  None when a system will not factor, a point is not
-    finite, or 60 rounds accept no set.  effort, a list, is given the
-    number of rounds made.
+    conservative step instead: add the violated rows if there are any, or
+    else retire the one most negative dual.  chol is Q's factor from
+    _pd_factor; every round solves the Schur complement on it, and the
+    point of a set the rule accepts is then refined against the full KKT
+    with the same factors and checked again: if it fails, the rounds go on
+    from its repaired set.  None when a system will not factor, a point is
+    not finite, or _POLISH_ROUNDS rounds accept no set.  effort, a list, is
+    given the number of rounds made.
     """
     m = inst.m
     slack = inst.b - inst.a.matvec(x)
@@ -367,7 +347,7 @@ def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None, effort=
     mask = near | pushed
     b_scale = 1.0 + (np.abs(inst.b).max() if m else 0.0)
     lam_tol = 1e-9 * (1.0 + (np.abs(y).max() if m else 0.0))
-    solve = _schur_rounds(inst, chol) if chol is not None else partial(_kkt_equality_solve, inst)
+    solve = _schur_rounds(inst, chol)
     seen = set()  # the masks solved so far, as bytes
 
     def repaired(xp, lam_act, revisit):
@@ -385,7 +365,7 @@ def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None, effort=
         return nxt
 
     pol = None
-    for rounds in range(1, 61):
+    for rounds in range(1, _POLISH_ROUNDS + 1):
         active = np.flatnonzero(mask)
         revisit = mask.tobytes() in seen
         seen.add(mask.tobytes())
@@ -394,7 +374,7 @@ def _polish(inst: LcqpInstance, x: np.ndarray, y: np.ndarray, chol=None, effort=
             break
         xp, lam_act, refined = sol
         nxt = repaired(xp, lam_act, revisit)
-        if nxt is None and refined is not None:
+        if nxt is None:
             xp, lam_act = refined(xp, lam_act)
             nxt = repaired(xp, lam_act, revisit)
         if not (np.all(np.isfinite(xp)) and np.all(np.isfinite(lam_act))):
@@ -422,7 +402,7 @@ def solve_splitting_detailed(
     max_iter = cfg.max_iter
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise InputError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    chol = _pd_factor(inst.q) if inst.kind is ProblemKind.QP else None
+    chol = _pd_factor(inst.q)
     n, m = inst.n, inst.m
     q, a, b, c = inst.q, inst.a, inst.b, inst.c
     rho = cfg.penalty

@@ -362,7 +362,11 @@ PINNED_GENERATE = {
 # more when the positive definite polish stopped factoring the full KKT,
 # and once more when the solver's Cholesky factors and triangular solves
 # became numpy's own: each time their labels moved in the last bits, and
-# every LP, unlabeled and manifest entry stayed as it was.
+# every LP, unlabeled and manifest entry stayed as it was.  The labeled
+# lp_addvars and lp_combo files were re-pinned once when LPs came to polish
+# on the Schur complement of a shifted empty Q instead of a dense LU of the
+# full KKT: their labels moved in the last bits (objective by at most
+# 2.1e-16 relative), and every QP, unlabeled and manifest entry stayed.
 PINNED_AUGMENT_SHA256 = {
     "qp_views/manifest.json":
         "e1250be290533f640039da22d8df0ee981f63dd4bba8aa3f6236cd5a7ceedb08",
@@ -411,23 +415,23 @@ PINNED_AUGMENT_SHA256 = {
     "lp_views/manifest.json":
         "b775bc99908590454554afd00c5ca13bd2f8f9c51d73f4244db1d2451b7dbb3c",
     "lp_addvars/lp_00000_aug00.json":
-        "93abb50388f046e43fb68c2cb2b0c1304a5c1106010187145ab6c1969b29c96d",
+        "b46da514353b4c912af603cf2c64a4eab7270602694d02df6535c8ab3a6c473f",
     "lp_addvars/lp_00000_aug01.json":
-        "e86ece4768f638c07e7494fcc2dae8f9bfca16e6ef6756c6790e04d2de0060e5",
+        "b8790e350ac4fce3623c170d31bd3a21e99bdbbb6ea475837e1e3073cf31be3b",
     "lp_addvars/lp_00001_aug00.json":
-        "f1fa91a117932ed887abd004256efe58f84232172af6f9475f424106edfb4312",
+        "d28669fb64681937257d3d99f33fba9271345078fe36ff24c82b913f1829cda6",
     "lp_addvars/lp_00001_aug01.json":
-        "454d5dbfac3cdc657ad0f6c5944e179d03320a37a3bd413aeba84cd43b9b8c03",
+        "7b139b4da8559b36e986831eb19ae280da4ebece55f939c97863231fa9ae6679",
     "lp_addvars/manifest.json":
         "f5624d42e239a20c5b0de1fa48e3dba2befdb348bac7214fbdb4fa5e7967a75b",
     "lp_combo/lp_00000_aug00.json":
-        "8c363a23b1d562b05c6b675c967e3d352100c688bca13d0f6ac079764155a250",
+        "60b1271b34f584182509addf06e67b48efba20b5c64897f112f9e2eca694efc1",
     "lp_combo/lp_00000_aug01.json":
-        "12fa1f3227b44cd647ce10aad2d536426b9b32d0e2821868b8475d6a7546a13c",
+        "f26600ca9ed0cb9684881829776701177c4d4209bc745f20fed5413c2b484e1c",
     "lp_combo/lp_00001_aug00.json":
-        "03b109cfdf57759e3a9d3b38fe9fbf65a987334334452a82bbea04151f44eaea",
+        "ff2333bf486ef5ad651af80bf7e3674472183ca3ee42cfbde55edc78fb74ded0",
     "lp_combo/lp_00001_aug01.json":
-        "7adc1f0fe48ec74db7c64e02ee727edd38734f8ba8cfb1ab70a5fe7e235a7cbd",
+        "62c24be448785f0a3b627838467f1ce970c097384f35172ae2820569412e2bd0",
     "lp_combo/manifest.json":
         "f5624d42e239a20c5b0de1fa48e3dba2befdb348bac7214fbdb4fa5e7967a75b",
     "qp_combo/manifest.json":
@@ -467,14 +471,17 @@ def test_augment_bytes_pinned(tmp_path, capsys):
 
 # sha256 of every file a labeled drop-vars run writes, recorded while
 # apply_policy still chose its ops through an if/elif chain: five of the six
-# copies drop variables, two of them then add one through add-vars
+# copies drop variables, two of them then add one through add-vars; re-pinned
+# once when LPs came to polish on the Schur complement of a shifted empty Q
+# instead of a dense LU of the full KKT, which moved every label in its last
+# bits (objective by at most 2.1e-16 relative), the manifest staying
 PINNED_DROP_VARS_SHA256 = {
-    "lp_00000_aug00.json": "61474e4c40972360165fdbe55945cb67ff7150f7229fb886b35e4ca67686a24d",
-    "lp_00000_aug01.json": "8c4ecbeef062215c1ca6cf5b3c9f52f657e3b212e8a1483898e33547583a3c2c",
-    "lp_00000_aug02.json": "75cbf541732991d7b2737075125671281a7070c8ffe957cb87c101f2260db2af",
-    "lp_00001_aug00.json": "f1deceab1b968d175799e29a3070b2c043216f8803980136a39b3c1da5346e62",
-    "lp_00001_aug01.json": "25b745fb42246cbccf81ae38a755ee0147f8fb66e5fe04f1956fb22eee4c1c0e",
-    "lp_00001_aug02.json": "6439f2b5d2b4c1ead02206169a59b915a7219bf8e3b25e483eda501c8476557e",
+    "lp_00000_aug00.json": "4dbfd10ef5b0768b8d112c4040dc4238261586fae8e2fc9ff6ffd9bdf8a57091",
+    "lp_00000_aug01.json": "adf497bb71e8bdb064ae0d56717c9420796e5fda3b854e64a884765abe5a3aaa",
+    "lp_00000_aug02.json": "da9d64df5ae997f57e5c614c94ca2185c9454da1ab1853da13053eda8360c5bf",
+    "lp_00001_aug00.json": "cb1da571b327f7246eb723b6995c90d05569892e1de214b0ba5cef3286bf8366",
+    "lp_00001_aug01.json": "967f5c8fa6423846ae612638817b7db644b32e2788affa1d781e8846e12b482f",
+    "lp_00001_aug02.json": "7280e2a83109e9ff6f91a5a07049349563686c2d95550308e23659559f7c6e55",
     "manifest.json": "d019f860c428fd2dc9c44f27e3574c6dcaebdcda450cd7f453e91730d733a908",
 }
 
@@ -523,6 +530,31 @@ def test_solve_labels_corpus(tmp_path, capsys):
     assert all(e["labeled"] and e["solver_status"] == "ok" for e in entries)
     code, _, _ = run(capsys, ["verify", "--manifest", str(out / "manifest.json")])
     assert code == 0
+
+
+def test_lp_round_trip_resolves_every_copy_to_its_mapped_objective(tmp_path, capsys):
+    """Bounded 100x100 LPs, labeled, augmented once each with the combo
+    table and re-solved: every re-solve is ok and within 1e-6 relative of
+    the objective the augmenter mapped onto the copy.  Per-index seeds make
+    lp_00001_aug00 and lp_00004_aug00 the copies of the lp-label benchmark
+    workload (seed 0) that ended unconverged while LPs polished on a dense
+    LU of the full KKT."""
+    lab, aug, sol = (tmp_path / sub for sub in ("lab", "aug", "sol"))
+    for argv in (["generate", "--family", "lp", "--rows", "100", "--cols", "100",
+                  "--density-a", "0.05", "--bounded", "--count", "5", "--seed", "0",
+                  "--solve", "--out", str(lab)],
+                 ["augment", "--manifest", str(lab / "manifest.json"), "--seed", "1",
+                  "--per-instance", "1", "--out", str(aug)],
+                 ["solve", "--manifest", str(aug / "manifest.json"), "--out", str(sol)]):
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+    entries = load_manifest(sol / "manifest.json")
+    assert len(entries) == 5
+    for entry in entries:
+        assert entry["solver_status"] == "ok", entry["path"]
+        _, mapped = load_instance(aug / entry["path"])
+        _, resolved = load_instance(sol / entry["path"])
+        assert resolved.objective == pytest.approx(mapped.objective, rel=1e-6)
 
 
 def test_solve_budget_exit_3(tmp_path, capsys):

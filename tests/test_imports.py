@@ -1,18 +1,18 @@
-"""Import discipline: scipy loads only where the program solves or factors.
+"""Import discipline: scipy loads only where the program checks a Q that is
+not clearly positive definite.
 
 `import qpaug` and the commands that never solve (help, generate without
 --solve, augment, verify, graph) run on numpy alone; each is run here as its
 own process, the way `python -m qpaug` runs it, and must leave no scipy
-module behind.  `generate --solve` and `solve` on positive definite QPs
-factor and solve on numpy too: they import the scipy package, which the
-solver reaches its dense LU through, and must load nothing under it beyond
-what a bare `import scipy` loads, so no scipy.linalg module, even where
-the active rows are dependent and scaled by 1e5.  An LP's
-`generate --solve` loads scipy.linalg for that LU, and no scipy sparse or
-scipy.optimize module.  Solving positive definite QPs loads no numpy.ma,
-and the serial stages load no concurrent.futures, which only the pool of
---jobs above 1 needs.  Loading a view and encoding it with the message
-passer runs on numpy alone too."""
+module behind.  `generate --solve` and `solve` on LPs and positive definite
+QPs factor and solve on numpy too, and load no scipy module either, even
+where the active rows are dependent and scaled by 1e5.  The one caller that
+still loads scipy.linalg is `psd_certificate`, for a Q whose unpivoted
+factor does not show it positive definite: labeling the SVM family, whose Q
+is semidefinite, loads it.  Solving LPs and positive definite QPs loads no
+numpy.ma, and the serial stages load no concurrent.futures, which only the
+pool of --jobs above 1 needs.  Loading a view and encoding it with the
+message passer runs on numpy alone too."""
 import json
 import os
 import subprocess
@@ -60,55 +60,38 @@ def python(*args, cwd=None, env_update=None):
 
 
 def probe(cwd, *args, key="scipy"):
-    """The scipy modules `python -m qpaug ARGS` loaded, or with key="watched"
-    the watched ones."""
+    """The scipy modules `python -m qpaug ARGS` loaded, with key="watched"
+    the watched ones, and with key=None both, by key."""
     proc = python("-c", PROBE, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0, proc.stderr
-    return result[key]
-
-
-def scipy_start_up():
-    """The scipy modules a bare `import scipy` loads."""
-    proc = python("-c", "import json, sys, scipy; print(json.dumps(sorted("
-                  "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def assert_scipy_start_up_only(loaded, start_up):
-    """A process that solved positive definite QPs loaded the scipy package
-    and nothing under it beyond its start-up: no scipy.linalg module."""
-    assert "scipy" in loaded
-    assert set(loaded) <= set(start_up), sorted(set(loaded) - set(start_up))
-    assert [m for m in loaded if m == "scipy.linalg" or m.startswith("scipy.linalg.")] == []
+    return result if key is None else result[key]
 
 
 def test_only_solving_commands_load_scipy(tmp_path):
-    start_up = scipy_start_up()
+    """No command loads scipy but a solve that has to certify a Q which is
+    not clearly positive definite: the SVM family's semidefinite Q."""
     no_scipy = [
         ["--help"],
         ["generate", *QP, "--out", "raw"],
         ["augment", "--manifest", "raw/manifest.json", "--views", "2", "--seed", "1",
          "--out", "views"],
         ["graph", "--manifest", "views/manifest.json", "--out", "graphs"],
-    ]
-    for args in no_scipy:
-        assert probe(tmp_path, *args) == [], args
-    assert_scipy_start_up_only(probe(tmp_path, "generate", *QP, "--solve", "--out", "lab"),
-                               start_up)
-    no_scipy = [
+        ["generate", *QP, "--solve", "--out", "lab"],
         ["augment", "--manifest", "lab/manifest.json", "--per-instance", "1", "--seed", "1",
          "--out", "aug"],
         ["verify", "--manifest", "aug/manifest.json"],
         ["graph", "--manifest", "aug/manifest.json", "--out", "graphs-aug"],
+        ["solve", "--manifest", "aug/manifest.json", "--out", "sol"],
+        ["verify", "--manifest", "sol/manifest.json"],
     ]
     for args in no_scipy:
         assert probe(tmp_path, *args) == [], args
-    assert_scipy_start_up_only(probe(tmp_path, "solve", "--manifest", "aug/manifest.json",
-                                     "--out", "sol"), start_up)
-    assert probe(tmp_path, "verify", "--manifest", "sol/manifest.json") == []
+    loaded = probe(tmp_path, "generate", "--family", "svm", "--samples", "12", "--features",
+                   "6", "--lambda-reg", "1.0", "--density", "0.5", "--count", "2", "--seed",
+                   "3", "--solve", "--out", "svm")
+    assert "scipy.linalg" in loaded
 
 
 # a positive definite QP whose solves polish over several repair rounds
@@ -166,26 +149,25 @@ print(json.dumps({"status": status, "scipy": sorted(
 
 def test_scaled_dependent_rows_load_no_scipy_linalg():
     """A positive definite QP whose active rows are dependent and scaled by
-    1e5 is polished on the Schur complement alone, with no dense LU: its
-    solve loads no scipy.linalg module, as any positive definite solve."""
+    1e5 is polished on the Schur complement alone: its solve loads no scipy
+    module, as any positive definite solve."""
     proc = python("-c", STRESS, str(ROOT / "tests"))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert_scipy_start_up_only(result["scipy"], scipy_start_up())
+    assert result["scipy"] == []
     assert result["status"] == "ok"
 
 
-def test_lp_solve_loads_dense_scipy_only(tmp_path):
-    """Labeling LPs loads scipy.linalg for the polish's dense LU, no scipy
-    sparse module, because the solver factors dense matrices only, and no
-    scipy.optimize module: HiGHS is the tests' LP oracle only, and importing
-    it would cost each solving process about half a second."""
+def test_lp_solve_loads_no_scipy_module(tmp_path):
+    """Labeling LPs polishes on the Schur complement of a shifted empty Q,
+    on numpy alone: it loads no scipy module, so no scipy.linalg, whose
+    import loads numpy.ma, and no scipy.optimize, whose HiGHS is the tests'
+    LP oracle only.  A dense LU of the full KKT loaded scipy.linalg here."""
     loaded = probe(tmp_path, "generate", "--family", "lp", "--rows", "12", "--cols", "10",
                    "--density-a", "0.3", "--bounded", "--count", "2", "--seed", "3",
-                   "--solve", "--out", "lab")
-    assert "scipy.linalg" in loaded
-    for package in ("scipy.sparse", "scipy.optimize"):
-        assert [m for m in loaded if m == package or m.startswith(package + ".")] == []
+                   "--solve", "--out", "lab", key=None)
+    assert loaded["scipy"] == []
+    assert "numpy.ma" not in loaded["watched"]
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +24,7 @@ from qpaug import (
     kkt_residuals,
     objective,
     psd_certificate,
+    scale_variables,
     solve_enumeration,
     solve_splitting,
     solve_splitting_detailed,
@@ -341,74 +341,91 @@ def redundant_qp(seed, m, n, density):
     return inst, sol.x, np.concatenate([sol.lam, np.zeros(3)])
 
 
-@pytest.fixture
-def lu_calls(monkeypatch):
-    """The number of dense LU factorizations made since the test began."""
-    calls = [0]
-    real = scipy.linalg.lu_factor
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
-    return calls
+def own_factor(q):
+    """_pd_factor of a positive definite Q, checked to be the factor of Q
+    itself: L L' reproduces Q, with no shift."""
+    chol = solver._pd_factor(q)
+    low = np.tril(chol[0])
+    dense = q.to_dense()
+    assert np.abs(low @ low.T - dense).max() <= 1e-12 * np.abs(dense).max()
+    return chol
 
 
-def polish_both_ways(inst, x, y, lu_calls):
-    """_polish without and with the positive definite Q's factor, and the
-    dense LU count of each."""
-    assert psd_certificate(inst.q) is Definiteness.PD
-    chol = solver._pd_factor(inst.q)
-    assert chol is not None
-    lu_calls[0] = 0
-    full = solver._polish(inst, x, y)
-    full_lus, lu_calls[0] = lu_calls[0], 0
-    schur = solver._polish(inst, x, y, chol)
-    return full, full_lus, schur, lu_calls[0]
+def dense_kkt_x(inst, active):
+    """x of the equality KKT [[Q, A_S'], [A_S, 0]] [x; lam_S] = [-c; b_S] of the
+    set, written densely and solved by least squares with two refinement
+    steps.  For a positive definite Q this x is unique, even where the rows
+    of A_S are dependent and lam_S is not."""
+    n, k = inst.n, active.size
+    a_s = inst.a.to_dense()[active]
+    kkt = np.block([[inst.q.to_dense(), a_s.T], [a_s, np.zeros((k, k))]])
+    rhs = np.concatenate([-inst.c, inst.b[active]])
+    w = np.zeros(n + k)
+    for _ in range(3):
+        w = w + np.linalg.lstsq(kkt, rhs - kkt @ w, rcond=None)[0]
+    return w[:n]
 
 
-def assert_schur_matches_full(inst, schur, full, schur_lus):
-    """The Schur point against the full-KKT point on the same start: x is
-    unique for a positive definite Q, so it matches to 1e-13 relative, and so
-    does the objective.  lam is not compared: on the rank-deficient sets the
-    added rows make, the optimal dual is not unique, and the KKT residual
-    covers it.  No dense LU is made."""
-    assert np.abs(schur.x - full.x).max() <= 1e-13 * np.abs(full.x).max()
-    assert kkt_residuals(inst, schur, relative=True).max_residual <= 1e-12
-    assert schur.objective == pytest.approx(full.objective, rel=1e-13, abs=1e-13)
-    assert schur_lus == 0
+def record_sets(monkeypatch):
+    """The sets the polish's rounds solve from here on, in order: the last of
+    a polish that gives a point is the set it accepted."""
+    sets = []
+    rounds = solver._schur_rounds
+
+    def recording(*args):
+        solve = rounds(*args)
+
+        def solve_recorded(active):
+            sets.append(active)
+            return solve(active)
+        return solve_recorded
+
+    monkeypatch.setattr(solver, "_schur_rounds", recording)
+    return sets
+
+
+def assert_matches_dense_kkt(inst, pol, accepted):
+    """The polished point against the dense KKT solve of the set it accepted:
+    x is unique for a positive definite Q, so it matches to 1e-13 relative,
+    and so does the objective.  lam is not compared: on the rank-deficient
+    sets the added rows make, the optimal dual is not unique, and the KKT
+    residual covers it."""
+    x_ref = dense_kkt_x(inst, accepted)
+    assert np.abs(pol.x - x_ref).max() <= 1e-13 * np.abs(x_ref).max()
+    assert kkt_residuals(inst, pol, relative=True).max_residual <= 1e-12
+    assert pol.objective == pytest.approx(objective(inst, x_ref), rel=1e-13, abs=1e-13)
 
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("m, n", [(6, 4), (9, 6)])
-def test_schur_polish_matches_full_kkt_at_toy_size(seed, m, n, lu_calls):
+def test_schur_polish_matches_full_kkt_at_toy_size(seed, m, n, monkeypatch):
     """From a cold start (many rounds) and from the base optimum, the Schur
-    rounds, refined against the full KKT, land on the full-KKT rounds' x and
-    objective with no dense LU; both agree with the enumeration oracle."""
+    rounds, refined against the full KKT, land on the x and objective of a
+    dense solve of the full KKT of the set they accept, and agree with the
+    enumeration oracle."""
     inst, x_opt, y_opt = redundant_qp(seed, m, n, 0.6)
+    assert psd_certificate(inst.q) is Definiteness.PD
+    chol = own_factor(inst.q)
     oracle = solve_enumeration(inst)
+    sets = record_sets(monkeypatch)
     for x, y in ((np.zeros(inst.n), np.zeros(inst.m)), (x_opt, y_opt)):
-        full, _, schur, schur_lus = polish_both_ways(inst, x, y, lu_calls)
-        assert_schur_matches_full(inst, schur, full, schur_lus)
-        np.testing.assert_allclose(schur.x, oracle.x, rtol=0, atol=1e-9)
-        assert objective(inst, schur.x) == pytest.approx(objective(inst, oracle.x), abs=1e-9)
+        pol = solver._polish(inst, x, y, chol)
+        assert_matches_dense_kkt(inst, pol, sets[-1])
+        np.testing.assert_allclose(pol.x, oracle.x, rtol=0, atol=1e-9)
+        assert objective(inst, pol.x) == pytest.approx(objective(inst, oracle.x), abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_schur_polish_one_dense_lu_at_size(seed, lu_calls):
-    """At 63 x 40 a cold start takes the full-KKT loop many rounds, each a
-    dense LU.  The Schur rounds land on the same x and objective with none,
-    and where the full loop gives up after its 60 rounds they give up with
-    none too."""
+def test_schur_polish_one_dense_lu_at_size(seed, monkeypatch):
+    """At 63 x 40 a cold start takes the rounds several rounds, within the
+    cap, to a set whose point matches one dense solve of that set's full KKT,
+    and the solve from the same instance labels it with that objective."""
     inst, _, _ = redundant_qp(seed, 60, 40, 0.15)
-    full, full_lus, schur, schur_lus = polish_both_ways(
-        inst, np.zeros(inst.n), np.zeros(inst.m), lu_calls)
-    assert full_lus > 1
-    if full is None:
-        assert schur is None and full_lus == 60 and schur_lus == 0
-        return
-    assert_schur_matches_full(inst, schur, full, schur_lus)
+    sets, effort = record_sets(monkeypatch), []
+    pol = solver._polish(inst, np.zeros(inst.n), np.zeros(inst.m), own_factor(inst.q), effort)
+    assert 1 < effort[0] <= solver._POLISH_ROUNDS
+    assert_matches_dense_kkt(inst, pol, sets[-1])
+    assert pol.objective == pytest.approx(solve_splitting(inst).objective, rel=1e-12)
 
 
 def test_schur_polish_memory_is_order_n_k():
@@ -424,37 +441,27 @@ def test_schur_polish_memory_is_order_n_k():
     assert peak < 3 * 8 * inst.n ** 2
 
 
-def test_schur_polish_empty_active_set(lu_calls):
+def test_schur_polish_empty_active_set():
     """Where the unconstrained minimizer is strictly feasible, no row is
     active and the polish returns x = -Q^-1 c from Q's factor, lam = 0."""
     base = gen_qp(20, 12, 0.3, 0.3, seed=1)
     q = base.q.to_dense()
     x_free = np.linalg.solve(q, -base.c)
     inst = make_instance(q, base.a.to_dense(), base.a.matvec(x_free) + 1.0, base.c)
-    chol = solver._pd_factor(inst.q)
-    lu_calls[0] = 0
-    pol = solver._polish(inst, x_free, np.zeros(inst.m), chol)
+    pol = solver._polish(inst, x_free, np.zeros(inst.m), own_factor(inst.q))
     assert np.abs(pol.x - x_free).max() <= 1e-12 * np.abs(x_free).max()
     assert np.array_equal(pol.lam, np.zeros(inst.m))
-    assert lu_calls[0] == 0
-
-
-def no_full_kkt(*args):
-    raise AssertionError("the full KKT on a positive definite Q")
 
 
 @pytest.mark.parametrize("refuse", ["factor", "refined"])
-def test_schur_polish_recovers_on_the_schur_path(refuse, lu_calls, monkeypatch):
+def test_schur_polish_recovers_on_the_schur_path(refuse, monkeypatch):
     """When the k x k Schur system will not factor at the first shift, the
     shift grows a hundredfold and the system factors; when the refined point
     of an accepted set fails the repair rules, the rounds go on from its
-    repaired set.  Either way the polish stays on the Schur complement and
-    lands on the full-KKT rounds' x with no dense LU."""
+    repaired set.  Either way the polish lands on the x of a dense solve of
+    the full KKT of the set it accepts."""
     inst, x, y = redundant_qp(0, 9, 6, 0.6)
-    chol = solver._pd_factor(inst.q)
-    full = solver._polish(inst, x, y)
-    lu_calls[0] = 0
-    monkeypatch.setattr(solver, "_kkt_equality_solve", no_full_kkt)
+    chol = own_factor(inst.q)
     refused, asked = [], []
     if refuse == "factor":
         # Q's factor is made above, so every factorization _polish asks for
@@ -489,17 +496,18 @@ def test_schur_polish_recovers_on_the_schur_path(refuse, lu_calls, monkeypatch):
             return refusing
 
         monkeypatch.setattr(solver, "_schur_rounds", first_refined_point_refused)
+    sets = record_sets(monkeypatch)
     schur = solver._polish(inst, x, y, chol)
     assert refused and refused[0] > 0
     for first, second in zip(asked[::2], asked[1::2]):
         grown = second - first - 99 * solver._POLISH_REG * np.eye(len(first))
         assert np.abs(grown).max() <= 4 * np.finfo(float).eps * np.abs(first).max()
-    assert_schur_matches_full(inst, schur, full, lu_calls[0])
+    assert_matches_dense_kkt(inst, schur, sets[-1])
 
 
 def test_schur_polish_gives_up_on_a_non_finite_refined_point(monkeypatch):
     """A refined point that is not finite ends the polish with None, and the
-    iteration goes on; the full KKT is not tried."""
+    iteration goes on."""
     inst, x, y = redundant_qp(0, 9, 6, 0.6)
     chol = solver._pd_factor(inst.q)
     rounds = solver._schur_rounds
@@ -515,38 +523,35 @@ def test_schur_polish_gives_up_on_a_non_finite_refined_point(monkeypatch):
         return solve_nan
 
     monkeypatch.setattr(solver, "_schur_rounds", non_finite)
-    monkeypatch.setattr(solver, "_kkt_equality_solve", no_full_kkt)
     assert solver._polish(inst, x, y, chol) is None
     assert refined_points
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_scaled_dependent_rows_solve_without_a_dense_lu(seed, lu_calls):
+def test_scaled_dependent_rows_solve_without_a_dense_lu(seed):
     """A stress copy: five dependent combination rows, every row scaled by
-    1e5 and every variable by 1e-5.  The Schur rounds grow their shift and
-    stay on the Schur complement, and the copy solves to the base label's
-    objective with no dense LU.  The polish once fell back to the dense full
-    KKT here, made hundreds of LUs per solve and ended Unconverged."""
+    1e5 and every variable by 1e-5.  The Schur rounds stay on Q's own
+    factor, and the copy solves, polished, to the base label's objective.
+    The polish once fell back to the dense full KKT here, made hundreds of
+    LUs per solve and ended Unconverged."""
     _, label, inst = stress_copy(seed, 1e5, scale_vars=True)
-    lu_calls[0] = 0
+    own_factor(inst.q)
     sol, stats = solve_splitting_detailed(inst)
-    assert stats.polished and lu_calls[0] == 0
+    assert stats.polished
     assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-12
     assert sol.objective == pytest.approx(label.objective, rel=1e-9)
 
 
-def test_stress_copy_is_polished_at_its_first_polish(lu_calls):
+def test_stress_copy_is_polished_at_its_first_polish():
     """The stress copy at seed 1, rows scaled by 1e5 and variables not: the
     primal-dual active-set rule swaps every wrong row of the ADMM's guess in
     one round, so the first polish, at iteration 25, lands within 20 rounds.
-    Retiring one negative dual per round ran all 60 rounds there, gave
-    None, and the solve took 300 iterations."""
+    Retiring one negative dual per round ran all 60 rounds of an earlier
+    cap there, gave None, and the solve took 300 iterations."""
     _, label, inst = stress_copy(1, 1e5, scale_vars=False)
-    lu_calls[0] = 0
     sol, stats = solve_splitting_detailed(inst)
     assert stats.polished and stats.iterations == 25
     assert stats.polish_attempts == 1 and 1 <= stats.polish_rounds <= 20
-    assert lu_calls[0] == 0
     assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-12
     assert sol.objective == pytest.approx(label.objective, rel=1e-9)
 
@@ -562,23 +567,20 @@ def test_solve_stats_count_the_polish_effort():
     assert (stats.polished, stats.polish_attempts, stats.polish_rounds) == (False, 0, 0)
 
 
-def test_polish_takes_the_conservative_step_at_a_revisited_set(lu_calls, monkeypatch):
+def test_polish_takes_the_conservative_step_at_a_revisited_set(monkeypatch):
     """min 0.5|x|^2 - t'x over x <= 1, t = (3, 2.5, 2): every row is active
     at the optimum, with duals t - 1, and a row left out of the set is
     violated with no other row moved.  The Schur solve is made to report
     the two largest duals of the full set {0, 1, 2} as negative until the
     set {1, 2} has been solved.  The primal-dual step from {0, 1, 2} is
     then {2}, whose violated rows lead back to {0, 1, 2}: alone, that rule
-    would swing between the two sets for all 60 rounds.  At the revisit the
+    would swing between the two sets for all its rounds.  At the revisit the
     polish retires the one most negative dual instead, solves {1, 2}, and
-    accepts {0, 1, 2} with the full-KKT point."""
+    accepts {0, 1, 2} with the point x = 1, lam = t - 1."""
     t = np.array([3.0, 2.5, 2.0])
     inst = make_instance(np.eye(3), np.eye(3), np.ones(3), -t)
     x, y = np.ones(3), t - 1.0
-    chol = solver._pd_factor(inst.q)
-    full = solver._polish(inst, x, y)
-    lu_calls[0] = 0
-    monkeypatch.setattr(solver, "_kkt_equality_solve", no_full_kkt)
+    chol = own_factor(inst.q)
     rounds, path = solver._schur_rounds, []
 
     def swinging(*args):
@@ -595,14 +597,16 @@ def test_polish_takes_the_conservative_step_at_a_revisited_set(lu_calls, monkeyp
     monkeypatch.setattr(solver, "_schur_rounds", swinging)
     schur = solver._polish(inst, x, y, chol)
     assert path == [[0, 1, 2], [2], [0, 1, 2], [1, 2], [0, 1, 2]]
-    assert_schur_matches_full(inst, schur, full, lu_calls[0])
+    assert_matches_dense_kkt(inst, schur, np.arange(3))
+    np.testing.assert_allclose(schur.x, np.ones(3), rtol=1e-14)
     np.testing.assert_allclose(schur.lam, t - 1.0, rtol=1e-14)
 
 
-def test_positive_definite_solves_never_reach_the_full_kkt(monkeypatch):
-    """No positive definite QP in a small mixed corpus, from generated QPs
+def test_positive_definite_solves_never_reach_the_full_kkt():
+    """Every positive definite QP in a small mixed corpus, from generated QPs
     and their combo copies to portfolios and stress copies with scaled
-    dependent rows, reaches the dense full-KKT equality solve."""
+    dependent rows, is polished on the Schur complement of Q's own factor,
+    not of a shifted Q."""
     corpus = []
     for seed in range(3):
         base = gen_qp(40, 30, 0.2, 0.2, seed=seed)
@@ -611,53 +615,104 @@ def test_positive_definite_solves_never_reach_the_full_kkt(monkeypatch):
                    for copy in range(2)]
         corpus += [stress_copy(seed, d, scale_vars)[2]
                    for d, scale_vars in ((1e4, False), (1e5, False), (1e5, True))]
-    monkeypatch.setattr(solver, "_kkt_equality_solve", no_full_kkt)
     for inst in corpus:
-        assert solver._pd_factor(inst.q) is not None
+        own_factor(inst.q)
         sol, stats = solve_splitting_detailed(inst)
         assert stats.polished
         assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-8
 
 
-def test_full_kkt_holds_one_dense_copy_beside_its_lu(lu_calls):
-    """The full-KKT equality solve shifts the diagonal in place and takes the
-    shift out once the LU, a copy, is made: it peaks below 2.5 dense
-    N x N arrays, N = n + k (3.0 with a shifted copy), and refines against
-    the unshifted system.  The set is a bounded LP's 300 upper bounds, so
-    the point is exact: x = the bounds, lam = -c."""
-    inst = gen_lp(300, 300, 0.05, seed=0, bounded=True)
-    active = np.arange(600, 900)
-    big = inst.n + active.size
-    sol, peak = traced_peak(lambda: solver._kkt_equality_solve(inst, active))
-    assert peak < 2.5 * 8 * big ** 2
-    x, lam, refined = sol
-    assert refined is None and lu_calls[0] == 1
-    np.testing.assert_allclose(x, inst.b[active], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(lam, -inst.c, rtol=1e-12, atol=0)
+@pytest.mark.parametrize("seed", range(3))
+def test_pd_factor_is_q_own_under_strong_variable_scaling(seed):
+    """Q = D Q0 D with D_jj = e^8 or e^-8 is positive definite with Q0, and
+    its unpivoted pivots clear their own diagonals, L_jj^2 > 1e-10 Q_jj, at
+    any D; against 1e-10 max |Q_jj| they did not, and such a Q was factored
+    shifted, or polished on the dense full KKT."""
+    base = gen_qp(60, 40, 0.1, 0.1, seed=seed)
+    assert psd_certificate(base.q) is Definiteness.PD
+    alpha = np.exp(8.0 * np.random.default_rng(seed).choice([-1.0, 1.0], base.n))
+    own_factor(scale_variables(base, alpha)[0].q)
 
 
-def psd_qp():
-    """A bounded LP with one appended variable of Q diagonal 1: Q is PSD."""
-    lp = gen_lp(30, 20, 0.2, seed=0, bounded=True)
+def psd_qp(lp=None):
+    """An LP, bounded_lp() by default, with one appended variable of Q
+    diagonal 1: Q is PSD."""
+    lp = bounded_lp() if lp is None else lp
     return add_variable_constrained(lp, 1.0, -np.ones(lp.m), -1.0)[0]
 
 
-@pytest.mark.parametrize("make, lus", [
-    (lambda: gen_lp(30, 20, 0.2, seed=0, bounded=True), 121),
-    (psd_qp, 181),
+def test_pd_factor_shifts_a_semidefinite_or_empty_q():
+    """Where Q is not clearly positive definite, the factor is that of
+    Q + d I, d = 1e-6 max(1, max |Q_jj|): an LP's empty Q gives 1e-6 I, with
+    no psd_certificate call, and a PSD Q its own shift.  An indefinite Q is
+    refused."""
+    lp = gen_lp(6, 4, 0.5, seed=0, bounded=True)
+    low = np.tril(solver._pd_factor(lp.q)[0])
+    np.testing.assert_allclose(low @ low.T, 1e-6 * np.eye(lp.n), rtol=1e-15)
+    psd = psd_qp(lp)
+    assert psd_certificate(psd.q) is Definiteness.PSD
+    low = np.tril(solver._pd_factor(psd.q)[0])
+    want = psd.q.to_dense() + 1e-6 * max(1.0, np.abs(psd.q.vals).max()) * np.eye(psd.n)
+    assert np.abs(low @ low.T - want).max() <= 1e-15 * np.abs(want).max()
+    with pytest.raises(InputError, match="semidefinite"):
+        solver._pd_factor(SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: gen_lp(6, 4, 0.5, seed=seed, bounded=True),
+    lambda seed: psd_qp(gen_lp(6, 4, 0.5, seed=seed, bounded=True)),
 ], ids=["lp", "psd-qp"])
-def test_lp_and_psd_polish_keep_the_full_kkt_rounds(make, lus, lu_calls, monkeypatch):
-    """LPs and PSD Q never reach the Schur rounds, and factor as many dense
-    KKT systems as before those rounds were added (counts recorded then)."""
+def test_lp_and_psd_solves_end_polished_on_the_oracle(make):
+    """LPs and PSD Q polish on the shifted factor, refined against the true
+    KKT: at toy size (m = 14, n = 4 or 5) every seed ends polished, within
+    1e-12 of the KKT and on the enumeration oracle's objective."""
+    for seed in range(6):
+        inst = make(seed)
+        sol, stats = solve_splitting_detailed(inst)
+        assert stats.polished
+        assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-12
+        oracle = solve_enumeration(inst)
+        assert sol.objective == pytest.approx(oracle.objective, rel=1e-9, abs=1e-12)
+
+
+def degenerate_vertex_lp():
+    """min -x1 - x2 over x1 <= 1, x2 <= 1, x1 + x2 <= 2, x1 + 2 x2 <= 3 and
+    x >= 0: at the optimum (1, 1) four rows are active, twice n."""
+    return make_instance(np.zeros((2, 2)),
+                         [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0], [-1.0, 0.0], [0.0, -1.0]],
+                         [1.0, 1.0, 2.0, 3.0, 0.0, 0.0], [-1.0, -1.0], kind=ProblemKind.LP)
+
+
+def dependent_rows_lp():
+    """A bounded toy LP plus three rows, each a positive combination of two
+    rows active at its optimum: the guessed active set is rank-deficient."""
+    base = gen_lp(6, 4, 0.5, seed=1, bounded=True)
+    sol = solve_enumeration(base)
+    active = np.flatnonzero(sol.lam > 1e-9)
+    assert active.size >= 2
+    rng = np.random.default_rng(1)
+    weights = np.zeros((3, base.m))
+    for row in weights:
+        row[rng.choice(active, size=2, replace=False)] = rng.random(2) + 0.1
+    return add_constraints(base, weights)[0]
+
+
+@pytest.mark.parametrize("make", [degenerate_vertex_lp, dependent_rows_lp],
+                         ids=["more-than-n-active", "rank-deficient"])
+def test_degenerate_lp_ends_polished_on_the_oracle(make):
+    """Degenerate LPs, the case a shifted KKT turned into duals near -6e9:
+    a row the Schur factor finds spanned by the rows before it leaves the
+    round's set with lam = 0, so the solve ends on a polished point, which
+    agrees with the enumeration oracle."""
     inst = make()
-
-    def refused(*args):
-        raise AssertionError("Schur rounds on a Q that is not positive definite")
-
-    monkeypatch.setattr(solver, "_schur_rounds", refused)
+    rows = inst.a.to_dense()
+    oracle = solve_enumeration(inst)
+    tight = np.abs(rows @ oracle.x - inst.b) <= 1e-9
+    assert np.linalg.matrix_rank(rows[tight]) < tight.sum()
     sol, stats = solve_splitting_detailed(inst)
-    assert stats.polished and lu_calls[0] == lus
-    assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-8
+    assert stats.polished
+    assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-12
+    assert sol.objective == pytest.approx(oracle.objective, rel=1e-12, abs=1e-12)
 
 
 # ------------------------------------------------- HiGHS as an LP oracle
@@ -910,21 +965,20 @@ def test_chol_memory_is_one_strip():
     assert peak < 0.75 * 8 * n ** 2
 
 
-def test_nearly_singular_q_the_unpivoted_factor_accepts(lu_calls):
+def test_nearly_singular_q_the_unpivoted_factor_accepts():
     """Q = [[1, b], [b, 100]] with det 5e-7: its unpivoted pivots 1 and 5e-7
-    clear psd_certificate's tol of 1e-8, while the pivoted elimination
+    clear 1e-10 times their own diagonals, while the pivoted elimination
     stalls at 5e-9 after the pivot 100 and calls Q semidefinite.  The solve
-    takes the Schur polish on Q's factor, with no dense LU, is ok within
-    the 1e-8 gate and agrees with the enumeration oracle."""
+    takes the Schur polish on Q's own factor, is ok within the 1e-8 gate
+    and agrees with the enumeration oracle."""
     b = np.sqrt(100.0 - 5e-7)
     q = [[1.0, b], [b, 100.0]]
     inst = make_instance(q, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                          [1.0, 1.0, 1.0, 1.0], [1.0, -1.0])
     assert psd_certificate(inst.q) is Definiteness.PSD
-    assert solver._pd_factor(inst.q) is not None
-    lu_calls[0] = 0
+    own_factor(inst.q)
     status, sol = _label(inst)
-    assert status == "ok" and lu_calls[0] == 0
+    assert status == "ok"
     assert kkt_residuals(inst, sol, relative=True).max_residual <= 1e-8
     oracle = solve_enumeration(inst)
     assert sol.objective == pytest.approx(oracle.objective, rel=1e-9)

@@ -1163,14 +1163,18 @@ def test_apply_policy_carries_labels_through_map_solution(monkeypatch, strengths
 # qp entries were re-pinned once more when the positive definite polish
 # stopped factoring the full KKT, and again when the solver's Cholesky
 # factors and triangular solves became numpy's own, each of which moved the
-# QP label in its last bits, and the lp entries stayed as they were
+# QP label in its last bits, and the lp entries stayed as they were; the lp
+# entries were re-pinned once when LPs came to polish on the Schur
+# complement of a shifted empty Q instead of a dense LU of the full KKT,
+# which moved the LP label in its last bits (objective by 1.4e-16 relative
+# at most), and the qp entries stayed
 PINNED_PUBLIC_OPS_SHA256 = {
     "lp_add_constraints.json":
-        "0fa859b40f07959f008896a4e7209dd3db030ab0411c0bb556aacb08192c3bb9",
+        "13351575b3f5b5d28df256c39f867275ffdae6f4fb615d6e777f04c4ee737ea7",
     "lp_add_variable_constrained.json":
-        "ef7af711307cbef086c786e9e7ee0c3384c82dff2016304644e49984d3191297",
+        "84f0711b1b51054a27a62578719a03b3e4a627ac4a9030021644dd47aed69243",
     "lp_bias_instance.json":
-        "f57be3fde73aab1d6ab26700c37fda6663826ed158fcbe6f658680885120899a",
+        "b66682e4025b957ac18f6b5a15f7c9c7dda38d1fcbd6477e6d5500a8435f6492",
     "qp_add_constraints.json":
         "7200356cd7df0a59821665f9c49f3ca20ed7eb9e47c2eb58269471df085cce3e",
     "qp_add_variable_biased.json":
