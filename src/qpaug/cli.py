@@ -424,9 +424,10 @@ def _build_parser():
     size.add_argument("--cols", dest="n", type=int, help="variable count n")
     size.add_argument("--density-a", type=float)
     size.add_argument("--density-q", type=float,
-                      help="density of the strict lower triangle of the unit factor L in "
-                           "Q = L D L'; Q itself fills in, so its density is higher, and "
-                           "only its positive definiteness is guaranteed")
+                      help="chance that an off-diagonal pair of Q = D^1/2 (I + S) D^1/2 is "
+                           "nonzero, so nnz(Q) is about density n (n - 1) + n; S's largest "
+                           "absolute row sum is rho = 0.99 and D is uniform on [0.1, 10], so "
+                           "Q's eigenvalues lie in [(1 - rho) 0.1, (1 + rho) 10]")
     size.add_argument("--bounded", action="store_true", default=None,
                       help="add box constraints so the instance stays bounded")
     size.add_argument("--slack-noise", type=float)

@@ -21,6 +21,7 @@ from .core import (
     LcqpInstance,
     ProblemKind,
     SparseMatrix,
+    _ordered_sum,
     kkt_residuals,
 )
 from .fileio import save_instance, save_manifest
@@ -60,39 +61,80 @@ def _sparse_normal(rng, m, n, density):
 def _feasible_rows(rng, m, n, density_a, slack_noise):
     """Check density_a, the sizes and slack_noise, then draw sparse normal A,
     witness |N|, b = A witness + slack_noise |N| and normal c from `rng`, in
-    that order."""
+    that order.  A witness is summed by `SparseMatrix.matvec`, not by BLAS."""
     _check_density(density_a, "density_a")
     if m < 1 or n < 1:
         raise InputError("m and n must be at least 1")
     _check_nonnegative(slack_noise, "slack_noise")
-    a_dense = _sparse_normal(rng, m, n, density_a)
+    a = SparseMatrix.from_dense(_sparse_normal(rng, m, n, density_a))
     witness = np.abs(rng.standard_normal(n))
-    b = a_dense @ witness + slack_noise * np.abs(rng.standard_normal(m))
-    return SparseMatrix.from_dense(a_dense), witness, b, rng.standard_normal(n)
+    b = a.matvec(witness) + slack_noise * np.abs(rng.standard_normal(m))
+    return a, witness, b, rng.standard_normal(n)
+
+
+def _dot(x, y) -> float:
+    """x . y summed in index order from 0.0, as `SparseMatrix.matvec` sums a
+    row, so that the value does not depend on the BLAS kernel."""
+    return float(_ordered_sum(np.zeros(x.size, dtype=np.intp), x * y, 1)[0])
+
+
+# ρ: the largest absolute row sum of S in make_sparse_spd's Q = D^½ (I + S) D^½
+SPD_RHO = 0.99
+
+
+def _kept_positions(rng, count, chance):
+    """The sorted positions in range(count) that a coin of `chance` keeps,
+    drawn as geometric skips from one kept position to the next (Batagelj &
+    Brandes, Phys. Rev. E 71, 2005), in O(kept) time and memory."""
+    if chance == 0.0 or count == 0:
+        return np.empty(0, dtype=np.int64)
+    batch = int(count * chance + 4.0 * np.sqrt(count * chance)) + 16
+    chunks, last = [], -1
+    while last < count:
+        # a skip past the end keeps nothing more; clipping it keeps a tiny
+        # chance's skips (up to 2^63 - 1) from overflowing the sum
+        chunks.append(last + np.cumsum(np.minimum(rng.geometric(chance, batch), count + 1)))
+        last = int(chunks[-1][-1])
+    kept = np.concatenate(chunks)
+    return kept[kept < count]
 
 
 def make_sparse_spd(n, density, eig_lo=10.0, eig_hi=11.0, seed=0) -> SparseMatrix:
-    """Symmetric positive definite matrix L D L^T, stored sparse.
+    """Symmetric positive definite Q = D^½ (I + S) D^½, stored sparse and
+    built in O(nnz), with no n x n array and no matrix product.
 
-    L is unit lower triangular, and `density` is the chance that an entry of
-    its strict lower triangle is nonzero (uniform on [-1, 1]).  D is uniform
-    on [eig_lo, eig_hi].  The product fills in, so the result is denser than
-    `density`, and its spectrum is not bounded by [eig_lo, eig_hi]; only
-    positive definiteness is guaranteed.  At seed 0 and density 0.05 the
-    defaults give nnz/n^2 = 0.139 with eigenvalues in [0.42, 94.8] at n = 100,
-    and nnz/n^2 = 0.242 with eigenvalues in [0.0059, 188.8] at n = 300.
+    S is symmetric with a zero diagonal: each pair (i, j), i > j, is kept with
+    chance `density`, drawn by position, with a value uniform on [-1, 1].  S
+    is then scaled so that its largest absolute row sum is SPD_RHO = 0.99.  D
+    is diagonal, uniform on [eig_lo, eig_hi].  Each off-diagonal value
+    sqrt(d_i) s_ij sqrt(d_j) is computed once and stored in both triangles,
+    so Q is bit-symmetric, and nnz = 2 x (kept pairs) + n, about
+    density n (n - 1) + n.  By Gershgorin the spectrum of I + S lies in
+    [1 - ρ, 1 + ρ], and by Ostrowski's theorem (Horn & Johnson, Thm 4.5.9)
+    that of Q lies in [(1 - ρ) eig_lo, (1 + ρ) eig_hi].  Density 0 gives D.
     """
     if not 0.0 < eig_lo <= eig_hi:
         raise InputError("need 0 < eig_lo <= eig_hi")
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must lie in [0, 1], got {density}")
     rng = derive_rng(seed, "make_sparse_spd")
-    mask = np.tril(rng.random((n, n)) < density, -1)
-    lvals = rng.uniform(-1.0, 1.0, (n, n))
-    lower = np.eye(n) + np.where(mask, lvals, 0.0)
+    # pair positions run row by row over the strict lower triangle; row i
+    # holds i of them, from starts[i] = i (i - 1) / 2 on
+    starts = np.arange(n) * (np.arange(n) - 1) // 2
+    kept = _kept_positions(rng, n * (n - 1) // 2, density)
+    rows = np.searchsorted(starts, kept, side="right") - 1
+    cols = kept - starts[rows]
+    vals = rng.uniform(-1.0, 1.0, kept.size)
     d = rng.uniform(eig_lo, eig_hi, n)
-    dense = (lower * d) @ lower.T
-    return SparseMatrix.from_dense((dense + dense.T) / 2.0)
+    if vals.size:
+        sizes = np.abs(vals)
+        row_sums = _ordered_sum(rows, sizes, n) + _ordered_sum(cols, sizes, n)
+        vals *= SPD_RHO / row_sums.max()
+    root = np.sqrt(d)
+    off = root[rows] * vals * root[cols]
+    diag = np.arange(n)
+    return SparseMatrix(n, n, np.concatenate([rows, cols, diag]),
+                        np.concatenate([cols, rows, diag]), np.concatenate([off, off, d]))
 
 
 def gen_lp(m, n, density_a, seed, bounded=False, slack_noise=1.0,
@@ -120,12 +162,14 @@ def gen_lp(m, n, density_a, seed, bounded=False, slack_noise=1.0,
 
 
 def gen_qp(m, n, density_a, density_q, seed, slack_noise=1.0, name=None) -> LcqpInstance:
-    """Feasible QP: the LP recipe plus a PD quadratic term from
-    make_sparse_spd, where `density_q` is the density of L's strict lower
-    triangle, not of Q, which fills in."""
+    """Feasible QP: the LP recipe plus the PD quadratic term
+    Q = D^½ (I + S) D^½ of make_sparse_spd with D uniform on [0.1, 10].
+    `density_q` is the chance that an off-diagonal pair of Q is nonzero, so
+    nnz(Q) is about density_q n (n - 1) + n, and the spectrum of Q lies in
+    [(1 - ρ) 0.1, (1 + ρ) 10] = [0.001, 19.9] with ρ = SPD_RHO = 0.99."""
     _check_density(density_q, "density_q")
     a, witness, b, c = _feasible_rows(derive_rng(seed, "gen_qp"), m, n, density_a, slack_noise)
-    q = make_sparse_spd(n, density_q, seed=derive_seed(seed, "gen_qp", "q"))
+    q = make_sparse_spd(n, density_q, 0.1, 10.0, seed=derive_seed(seed, "gen_qp", "q"))
     return _instance(
         "qp", name,
         {"m": m, "n": n, "density_a": density_a, "density_q": density_q,
@@ -166,10 +210,11 @@ def gen_svm(n_samples, d_features, lambda_reg, density, seed, name=None) -> Lcqp
 
 
 def gen_portfolio(n_assets, density, seed, name=None) -> LcqpInstance:
-    """Mean-variance portfolio: PD covariance with small eigenvalues, zero
-    cost, one random return row, and the budget 0.01 sum(x) = 1 written as an
-    inequality pair (the core form has no equality rows).  The recorded
-    witness meets the pair to round-off, not exactly."""
+    """Mean-variance portfolio: PD covariance from make_sparse_spd with D
+    uniform on [0.1, 0.9] (spectrum in [0.001, 1.791]), zero cost, one random
+    return row, and the budget 0.01 sum(x) = 1 written as an inequality pair
+    (the core form has no equality rows).  The recorded witness meets the
+    pair to round-off, not exactly."""
     if n_assets < 2:
         raise InputError("n_assets must be at least 2")
     q = make_sparse_spd(n_assets, density, 0.1, 0.9, seed=derive_seed(seed, "gen_portfolio", "q"))
@@ -178,11 +223,11 @@ def gen_portfolio(n_assets, density, seed, name=None) -> LcqpInstance:
     a_dense = np.vstack([ret_row, np.full(n_assets, 0.01), np.full(n_assets, -0.01)])
     base_point = np.full(n_assets, 100.0 / n_assets)
     centered = ret_row - ret_row.mean()
-    denom = float(centered @ centered)
+    denom = _dot(centered, centered)
     if denom <= 1e-12:
         raise InputError("degenerate return row, cannot build a witness")
     # slide along a zero-sum direction until the return row sits at -2
-    t = (float(ret_row @ base_point) + 2.0) / denom
+    t = (_dot(ret_row, base_point) + 2.0) / denom
     return _instance(
         "portfolio", name, {"n_assets": n_assets, "density": density, "seed": seed},
         base_point - t * centered, q, SparseMatrix.from_dense(a_dense),
@@ -199,11 +244,14 @@ def gen_lasso(n_samples, d_features, lambda_reg, density, seed, name=None) -> Lc
     _check_density(density)
     rng = derive_rng(seed, "gen_lasso")
     d = d_features
-    design = _sparse_normal(rng, n_samples, d, density)
+    dense = _sparse_normal(rng, n_samples, d, density)
+    design = SparseMatrix.from_dense(dense)
     w_true = rng.standard_normal(d)
-    target = design @ w_true + rng.normal(0.0, np.sqrt(0.5), n_samples)
-    gram = 0.5 * (design.T @ design)
-    q = _grown(SparseMatrix.from_dense((gram + gram.T) / 2.0), (2 * d, 2 * d), [])
+    target = design.matvec(w_true) + rng.normal(0.0, np.sqrt(0.5), n_samples)
+    # column k of X'X by `rmatvec`: entry (j, k) sums x_ij x_ik over the rows
+    # in order, as entry (k, j) does, so the Gram matrix is bit-symmetric
+    gram = np.array([design.rmatvec(col) for col in dense.T])
+    q = _grown(SparseMatrix.from_dense(0.5 * gram), (2 * d, 2 * d), [])
     ones = np.ones(d)
     a = _grown(SparseMatrix.zeros(2 * d, 2 * d), (2 * d, 2 * d), [
         _diagonal(0, 0, -ones), _diagonal(0, d, -ones),
@@ -214,7 +262,7 @@ def gen_lasso(n_samples, d_features, lambda_reg, density, seed, name=None) -> Lc
         {"n_samples": n_samples, "d_features": d_features, "lambda_reg": lambda_reg,
          "density": density, "seed": seed, "q_definiteness": "psd"},
         np.concatenate([np.zeros(d), ones]), q, a, np.zeros(2 * d),
-        np.concatenate([-(design.T @ target), np.full(d, float(lambda_reg))]),
+        np.concatenate([-design.rmatvec(target), np.full(d, float(lambda_reg))]),
         ProblemKind.QP if q.nnz else ProblemKind.LP,
     )
 

@@ -600,15 +600,20 @@ def _policy_scale_vars(inst, sol, aprime, rng):
 
 
 def _policy_add_cons(inst, sol, aprime, rng):
+    """int(aprime * m) rows, each a convex combination of min(3, m) distinct
+    rows with raw weights U(0, 1) + 1e-9, from one draw for all of them: the
+    rows whose m keys are smallest, taken in row order, and then the weights."""
     count = int(aprime * inst.m)
     if count <= 0 or inst.m == 0:
         return None
-    weights = np.zeros((count, inst.m))
     take = min(3, inst.m)
-    for w in weights:
-        picked = rng.choice(inst.m, size=take, replace=False)
-        raw = rng.random(take) + 1e-9
-        w[picked] = raw / raw.sum()
+    keys = rng.random((count, inst.m + take))
+    # distinct keys pick a unique set; sorting it keeps the set's order free
+    # of how argpartition orders its first `take`
+    picked = np.sort(np.argpartition(keys[:, :inst.m], take - 1, axis=1)[:, :take], axis=1)
+    raw = keys[:, inst.m:] + 1e-9
+    weights = np.zeros((count, inst.m))
+    np.put_along_axis(weights, picked, raw / raw.sum(axis=1, keepdims=True), axis=1)
     return _listed(add_constraints(inst, weights))
 
 

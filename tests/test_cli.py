@@ -367,83 +367,87 @@ PINNED_GENERATE = {
 # on the Schur complement of a shifted empty Q instead of a dense LU of the
 # full KKT: their labels moved in the last bits (objective by at most
 # 2.1e-16 relative), and every QP, unlabeled and manifest entry stayed.
+# Every instance file was re-pinned once more when the generators came to
+# build Q as D^1/2 (I + S) D^1/2 and to sum b without BLAS, and add-cons to
+# draw its rows and weights once per call: each QP's data changed, each LP's
+# b moved in its last bits, and the manifests stayed.
 PINNED_AUGMENT_SHA256 = {
     "qp_views/manifest.json":
         "e1250be290533f640039da22d8df0ee981f63dd4bba8aa3f6236cd5a7ceedb08",
     "qp_views/qp_00000_view00.json":
-        "0f40629191f287c76546c3b155eaea8fb518081a6b497b836df568c524902330",
+        "42c9e35406ab768ae47369a7d09477167e9731eb9155f8e1a80adc8ede9819d1",
     "qp_views/qp_00000_view01.json":
-        "abc7cc9c552d9a17f6adb0c5b70bc4adf7a189a89fb6181fb2d261d8e0d22cd2",
+        "7cf258a140b54ed5ad843675a631f17e47babb81ab60acd0fe823740d7f18bd4",
     "qp_views/qp_00000_view02.json":
-        "ae6d12b716518cfac5178b809adfa939892dfa1777b83f47a2a45cf331e54848",
+        "deef93d1acf151c1d00f8f9f04c8a0a64b7979d682f304d1df0a6d9122adb493",
     "qp_views/qp_00000_view03.json":
-        "8320dd003fd45fed74241ef87547b3374e7eb8d15b38e0141615d39eaf48d475",
+        "b5eb23e9802ad8a0f08e14b06d24e9f5f6f9d488dc7e0f22db8d286412349dc5",
     "qp_views/qp_00001_view00.json":
-        "ca06621064b194e24c5cfa3250da0bad21dea81a003dad2b1abe8f0aeace8e53",
+        "06143c362b42a3b7fb67f9091c11335deb097d0d92573e88403db516b47117a1",
     "qp_views/qp_00001_view01.json":
-        "26338e74a0894c0e97204cb0ac536576d01c748e03ec40af890387f0c7161eb5",
+        "c9c3baa58944b1e4763adece39a212a9d11388b5ac4b143b5fb7310f8ad5dff5",
     "qp_views/qp_00001_view02.json":
-        "591493a3283a469d53f18cc76a882cc6b422166ec6736a42bbcd591ce7b900d0",
+        "a2657d86df33fdd367ce1ba19e28591f025e8d07e834da35d7aebc6ba0039e38",
     "qp_views/qp_00001_view03.json":
-        "273b7c2ae908783225546c3a1f40863f8d1a36fba1f2442592f6fdf67473b0b4",
+        "457a8886d427c7a02924508a5c3e2fa9a04c8f828cc96a7a27ae15482061617b",
     "qp_addvars/manifest.json":
         "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
     "qp_addvars/qp_00000_aug00.json":
-        "22028893c330a157269df3a893e86e63dd5034468393a4c94b9914594e4aaf1c",
+        "530ba633276e77cf38519a84530c30c420f18ae2ad7029b4e85cf3186c80ed1b",
     "qp_addvars/qp_00000_aug01.json":
-        "4927b4473d0db5aa7c57319002a02ffc4b8fb0354f91c31ee4b0f6158cc1ac6b",
+        "a9555faf4827e9202b9eaec680182567c809126dcc982e057a81434fa7402f61",
     "qp_addvars/qp_00001_aug00.json":
-        "c990ae0f122105ff276f5f12bd3abdf67d347a1ec66a71134935217cd5ecc9a8",
+        "58a943616f12258c03544c4813d85a5d1fe81ba4ab4ed10d131217db60d35e09",
     "qp_addvars/qp_00001_aug01.json":
-        "3f0fe51f24665233583446146daf66499c08107d01dccd6c7a3e29bafb3e0fc4",
+        "9f2d85cd6016477f9ebd4ced1506c8de29fa08ef442d3599b8cd73c9bfdbf4c1",
     "lp_views/lp_00000_view00.json":
-        "f12787274ac4ea24be786ea3d9c5d828599edfd0736c9e742a983407138a0e9e",
+        "a1e832c9dbeddb7309a37cfd7117d3daad63b2d770d55b9edafbe9ff958633d3",
     "lp_views/lp_00000_view01.json":
-        "c077943b3e3eee88519a8f55d2d0dee1f95b27ecb58c4a6b1b10845115bb68e0",
+        "bc61698e7e8fd53ba09c0d196b8955f451e8e4fc4116c7fd2014fe5a34a1d96c",
     "lp_views/lp_00000_view02.json":
-        "c02cc5e1ecf6850834ff5a631f25d652522779c1f80213252315d62c5e26de9f",
+        "ee178644d30f996ad5a9253bc44ebe4819d60de835b31fec426919565ae3b9e3",
     "lp_views/lp_00000_view03.json":
-        "066896cbf7d94a321f590cd53a5e98fd90a457e83b598ac69fd4b55d471ea5d5",
+        "6e5b163694e6aaed21c276dbedea5a1de0ca17afec66a4d54c2ffe06819fd6c5",
     "lp_views/lp_00001_view00.json":
-        "3d9215dc8a675aa4a44c7b0598e6f314c66e14bd73fbdf4f79b4829c3e79a979",
+        "9975ee6ad9996511478ddd8de0cb55c8fc45ca6127474a16df3e930e8b35005a",
     "lp_views/lp_00001_view01.json":
-        "fe92b15f6abc3dc9e3b478366d2b05ed7de87a88d9f9ba537dca096e7254dd68",
+        "611872aa1feff863a7d21e7145376e129f42f7d6e3f06f13232770b18d1a9e30",
     "lp_views/lp_00001_view02.json":
-        "40877e0619cc62b3e16b15a7534bd5bdae5a65e03926231aba0033b593ae455a",
+        "3ab160c92b3184986b78be0785b3eb97f6f0706f4a86a459c79836bbb2557059",
     "lp_views/lp_00001_view03.json":
-        "c30ab63acf24fa945c4eab0535c489ac04efca42cd7564e2b82a84b851518fc6",
+        "7877fe3852542a982e1c5732f521746b6089f5f67012297255e0c7fe4f184700",
     "lp_views/manifest.json":
         "b775bc99908590454554afd00c5ca13bd2f8f9c51d73f4244db1d2451b7dbb3c",
     "lp_addvars/lp_00000_aug00.json":
-        "b46da514353b4c912af603cf2c64a4eab7270602694d02df6535c8ab3a6c473f",
+        "07687602d83ec06a41451740632e8c4154b0c2d872d3d2c9f35332e80c16581f",
     "lp_addvars/lp_00000_aug01.json":
-        "b8790e350ac4fce3623c170d31bd3a21e99bdbbb6ea475837e1e3073cf31be3b",
+        "93726932399c3b91b1af14774f08acb1b7f64fe8ce7c4c76def009a83e93f893",
     "lp_addvars/lp_00001_aug00.json":
-        "d28669fb64681937257d3d99f33fba9271345078fe36ff24c82b913f1829cda6",
+        "72080f6a3576d0f5bc05cb1b075ddb264a3287385193eacaa673f47801439001",
     "lp_addvars/lp_00001_aug01.json":
-        "7b139b4da8559b36e986831eb19ae280da4ebece55f939c97863231fa9ae6679",
+        "1b0c7cd3477ccdfd3d317a51e600a1dae6d1b6ecbcda7b2edf2c01da01bd1f84",
     "lp_addvars/manifest.json":
         "f5624d42e239a20c5b0de1fa48e3dba2befdb348bac7214fbdb4fa5e7967a75b",
     "lp_combo/lp_00000_aug00.json":
-        "60b1271b34f584182509addf06e67b48efba20b5c64897f112f9e2eca694efc1",
+        "803abca7f9b2fb46e99fb701416316f35259932954716a3d42675e47b8463044",
     "lp_combo/lp_00000_aug01.json":
-        "f26600ca9ed0cb9684881829776701177c4d4209bc745f20fed5413c2b484e1c",
+        "e2cab7a171a645a14c2da8a7cf3c465d2a72112f995b63f7136d80c683dcdad5",
     "lp_combo/lp_00001_aug00.json":
-        "ff2333bf486ef5ad651af80bf7e3674472183ca3ee42cfbde55edc78fb74ded0",
+        "d664eb0e08c503efe1e23a40648bab2b1121d6aff0ae350bc5305aaf37a28a86",
     "lp_combo/lp_00001_aug01.json":
-        "62c24be448785f0a3b627838467f1ce970c097384f35172ae2820569412e2bd0",
+        "06ab089d6b7f4814aaa8e73402b5ed60ca26723c928630b164b40c1b97da90bd",
     "lp_combo/manifest.json":
         "f5624d42e239a20c5b0de1fa48e3dba2befdb348bac7214fbdb4fa5e7967a75b",
     "qp_combo/manifest.json":
         "6559b28dcf5019d340878c94dfa45047bbeb8edc6a1b512fe03130ffa83785ff",
     "qp_combo/qp_00000_aug00.json":
-        "fa9068c3a5d164916484dd1a2a8baffe320dca18802250690231432cd293c337",
+        "1a5f530a8a4706a4b7e3053d9b89d227db85449062b849f21bf6fdfeadafd599",
     "qp_combo/qp_00000_aug01.json":
-        "9ec3ff9c8e25ef5e9fc8fd2e57810d5bb8ca8da50d98a027a001fdfec5a7ca46",
+        "6fbf0ffafe5e975a9a8e2d80e40499d0df95a75eb6667d0e0fee35d5e8516ac6",
     "qp_combo/qp_00001_aug00.json":
-        "64ff00ad5009a1aadc39fa553570b7e27d49dfcf794b431b19d4cbb7ace70647",
+        "2b5d7bf4ed70d657421e89ce18a78963bb995edcd9313dfcae7a60f1988126f0",
     "qp_combo/qp_00001_aug01.json":
-        "e43038f371c374011ecdc9955fabaf41b469b1803e2178283a19015eb94435fd",
+        "32a721135f88fca44f5c3f03db0a949a81105036eb8cb81fe8efcda486c9f99a",
 }
 
 
@@ -474,14 +478,16 @@ def test_augment_bytes_pinned(tmp_path, capsys):
 # copies drop variables, two of them then add one through add-vars; re-pinned
 # once when LPs came to polish on the Schur complement of a shifted empty Q
 # instead of a dense LU of the full KKT, which moved every label in its last
-# bits (objective by at most 2.1e-16 relative), the manifest staying
+# bits (objective by at most 2.1e-16 relative), the manifest staying; and
+# re-pinned once when the generators came to sum b without BLAS, which moved
+# each LP's b in its last bits, the manifest staying
 PINNED_DROP_VARS_SHA256 = {
-    "lp_00000_aug00.json": "4dbfd10ef5b0768b8d112c4040dc4238261586fae8e2fc9ff6ffd9bdf8a57091",
-    "lp_00000_aug01.json": "adf497bb71e8bdb064ae0d56717c9420796e5fda3b854e64a884765abe5a3aaa",
-    "lp_00000_aug02.json": "da9d64df5ae997f57e5c614c94ca2185c9454da1ab1853da13053eda8360c5bf",
-    "lp_00001_aug00.json": "cb1da571b327f7246eb723b6995c90d05569892e1de214b0ba5cef3286bf8366",
-    "lp_00001_aug01.json": "967f5c8fa6423846ae612638817b7db644b32e2788affa1d781e8846e12b482f",
-    "lp_00001_aug02.json": "7280e2a83109e9ff6f91a5a07049349563686c2d95550308e23659559f7c6e55",
+    "lp_00000_aug00.json": "68d4b7f00ca3476eb0bd70b328753cc8d545dbb91d04c53ea173adcf2040c555",
+    "lp_00000_aug01.json": "05a15ebcc2324bf827d79ea84dd6baf9b2fb5a10034286d4eb9199be47c507ab",
+    "lp_00000_aug02.json": "d3e6eec5ff9c30887474e74e445c097003dbb6260b973f42c601747fa89971df",
+    "lp_00001_aug00.json": "eb5d028ae979838295c1432ae6cf40b69247de1fdd82f49eab175922ce2341b2",
+    "lp_00001_aug01.json": "3d35d7d53b852b1615f183cfa9558f52cdca4e013959fe69bb6fcf8e40517728",
+    "lp_00001_aug02.json": "84d0020e816e6272fcd05a52d55bfc049e7fa7f934ddeba10efea501f7328acc",
     "manifest.json": "d019f860c428fd2dc9c44f27e3574c6dcaebdcda450cd7f453e91730d733a908",
 }
 

@@ -309,11 +309,20 @@ def test_symmetric_pairs_stored_once(tmp_path, case):
 def test_loads_full_storage_files(tmp_path):
     """Files written by an earlier version: q with both triangles, and a graph
     with vv edges both ways and an edges.kind list."""
+    old = json.loads((DATA / "qp_s0_full_storage_v1.json").read_text())
+    # the fixtures' instance, from the fixture's own arrays: they were written
+    # for gen_qp(3, 3, 0.7, 0.7, seed=0) before its Q was built as
+    # D^1/2 (I + S) D^1/2, so today's generator no longer gives them
+    expected = LcqpInstance(
+        q=SparseMatrix(3, 3, old["q"]["rows"], old["q"]["cols"], old["q"]["vals"]),
+        a=SparseMatrix(3, 3, old["a"]["rows"], old["a"]["cols"], old["a"]["vals"]),
+        b=np.array(old["b"]), c=np.array(old["c"]), kind=ProblemKind.QP, name="qp-s0",
+    )
     inst, sol = load_instance(DATA / "qp_s0_full_storage_v1.json")
-    expected = gen_qp(3, 3, 0.7, 0.7, seed=0)  # the fixtures' instance
     assert inst.data_equal(expected) and inst.name == expected.name
-    assert inst.provenance[0].params == expected.provenance[0].params
+    assert inst.provenance[0].params == old["provenance"][0]["params"]
     assert sol is not None
+    assert sol.x.tolist() == old["solution"]["x"] and sol.lam.tolist() == old["solution"]["lam"]
     graph = load_graph(DATA / "qp_s0_full_storage_v1.graph.json")
     want = to_bipartite_graph(expected)
     assert graph == want
@@ -325,7 +334,6 @@ def test_loads_full_storage_files(tmp_path):
     # saving again stores the upper triangle and changes nothing else
     path = tmp_path / "again.json"
     save_instance(path, inst, sol)
-    old = json.loads((DATA / "qp_s0_full_storage_v1.json").read_text())
     new = _as_lists(json.loads(path.read_text()))
     assert new["q"] == {"rows": [0, 0, 1, 1, 2], "cols": [0, 1, 1, 2, 2],
                         "vals": [old["q"]["vals"][i] for i in (0, 1, 3, 4, 6)]}

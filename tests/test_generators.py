@@ -1,7 +1,15 @@
 """Instance generators: structural expectations frozen per family, witness
 feasibility everywhere, and dataset plumbing checked for byte determinism."""
+import ast
 import hashlib
+import inspect
 import json
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +24,11 @@ from qpaug import (
     psd_certificate,
     solve_splitting,
 )
+import qpaug.generators
 from qpaug.fileio import load_instance, load_manifest, save_instance
 from qpaug.generators import (
     GENERATOR_FAMILIES,
+    SPD_RHO,
     gen_dataset,
     gen_lasso,
     gen_lp,
@@ -76,6 +86,66 @@ def test_spd_deterministic():
     a = make_sparse_spd(10, 0.4, seed=42)
     b = make_sparse_spd(10, 0.4, seed=42)
     assert a == b
+
+
+def assert_density_and_spectrum(q, density, eig_lo, eig_hi):
+    """Q keeps its n diagonal entries, bit-symmetric off-diagonal pairs whose
+    count is within 4 binomial standard deviations of density x pairs, and
+    eigenvalues inside make_sparse_spd's stated interval."""
+    n = q.n_rows
+    pairs = n * (n - 1) // 2
+    assert q.is_symmetric()
+    assert np.count_nonzero(q.rows == q.cols) == n
+    kept = (q.nnz - n) / 2
+    assert abs(kept - density * pairs) <= 4.0 * np.sqrt(pairs * density * (1.0 - density))
+    eig = np.linalg.eigvalsh(q.to_dense())
+    assert (1.0 - SPD_RHO) * eig_lo <= eig[0] and eig[-1] <= (1.0 + SPD_RHO) * eig_hi, eig[[0, -1]]
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_spd_keeps_requested_density_and_stated_spectrum(n):
+    """nnz/n^2 is density (n - 1) / n + 1 / n to sampling error, not the
+    fill-in of a factor product, and Gershgorin with Ostrowski bounds the
+    spectrum; density 0 gives D itself and density 1 keeps every pair."""
+    for seed in range(3):
+        for density in (0.0, 0.05, 0.3, 1.0):
+            assert_density_and_spectrum(
+                make_sparse_spd(n, density, 0.1, 10.0, seed=seed), density, 0.1, 10.0)
+        assert_density_and_spectrum(gen_qp(5, n, 0.5, 0.05, seed).q, 0.05, 0.1, 10.0)
+        assert_density_and_spectrum(make_sparse_spd(n, 0.05, seed=seed), 0.05, 10.0, 11.0)
+    diagonal = make_sparse_spd(n, 0.0, 0.1, 10.0, seed=0)
+    assert np.array_equal(diagonal.rows, diagonal.cols)
+    assert make_sparse_spd(n, 1.0, 0.1, 10.0, seed=0).nnz == n * n
+    # skips near 2^63 at a tiny chance keep nothing, and do not overflow
+    assert make_sparse_spd(n, 1e-300, 0.1, 10.0, seed=0).nnz == n
+    for density in (0.0, 0.5, 1.0):
+        assert_density_and_spectrum(make_sparse_spd(1, density, 0.1, 10.0, seed=0), density, 0.1, 10.0)
+
+
+def test_spd_build_memory_is_order_nnz():
+    """The traced peak of a 1500 x 1500 build at density 0.01 stays below one
+    dense n x n float64: no n x n array, no product."""
+    n = 1500
+    make_sparse_spd(8, 0.5, seed=1)  # first-call allocations are not the build's
+    tracemalloc.start()
+    try:
+        q = make_sparse_spd(n, 0.01, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n, peak
+    assert q.nnz < 0.03 * n * n
+
+
+def test_generators_make_no_blas_products():
+    """No generator multiplies by `@`, np.dot or np.matmul; stored values
+    come from core's ordered sums, so they do not depend on the BLAS kernel."""
+    tree = ast.parse(inspect.getsource(qpaug.generators))
+    matmul = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    named = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "inner", "vdot")]
+    assert matmul == [] and named == []
 
 
 # ------------------------------------------------------------------------ gen_lp
@@ -410,6 +480,59 @@ def test_every_family_witness_feasible(seed):
         assert (inst.a.matvec(w) - inst.b).max() <= 1e-12
 
 
+# --------------------------------------------------------------- BLAS kernels
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# every family at the paper's size, where BLAS products would round
+# differently under another kernel
+KERNEL_CASES = {
+    "qp": ["--rows", "100", "--cols", "100", "--density-a", "0.05", "--density-q", "0.05"],
+    "lp": ["--rows", "100", "--cols", "100", "--density-a", "0.05", "--bounded"],
+    "svm": ["--samples", "100", "--features", "50", "--lambda-reg", "1.0", "--density", "0.2"],
+    "portfolio": ["--assets", "100", "--density", "0.05"],
+    "lasso": ["--samples", "100", "--features", "50", "--lambda-reg", "0.1", "--density", "0.2"],
+}
+
+
+def generated_tree(out, coretype):
+    """`generate` of every KERNEL_CASES family, each in a child process on one
+    BLAS thread, under OPENBLAS_CORETYPE=`coretype` when it is not None: the
+    bytes of every file written, by relative path, and the set of kernels
+    that OpenBLAS reported loading."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OPENBLAS_VERBOSE="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    cores = set()
+    for family, args in KERNEL_CASES.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpaug", "generate", "--family", family, *args,
+             "--count", "6", "--seed", "0", "--out", str(out / family)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        cores.update(re.findall(r"^Core: (\S+)", proc.stderr, re.MULTILINE))
+    return {path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*.json"))}, cores
+
+
+def test_generate_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """Every family's files are byte-identical under the machine's own BLAS
+    kernel and under the forced Prescott kernel (labels are not: the solver's
+    factorizations run on BLAS)."""
+    native, native_cores = generated_tree(tmp_path / "native", None)
+    forced, forced_cores = generated_tree(tmp_path / "prescott", "Prescott")
+    if len(native_cores) != 1 or len(forced_cores) != 1 or native_cores == forced_cores:
+        pytest.skip(f"the BLAS did not switch kernels: OPENBLAS_VERBOSE=2 reported "
+                    f"{sorted(native_cores)} natively and {sorted(forced_cores)} forced")
+    assert len(native) == 5 * 7
+    assert sorted(native) == sorted(forced)
+    differ = [path for path in native if native[path] != forced[path]]
+    assert differ == []
+
+
 # ------------------------------------------------------------- generated bytes
 
 FAMILY_CASES = {
@@ -425,22 +548,25 @@ FAMILY_CASES = {
 
 # sha256 over the files save_instance writes for each case at seeds 0, 1
 # and 5, each with the default name and with name="pinned", in that order;
-# recorded while every family still built its own record and instance
+# recorded while every family still built its own record and instance, and
+# re-pinned once when Q came to be built as D^1/2 (I + S) D^1/2 and every
+# stored sum to be taken without BLAS: qp and portfolio changed, lp's b, the
+# portfolio witness and lasso's q and c moved in their last bits, svm stayed
 PINNED_FAMILY_SHA256 = {
     "lp":
-        "9ac42f09a3eb8ff437a610c35b4541b4d58c4c7b6730bf7bc07d5c9c1d5d4a4e",
+        "a3255aa9b95f6ace25f8b54400417566a1fadba3683f3ded2e384b0ecddad342",
     "lp_bounded":
-        "6414ddeeead038132d9f4cdfea26db3ac7d60ffaf754be40ffdbe1034bec3a56",
+        "ff0c0ec32652e5d4697857e0b0d1ac460142579cae37a57cbc9d241f9b1ca508",
     "qp":
-        "bc06c78cdfc74c224e03bc8dd20e3e1d3baced1c54f5def2b15ba7db65a3ea0a",
+        "cada15ed2ee5a0c9da76b6a0115bc755d6eba26ca0a9df037544b6b70e92a9a6",
     "svm":
         "890f1289b0bf4504a73c6d013ca32396888d59882f8a9791edb1b5aee3769394",
     "portfolio":
-        "5013f3c6e242b69448950c31dd41592bea3fff513f33a3da03faba013b0b5286",
+        "bca845a11e0bd82c4d0eed695e4c6908ac4f27fc407a5317aa1c92382fc827f2",
     "portfolio_density0":
-        "074581782ecca6f2d630eb430ac376cbabf7aadf08e48bd23c520f329372e7ce",
+        "6cb941629ec3c741d0b5df9a3ff0e25ef6d504d82ce4a69e48bd04a3974569a1",
     "lasso":
-        "afef47f7173e604238f875e60cc273d1ec10ab0fd2d98caf0f3c7b725d26b40e",
+        "3d2f826466bd6cb6370ba2f87427219ce494e4b8eb496b080c77e5b516e12f91",
 }
 
 

@@ -745,6 +745,27 @@ def test_policy_seed_changes_output(e1, e1_sol):
     assert not out1.data_equal(out2)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 40])
+def test_policy_add_cons_rows_are_convex_combinations(m):
+    """Each of the int(strength * m) appended rows combines min(3, m)
+    distinct rows, with weights that are positive and sum to one, and the
+    row sets vary from row to row."""
+    inst = gen_qp(m, 6, 0.6, 0.5, seed=m)
+    policy = AugmentPolicy(strengths={"add-cons": 1.5}, ops_per_instance=1,
+                           interpolate=False, seed=4)
+    out, _, (rec,) = apply_policy(inst, policy)
+    count = int(1.5 * m)
+    assert rec.op_name == "add_constraints" and out.m == m + count
+    weights = rec.params["weights"]
+    dense = np.zeros((count, m))
+    dense[weights["rows"], weights["cols"]] = weights["vals"]
+    assert np.array_equal(np.count_nonzero(dense, axis=1), np.full(count, min(3, m)))
+    assert dense.min(initial=1.0, where=dense != 0.0) > 0.0
+    assert np.abs(dense.sum(axis=1) - 1.0).max() <= 1e-15
+    if m == 40:
+        assert len({tuple(np.flatnonzero(row)) for row in dense}) > count // 2
+
+
 def test_policy_solution_dependent_requires_labels(e1):
     policy = AugmentPolicy(strengths={"drop-vars": 1.0}, ops_per_instance=1, seed=0)
     with pytest.raises(InputError, match="drop-vars"):
@@ -1167,24 +1188,26 @@ def test_apply_policy_carries_labels_through_map_solution(monkeypatch, strengths
 # entries were re-pinned once when LPs came to polish on the Schur
 # complement of a shifted empty Q instead of a dense LU of the full KKT,
 # which moved the LP label in its last bits (objective by 1.4e-16 relative
-# at most), and the qp entries stayed
+# at most), and the qp entries stayed; every entry was re-pinned once when
+# the generators came to build Q as D^1/2 (I + S) D^1/2 and to sum b without
+# BLAS, which changed the seeded QP and moved the LP's b in its last bits
 PINNED_PUBLIC_OPS_SHA256 = {
     "lp_add_constraints.json":
-        "13351575b3f5b5d28df256c39f867275ffdae6f4fb615d6e777f04c4ee737ea7",
+        "250656d26f42b6e4b827087b798efa08862d50525c33c9519833f71fd3d8c1be",
     "lp_add_variable_constrained.json":
-        "84f0711b1b51054a27a62578719a03b3e4a627ac4a9030021644dd47aed69243",
+        "7d58c9ffcd91451b93e9d95f6394fc280515e519050e79fd1efb65dc92e132cd",
     "lp_bias_instance.json":
-        "b66682e4025b957ac18f6b5a15f7c9c7dda38d1fcbd6477e6d5500a8435f6492",
+        "855c7c062f9ffcc6fbf47c9985b7b8bfab400a10ec861b20a10dba3bb78be651",
     "qp_add_constraints.json":
-        "7200356cd7df0a59821665f9c49f3ca20ed7eb9e47c2eb58269471df085cce3e",
+        "abe8ee8e5a70b58d8c835fc5b169bdf7b109863d05a513f18cd7484f1733d9e4",
     "qp_add_variable_biased.json":
-        "39a5e0a5131721e6335909ad4cedb322fe69f16bce30b889b3c480bed8776e85",
+        "c980aacf0d65b3a4abd78d88d517fccec748515b98ae8d5ed163b055a714b68c",
     "qp_add_variable_constrained.json":
-        "2d9a6045e7370f01027cceeaa4f9b170e2664296f091b38f5e58a55b56f1371a",
+        "d21c4889d004c948435bc5db76588eeef3c4f2ffa712cac19ccc5fb80f0f3f0d",
     "qp_add_variables.json":
-        "146dc1adf2c53c8a41eb7ceb2f71a80867b39ba9909921b880a5b7bdbea06d1f",
+        "0958722d6a1324de35a21a279ead4005b563a47250009481cb0d0e0116640b54",
     "qp_bias_instance.json":
-        "3b526763812388ec1245bc9b2e9c9bf1b027663021a7f14b62ec0803f5c0dd4e",
+        "dfe7bbf5a07a916d87a22dadd08fbbc065ee94c886e3f4410895f5aea369244e",
 }
 
 
