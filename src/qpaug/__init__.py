@@ -4,8 +4,7 @@ of linearly-constrained quadratic programs."""
 import importlib
 
 # module -> the public names it defines.  Each name is imported from its
-# module on first access (PEP 562), so `import qpaug` loads no submodule and
-# scipy arrives only with what needs it (`psd_certificate`, `from_scipy`)
+# module on first access (PEP 562), so `import qpaug` loads no submodule
 _EXPORTS = {
     "core": (
         "ActivePartition",

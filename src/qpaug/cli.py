@@ -180,6 +180,8 @@ def cmd_augment(args) -> int:
         raise InputError("--views must be at least 1")
     if args.per_instance < 1:
         raise InputError("--per-instance must be at least 1")
+    if args.ops_per_copy < 1:
+        raise InputError("--ops-per-copy must be at least 1")
     entries = load_manifest(args.manifest)
     explicit = _parse_ops(args.ops)
     views = args.views

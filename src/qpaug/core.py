@@ -38,7 +38,9 @@ class Definiteness(enum.Enum):
     INDEFINITE = "indefinite"
 
 
-# psd_certificate's default pivot tol, relative to max(1, max |q_jj|)
+# psd_certificate's default pivot tol, relative to max(1, max |q_jj|), which
+# scaling the variables moves; the solver's unpivoted test takes it relative
+# to each q_jj, and add_variables certifies Q at unit diagonal
 _PSD_TOL = 1e-10
 
 
@@ -143,6 +145,8 @@ class SparseMatrix:
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseMatrix":
+        """A copy of a scipy sparse matrix.  This alone in the package needs
+        scipy, which it imports here: its caller already holds the matrix."""
         import scipy.sparse as sp
 
         coo = sp.coo_matrix(mat)
@@ -396,9 +400,12 @@ def psd_certificate(q: SparseMatrix, tol: float | None = None) -> Definiteness:
 
     PD when all pivots clear tol, PSD when elimination stalls on a residual
     block that is itself negligible, indefinite otherwise.  The elimination
-    is LAPACK's pivoted Cholesky (dpstrf), which takes the largest remaining
-    diagonal entry as each pivot and stops at the first one <= tol.  The
-    default tol is _PSD_TOL times max(1, max |q_jj|).
+    is left-looking (Hammarling, Higham & Lucas, 2007): d holds the diagonal
+    of the remaining Schur complement, each step takes its largest entry as
+    the pivot and forms the pivot's column of L with one matrix-vector
+    product, and it stops at the first pivot <= tol, about n^3 / 6 flops
+    over at most n steps.  The default tol is _PSD_TOL times
+    max(1, max |q_jj|).
     """
     if q.n_rows != q.n_cols:
         raise InputError("matrix must be square")
@@ -406,21 +413,32 @@ def psd_certificate(q: SparseMatrix, tol: float | None = None) -> Definiteness:
         raise InputError("matrix must be stored symmetrically")
     n = q.n_rows
     h = q.to_dense()
-    scale = max(1.0, float(np.abs(np.diag(h)).max()) if n else 1.0)
+    d = np.diag(h).copy()
+    scale = max(1.0, float(np.abs(d).max()) if n else 1.0)
     if tol is None:
         tol = _PSD_TOL * scale
+    if not tol >= 0:  # NaN fails the comparison too
+        raise InputError(f"tol must be nonnegative, got {tol}")
+    low = np.zeros((n, n))
+    perm = np.arange(n)
+    for k in range(n):
+        j = k + int(np.argmax(d[k:]))
+        if d[j] <= tol:
+            break
+        for arr in (perm, d, low):
+            arr[[k, j]] = arr[[j, k]]
+        low[k, k] = piv = np.sqrt(d[k])
+        col = (h[perm[k], perm[k + 1 :]] - low[k + 1 :, :k] @ low[k, :k]) / piv
+        low[k + 1 :, k] = col
+        d[k + 1 :] -= col * col
+    else:
+        return Definiteness.PD
     # limit for off-diagonal mass of a PSD matrix whose diagonal is below tol
     off_limit = max(tol, np.sqrt(tol * scale))
-    from scipy.linalg import lapack
-
-    fac, piv, rank, _ = lapack.dpstrf(h, tol=tol, lower=1)
-    if rank == n:
-        return Definiteness.PD
-    # dpstrf leaves the trailing block partly updated, so form the Schur
-    # complement H22 - L21 L21' of the stalled elimination from h itself
-    rest = piv[rank:] - 1
-    low = fac[rank:, :rank]
-    sub = h[np.ix_(rest, rest)] - low @ low.T
+    # the Schur complement H22 - L21 L21' of the stalled elimination, formed
+    # from h itself
+    rest = perm[k:]
+    sub = h[np.ix_(rest, rest)] - low[k:, :k] @ low[k:, :k].T
     d = np.diag(sub)
     off = sub - np.diag(d)
     if d.min() < -tol or (off.size and np.abs(off).max() > off_limit):

@@ -15,9 +15,9 @@ of an accepted set is refined against the unshifted KKT.  SolveStats counts
 the polish calls and their rounds.  solve_enumeration checks every
 candidate active set and is the ground-truth oracle at toy sizes.
 
-The Cholesky factors and their triangular solves (_chol, _tri) are numpy's
-own, so the solver imports no scipy: only psd_certificate, for a Q that is
-not clearly positive definite, loads scipy.linalg.
+The Cholesky factors and their triangular solves (_chol, _tri), and
+psd_certificate's pivoted elimination, are numpy's own: the solver imports
+no scipy.
 """
 from __future__ import annotations
 

@@ -300,12 +300,22 @@ def add_variables(inst: LcqpInstance, q_vec, ridge: float | None = None):
     The extension [[Q, Qq], [q'Q, q'Qq]] is only positive semidefinite, so a
     small ridge (default 1e-2 * trace(Q)/n) lands on the new diagonal entry to
     keep the quadratic term PD; the mapped optimum has the new coordinate at 0
-    either way.
+    either way.  Q is certified at unit diagonal, D^-1/2 Q D^-1/2 with
+    D = diag(Q), a matrix that scaling the variables leaves alone.
     """
     q_vec = _operand(np.asarray(q_vec, dtype=np.float64), inst.n, "q_vec")
-    if psd_certificate(inst.q) is not Definiteness.PD:
+    q = inst.q
+    on = q.rows == q.cols
+    diag = np.zeros(inst.n)
+    diag[q.rows[on]] = q.vals[on]
+    if np.any(diag <= 0):
         raise InputError("add_variables needs a positive definite quadratic term")
-    trace = float(inst.q.vals[inst.q.rows == inst.q.cols].sum())
+    root = 1.0 / np.sqrt(diag)
+    # pair products first so (i,j) and (j,i) stay bitwise equal
+    unit = SparseMatrix(inst.n, inst.n, q.rows, q.cols, q.vals * (root[q.rows] * root[q.cols]))
+    if psd_certificate(unit) is not Definiteness.PD:
+        raise InputError("add_variables needs a positive definite quadratic term")
+    trace = float(q.vals[on].sum())
     if ridge is None:
         ridge = 1e-2 * trace / inst.n
     if not 0 <= ridge < np.inf:  # NaN fails the comparison too

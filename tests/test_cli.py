@@ -524,6 +524,17 @@ def test_augment_bad_options_exit_2_before_writing(tmp_path, capsys, spec, extra
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--views", "--per-instance", "--ops-per-copy"])
+def test_augment_counts_below_one_name_their_flag(tmp_path, capsys, flag):
+    corpus = gen_corpus(tmp_path, capsys, count=2, solve=False)
+    out = tmp_path / "aug"
+    code, stdout, err = run(capsys, ["augment", "--manifest", str(corpus / "manifest.json"),
+                                     flag, "0", "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert err == f"error: {flag} must be at least 1\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- solve/verify
 
 def test_solve_labels_corpus(tmp_path, capsys):

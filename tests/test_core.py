@@ -18,7 +18,8 @@ from qpaug import (
     permute_instance,
     psd_certificate,
 )
-from qpaug.generators import gen_qp
+from qpaug.generators import gen_lasso, gen_qp, gen_svm
+from qpaug.transforms import scale_variables
 
 from conftest import make_instance
 
@@ -548,7 +549,7 @@ def _parity_matrices():
         "swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
         "zero_diag_off_mass": np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-3], [0.0, 1e-3, 0.0]]),
     }
-    # sizes below and above LAPACK's block size, ranks full and deficient
+    # sizes 3 to 150, ranks full and deficient
     for n in (3, 7, 40, 100, 150):
         for r in (n, max(1, n // 2), 1):
             g = rng.standard_normal((n, r))
@@ -569,6 +570,29 @@ def test_psd_certificate_matches_reference_loop(name):
     dense = _parity_matrices()[name]
     q = SparseMatrix.from_dense((dense + dense.T) / 2)
     assert psd_certificate(q) is _psd_certificate_loop(q)
+
+
+def _generated_parity_matrices():
+    qp = gen_qp(300, 300, 0.05, 0.05, 0)
+    scaled, _ = scale_variables(qp, np.exp(np.resize([6.0, -6.0], qp.n)))
+    return {
+        "qp_300": qp.q,
+        "svm_200_100": gen_svm(200, 100, 1.0, 0.2, 0).q,
+        "lasso_200_100": gen_lasso(200, 100, 0.1, 0.2, 0).q,
+        "qp_300_scaled_e6": scaled.q,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_generated_parity_matrices()))
+def test_psd_certificate_matches_reference_loop_on_generated_q(name):
+    """The generators' Q above the parity set's largest size.  The QP's Q
+    scaled by e^6 and e^-6 in turn reads PSD on both sides: at the global
+    tolerance its small scaled pivots stall the elimination."""
+    q = _generated_parity_matrices()[name]
+    verdict = psd_certificate(q)
+    assert verdict is _psd_certificate_loop(q)
+    if name == "qp_300_scaled_e6":
+        assert verdict is Definiteness.PSD
 
 
 @given(st.integers(0, 300))

@@ -148,6 +148,32 @@ def test_generators_make_no_blas_products():
     assert matmul == [] and named == []
 
 
+def test_no_module_imports_scipy_but_from_scipy():
+    """No module of the package imports scipy, at module level or in a
+    function, but SparseMatrix.from_scipy, whose caller holds a scipy matrix."""
+    found = []
+    for path in sorted(Path(qpaug.generators.__file__).parent.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    found.append((path.name, getattr(scope, "name", None)))
+    assert found == [("core.py", "from_scipy")]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    import tomllib
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert "scipy>=1.10" in project["optional-dependencies"]["test"]
+
+
 # ------------------------------------------------------------------------ gen_lp
 
 def test_lp_shapes_and_kind():

@@ -1,18 +1,15 @@
-"""Import discipline: scipy loads only where the program checks a Q that is
-not clearly positive definite.
+"""Import discipline: the program runs on numpy alone.
 
-`import qpaug` and the commands that never solve (help, generate without
---solve, augment, verify, graph) run on numpy alone; each is run here as its
-own process, the way `python -m qpaug` runs it, and must leave no scipy
-module behind.  `generate --solve` and `solve` on LPs and positive definite
-QPs factor and solve on numpy too, and load no scipy module either, even
-where the active rows are dependent and scaled by 1e5.  The one caller that
-still loads scipy.linalg is `psd_certificate`, for a Q whose unpivoted
-factor does not show it positive definite: labeling the SVM family, whose Q
-is semidefinite, loads it.  Solving LPs and positive definite QPs loads no
-numpy.ma, and the serial stages load no concurrent.futures, which only the
-pool of --jobs above 1 needs.  Loading a view and encoding it with the
-message passer runs on numpy alone too."""
+`import qpaug` and every command (help, generate with and without --solve,
+augment, verify, graph, solve) is run here as its own process, the way
+`python -m qpaug` runs it, and must leave no scipy module behind: LPs,
+positive definite QPs and the semidefinite SVM and lasso families factor,
+certify and solve on numpy, even where the active rows are dependent and
+scaled by 1e5.  No command loads numpy.ma, and the serial stages load no
+concurrent.futures, which only the pool of --jobs above 1 needs.  Loading a
+view and encoding it with the message passer runs on numpy alone too.
+Only `SparseMatrix.from_scipy`, whose caller already holds a scipy matrix,
+imports scipy: tests/test_generators.py checks that in the source."""
 import json
 import os
 import subprocess
@@ -69,10 +66,18 @@ def probe(cwd, *args, key="scipy"):
     return result if key is None else result[key]
 
 
-def test_only_solving_commands_load_scipy(tmp_path):
-    """No command loads scipy but a solve that has to certify a Q which is
-    not clearly positive definite: the SVM family's semidefinite Q."""
-    no_scipy = [
+# the semidefinite families, labeled: psd_certificate decides their Q
+SVM = ["--family", "svm", "--samples", "12", "--features", "6", "--lambda-reg", "1.0",
+       "--density", "0.5", "--count", "2", "--seed", "3", "--solve"]
+LASSO = ["--family", "lasso", "--samples", "12", "--features", "6", "--lambda-reg", "0.1",
+         "--density", "0.5", "--count", "2", "--seed", "3", "--solve"]
+
+
+def test_no_command_loads_scipy(tmp_path):
+    """No command loads scipy, solves included: the SVM and lasso families'
+    semidefinite Q is certified on numpy too.  None loads numpy.ma either:
+    the scipy.linalg that the certificate imported did, for the SVM family."""
+    commands = [
         ["--help"],
         ["generate", *QP, "--out", "raw"],
         ["augment", "--manifest", "raw/manifest.json", "--views", "2", "--seed", "1",
@@ -85,13 +90,12 @@ def test_only_solving_commands_load_scipy(tmp_path):
         ["graph", "--manifest", "aug/manifest.json", "--out", "graphs-aug"],
         ["solve", "--manifest", "aug/manifest.json", "--out", "sol"],
         ["verify", "--manifest", "sol/manifest.json"],
+        ["generate", *SVM, "--out", "svm"],
+        ["generate", *LASSO, "--out", "lasso"],
     ]
-    for args in no_scipy:
-        assert probe(tmp_path, *args) == [], args
-    loaded = probe(tmp_path, "generate", "--family", "svm", "--samples", "12", "--features",
-                   "6", "--lambda-reg", "1.0", "--density", "0.5", "--count", "2", "--seed",
-                   "3", "--solve", "--out", "svm")
-    assert "scipy.linalg" in loaded
+    for args in commands:
+        loaded = probe(tmp_path, *args, key=None)
+        assert loaded["scipy"] == [] and "numpy.ma" not in loaded["watched"], args
 
 
 # a positive definite QP whose solves polish over several repair rounds

@@ -312,6 +312,18 @@ def test_add_variables_requires_pd():
         add_variables(psd_only, np.zeros(2))
 
 
+@pytest.mark.parametrize("a", [6.0, 8.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_add_variables_accepts_pd_q_after_scale_variables(a, seed):
+    """D Q D stays positive definite for a positive diagonal D.  Scaled by
+    e^a and e^-a in turn, its pivots fell below a tolerance relative to its
+    largest diagonal entry, and the copy was refused."""
+    inst = gen_qp(100, 100, 0.05, 0.05, seed)
+    scaled, _ = scale_variables(inst, np.exp(np.resize([a, -a], inst.n)))
+    out, _ = add_variables(scaled, np.zeros(inst.n))
+    assert out.n == inst.n + 1
+
+
 # ---------------------------------------------------------- add_variable_biased
 
 def test_add_variable_biased_e1(e1, e1_sol):
