@@ -125,7 +125,7 @@ def cmd_generate(args) -> int:
 def _solve_task(task):
     src, dst = task
     inst, _ = load_instance(src)
-    return _label_and_save(dst, inst, solve=True)
+    return _label_and_save(dst, inst, solve=True, source=src)
 
 
 def cmd_solve(args) -> int:

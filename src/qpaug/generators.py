@@ -302,10 +302,15 @@ def _label(inst):
     return "ok", sol
 
 
-def _label_and_save(path, inst, solve):
+def _label_and_save(path, inst, solve, source=None):
     """Label `inst` when `solve` is set, save it to `path` (unlabeled unless
-    the label is "ok"), and return (solver status, labeled)."""
-    status, sol = _label(inst) if solve else ("not_requested", None)
+    the label is "ok"), and return (solver status, labeled).  The solver's
+    InputError, an indefinite Q, is raised naming `source`, the file `inst`
+    was read from, or else `path`."""
+    try:
+        status, sol = _label(inst) if solve else ("not_requested", None)
+    except InputError as exc:
+        raise InputError(f"{source or path}: {exc}") from exc
     save_instance(path, inst, sol)
     return status, sol is not None
 

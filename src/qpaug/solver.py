@@ -9,13 +9,16 @@ negative dual leaves in one round, with a conservative step of one dual at
 a time where that rule would return to a set it has solved.  Every problem
 kind solves that system on one path, the Schur complement of Q's factor
 from _pd_factor: of Q itself when Q is clearly positive definite, else of
-Q + d I, which for an LP is d I.  A row the factor of the Schur system
-finds spanned by the rows before it leaves the round's set, and the point
-of an accepted set is refined against the unshifted KKT.  SolveStats counts
-the polish calls and their rounds.  solve_enumeration checks every
-candidate active set and is the ground-truth oracle at toy sizes.
+Q + d I, which for an LP is d I.  A row with a weak pivot in the factor of
+the Schur system leaves the round's set, and the point of an accepted set
+is refined against the unshifted KKT.  SolveStats counts the polish calls
+and their rounds.  solve_enumeration checks every candidate active set and
+is the ground-truth oracle at toy sizes.
 
-The Cholesky factors and their triangular solves (_chol, _tri), and
+Every dense factor, of the ADMM system, of Q and of each Schur system, is
+made by one rule, _factor: shift, factor, and grow the shift a hundredfold
+where the factor fails; its weak pivots are the one test of a dependent
+row.  The Cholesky factors and their triangular solves (_chol, _tri), and
 psd_certificate's pivoted elimination, are numpy's own: the solver imports
 no scipy.
 """
@@ -174,30 +177,49 @@ def _tri(fac, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
     return out
 
 
+def _factor(build, shift: float):
+    """(fac, shift, weak): fac = _chol(M + shift I) for M = build(), the shift
+    it took, and weak, the pivots with L_jj^2 <= _PSD_TOL (M_jj + shift),
+    each a row the rows before it nearly span; None when no shift factors.
+
+    The solver's one factorization rule, for P, Q and every Schur system.
+    build makes M afresh for each try, as _chol works in place.  A shift of
+    0 is tried once.  A positive shift grows a hundredfold while the factor
+    fails, and the rule gives up once it reaches max(1, M's largest diagonal
+    entry), the scale psd_certificate uses: by then a finite positive
+    semidefinite M has factored.
+    """
+    while True:
+        m = build()
+        top = max(1.0, m.diagonal().max(initial=0.0))
+        diag = m.diagonal() + shift
+        np.fill_diagonal(m, diag)
+        fac = _chol(m)
+        if fac is not None:
+            return fac, shift, fac[0].diagonal() ** 2 <= _PSD_TOL * diag
+        if not 0.0 < shift < top < np.inf:
+            return None
+        shift *= 100.0
+
+
 def _admm_factor(q: SparseMatrix, gram: np.ndarray, rho: float):
-    """(_chol of P = Q + sigma I + rho A'A, sigma), with gram from _gram.
+    """(_chol of P = Q + sigma I + rho A'A, sigma), with gram from _gram and
+    sigma from _factor, starting at _SIGMA.
 
     P is positive definite for every kind because Q is PSD and sigma > 0,
     but once Q + rho A'A is about sigma / eps in size, sigma is lost to
-    rounding and a singular Q + rho A'A will not factor.  Then sigma grows a
-    hundredfold until P factors: any sigma > 0 gives an ADMM step, and once
-    sigma reaches P's largest diagonal entry the factorization cannot fail.
-    _admm_step takes its sigma from the pair, so the step always matches P.
-    Unconverged if P fails even so, which only non-finite entries cause.
+    rounding and a singular Q + rho A'A needs a larger one.  _admm_step takes
+    its sigma from the pair, so the step always matches P.  Unconverged if P
+    will not factor, which only non-finite entries cause.
     """
-    diag = np.diag_indices_from(gram)
-    sigma = _SIGMA
-    while True:
+    def build():
         p = rho * gram
         p[q.rows, q.cols] += q.vals
-        top = p[diag].max(initial=0.0)
-        p[diag] += sigma
-        fac = _chol(p)
-        if fac is not None:
-            return fac, sigma
-        if not sigma < top < np.inf:
-            raise Unconverged(f"the step system will not factor at penalty {rho:g}", None, None)
-        sigma *= 100.0
+        return p
+
+    if (got := _factor(build, _SIGMA)) is None:
+        raise Unconverged(f"the step system will not factor at penalty {rho:g}", None, None)
+    return got[:2]
 
 
 def _admm_step(fac, a: SparseMatrix, rho: float, x: np.ndarray, c: np.ndarray, r2: np.ndarray):
@@ -211,30 +233,26 @@ def _admm_step(fac, a: SparseMatrix, rho: float, x: np.ndarray, c: np.ndarray, r
 
 
 def _pd_factor(q: SparseMatrix):
-    """_chol of Q when Q is clearly positive definite, else of Q + d I.
+    """_chol of Q when Q is clearly positive definite, else of Q + d I, both
+    made by _factor.
 
-    Q counts as positive definite when every pivot of its unpivoted factor
-    clears its own diagonal, L_jj^2 > _PSD_TOL Q_jj, a test that scaling the
-    variables leaves alone.  Otherwise psd_certificate decides, InputError
-    when Q is indefinite, and the factor is that of Q + d I with
-    d = _SIGMA max(1, max |Q_jj|); an LP's Q, which is empty, needs no
-    certificate and gives _chol(1e-6 I).  The polish solves on this factor
-    and refines against Q itself, so a label meets the unshifted KKT.
+    Q counts as positive definite when _factor gives it at shift 0 with no
+    weak pivot, a test that scaling the variables leaves alone.  Otherwise
+    psd_certificate decides, InputError when Q is indefinite, and d starts at
+    _SIGMA max(1, max Q_jj): every Q the certificate accepts factors so.  An
+    LP's Q, which is empty, needs no certificate and gives _chol(1e-6 I).
+    The polish solves on this factor and refines against Q itself, so a
+    label meets the unshifted KKT.
     """
-    h = q.to_dense()
-    diag = np.diag(h).copy()
     if q.vals.size:
-        fac = _chol(h)
-        if fac is not None and np.all(np.diag(h) ** 2 > _PSD_TOL * diag):
-            return fac
+        got = _factor(q.to_dense, 0.0)
+        if got is not None and not got[2].any():
+            return got[0]
         if psd_certificate(q) is Definiteness.INDEFINITE:
             raise InputError("quadratic term must be positive semidefinite")
-        h = q.to_dense()
-    h[np.diag_indices_from(h)] += _SIGMA * diag.max(initial=1.0)
-    fac = _chol(h)
-    if fac is None:
+    if (got := _factor(q.to_dense, _SIGMA * q.vals[q.rows == q.cols].max(initial=1.0))) is None:
         raise InputError("quadratic term must be positive semidefinite")
-    return fac
+    return got[0]
 
 
 def _schur_rounds(inst: LcqpInstance, fac):
@@ -246,12 +264,10 @@ def _schur_rounds(inst: LcqpInstance, fac):
     Nocedal & Wright, Numerical Optimization, 16.2).  The equality KKT
     [[L L', A_S'], [A_S, 0]] [dx; dlam] = [r1; r2] is solved by
     y = L^-1 r1, dlam = (G_S + d I)^-1 (V_S' y - r2) refined twice against
-    G_S, and dx = L^-T (y - V_S dlam).  The shift d starts at _POLISH_REG
-    and grows a hundredfold while G_S + d I will not factor, the rule
-    _admm_factor keeps for sigma; once d passes G_S's largest diagonal
-    entry, which only non-finite entries bring about, solve gives None.
-    A row whose pivot L_jj^2 in that factor is at most _PSD_TOL times its
-    own diagonal is spanned by the rows before it: it leaves the set with
+    G_S, and dx = L^-T (y - V_S dlam).  G_S + d I is made by _factor from
+    d = _POLISH_REG, and solve gives None where it will not factor, which
+    only non-finite entries bring about.  A row with a weak pivot in that
+    factor is spanned by the rows before it: it leaves the set with
     lam = 0, and the rest are factored again.  Otherwise solve(active)
     gives (x, lam, refined): the point from r1 = -c, r2 = b_S, and
     refined(x, lam), which takes two more steps with the same factors on
@@ -286,13 +302,9 @@ def _schur_rounds(inst: LcqpInstance, fac):
         while True:
             pick = slot[active[keep]]
             g_s = gram[np.ix_(pick, pick)]
-            top = g_s.diagonal().max(initial=0.0)
-            reg = _POLISH_REG
-            while (g_fac := _chol(g_s + reg * np.eye(pick.size))) is None:
-                if not reg < top < np.inf:
-                    return None
-                reg *= 100.0
-            dependent = g_fac[0].diagonal() ** 2 <= _PSD_TOL * (g_s.diagonal() + reg)
+            if (got := _factor(g_s.copy, _POLISH_REG)) is None:
+                return None
+            g_fac, _, dependent = got
             if not dependent.any():
                 break
             keep[np.flatnonzero(keep)[dependent]] = False

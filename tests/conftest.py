@@ -18,7 +18,9 @@ from qpaug import (
     Solution,
     SparseMatrix,
     add_constraints,
+    gen_lasso,
     gen_qp,
+    gen_svm,
     scale_constraints,
     scale_variables,
     solve_splitting,
@@ -247,6 +249,48 @@ def stress_copy(seed, d, scale_vars):
     if scale_vars:
         inst, _ = scale_variables(inst, np.full(inst.n, 1.0 / d))
     return base, label, inst
+
+
+def parity_matrices():
+    """Named symmetric matrices, PD, PSD and indefinite, for the definiteness
+    certificate and the solver's factor of Q to classify alike."""
+    rng = np.random.default_rng(2024)
+    out = {
+        "zero": np.zeros((4, 4)),
+        "one_by_one": np.array([[3.0]]),
+        "one_by_one_zero": np.zeros((1, 1)),
+        "one_by_one_negative": np.array([[-1.0]]),
+        "pd_diag": 2 * np.eye(2),
+        "rank_one": np.ones((2, 2)),
+        "swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
+        "zero_diag_off_mass": np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-3], [0.0, 1e-3, 0.0]]),
+    }
+    # sizes 3 to 150, ranks full and deficient
+    for n in (3, 7, 40, 100, 150):
+        for r in (n, max(1, n // 2), 1):
+            g = rng.standard_normal((n, r))
+            out[f"gram_{n}_{r}"] = g @ g.T
+        g = rng.standard_normal((n, n))
+        ind = g @ g.T
+        ind[n // 2, n // 2] -= np.linalg.eigvalsh(ind).max() + 1.0
+        out[f"shifted_{n}"] = ind
+        g = rng.standard_normal((n, n // 2))
+        ind = g @ g.T
+        ind[-1, -1] -= 1e-3  # a small negative eigenvalue behind a stall
+        out[f"gram_minus_{n}"] = ind
+    return out
+
+
+def generated_parity_matrices():
+    """The generators' Q, as SparseMatrix, above the parity set's largest size."""
+    qp = gen_qp(300, 300, 0.05, 0.05, 0)
+    scaled, _ = scale_variables(qp, np.exp(np.resize([6.0, -6.0], qp.n)))
+    return {
+        "qp_300": qp.q,
+        "svm_200_100": gen_svm(200, 100, 1.0, 0.2, 0).q,
+        "lasso_200_100": gen_lasso(200, 100, 0.1, 0.2, 0).q,
+        "qp_300_scaled_e6": scaled.q,
+    }
 
 
 @pytest.fixture

@@ -587,6 +587,23 @@ def test_solve_budget_exit_3(tmp_path, capsys):
     assert err == "solver failed on 3/3 instances, over budget 0.0\n"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_solve_names_the_file_whose_q_is_refused(tmp_path, capsys, jobs):
+    """An indefinite Q is refused with exit 2, and the error names the file
+    it was read from, as a load error does, in one process and in a pool."""
+    box = np.vstack([np.eye(2), -np.eye(2)])
+    entries = []
+    for name, q in (("convex.json", np.eye(2)), ("saddle.json", [[0.0, 1.0], [1.0, 0.0]])):
+        save_instance(tmp_path / name, make_instance(q, box, np.ones(4), [1.0, -1.0]))
+        entries.append({"path": name, "split": "train", "family": "qp", "seed": 0,
+                        "labeled": False, "solver_status": "not_requested"})
+    save_manifest(tmp_path / "manifest.json", entries)
+    code, _, err = run(capsys, ["solve", "--manifest", str(tmp_path / "manifest.json"),
+                                "--jobs", jobs, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err == f"error: {tmp_path / 'saddle.json'}: quadratic term must be positive semidefinite\n"
+
+
 @pytest.mark.parametrize("via, budget", [
     ("flag", "-0.5"), ("flag", "1.5"), ("flag", "nan"), ("flag", "inf"),
     # a config file cannot hold nan or inf: its reader refuses them

@@ -18,10 +18,9 @@ from qpaug import (
     permute_instance,
     psd_certificate,
 )
-from qpaug.generators import gen_lasso, gen_qp, gen_svm
-from qpaug.transforms import scale_variables
+from qpaug.generators import gen_qp
 
-from conftest import make_instance
+from conftest import generated_parity_matrices, make_instance, parity_matrices
 
 
 # ---------------------------------------------------------------- SparseMatrix
@@ -537,58 +536,19 @@ def _psd_certificate_loop(q: SparseMatrix, tol=None) -> Definiteness:
     return Definiteness.PD
 
 
-def _parity_matrices():
-    rng = np.random.default_rng(2024)
-    out = {
-        "zero": np.zeros((4, 4)),
-        "one_by_one": np.array([[3.0]]),
-        "one_by_one_zero": np.zeros((1, 1)),
-        "one_by_one_negative": np.array([[-1.0]]),
-        "pd_diag": 2 * np.eye(2),
-        "rank_one": np.ones((2, 2)),
-        "swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
-        "zero_diag_off_mass": np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1e-3], [0.0, 1e-3, 0.0]]),
-    }
-    # sizes 3 to 150, ranks full and deficient
-    for n in (3, 7, 40, 100, 150):
-        for r in (n, max(1, n // 2), 1):
-            g = rng.standard_normal((n, r))
-            out[f"gram_{n}_{r}"] = g @ g.T
-        g = rng.standard_normal((n, n))
-        ind = g @ g.T
-        ind[n // 2, n // 2] -= np.linalg.eigvalsh(ind).max() + 1.0
-        out[f"shifted_{n}"] = ind
-        g = rng.standard_normal((n, n // 2))
-        ind = g @ g.T
-        ind[-1, -1] -= 1e-3  # a small negative eigenvalue behind a stall
-        out[f"gram_minus_{n}"] = ind
-    return out
-
-
-@pytest.mark.parametrize("name", sorted(_parity_matrices()))
+@pytest.mark.parametrize("name", sorted(parity_matrices()))
 def test_psd_certificate_matches_reference_loop(name):
-    dense = _parity_matrices()[name]
+    dense = parity_matrices()[name]
     q = SparseMatrix.from_dense((dense + dense.T) / 2)
     assert psd_certificate(q) is _psd_certificate_loop(q)
 
 
-def _generated_parity_matrices():
-    qp = gen_qp(300, 300, 0.05, 0.05, 0)
-    scaled, _ = scale_variables(qp, np.exp(np.resize([6.0, -6.0], qp.n)))
-    return {
-        "qp_300": qp.q,
-        "svm_200_100": gen_svm(200, 100, 1.0, 0.2, 0).q,
-        "lasso_200_100": gen_lasso(200, 100, 0.1, 0.2, 0).q,
-        "qp_300_scaled_e6": scaled.q,
-    }
-
-
-@pytest.mark.parametrize("name", sorted(_generated_parity_matrices()))
+@pytest.mark.parametrize("name", sorted(generated_parity_matrices()))
 def test_psd_certificate_matches_reference_loop_on_generated_q(name):
     """The generators' Q above the parity set's largest size.  The QP's Q
     scaled by e^6 and e^-6 in turn reads PSD on both sides: at the global
     tolerance its small scaled pivots stall the elimination."""
-    q = _generated_parity_matrices()[name]
+    q = generated_parity_matrices()[name]
     verdict = psd_certificate(q)
     assert verdict is _psd_certificate_loop(q)
     if name == "qp_300_scaled_e6":

@@ -148,6 +148,16 @@ def test_generators_make_no_blas_products():
     assert matmul == [] and named == []
 
 
+def test_solver_factors_through_one_function():
+    """In solver, _chol and _PSD_TOL are named inside _factor only, so P, Q
+    and every Schur system are factored by one shift-and-retry rule with one
+    weak-pivot test."""
+    tree = ast.parse((Path(qpaug.generators.__file__).parent / "solver.py").read_text())
+    owners = {(node.id, getattr(top, "name", None)) for top in tree.body for node in ast.walk(top)
+              if isinstance(node, ast.Name) and node.id in ("_chol", "_PSD_TOL")}
+    assert owners == {("_chol", "_factor"), ("_PSD_TOL", "_factor")}
+
+
 def test_no_module_imports_scipy_but_from_scipy():
     """No module of the package imports scipy, at module level or in a
     function, but SparseMatrix.from_scipy, whose caller holds a scipy matrix."""

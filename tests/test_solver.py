@@ -34,7 +34,7 @@ from qpaug.generators import _label, gen_lp, gen_qp
 from qpaug.solver import Unconverged, enumerate_candidates
 from qpaug.transforms import COMBO_STRENGTHS
 
-from conftest import make_instance, stress_copy
+from conftest import generated_parity_matrices, make_instance, parity_matrices, stress_copy
 
 
 def random_feasible_qp(seed, n_max=4, m_max=6):
@@ -657,6 +657,66 @@ def test_pd_factor_shifts_a_semidefinite_or_empty_q():
     assert np.abs(low @ low.T - want).max() <= 1e-15 * np.abs(want).max()
     with pytest.raises(InputError, match="semidefinite"):
         solver._pd_factor(SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+
+def stalled_pairs():
+    """600 seeded Q of size 2 to 8: a Gram matrix scaled by e^-6 to e^6, two
+    of whose variables are emptied but for an off-diagonal e drawn from
+    (1e-6, 1e-5) max(1, max q_jj).  Q + 1e-6 max(1, max q_jj) I is then
+    indefinite, while e is within psd_certificate's stalled off-diagonal
+    limit, sqrt(tol scale) = 1e-5 max(1, max |q_jj|)."""
+    out = {}
+    for seed in range(600):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        g = rng.standard_normal((n, n)) * np.exp(rng.uniform(-3.0, 3.0))
+        h = g @ g.T
+        h = (h + h.T) / 2
+        pair = rng.choice(n, 2, replace=False)
+        h[pair] = 0.0
+        h[:, pair] = 0.0
+        h[pair[0], pair[1]] = h[pair[1], pair[0]] = (
+            rng.uniform(1e-6, 1e-5) * max(1.0, np.diag(h).max()))
+        out[f"stalled_{seed}"] = SparseMatrix.from_dense(h)
+    return out
+
+
+@pytest.mark.parametrize("family", ["parity", "generated", "stalled"])
+def test_pd_factor_refuses_exactly_what_the_certificate_calls_indefinite(family):
+    """On the certificate's parity matrices, the generators' Q and the
+    stalled pairs, _pd_factor raises InputError exactly where psd_certificate
+    reads INDEFINITE: every Q it calls PD or PSD is factored, at shift 0 or
+    at a grown shift.  With one fixed shift of 1e-6 max(1, max q_jj) the
+    solver refused every stalled pair."""
+    qs = {"parity": lambda: {name: SparseMatrix.from_dense((d + d.T) / 2)
+                             for name, d in parity_matrices().items()},
+          "generated": generated_parity_matrices, "stalled": stalled_pairs}[family]()
+    for name, q in qs.items():
+        verdict = psd_certificate(q)
+        assert family != "stalled" or verdict is Definiteness.PSD, name
+        try:
+            solver._pd_factor(q)
+        except InputError:
+            assert verdict is Definiteness.INDEFINITE, name
+        else:
+            assert verdict is not Definiteness.INDEFINITE, name
+
+
+def test_stalled_pair_q_labels_on_the_oracle():
+    """Q = [[1, 0, 0], [0, 0, e], [0, e, 0]], e = 5e-6, reads PSD although
+    Q + 1e-6 I will not factor.  Over the box -1 <= x <= 1 with
+    c = (1, -1, 0.5) it labels ok, on the enumeration oracle's objective
+    -2.000005."""
+    e = 5e-6
+    inst = make_instance([[1.0, 0.0, 0.0], [0.0, 0.0, e], [0.0, e, 0.0]],
+                         np.vstack([np.eye(3), -np.eye(3)]), np.ones(6), [1.0, -1.0, 0.5])
+    assert psd_certificate(inst.q) is Definiteness.PSD
+    status, sol = _label(inst)
+    assert status == "ok"
+    oracle = solve_enumeration(inst)
+    assert oracle.objective == pytest.approx(-2.000005, rel=1e-12)
+    assert sol.objective == pytest.approx(oracle.objective, rel=1e-9)
+    assert np.abs(sol.x - oracle.x).max() <= 1e-6
 
 
 @pytest.mark.parametrize("make", [
