@@ -26,32 +26,20 @@ and must be below n_rows * n_cols, so the entries are in range and in order;
 values are finite and nonzero; a q mirrored from its upper triangle is
 symmetric.  It refuses a sparse field with any other field, gaps wider than
 needed, unequal counts or an explicit zero; an entry of q below the
-diagonal; a negative n or m; b or c of the wrong length.  A packed string
-must decode strictly to a whole number of values; a float array may also
-be a list of JSON numbers, and an index list holds integers, never booleans
-or strings.
+diagonal; a negative n or m; b or c of the wrong length; a graph file with
+a member other than n, m, q, a, b, c; and a solution map without the
+values or indices its kind replays.  A float array is a packed string that
+must decode strictly to a whole number of values; an index list is a JSON
+list of integers, never booleans or strings; n, m and the objective are
+single JSON numbers.
 
-Earlier forms are rewritten into today's at one boundary, before that reader
-runs (_upgrade, _upgrade_graph), and load to equal objects: packed keys (in
-the narrowest of <u2, <u4 and <i8 that holds n_rows * n_cols - 1) or
-rows/cols lists, q in full storage, and a dense add_variable_constrained map
-(null indices, values c_new then all of a_col).  Graph files stored `nodes`
-(the node counts n_var and n_con, or a per-node side list, and the
-features, c then b) and `edges` (weights keyed over the square of all
-nodes, constraint nodes numbered after the variable nodes: gaps with the vv
-edges one way, or packed keys or src/dst lists, vv edges maybe both ways,
-maybe with a per-edge kind list).  The upgrade builds each matrix through
-the public, fully checked SparseMatrix constructor or the reader's own
-sparse-field code, and keeps every check: keys strictly increasing in range
-at their width, only the form's fields, equal counts, no explicit zero,
-full storage exactly symmetric (only its upper triangle goes on), kind 'ca'
-exactly on constraint edges, all var nodes before all con nodes, one
-feature per node, every edge ending at a variable node.  Indented files and
-an earlier drop record's `dropped` param need no rewrite; `dropped` is never
-replayed.  Three refusals are newer than the forms they concern, and no
-version wrote such a file: an unknown field beside a graph's edge lists, an
-explicit zero among q or a values, and an entry below the diagonal of a
-gaps-form q or vv edges.
+Earlier forms are not read.  Files written before the format settled on
+this one form (coordinates as packed keys or lists, q in full storage,
+float arrays as JSON lists, a dense add_variable_constrained map, graphs
+as `nodes` and `edges`) are refused like any malformed file: the error
+names the first field that is not today's, and every refusal of a file's
+contents says to regenerate it.  Every file is a pure function of its
+seeds, so it regenerates from them.
 """
 from __future__ import annotations
 
@@ -107,16 +95,6 @@ def _unpacked(text, label, dtype="<f8") -> np.ndarray:
     return np.frombuffer(raw, dtype)
 
 
-def _sparse_doc(keys, vals, vals_name) -> dict:
-    """A sparse field: strictly increasing int64 `keys` as the base64 of their
-    gaps k0, k1 - k0 - 1, ..., little-endian in the narrowest of <u1, <u2,
-    <u4 and <u8 that holds the largest, and `vals` packed as `vals_name`."""
-    gaps = np.diff(keys, prepend=-1) - 1
-    dtype = np.dtype(np.min_scalar_type(gaps.max(initial=0))).newbyteorder("<")
-    return {"gaps": base64.b64encode(gaps.astype(dtype).tobytes()).decode("ascii"),
-            vals_name: _packed(vals)}
-
-
 def _keys_from_gaps(text, label, nnz, size) -> np.ndarray:
     """The int64 keys whose `nnz` gaps `text` packs, at the width its byte
     count gives, which must be the narrowest that holds the largest gap (one
@@ -139,17 +117,17 @@ def _keys_from_gaps(text, label, nnz, size) -> np.ndarray:
     return keys
 
 
-# the JSON types a list of each dtype may hold: bool is an int subclass and a
-# string would be parsed, so neither counts as a number
+# the JSON types a value or list of each dtype may hold: bool is an int
+# subclass and a string would be parsed, so neither counts as a number
 _JSON_TYPES = {np.int64: {int}, np.float64: {int, float}, np.str_: {str}}
 
 
 def _array_field(value, label, dtype, ndim=1) -> np.ndarray:
-    """`value` as an array of `dtype`: a single JSON value (ndim 0), a flat
-    JSON list, or for float64 a `_packed` string.  Refuses values that would
-    be truncated, reinterpreted or parsed on the way (2.5 or true as an
-    index, "1.0" as a number) and non-finite floats."""
-    if isinstance(value, str) and dtype is np.float64 and ndim == 1:
+    """`value` as an array of `dtype`: for a float64 array a `_packed`
+    string, else a single JSON value (ndim 0) or a flat JSON list.  Refuses
+    values that would be truncated, reinterpreted or parsed on the way (2.5
+    or true as an index, "1.0" as a number) and non-finite floats."""
+    if dtype is np.float64 and ndim == 1:
         vals = _unpacked(value, label).astype(np.float64)
     else:
         try:
@@ -195,31 +173,30 @@ def _mirrored(rows, cols, vals, n):
     return full_rows, full_cols, full_vals
 
 
-def _sparse_field(doc, label, n_rows, n_cols, vals_name="vals"):
+def _sparse_field(doc, label, n_rows, n_cols):
     """(rows, cols, vals) of an n_rows x n_cols sparse field: exactly packed
-    gaps and values under `vals_name`.  The keys strictly increase below
-    n_rows * n_cols, so the rows and columns are in range and in canonical
-    order."""
-    if set(doc) != {"gaps", vals_name}:
-        raise InputError(f"{label} must hold {label}.gaps and {vals_name} only")
-    vals = _nonzero(_array_field(doc[vals_name], f"{label}.{vals_name}", np.float64),
-                    f"{label}.{vals_name}")
+    gaps and values.  The keys strictly increase below n_rows * n_cols, so
+    the rows and columns are in range and in canonical order."""
+    if set(doc) != {"gaps", "vals"}:
+        raise InputError(f"{label} must hold {label}.gaps and vals only")
+    vals = _array_field(doc["vals"], f"{label}.vals", np.float64)
+    if not np.all(vals):  # SparseMatrix would drop it, so the file would not round-trip
+        raise InputError(f"{label}.vals holds a zero; stored entries need nonzero weights")
     keys = _keys_from_gaps(doc["gaps"], f"{label}.gaps", vals.size, n_rows * n_cols)
     rows = keys // n_cols  # np.divmod takes about three times as long
     return rows, keys - rows * n_cols, vals
 
 
-def _nonzero(vals, label) -> np.ndarray:
-    if not np.all(vals):  # SparseMatrix would drop it, so the file would not round-trip
-        raise InputError(f"{label} holds a zero; stored entries need nonzero weights")
-    return vals
-
-
 def _matrix_to_doc(mat: SparseMatrix, upper=False) -> dict:
-    """Packed gaps and values of `mat`; with `upper`, only its entries with
-    row <= col."""
+    """A sparse field: the strictly increasing keys of `mat`'s entries (with
+    `upper`, only those with row <= col) as the base64 of their gaps k0,
+    k1 - k0 - 1, ..., little-endian in the narrowest of <u1, <u2, <u4 and
+    <u8 that holds the largest, and the entries' values packed."""
     keep = mat.rows <= mat.cols if upper else slice(None)
-    return _sparse_doc(mat.rows[keep] * mat.n_cols + mat.cols[keep], mat.vals[keep], "vals")
+    gaps = np.diff(mat.rows[keep] * mat.n_cols + mat.cols[keep], prepend=-1) - 1
+    dtype = np.dtype(np.min_scalar_type(gaps.max(initial=0))).newbyteorder("<")
+    return {"gaps": base64.b64encode(gaps.astype(dtype).tobytes()).decode("ascii"),
+            "vals": _packed(mat.vals[keep])}
 
 
 def _matrix_from_doc(doc, n_rows, n_cols, label) -> SparseMatrix:
@@ -227,12 +204,9 @@ def _matrix_from_doc(doc, n_rows, n_cols, label) -> SparseMatrix:
     return SparseMatrix._canonical(n_rows, n_cols, *_sparse_field(doc, label, n_rows, n_cols))
 
 
-def _from_upper(rows, cols, vals, n, label) -> SparseMatrix:
-    """The symmetric n x n matrix whose upper triangle the field `label` holds."""
-    if np.any(rows > cols):
-        raise InputError(f"{label} holds an entry below the diagonal; only the upper "
-                         "triangle is stored")
-    return SparseMatrix._canonical(n, n, *_mirrored(rows, cols, vals, n), symmetric=True)
+# the members an instance file and its graph file both hold, and all a
+# graph file holds
+_DATA_MEMBERS = {"n", "m", "q", "a", "b", "c"}
 
 
 def _data_to_doc(q: SparseMatrix, a: SparseMatrix, b, c) -> dict:
@@ -245,7 +219,11 @@ def _data_to_doc(q: SparseMatrix, a: SparseMatrix, b, c) -> dict:
 def _data_from_doc(doc):
     """(q, a, b, c) from the members n, m, q, a, b, c in today's form."""
     n, m = (_count(doc[key], key) for key in ("n", "m"))
-    q = _from_upper(*_sparse_field(doc["q"], "q", n, n), n, "q.gaps")
+    rows, cols, vals = _sparse_field(doc["q"], "q", n, n)
+    if np.any(rows > cols):
+        raise InputError("q.gaps holds an entry below the diagonal; only the upper "
+                         "triangle is stored")
+    q = SparseMatrix._canonical(n, n, *_mirrored(rows, cols, vals, n), symmetric=True)
     a = _matrix_from_doc(doc["a"], m, n, "a")
     b, c = (_operand(_array_field(doc[key], key, np.float64), size, key)
             for key, size in (("b", m), ("c", n)))
@@ -281,97 +259,13 @@ def _record_from_doc(doc) -> TransformRecord:
                            SolutionMap(MapKind(sm_doc["kind"]), sm_doc["side"], values, indices))
 
 
-# Earlier forms.  Each is rewritten here into today's form, once, before the
-# reader above runs: its fields are read with every check, built into
-# matrices, and written back as today's writer would.
+# the end of every refusal of a file's contents: an earlier form is refused
+# as malformed, and every file regenerates from its seeds
+_REGENERATE = "; a file in an earlier form is not read: regenerate it from its seeds"
 
 
-def _earlier_keys(text, label, size) -> np.ndarray:
-    """The int64 keys earlier versions packed themselves: in the narrowest of
-    <u2, <u4 and <i8 that holds size - 1, and strictly increasing within
-    [0, size)."""
-    dtype = "<u2" if size <= 2**16 else "<u4" if size <= 2**32 else "<i8"
-    keys = _unpacked(text, label, dtype).astype(np.int64)
-    if keys.size and not (keys[0] >= 0 and keys[-1] < size and np.all(keys[1:] > keys[:-1])):
-        raise InputError(f"{label} must strictly increase within [0, {size})")
-    return keys
-
-
-def _upgraded_field(doc, label, n_rows, n_cols, n_sym, names=("rows", "cols", "vals")) -> dict:
-    """Today's form of an earlier sparse field, built through the checked
-    SparseMatrix constructor from packed keys and values, or from lists
-    under `names` (coordinates, values, and any field earlier files hold
-    beside them).  Any other field, unequal counts and an explicit zero are
-    refused.  The entries in the first n_sym rows are a symmetric n_sym x
-    n_sym block (q, or a graph's vv edges): stored with an entry below the
-    diagonal, it must be symmetric, and only its upper triangle goes on."""
-    vals_name = names[2]
-    fields = {"keys", vals_name} if "keys" in doc else set(names)
-    if not set(doc) <= fields:
-        raise InputError(f"{label} may hold {' and '.join(sorted(fields))} only")
-    vals = _array_field(doc[vals_name], f"{label}.{vals_name}", np.float64)
-    if "keys" in doc:
-        rows, cols = np.divmod(_earlier_keys(doc["keys"], f"{label}.keys", n_rows * n_cols), n_cols)
-    else:
-        rows, cols = (_array_field(doc[k], f"{label}.{k}", np.int64) for k in names[:2])
-    if not rows.shape == cols.shape == vals.shape:
-        raise InputError(f"{label}: coordinate and {vals_name} counts differ")
-    _nonzero(vals, f"{label}.{vals_name}")
-    sym = rows < n_sym
-    if "kind" in doc and doc["kind"] != np.where(sym, "vv", "ca").tolist():
-        raise InputError(f"{label}.kind must be 'ca' exactly where src >= the variable count")
-    lower = sym & (rows > cols)
-    if lower.any() and not SparseMatrix(n_sym, n_sym, rows[sym], cols[sym], vals[sym]).is_symmetric():
-        raise InputError(f"{label} stores both triangles of a matrix that is not symmetric")
-    mat = SparseMatrix(n_rows, n_cols, rows[~lower], cols[~lower], vals[~lower])
-    return _sparse_doc(mat.rows * n_cols + mat.cols, mat.vals, vals_name)
-
-
-def _upgrade(doc):
-    """Rewrite an instance document into today's form, in place.  Earlier
-    versions stored q and a as packed keys or lists, q maybe in full
-    storage, and add_variable_constrained's map densely: indices null,
-    values c_new then all of a_col."""
-    n, m = (_count(doc[key], key) for key in ("n", "m"))
-    for label, n_rows, n_sym in (("q", n, n), ("a", m, 0)):
-        if "gaps" not in doc[label]:
-            doc[label] = _upgraded_field(doc[label], label, n_rows, n, n_sym)
-    for rec in doc.get("provenance", []):
-        sm = rec["solution_map"]
-        if sm["kind"] == MapKind.EXPLICIT_DUAL.value and sm["indices"] is None:
-            dense = _array_field(sm["values"], "solution_map.values", np.float64)
-            sm["indices"] = np.flatnonzero(dense[1:]).tolist()
-            sm["values"] = _packed(np.append(dense[0], dense[1:][sm["indices"]]))
-
-
-def _upgrade_graph(doc):
-    """Rewrite a graph document into today's form, its instance's members n,
-    m, q, a, b, c, in place.  Earlier versions stored `nodes` and `edges`
-    instead: the node counts or a per-node side list, the features c then
-    b, and the edges keyed over the square of all nodes, as gaps, packed
-    keys or lists, vv edges maybe both ways, maybe with a per-edge kind
-    list."""
-    if "nodes" not in doc:
-        return
-    nodes, edges = doc.pop("nodes"), doc.pop("edges")
-    if "side" in nodes:
-        side = nodes.pop("side")
-        nodes["n_var"], nodes["n_con"] = side.count("var"), side.count("con")
-        if side != ["var"] * nodes["n_var"] + ["con"] * nodes["n_con"]:
-            raise InputError("nodes.side must list all var nodes, then all con nodes")
-    n, m = (_count(nodes[key], f"nodes.{key}") for key in ("n_var", "n_con"))
-    feature = _array_field(nodes["feature"], "nodes.feature", np.float64)
-    if len(feature) != n + m:
-        raise InputError("nodes.feature must hold one value per node")
-    if "gaps" not in edges:
-        edges = _upgraded_field(edges, "edges", n + m, n + m, n, ("src", "dst", "weight", "kind"))
-    src, dst, weight = _sparse_field(edges, "edges", n + m, n + m, "weight")
-    if np.any(dst >= n):
-        raise InputError("edges hold an edge that ends at a constraint node")
-    vv, ca = src < n, src >= n
-    q = _from_upper(src[vv], dst[vv], weight[vv], n, "edges.gaps")
-    doc.update(_data_to_doc(q, SparseMatrix(m, n, src[ca] - n, dst[ca], weight[ca]),
-                            feature[n:], feature[:n]))
+def _refused(path, reason) -> InputError:
+    return InputError(f"{path}: {reason}{_REGENERATE}")
 
 
 def save_instance(path, inst: LcqpInstance, sol: Solution | None = None):
@@ -411,22 +305,21 @@ def load_instance_unchecked(path):
     that must score bad labels instead of refusing to read them."""
     doc = _parse(path)
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: instance file must hold a single object")
-    missing = {"name", "kind", "n", "m", "q", "a", "b", "c"} - set(doc)
+        raise _refused(path, "instance file must hold a single object")
+    missing = {"name", "kind", *_DATA_MEMBERS} - set(doc)
     if missing:
-        raise InputError(f"{path}: missing fields {sorted(missing)}")
+        raise _refused(path, f"missing fields {sorted(missing)}")
     try:
         kind = ProblemKind(doc["kind"])
-        _upgrade(doc)
         q, a, b, c = _data_from_doc(doc)
         provenance = tuple(_record_from_doc(r) for r in doc.get("provenance", []))
         inst = LcqpInstance(
             q=q, a=a, b=b, c=c, kind=kind, name=str(doc["name"]), provenance=provenance
         )
     except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise _refused(path, exc) from exc
     except (KeyError, IndexError, TypeError, ValueError) as exc:  # a malformed record too
-        raise InputError(f"{path}: malformed field ({exc})") from exc
+        raise _refused(path, f"malformed field ({exc})") from exc
     if "solution" not in doc:
         return inst, None
     sd = doc["solution"]
@@ -436,7 +329,7 @@ def load_instance_unchecked(path):
         if x.shape != (inst.n,) or lam.shape != (inst.m,):
             raise InputError(f"x and lam must have {inst.n} and {inst.m} entries")
     except (KeyError, TypeError, InputError) as exc:
-        raise InputError(f"{path}: bad solution ({exc})") from exc
+        raise _refused(path, f"bad solution ({exc})") from exc
     return inst, (x, lam, stored_obj)
 
 
@@ -452,13 +345,16 @@ def load_graph(path):
 
     doc = _parse(path)
     try:
-        _upgrade_graph(doc)
+        missing, unknown = _DATA_MEMBERS - set(doc), set(doc) - _DATA_MEMBERS
+        if missing or unknown:
+            named = {"missing": missing, "unknown": unknown}
+            raise InputError(", ".join(f"{k} fields {sorted(v)}" for k, v in named.items() if v))
         q, a, b, c = _data_from_doc(doc)
         return BipartiteGraph(var_features=c, con_features=b, a=a, q=q)
     except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise _refused(path, exc) from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InputError(f"{path}: malformed graph file ({exc})") from exc
+        raise _refused(path, f"malformed graph file ({exc})") from exc
 
 
 def save_manifest(path, entries: list):

@@ -37,6 +37,14 @@ class MapKind(enum.Enum):
     EXPLICIT_DUAL = "explicit_dual"
 
 
+# the fields each kind's replay reads, so a map without them is refused
+_MAP_NEEDS = {
+    MapKind.PRIMAL_SCALED: ("values",), MapKind.DUAL_SCALED: ("values",),
+    MapKind.RESTRICTED_TO: ("indices",), MapKind.EXTENDED_WITH_ZEROS: ("indices",),
+    MapKind.EXPLICIT_DUAL: ("values", "indices"),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class SolutionMap:
     """Closed-form recipe mapping the old optimum to the new one.
@@ -45,6 +53,7 @@ class SolutionMap:
     indices (int64) are read-only arrays or None: scale factors, kept or fresh
     positions, or for EXPLICIT_DUAL the support of the new column a_col and
     (c_new, a_col[indices]), whose multiplier is -(c_new + a_col . lam).
+    A map holds the fields its kind's replay reads (_MAP_NEEDS).
     """
 
     kind: MapKind
@@ -64,6 +73,11 @@ class SolutionMap:
                 object.__setattr__(self, name, arr)
         if self.indices is not None and self.indices.min(initial=0) < 0:
             raise InputError("solution map indices must be nonnegative")
+        for name in _MAP_NEEDS.get(self.kind, ()):
+            if getattr(self, name) is None:
+                raise InputError(f"solution map {self.kind.value} needs {name}")
+        if self.kind is MapKind.EXPLICIT_DUAL and self.values.size != self.indices.size + 1:
+            raise InputError("solution map explicit_dual needs c_new and one value per index")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SolutionMap):

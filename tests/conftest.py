@@ -18,15 +18,18 @@ from qpaug import (
     Solution,
     SparseMatrix,
     add_constraints,
+    add_variable_constrained,
+    bias_instance,
     gen_lasso,
     gen_qp,
     gen_svm,
+    map_solution,
     scale_constraints,
     scale_variables,
     solve_splitting,
     to_bipartite_graph,
 )
-from qpaug.fileio import load_instance, save_graph, save_instance
+from qpaug.fileio import save_graph, save_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -84,28 +87,6 @@ def regapped(text, nnz, edit):
     return packed_gaps(edit(unpacked_gaps(text, nnz)))
 
 
-# the key width of every matrix in the earlier keyed fixtures, which have
-# fewer than 2**16 cells
-KEY_DTYPE = "<u2"
-
-
-def unpacked_keys(text):
-    """A packed keys field of an earlier file (row * n_cols + col per entry)
-    as a list of ints, decoded here without the package's reader."""
-    return np.frombuffer(base64.b64decode(text, validate=True), dtype=KEY_DTYPE).tolist()
-
-
-def packed_keys(keys):
-    """`keys` as an earlier file's packed keys field, encoded here without
-    the package."""
-    return base64.b64encode(np.asarray(keys, dtype=KEY_DTYPE).tobytes()).decode("ascii")
-
-
-def rekeyed(text, edit):
-    """The packed keys field `text` with `edit` applied to its decoded list."""
-    return packed_keys(edit(unpacked_keys(text)))
-
-
 def _first_as_string(text):
     values = unpacked(text)
     return [str(values[0]), *values[1:]]
@@ -116,10 +97,7 @@ def _first_as_string(text):
 A_CELLS, A_NNZ, Q_NNZ = 18, 15, 4
 
 # (path of a field in an instance file, edit of its stored value): each edit
-# of the labeled fixture, saved in today's form (or, for a field only an
-# earlier form has, in that form as stored: EARLIER_FORMS), must make loading
-# raise InputError.  An earlier version loaded each list case but
-# map-values-string: true as 1, a string parsed as the number it spells.
+# of the labeled fixture, saved, must make loading raise InputError.
 MALFORMED_NUMBERS = {
     "b-bad-base64": (("b",), lambda s: "!" + s[1:]),
     "x-partial-value": (("solution", "x"), lambda s: base64.b64encode(bytes(12)).decode()),
@@ -132,8 +110,6 @@ MALFORMED_NUMBERS = {
     "x-long": (("solution", "x"), lambda s: repacked(s, lambda v: [*v, 0.0])),
     "a.vals-short": (("a", "vals"), lambda s: repacked(s, lambda v: v[:-1])),
     "c-long": (("c",), lambda s: repacked(s, lambda v: [*v, 1.0])),
-    "q.rows-bool": (("q", "rows"), lambda v: [True if r == 1 else r for r in v]),
-    "a.cols-bool": (("a", "cols"), lambda v: [True if c == 1 else c for c in v]),
     "indices-bool": (("provenance", 2, "solution_map", "indices"),
                      lambda v: [False if i == 0 else i for i in v]),
     "b-string": (("b",), _first_as_string),
@@ -144,14 +120,6 @@ MALFORMED_NUMBERS = {
     "lam-string": (("solution", "lam"), _first_as_string),
     "map-values-string": (("provenance", 0, "solution_map", "values"), _first_as_string),
     "objective-string": (("solution", "objective"), str),
-    "q.keys-bad-base64": (("q", "keys"), lambda s: "!" + s[1:]),
-    "a.keys-partial-key": (("a", "keys"), lambda s: base64.b64encode(
-        base64.b64decode(s) + bytes(1)).decode()),
-    "q.keys-duplicate": (("q", "keys"), lambda s: rekeyed(s, lambda k: [k[0], *k[:-1]])),
-    "a.keys-duplicate": (("a", "keys"), lambda s: rekeyed(s, lambda k: [k[0], k[0], *k[2:]])),
-    "a.keys-decreasing": (("a", "keys"), lambda s: rekeyed(s, lambda k: [k[1], k[0], *k[2:]])),
-    "a.keys-out-of-range": (("a", "keys"), lambda s: rekeyed(s, lambda k: [*k[:-1], A_CELLS])),
-    "q.keys-list": (("q", "keys"), unpacked_keys),
     "q.gaps-bad-base64": (("q", "gaps"), lambda s: "!" + s[1:]),
     "a.gaps-byte-count-off-by-one": (("a", "gaps"), lambda s: base64.b64encode(
         base64.b64decode(s) + bytes(1)).decode()),
@@ -163,45 +131,33 @@ MALFORMED_NUMBERS = {
     "a.gaps-u8-overflow": (("a", "gaps"), lambda s: base64.b64encode(np.array(
         [0, 2**64 - 1, *range(1, A_NNZ - 1)], dtype="<u8").tobytes()).decode()),
     "q.gaps-list": (("q", "gaps"), lambda s: gaps_of(unpacked_gaps(s, Q_NNZ))),
-    "a.gaps-beside-keys": (("a",), lambda a: {**a, "keys": packed_keys(
-        unpacked_gaps(a["gaps"], A_NNZ))}),
+    "a.gaps-beside-keys": (("a",), lambda a: {**a, "keys": a["gaps"]}),
     # an earlier version loaded these, dropping the entry the zero stands for
     "a.vals-explicit-zero": (("a", "vals"), lambda s: repacked(s, lambda v: [0.0, *v[1:]])),
     "q.vals-explicit-zero": (("q", "vals"), lambda s: repacked(s, lambda v: [*v[:-1], 0.0])),
 }
 
-# the earlier fixtures of the labeled instance, by the field only they hold;
-# each loads as it stands
-EARLIER_FORMS = {"rows": "e1_labeled_lists_v3.json", "cols": "e1_labeled_lists_v3.json",
-                 "keys": "e1_labeled_keys_v4.json"}
-
-
 # the members of an instance file that its graph file holds, and only those
 GRAPH_MEMBERS = ("n", "m", "q", "a", "b", "c")
 
-# the MALFORMED_NUMBERS cases that edit one of those members in today's form,
-# so they apply to a saved graph file too
-GRAPH_CASES = sorted(case for case, ((first, *rest), _) in MALFORMED_NUMBERS.items()
-                     if first in GRAPH_MEMBERS and [first, *rest][-1] not in EARLIER_FORMS)
+# the MALFORMED_NUMBERS cases that edit one of those members, so they apply
+# to a saved graph file too
+GRAPH_CASES = sorted(case for case, ((first, *_), _) in MALFORMED_NUMBERS.items()
+                     if first in GRAPH_MEMBERS)
 
 
 def malformed_instance_file(path, case):
-    """Write the labeled fixture to `path` in today's form (in an earlier
-    form as stored, for a field of EARLIER_FORMS), with one field edited as
+    """Write the labeled fixture to `path`, with one field edited as
     MALFORMED_NUMBERS[case] says."""
-    (*outer, key), edit = MALFORMED_NUMBERS[case]
-    source = DATA / EARLIER_FORMS.get(key, "e1_labeled_lists_v3.json")
-    if key not in EARLIER_FORMS:
-        save_instance(path, *load_instance(source))
-        source = path
-    return _edited(path, json.loads(source.read_text()), case)
+    save_instance(path, *labeled_e1())
+    return _edited(path, json.loads(path.read_text()), case)
 
 
 def malformed_graph_file(path, case):
     """Write the labeled fixture's graph file to `path`, as save_graph writes
     it, with one member edited as MALFORMED_NUMBERS[case] (of GRAPH_CASES)
     says."""
-    save_graph(path, to_bipartite_graph(load_instance(DATA / "e1_labeled_lists_v3.json")[0]))
+    save_graph(path, to_bipartite_graph(labeled_e1()[0]))
     return _edited(path, json.loads(path.read_text()), case)
 
 
@@ -216,6 +172,27 @@ def _edited(path, doc, case):
     field[key] = edit(field[key])
     path.write_text(json.dumps(doc))
     return path
+
+
+# the steps from e1 that give the labeled fixture, a QP with four provenance
+# records (an earlier version wrote it as tests/data/e1_labeled_lists_v3.json)
+LABELED_STEPS = (
+    lambda inst, sol: scale_variables(inst, np.array([2.0, 0.5])),
+    lambda inst, sol: bias_instance(inst, sol, rank=1, magnitude=0.5, seed=3),
+    lambda inst, sol: add_variable_constrained(
+        inst, q_diag=0.5, a_col=np.array([-0.75, 0.0, -0.25]), c_new=-0.5),
+    lambda inst, sol: add_constraints(inst, [[0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.75, 0.0]]),
+)
+
+
+def labeled_e1():
+    """(instance, solution): e1 and its label carried through LABELED_STEPS."""
+    inst = make_e1()
+    sol = make_e1_sol(inst)
+    for step in LABELED_STEPS:
+        out, rec = step(inst, sol)
+        inst, sol = out, map_solution(rec, out, sol)
+    return inst, sol
 
 
 def make_instance(q, a, b, c, kind=ProblemKind.QP, name=""):
@@ -293,8 +270,7 @@ def generated_parity_matrices():
     }
 
 
-@pytest.fixture
-def e1():
+def make_e1():
     # min x'x - 2(x1+x2)  s.t.  x1+x2 <= 1, x >= 0; optimum (0.5, 0.5)
     return make_instance(
         q=[[2.0, 0.0], [0.0, 2.0]],
@@ -305,9 +281,18 @@ def e1():
     )
 
 
+def make_e1_sol(e1):
+    return Solution.from_primal_dual(e1, np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.fixture
+def e1():
+    return make_e1()
+
+
 @pytest.fixture
 def e1_sol(e1):
-    return Solution.from_primal_dual(e1, np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
+    return make_e1_sol(e1)
 
 
 @pytest.fixture

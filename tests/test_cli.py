@@ -3,6 +3,7 @@
 and pipeline byte determinism."""
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from qpaug import Solution, SparseMatrix
 from qpaug.cli import _build_parser, main
 from qpaug.fileio import load_instance, load_manifest, save_instance, save_manifest
 
-from conftest import MALFORMED_NUMBERS, make_instance, malformed_instance_file, repacked
+from conftest import (
+    DATA, MALFORMED_NUMBERS, labeled_e1, make_instance, malformed_instance_file, repacked,
+)
 
 GEN_LP = ["generate", "--family", "lp", "--rows", "8", "--cols", "4",
           "--density-a", "0.5", "--bounded", "--slack-noise", "4.0"]
@@ -833,8 +836,9 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, command, content):
     ("values", ["0.5"]),
 ], ids=["bool-index", "negative-index", "fractional-index", "string-value"])
 def test_malformed_solution_map_exits_2(tmp_path, capsys, command, key, value):
-    doc = json.loads((Path(__file__).parent / "data" / "e1_dense_provenance_v2.json").read_text())
-    doc["provenance"][1]["solution_map"][key] = value
+    save_instance(tmp_path / "e.json", *labeled_e1())
+    doc = json.loads((tmp_path / "e.json").read_text())
+    doc["provenance"][3]["solution_map"][key] = value  # add_constraints' extended_with_zeros
     (tmp_path / "e.json").write_text(json.dumps(doc))
     manifest = tmp_path / "manifest.json"
     save_manifest(manifest, [{"path": "e.json", "split": "train", "family": "qp",
@@ -846,9 +850,14 @@ def test_malformed_solution_map_exits_2(tmp_path, capsys, command, key, value):
 
 
 @pytest.mark.parametrize("command", ["graph", "solve", "verify"])
-@pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
+@pytest.mark.parametrize("case", [*sorted(MALFORMED_NUMBERS), "e1_labeled_keys_v4.json"])
 def test_malformed_numbers_exit_2(tmp_path, capsys, command, case):
-    malformed_instance_file(tmp_path / "e.json", case)
+    """Each malformed field, and a file in an earlier form (a refusal
+    fixture), exits 2 naming the file."""
+    if case in MALFORMED_NUMBERS:
+        malformed_instance_file(tmp_path / "e.json", case)
+    else:
+        shutil.copy(DATA / case, tmp_path / "e.json")
     manifest = tmp_path / "manifest.json"
     save_manifest(manifest, [{"path": "e.json", "split": "train", "family": "qp",
                               "seed": 0, "labeled": True, "solver_status": "ok"}])
@@ -856,6 +865,7 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, command, case):
     code, _, err = run(capsys, [command, "--manifest", str(manifest), *extra])
     assert code == 2
     assert err.startswith("error:") and "e.json" in err
+    assert err.rstrip().endswith("regenerate it from its seeds")
 
 
 # ------------------------------------------------------ colliding output names

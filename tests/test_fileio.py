@@ -1,5 +1,6 @@
 """Instance file round-trips: the on-disk schema is a contract, so one test
 pins the literal JSON layout and the rest check bitwise reconstruction."""
+import ast
 import base64
 import dataclasses
 import enum
@@ -14,23 +15,24 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import qpaug
 from qpaug import (
     InputError, LcqpInstance, ProblemKind, Solution, SparseMatrix, gen_lasso, gen_lp,
     gen_portfolio, gen_qp, gen_svm, kkt_residuals, solve_splitting, to_bipartite_graph,
 )
 from qpaug.fileio import (
-    _matrix_from_doc, _matrix_to_doc, _mirrored, _upgraded_field, load_graph, load_instance,
+    _matrix_from_doc, _matrix_to_doc, _mirrored, load_graph, load_instance,
     load_instance_unchecked, load_manifest, save_graph, save_instance, save_manifest,
 )
 from qpaug.transforms import (
     COMBO_STRENGTHS, SSL_STRENGTHS_QP, AugmentPolicy, MapKind, SolutionMap, TransformRecord,
-    _drop_constraints, add_constraints, add_variable_constrained, apply_policy, bias_instance,
-    map_solution, remove_inactive_constraints, scale_variables,
+    apply_policy, map_solution, scale_variables,
 )
 
 from conftest import (
-    DATA, GRAPH_CASES, GRAPH_MEMBERS, MALFORMED_NUMBERS, make_instance, malformed_graph_file,
-    malformed_instance_file, packed, packed_gaps, repacked, unpacked, unpacked_gaps, unpacked_keys,
+    DATA, GRAPH_CASES, GRAPH_MEMBERS, MALFORMED_NUMBERS, labeled_e1, make_instance,
+    malformed_graph_file, malformed_instance_file, packed, packed_gaps, repacked, unpacked,
+    unpacked_gaps,
 )
 
 
@@ -167,76 +169,29 @@ def test_instance_file_exact_text(tmp_path, e1, e1_sol):
     }
 
 
-def test_loads_indented_file_with_dense_provenance(e1, e1_sol):
-    """A file written by an earlier version: indented JSON, the scale vector
-    stored twice (params alpha and map values), dense add_constraints weights."""
-    inst, sol = load_instance(Path(__file__).parent / "data" / "e1_indented_v0.json")
-    scale, add = inst.provenance
-    assert scale.params == {"alpha": [2.0, 0.5]}
-    assert add.params == {"weights": [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]}
-    scaled, _ = scale_variables(e1, np.array([2.0, 0.5]))
-    mid = map_solution(scale, scaled, e1_sol)
-    added, _ = add_constraints(scaled, add.params["weights"])
-    assert added.data_equal(inst)
-    # the stored records replay the stored solution bit for bit
-    replayed = map_solution(add, inst, mid)
-    assert np.array_equal(replayed.x, sol.x) and np.array_equal(replayed.lam, sol.lam)
-    assert replayed.objective == sol.objective
-
-
-def test_loads_dense_explicit_dual_and_dropped_partition(e1, e1_sol):
-    """A file written by an earlier version: add_variable_constrained with the
-    dense map (c_new, *a_col), and drop records listing `dropped` next to the
-    kept indices.  It loads with the sparse map and replays its solution."""
-    path = DATA / "e1_dense_provenance_v2.json"
-    inst, sol = load_instance(path)
-    add, remove, drop = inst.provenance
-    stored = json.loads(path.read_text())["provenance"]
-    assert stored[0]["solution_map"]["values"] == [-0.5, -0.75, 0.0, -0.25]
-    assert stored[0]["solution_map"]["indices"] is None
-    assert add.solution_map.indices.tolist() == [0, 2]
-    assert add.solution_map.values.tolist() == [-0.5, -0.75, -0.25]
-    assert remove.params == {"dropped": [1], "tol": 1e-6, "fraction": 0.5, "seed": 3}
-    assert remove.solution_map.indices.tolist() == [0, 2, 3]
-    assert drop.params == {"dropped": [1]}
-    assert drop.solution_map.indices.tolist() == [0, 2]
-
-    # today's ops rebuild the same data and maps, without `dropped`
-    step, rec = add_variable_constrained(
-        e1, q_diag=0.5, a_col=np.array([-0.75, 0.0, -0.25]), c_new=-0.5)
-    assert rec.solution_map == add.solution_map
-    step_sol = map_solution(add, step, e1_sol)
-    dense = np.array(stored[0]["solution_map"]["values"])
-    assert step_sol.lam[-1] == pytest.approx(-(dense[0] + dense[1:] @ e1_sol.lam), rel=1e-12)
-    step, rec = remove_inactive_constraints(step, step_sol, fraction=0.5, seed=3)
-    assert rec.solution_map == remove.solution_map
-    assert rec.params == {"tol": 1e-6, "fraction": 0.5, "seed": 3}
-    step_sol = map_solution(remove, step, step_sol)
-    step, rec = _drop_constraints(step, [1])
-    assert rec.solution_map == drop.solution_map and rec.params == {}
-    step_sol = map_solution(drop, step, step_sol)
-    assert step.data_equal(inst)
-    # the stored solution was mapped with the dense formula
-    np.testing.assert_allclose(step_sol.x, sol.x, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(step_sol.lam, sol.lam, rtol=1e-12, atol=0)
-
-
-# (record, key, value); an earlier version loaded the first four, as the
-# value in the comment
+# (record, key, value) of the labeled fixture, whose records 0, 2 and 3 are
+# primal_scaled, explicit_dual and extended_with_zeros maps.  An earlier
+# version loaded the first three as the value in the comment.  The last four
+# lack a field their kind replays, or hold one value too few for it.
 MALFORMED_MAPS = {
-    "bool-index": (1, "indices", [True]),  # [1]
-    "negative-index": (1, "indices", [-3, 2, 3]),  # counted from the end
-    "fractional-index": (1, "indices", [0, 2.7, 3]),  # [0, 2, 3]
-    "string-value": (0, "values", ["-0.5", -0.75, 0.0, -0.25]),  # -0.5
-    "nested-values": (0, "values", [[-0.5, -0.75, 0.0, -0.25]]),
+    "bool-index": (3, "indices", [True]),  # [1]
+    "negative-index": (3, "indices", [-3, 2, 3]),  # counted from the end
+    "fractional-index": (3, "indices", [0, 2.7, 3]),  # [0, 2, 3]
+    "string-value": (0, "values", ["0.5", 2.0]),
+    "nested-values": (0, "values", [[0.5, 2.0]]),
+    "scaled-without-values": (0, "values", None),
+    "extended-without-indices": (3, "indices", None),
+    "explicit-dual-without-indices": (2, "indices", None),
+    "explicit-dual-values-short": (2, "values", packed([-0.5, -0.75])),
 }
 
 
 def malformed_map_file(tmp_path, case):
-    doc = json.loads((DATA / "e1_dense_provenance_v2.json").read_text())
+    path = tmp_path / "bad.json"
+    save_instance(path, *labeled_e1())
+    doc = json.loads(path.read_text())
     record, key, value = MALFORMED_MAPS[case]
     doc["provenance"][record]["solution_map"][key] = value
-    path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -306,134 +261,6 @@ def test_symmetric_pairs_stored_once(tmp_path, case):
     assert np.array_equal(gback.con_features, graph.con_features)
 
 
-def test_loads_full_storage_files(tmp_path):
-    """Files written by an earlier version: q with both triangles, and a graph
-    with vv edges both ways and an edges.kind list."""
-    old = json.loads((DATA / "qp_s0_full_storage_v1.json").read_text())
-    # the fixtures' instance, from the fixture's own arrays: they were written
-    # for gen_qp(3, 3, 0.7, 0.7, seed=0) before its Q was built as
-    # D^1/2 (I + S) D^1/2, so today's generator no longer gives them
-    expected = LcqpInstance(
-        q=SparseMatrix(3, 3, old["q"]["rows"], old["q"]["cols"], old["q"]["vals"]),
-        a=SparseMatrix(3, 3, old["a"]["rows"], old["a"]["cols"], old["a"]["vals"]),
-        b=np.array(old["b"]), c=np.array(old["c"]), kind=ProblemKind.QP, name="qp-s0",
-    )
-    inst, sol = load_instance(DATA / "qp_s0_full_storage_v1.json")
-    assert inst.data_equal(expected) and inst.name == expected.name
-    assert inst.provenance[0].params == old["provenance"][0]["params"]
-    assert sol is not None
-    assert sol.x.tolist() == old["solution"]["x"] and sol.lam.tolist() == old["solution"]["lam"]
-    graph = load_graph(DATA / "qp_s0_full_storage_v1.graph.json")
-    want = to_bipartite_graph(expected)
-    assert graph == want
-    assert graph.vv_edges.tolist() == want.vv_edges.tolist()
-    assert graph.ca_edges.tolist() == want.ca_edges.tolist()
-    assert np.array_equal(graph.var_features, want.var_features)
-    assert np.array_equal(graph.con_features, want.con_features)
-
-    # saving again stores the upper triangle and changes nothing else
-    path = tmp_path / "again.json"
-    save_instance(path, inst, sol)
-    new = _as_lists(json.loads(path.read_text()))
-    assert new["q"] == {"rows": [0, 0, 1, 1, 2], "cols": [0, 1, 1, 2, 2],
-                        "vals": [old["q"]["vals"][i] for i in (0, 1, 3, 4, 6)]}
-    assert {k: v for k, v in new.items() if k != "q"} == {
-        k: v for k, v in old.items() if k != "q"}
-
-
-# the steps from e1 that wrote tests/data/e1_labeled_lists_v3.json
-V3_STEPS = (
-    lambda inst, sol: scale_variables(inst, np.array([2.0, 0.5])),
-    lambda inst, sol: bias_instance(inst, sol, rank=1, magnitude=0.5, seed=3),
-    lambda inst, sol: add_variable_constrained(
-        inst, q_diag=0.5, a_col=np.array([-0.75, 0.0, -0.25]), c_new=-0.5),
-    lambda inst, sol: add_constraints(inst, [[0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.75, 0.0]]),
-)
-
-
-def test_loads_float_lists_v3(tmp_path, e1, e1_sol):
-    """Files written by an earlier version, every float array a JSON list: a
-    labeled QP with four provenance records, and its graph with a side list.
-    They load to today's objects, replay their solution, and save packed."""
-    stored = json.loads((DATA / "e1_labeled_lists_v3.json").read_text())
-    assert isinstance(stored["b"], list) and isinstance(stored["solution"]["lam"], list)
-    inst, sol = load_instance(DATA / "e1_labeled_lists_v3.json")
-    step, step_sol = e1, e1_sol
-    for rec, op in zip(inst.provenance, V3_STEPS, strict=True):
-        step, want = op(step, step_sol)
-        assert (rec.op_name, rec.params, rec.solution_map) == (
-            want.op_name, want.params, want.solution_map)
-        step_sol = map_solution(rec, step, step_sol)
-    assert step.data_equal(inst) and step.name == inst.name
-    assert np.array_equal(step_sol.x, sol.x) and np.array_equal(step_sol.lam, sol.lam)
-    assert step_sol.objective == sol.objective
-
-    graph = load_graph(DATA / "e1_labeled_lists_v3.graph.json")
-    want = to_bipartite_graph(step)
-    assert graph == want
-    assert graph.vv_edges.tolist() == want.vv_edges.tolist()
-    assert graph.ca_edges.tolist() == want.ca_edges.tolist()
-    assert np.array_equal(graph.var_features, want.var_features)
-    assert np.array_equal(graph.con_features, want.con_features)
-
-    # saving again packs every float array and changes no value
-    path = tmp_path / "again.json"
-    save_instance(path, inst, sol)
-    assert isinstance(json.loads(path.read_text())["b"], str)
-    assert _as_lists(json.loads(path.read_text())) == stored
-    # the graph saves as the instance's members, the same values as its
-    # node features (c, then b) and its edges (vv, then ca from node 3 + row)
-    gpath = tmp_path / "again.graph.json"
-    save_graph(gpath, graph)
-    new = json.loads(gpath.read_text())
-    assert new == {key: json.loads(path.read_text())[key] for key in GRAPH_MEMBERS}
-    old = json.loads((DATA / "e1_labeled_lists_v3.graph.json").read_text())
-    assert (new["n"], new["m"]) == (3, 6)
-    assert unpacked(new["c"]) + unpacked(new["b"]) == old["nodes"]["feature"]
-    (q_rows, q_cols), (a_rows, a_cols) = (
-        np.divmod(unpacked_gaps(new[key]["gaps"], nnz), 3) for key, nnz in (("q", 4), ("a", 15)))
-    assert {"src": [*q_rows.tolist(), *(a_rows + 3).tolist()],
-            "dst": [*q_cols.tolist(), *a_cols.tolist()],
-            "weight": unpacked(new["q"]["vals"]) + unpacked(new["a"]["vals"])} == old["edges"]
-
-
-def test_loads_packed_keys_v4(tmp_path):
-    """Files written by an earlier version, coordinates as packed keys: the
-    v3 instance and graph saved again.  They load to the v3 objects, and
-    saving again stores the same entries as gaps."""
-    inst, sol = load_instance(DATA / "e1_labeled_keys_v4.json")
-    v3, v3_sol = load_instance(DATA / "e1_labeled_lists_v3.json")
-    assert inst.data_equal(v3) and inst.name == v3.name and inst.provenance == v3.provenance
-    assert np.array_equal(sol.x, v3_sol.x) and np.array_equal(sol.lam, v3_sol.lam)
-    graph = load_graph(DATA / "e1_labeled_keys_v4.graph.json")
-    assert graph == load_graph(DATA / "e1_labeled_lists_v3.graph.json")
-
-    stored = json.loads((DATA / "e1_labeled_keys_v4.json").read_text())
-    path = tmp_path / "again.json"
-    save_instance(path, inst, sol)
-    new = json.loads(path.read_text())
-    for key, nnz in (("q", 4), ("a", 15)):
-        assert unpacked_gaps(new[key].pop("gaps"), nnz) == unpacked_keys(stored[key].pop("keys"))
-    assert new == stored
-    # the graph saves as the instance's members: the same features (c, then
-    # b) and the same edges, keyed src * 9 + dst over the 9 nodes
-    gpath = tmp_path / "again.graph.json"
-    save_graph(gpath, graph)
-    new = json.loads(gpath.read_text())
-    assert new == {key: json.loads(path.read_text())[key] for key in GRAPH_MEMBERS}
-    old = json.loads((DATA / "e1_labeled_keys_v4.graph.json").read_text())
-
-    def raw(*texts):  # the bytes the packed strings hold, one after another
-        return b"".join(base64.b64decode(text) for text in texts)
-
-    assert raw(new["c"], new["b"]) == raw(old["nodes"]["feature"])
-    assert raw(new["q"]["vals"], new["a"]["vals"]) == raw(old["edges"]["weight"])
-    (q_rows, q_cols), (a_rows, a_cols) = (
-        np.divmod(unpacked_gaps(new[key]["gaps"], nnz), 3) for key, nnz in (("q", 4), ("a", 15)))
-    src, dst = np.concatenate([q_rows, a_rows + 3]), np.concatenate([q_cols, a_cols])
-    assert (src * 9 + dst).tolist() == unpacked_keys(old["edges"]["keys"])
-
-
 def _described(value):
     """A loaded object as text: every array as its dtype, shape and the
     sha256 of its bytes, every float as hex, every other scalar as its type
@@ -455,32 +282,54 @@ def _described(value):
     return f"{type(value).__name__}:{value!r}"
 
 
-# the sha256 of _described(the object each earlier-form file in tests/data
-# loads to): load_instance's (instance, solution) pair, or load_graph's graph
-PINNED_DATA_OBJECTS = {
-    "e1_dense_provenance_v2.json": "d80fec707c811485e531af0a2f762dd6f2a6d43e8b3e6df782b2b1e1d37d0fae",
-    "e1_indented_v0.json": "78c065dc8ae5a76f032868bd4290de478fad7284ebc7afcb70c6f323446d850c",
-    "e1_labeled_gaps_v5.graph.json": "4d85a0bf4973f5a17c34ebe94c3fef1a2e25d106bf2d2b2067af6fe9090394f7",
-    "e1_labeled_keys_v4.graph.json": "4d85a0bf4973f5a17c34ebe94c3fef1a2e25d106bf2d2b2067af6fe9090394f7",
-    "e1_labeled_keys_v4.json": "a33deb906f8baf54a0cfd69042ae19628e99b8bfc4b900561f86ac96c12fd040",
-    "e1_labeled_lists_v3.graph.json": "4d85a0bf4973f5a17c34ebe94c3fef1a2e25d106bf2d2b2067af6fe9090394f7",
-    "e1_labeled_lists_v3.json": "a33deb906f8baf54a0cfd69042ae19628e99b8bfc4b900561f86ac96c12fd040",
-    "qp_s0_full_storage_v1.graph.json": "349db4b84b6b332901e30080dbbd8a2ae09334cac230db360c5023dd94bcf5f1",
-    "qp_s0_full_storage_v1.json": "e3fe3e9651cae4fe845e62392b06ab36411b4acde2ff43827c8cf27c069f1c55",
+def test_labeled_fixture_is_the_pinned_object():
+    """The labeled fixture, built from e1 by LABELED_STEPS, is the object its
+    earlier file (e1_labeled_lists_v3.json) loaded to, down to each array's
+    bytes and each float's bits."""
+    text = _described(labeled_e1())
+    pin = "a33deb906f8baf54a0cfd69042ae19628e99b8bfc4b900561f86ac96c12fd040"
+    assert hashlib.sha256(text.encode()).hexdigest() == pin, text
+
+
+# each file in tests/data, written in an earlier form, and the refusal that
+# names its first field that is not today's: a sparse field as lists or
+# keys, or a graph's nodes and edges in place of its instance's members
+GRAPH_REFUSAL = "missing fields ['a', 'b', 'c', 'm', 'n', 'q'], unknown fields ['edges', 'nodes']"
+REFUSAL_FIXTURES = {
+    "e1_dense_provenance_v2.json": "q must hold q.gaps and vals only",
+    "e1_indented_v0.json": "q must hold q.gaps and vals only",
+    "e1_labeled_gaps_v5.graph.json": GRAPH_REFUSAL,
+    "e1_labeled_keys_v4.graph.json": GRAPH_REFUSAL,
+    "e1_labeled_keys_v4.json": "q must hold q.gaps and vals only",
+    "e1_labeled_lists_v3.graph.json": GRAPH_REFUSAL,
+    "e1_labeled_lists_v3.json": "q must hold q.gaps and vals only",
+    "qp_s0_full_storage_v1.graph.json": GRAPH_REFUSAL,
+    "qp_s0_full_storage_v1.json": "q must hold q.gaps and vals only",
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_DATA_OBJECTS))
-def test_earlier_forms_load_to_pinned_objects(name):
-    """Every fixture of an earlier file form loads to the same objects, down
-    to each array's bytes and each float's bits."""
-    load = load_graph if name.endswith(".graph.json") else load_instance
-    text = _described(load(DATA / name))
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DATA_OBJECTS[name], text
+def test_every_data_file_is_refused():
+    """Every file in tests/data is a refusal fixture: an earlier form, which
+    the one reader refuses by the field, with the hint to regenerate it."""
+    assert sorted(REFUSAL_FIXTURES) == sorted(p.name for p in DATA.glob("*.json"))
+    for name, field in REFUSAL_FIXTURES.items():
+        load = load_graph if name.endswith(".graph.json") else load_instance_unchecked
+        with pytest.raises(InputError) as info:
+            load(DATA / name)
+        assert str(info.value).startswith(f"{DATA / name}: {field}")
+        assert str(info.value).endswith("regenerate it from its seeds")
 
 
-def test_every_data_file_is_pinned():
-    assert sorted(PINNED_DATA_OBJECTS) == sorted(p.name for p in DATA.glob("*.json"))
+def test_no_module_reads_an_earlier_form():
+    """No module of the package defines or names an upgrade of an earlier
+    file form: the one reader reads today's form only."""
+    gone = {"_upgrade", "_upgrade_graph", "_upgraded_field", "_earlier_keys"}
+    found = []
+    for path in sorted(Path(qpaug.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, attr, None) for attr in ("name", "id", "attr", "asname")}
+            found += [(path.name, name) for name in sorted(names & gone)]
+    assert found == []
 
 
 EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300])
@@ -532,27 +381,15 @@ def test_packed_round_trip_is_bit_exact(tmp_path):
     ((2**32 + 1, 1), "<i8"),  # a tall column, still sparse
 ])
 def test_keys_take_the_narrowest_width(shape, dtype):
-    """Earlier files pack keys in the narrowest of <u2, <u4 and <i8 that
-    holds n_rows * n_cols - 1, the key of the last cell, which each matrix
-    holds.  They load at that width and no other, to the matrix today's
-    gaps give."""
+    """Each shape puts the key of its last cell, n_rows * n_cols - 1, at a
+    boundary of the widths <u2, <u4 and <i8 (dtype, the narrowest that holds
+    it), and the matrix holds that cell: its gaps load back to the same
+    matrix."""
     n_rows, n_cols = shape
     mat = SparseMatrix(n_rows, n_cols, [0, n_rows // 2, n_rows - 1], [n_cols - 1, 0, n_cols - 1],
                        [1.0, -2.0, 3.0])
     keys = mat.rows * n_cols + mat.cols
     assert keys[-1] == n_rows * n_cols - 1
-
-    def earlier(doc):  # upgraded to today's form, then read
-        return _matrix_from_doc(_upgraded_field(doc, "a", n_rows, n_cols, 0), n_rows, n_cols, "a")
-
-    for width in ("<u2", "<u4", "<i8"):
-        doc = {"keys": base64.b64encode(keys.astype(width).tobytes()).decode(),
-               "vals": packed(mat.vals)}
-        if width == dtype:
-            assert earlier(doc) == mat
-        else:
-            with pytest.raises(InputError):
-                earlier(doc)
     assert _matrix_from_doc(_matrix_to_doc(mat), n_rows, n_cols, "a") == mat
 
 
@@ -603,14 +440,13 @@ def test_gaps_refuse_keys_that_wrap_past_int64():
 @pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
 def test_load_rejects_malformed_numbers(tmp_path, case):
     """Bad packed strings (not base64, a partial value, NaN or infinity, the
-    wrong count), gaps of a wrong or too wide width, gaps or earlier keys
-    that are not a packed string or leave the matrix, gaps beside keys,
-    keys that repeat or decrease, booleans among indices, and strings among
-    numbers."""
+    wrong count), gaps of a wrong or too wide width, gaps that are not a
+    packed string or leave the matrix, gaps beside another field, booleans
+    among indices, and strings among numbers."""
     path = malformed_instance_file(tmp_path / "bad.json", case)
-    # the gaps or keys reader itself, not a later check, refuses a bad field
+    # the gaps reader itself, not a later check, refuses a bad gaps field
     field = case.split("-")[0]
-    match = re.escape(field) if field.endswith((".gaps", ".keys")) else None
+    match = re.escape(field) if field.endswith(".gaps") else None
     with pytest.raises(InputError, match=match):
         load_instance(path)
     with pytest.raises(InputError, match=match):
@@ -664,9 +500,9 @@ def test_save_refuses_non_finite_values(tmp_path, e1):
 
 
 def test_loaded_matrices_are_not_checked_again(tmp_path, monkeypatch):
-    """A current-form file's q is symmetric by construction: loading it and
-    its graph never runs the symmetry computation, and every loaded matrix
-    owns read-only arrays.  A full-storage file still has its q checked."""
+    """A file's q is symmetric by construction: loading it and its graph
+    never runs the symmetry computation, and every loaded matrix owns
+    read-only arrays."""
     inst = gen_qp(300, 300, 0.05, 0.05, seed=0)  # one qp-m benchmark instance
     path, gpath = tmp_path / "qp.json", tmp_path / "qp.graph.json"
     save_instance(path, inst)
@@ -685,26 +521,6 @@ def test_loaded_matrices_are_not_checked_again(tmp_path, monkeypatch):
     assert not any(arr.flags.writeable for arr in arrays)
     for i, first in enumerate(arrays):
         assert not any(np.shares_memory(first, other) for other in arrays[i + 1:])
-    with pytest.raises(AssertionError, match="symmetry of a loaded matrix"):
-        load_instance(DATA / "qp_s0_full_storage_v1.json")
-    with pytest.raises(AssertionError, match="symmetry of a loaded matrix"):
-        load_graph(DATA / "qp_s0_full_storage_v1.graph.json")
-
-
-@pytest.mark.parametrize("edit", ["value", "missing"])
-def test_load_rejects_asymmetric_full_storage(tmp_path, edit):
-    doc = json.loads((DATA / "qp_s0_full_storage_v1.json").read_text())
-    q = doc["q"]
-    assert (q["rows"][2], q["cols"][2]) == (1, 0)
-    if edit == "value":
-        q["vals"][2] += 1.0  # (1, 0) no longer mirrors (0, 1)
-    else:
-        for key in q:  # (2, 1) still marks full storage, (0, 1) lost its mirror
-            del q[key][2]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(InputError, match="symmetric"):
-        load_instance(path)
 
 
 def test_save_is_byte_deterministic(tmp_path, e1, e1_sol):
@@ -749,6 +565,8 @@ def test_load_rejects_length_mismatch(tmp_path, e1):
 @pytest.mark.parametrize("field, value", [
     ("n", 2.9),  # used to load as n = 2
     ("m", "3"),
+    # the earlier list form, with a non-integer index: refused whole, as its
+    # coordinates are not packed gaps
     ("a", {"rows": [0, 0, 1, 2], "cols": [0, 1.7, 0, 1], "vals": [1.0, 1.0, -1.0, -1.0]}),
     ("q", {"rows": [0.0, 1.0], "cols": [0, 1], "vals": [2.0, 2.0]}),
     ("n", -2),  # n * n is positive, so q's keys alone would pass

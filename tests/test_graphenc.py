@@ -1,7 +1,6 @@
 """Bipartite encoding, the forward-only message passer, pooling, and the
 contrastive loss.  The loss has a brute-force double-loop oracle here; the
 network itself is locked by structural properties plus a frozen snapshot."""
-import base64
 
 import numpy as np
 import pytest
@@ -24,9 +23,7 @@ from qpaug.graphenc import (
 )
 from qpaug.transforms import AugmentPolicy, SSL_STRENGTHS_QP, apply_policy, scale_variables
 
-from conftest import (
-    DATA, make_instance, packed, packed_gaps, packed_keys, unpacked, unpacked_gaps,
-)
+from conftest import make_instance, packed, packed_gaps, unpacked, unpacked_gaps
 
 
 # ---------------------------------------------------------------- graph building
@@ -462,18 +459,13 @@ E1_GRAPH_FILE = (
     '"b":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAA","c":"AAAAAAAAAMAAAAAAAAAAwA=="}\n'
 )
 
-# two var nodes and one con node in the earlier form, with a side list
-SIDE_NODES = {"side": ["var", "var", "con"], "feature": [0.0, 0.0, 1.0]}
-
-
-def _graph_doc(nodes=SIDE_NODES, **edges):
-    """Two ca edges in the earlier form with a kind list; a field set to None
-    is left out."""
-    edges = {"src": [2, 2], "dst": [0, 1], "weight": [1.0, 2.0], "kind": ["ca", "ca"], **edges}
-    return {
-        "nodes": nodes,
-        "edges": {key: val for key, val in edges.items() if val is not None},
-    }
+def _graph_file(q, a, c=(0.0, 0.0)):
+    """A graph file of two variable nodes and one constraint node, written
+    here without the package: q (its upper triangle) and a as {key: weight},
+    keyed row * 2 + col."""
+    return {"n": 2, "m": 1, **{name: {
+        "gaps": packed_gaps(sorted(field)), "vals": packed([field[k] for k in sorted(field)])}
+        for name, field in (("q", q), ("a", a))}, "b": packed([1.0]), "c": packed(c)}
 
 
 def test_graph_file_loads_hand_written_edges(tmp_path):
@@ -484,116 +476,46 @@ def test_graph_file_loads_hand_written_edges(tmp_path):
                               a=SparseMatrix(1, 2, [0], [1], [4.0]),
                               q=SparseMatrix.from_dense(vv))
 
-    offdiag = expected([[0.0, 0.5], [0.5, 0.0]])
-    full = expected([[2.0, 0.5], [0.5, 3.0]])
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(_graph_doc(
-        src=[2, 0, 1], dst=[1, 1, 0], weight=[4, 0.5, 0.5], kind=["ca", "vv", "vv"])))
+    # q's upper triangle holds the vv edges one way, and loading mirrors them
+    path.write_text(json.dumps(_graph_file(q={1: 0.5}, a={1: 4.0})))
     g = load_graph(path)
-    assert g == offdiag
+    assert g == expected([[0.0, 0.5], [0.5, 0.0]])
     assert g.ca_edges.tolist() == [(0, 1, 4.0)]
     assert g.vv_edges.tolist() == [(0, 1, 0.5), (1, 0, 0.5)]
-    # today's form: vv edges one way, kind derived from src >= 2 var nodes
-    path.write_text(json.dumps(_graph_doc(
-        src=[1, 2, 0, 0], dst=[1, 1, 1, 0], weight=[3, 4, 0.5, 2], kind=None)))
-    g = load_graph(path)
-    assert g == full
-    assert g.ca_edges.tolist() == [(0, 1, 4.0)]
-    assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
-    assert g.con_features.tolist() == [1.0]
-    # node counts, and packed features and weights
-    path.write_text(json.dumps(_graph_doc(
-        nodes={"n_var": 2, "n_con": 1, "feature": packed([0.0, 0.5, 1.0])},
-        src=[1, 2, 0, 0], dst=[1, 1, 1, 0], kind=None,
-        weight=packed([3.0, 4.0, 0.5, 2.0]))))
+    path.write_text(json.dumps(_graph_file(q={0: 2.0, 1: 0.5, 3: 3.0}, a={1: 4.0}, c=(0.0, 0.5))))
     g = load_graph(path)
     assert g == expected([[2.0, 0.5], [0.5, 3.0]], var_features=(0.0, 0.5))
     assert g.ca_edges.tolist() == [(0, 1, 4.0)]
     assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
     assert g.var_features.tolist() == [0.0, 0.5] and g.con_features.tolist() == [1.0]
-    # the same edges keyed src * 3 + dst over the 3 nodes, packed as keys
-    # (an earlier form) and as today's gaps
-    for doc in (_keyed_doc(packed_keys([0, 1, 4, 7]), weight=[2, 0.5, 3, 4]),
-                _gapped_doc(packed_gaps([0, 1, 4, 7]), weight=[2, 0.5, 3, 4])):
-        path.write_text(json.dumps(doc))
-        g = load_graph(path)
-        assert g == full
-        assert g.ca_edges.tolist() == [(0, 1, 4.0)]
-        assert g.vv_edges.tolist() == [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 3.0)]
-
-
-def _keyed_doc(keys, **edges):
-    """Two var nodes and one con node, and edges keyed over the 3 x 3 node
-    square: by default the ca edges (2, 0) and (2, 1), keys 6 and 7."""
-    return _graph_doc(nodes={"n_var": 2, "n_con": 1, "feature": packed([0.0, 0.0, 1.0])},
-                      **{"src": None, "dst": None, "kind": None, "keys": keys, **edges})
-
-
-@pytest.mark.parametrize("keys, edges, message", [
-    (packed_keys([6, 7]), {}, None),  # loads
-    ("!" + packed_keys([6, 7])[1:], {}, "edges.keys"),  # not base64
-    (base64.b64encode(bytes(3)).decode(), {}, "edges.keys"),  # a partial key
-    (packed_keys([6, 6]), {}, "edges.keys"),  # a duplicate key
-    (packed_keys([7, 6]), {}, "edges.keys"),  # decreasing keys
-    (packed_keys([6, 9]), {}, "edges.keys"),  # 9, the node square's cell count
-    ([6, 7], {}, "edges.keys"),  # not a packed string
-    (packed_keys([6, 7]), {"src": [2, 2]}, "keys and weight only"),
-    (packed_keys([6, 7]), {"kind": ["ca", "ca"]}, "keys and weight only"),
-    (packed_keys([6]), {}, "coordinate and weight counts differ"),
-    (packed_keys([6, 7]), {"weight": [1.0, 0.0]}, "nonzero weights"),  # an explicit zero
-    (packed_keys([1, 6, 7]), {"weight": packed([0.0, 1.0, 2.0])}, "nonzero weights"),  # vv pair
-])
-def test_graph_file_checks_edge_keys(tmp_path, keys, edges, message):
-    import json
-
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(_keyed_doc(keys, **edges)))
-    if message is None:
-        assert load_graph(path).ca_edges.tolist() == [(0, 0, 1.0), (0, 1, 2.0)]
-        return
-    with pytest.raises(InputError, match=message):
+    # no edges
+    path.write_text(json.dumps(_graph_file(q={}, a={})))
+    g = load_graph(path)
+    assert g.vv_edges.tolist() == [] and g.ca_edges.tolist() == []
+    # key 2 is (1, 0): a vv edge below the diagonal, which no version wrote
+    path.write_text(json.dumps(_graph_file(q={2: 0.5}, a={1: 4.0})))
+    with pytest.raises(InputError, match=r"q\.gaps holds an entry below the diagonal"):
         load_graph(path)
 
 
-def _gapped_doc(gaps, **edges):
-    """_keyed_doc with the edges packed as gaps: by default those of the ca
-    edges (2, 0) and (2, 1), keys 6 and 7."""
-    return _graph_doc(nodes=_keyed_doc(None)["nodes"],
-                      **{"src": None, "dst": None, "kind": None, "gaps": gaps, **edges})
+# two var nodes and one con node in an earlier form, with a side list
+SIDE_NODES = {"side": ["var", "var", "con"], "feature": [0.0, 0.0, 1.0]}
 
 
-@pytest.mark.parametrize("gaps, edges, message", [
-    (packed_gaps([6, 7]), {}, None),  # loads
-    ("!" + packed_gaps([6, 7])[1:], {}, "edges.gaps"),  # not base64
-    (base64.b64encode(bytes(3)).decode(), {}, "edges.gaps"),  # 3 bytes for 2 gaps
-    (base64.b64encode(bytes(6)).decode(), {}, "edges.gaps"),  # a width of 3
-    (packed_gaps([6, 7], width=2), {}, "edges.gaps"),  # wider than needed
-    (packed_gaps([6, 9]), {}, "edges.gaps"),  # 9, the node square's cell count
-    (base64.b64encode(np.array([6, 2**64 - 1], "<u8").tobytes()).decode(), {},
-     "edges.gaps"),  # wraps to a repeat of key 6 in int64
-    ([6, 0], {}, "edges.gaps"),  # not a packed string
-    (packed_gaps([6, 7]), {"keys": packed_keys([6, 7])}, "gaps and weight only"),
-    (packed_gaps([6, 7]), {"src": [2, 2]}, "gaps and weight only"),
-    (packed_gaps([6, 7]), {"weight": [1.0, 0.0]}, "nonzero weights"),  # an explicit zero
-    ("", {"weight": []}, None),  # no edges
-    # key 2 is (0, 2): a vv edge that ends at the constraint node
-    (packed_gaps([2, 7]), {}, "ends at a constraint node"),
-    # key 8 is (2, 2): a ca edge that ends at the constraint node
-    (packed_gaps([7, 8]), {}, "ends at a constraint node"),
-    # key 3 is (1, 0): a vv edge below the diagonal, which no version wrote
-    (packed_gaps([3, 6]), {}, "edges.gaps holds an entry below the diagonal"),
-])
-def test_graph_file_checks_edge_gaps(tmp_path, gaps, edges, message):
-    import json
+def _graph_doc(nodes=SIDE_NODES, **edges):
+    """Two ca edges in an earlier form, `nodes` and `edges` with a kind list;
+    a field set to None is left out."""
+    edges = {"src": [2, 2], "dst": [0, 1], "weight": [1.0, 2.0], "kind": ["ca", "ca"], **edges}
+    return {
+        "nodes": nodes,
+        "edges": {key: val for key, val in edges.items() if val is not None},
+    }
 
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(_gapped_doc(gaps, **edges)))
-    if message is None:
-        want = [(0, 0, 1.0), (0, 1, 2.0)] if gaps else []
-        assert load_graph(path).ca_edges.tolist() == want
-        return
-    with pytest.raises(InputError, match=message):
-        load_graph(path)
+
+# a graph file in the earlier nodes/edges form, malformed or not, is refused
+# by its members, before any of them is read
+EARLIER_GRAPH = r"missing fields \['a', 'b', 'c', 'm', 'n', 'q'\], unknown fields \['edges', 'nodes'\]"
 
 
 @pytest.mark.parametrize("edges", [
@@ -634,7 +556,7 @@ def test_graph_file_rejects_malformed_edges(tmp_path, edges):
 
     path = tmp_path / "g.json"
     path.write_text(json.dumps(_graph_doc(**edges)))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=EARLIER_GRAPH):
         load_graph(path)
 
 
@@ -657,7 +579,7 @@ def test_graph_file_rejects_malformed_nodes(tmp_path, nodes):
 
     path = tmp_path / "g.json"
     path.write_text(json.dumps(_graph_doc(nodes=nodes)))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=EARLIER_GRAPH):
         load_graph(path)
 
 
@@ -674,34 +596,36 @@ def test_graph_file_errors_name_the_file(tmp_path, e1):
     message = f"{path}: c must have shape (2,), got (3,)"
     with pytest.raises(InputError, match=re.escape(message)):
         load_graph(path)
-    # the same check in the earlier nodes/edges form
-    doc = json.loads((DATA / "e1_labeled_gaps_v5.graph.json").read_text())
-    doc["nodes"]["n_var"] = 4
-    path.write_text(json.dumps(doc))
-    message = f"{path}: nodes.feature must hold one value per node"
-    with pytest.raises(InputError, match=re.escape(message)):
-        load_graph(path)
+    # a graph file holds exactly its instance's members n, m, q, a, b, c
+    saved = json.loads(path.read_text())
+    for edit, message in ((lambda doc: doc.pop("b"), "missing fields ['b']"),
+                          (lambda doc: doc.update(extra=1), "unknown fields ['extra']"),
+                          (lambda doc: doc.update(solution={}), "unknown fields ['solution']")):
+        doc = json.loads(json.dumps(saved))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=re.escape(f"{path}: {message}; ")):
+            load_graph(path)
 
 
 def test_graph_file_sorts_vv_edges_like_lexsort(tmp_path):
     """load_graph's vv edges come in q's canonical storage order, the
-    (src, dst) lexicographic order, checked on edges stored shuffled."""
+    (src, dst) lexicographic order, with the lower triangle mirrored from
+    the stored upper one into place."""
     import json
 
     rng = np.random.default_rng(5)
     n = 7
     upper = [(i, j) for i in range(n) for j in range(i, n) if rng.random() < 0.5]
-    order = rng.permutation(len(upper))
-    src = [upper[k][0] for k in order]
-    dst = [upper[k][1] for k in order]
     weight = rng.uniform(0.5, 1.5, len(upper))
     path = tmp_path / "g.json"
     path.write_text(json.dumps({
-        "nodes": {"n_var": n, "n_con": 0, "feature": [0.0] * n},
-        "edges": {"src": src, "dst": dst, "weight": weight.tolist()},
+        "n": n, "m": 0, "q": {"gaps": packed_gaps([i * n + j for i, j in upper]),
+                              "vals": packed(weight)},
+        "a": {"gaps": "", "vals": ""}, "b": "", "c": packed(np.zeros(n)),
     }))
     g = load_graph(path)
-    both = np.array([(s, d) for s, d in zip(src, dst)] + [(d, s) for s, d in zip(src, dst) if s != d])
+    both = np.array(upper + [(d, s) for s, d in upper if s != d])
     ref = np.lexsort((both[:, 1], both[:, 0]))
     assert [(s, d) for s, d, _ in g.vv_edges.tolist()] == [tuple(both[k]) for k in ref]
 
